@@ -3,15 +3,14 @@
 //! ```text
 //! colorist-perfgate --baseline results/bench_baseline.json \
 //!                   --current  results/bench_summary.json \
-//!                   [--max-wall-regress 0.25] [--wall-warn-only] \
-//!                   [--max-op-regress 0.0] [--q-error-budget 8.0]
+//!                   [--q-error-budget 8.0]
 //! colorist-perfgate --validate-trace trace.json
 //! colorist-perfgate --scale --baseline results/BENCH_scale.json --current ...
 //! ```
 //!
 //! `--scale` switches the diff to the `BENCH_scale.json` rules
-//! (identity fields exact, plan-cache counters op-gated, throughput/p99
-//! under the wall-clock rules).
+//! (identity fields exact, plan-cache counters op-gated). Wall-clock
+//! fields are never gated: `BENCHMARK.json` is the authority for time.
 //!
 //! Exit status: `0` pass, `1` regression (or invalid trace), `2` usage
 //! error / non-comparable documents.
@@ -22,7 +21,6 @@ use colorist_trace::Json;
 fn usage() -> ! {
     eprintln!(
         "usage: colorist-perfgate [--scale] --baseline FILE --current FILE \
-         [--max-wall-regress F] [--wall-warn-only] [--max-op-regress F] \
          [--q-error-budget F]\n\
          \x20      colorist-perfgate --validate-trace FILE"
     );
@@ -60,17 +58,11 @@ fn main() {
             "--current" => current = Some(value("--current")),
             "--validate-trace" => trace = Some(value("--validate-trace")),
             "--scale" => scale_doc = true,
-            "--wall-warn-only" => cfg.wall_warn_only = true,
-            "--max-wall-regress" | "--max-op-regress" | "--q-error-budget" => {
-                let v: f64 = value(&a).parse().unwrap_or_else(|_| {
-                    eprintln!("perfgate: {a} expects a number like 0.25");
+            "--q-error-budget" => {
+                cfg.q_error_budget = value(&a).parse().unwrap_or_else(|_| {
+                    eprintln!("perfgate: {a} expects a number like 8.0");
                     std::process::exit(2);
                 });
-                match a.as_str() {
-                    "--max-wall-regress" => cfg.max_wall_regress = v,
-                    "--max-op-regress" => cfg.max_op_regress = v,
-                    _ => cfg.q_error_budget = v,
-                }
             }
             _ => usage(),
         }
@@ -93,8 +85,9 @@ fn main() {
     }
 
     let (Some(bpath), Some(cpath)) = (baseline, current) else { usage() };
-    let diff = if scale_doc { compare_scale } else { compare };
-    match diff(&load(&bpath), &load(&cpath), &cfg) {
+    let (base, cur) = (load(&bpath), load(&cpath));
+    let diff = if scale_doc { compare_scale(&base, &cur) } else { compare(&base, &cur, &cfg) };
+    match diff {
         Err(e) => {
             eprintln!("perfgate: {e}");
             std::process::exit(2);

@@ -318,9 +318,10 @@ fn build(g: &ErGraph, strategy: Strategy, fit: &Fit, target: u64, seed: u64) -> 
 
 fn main() {
     let cfg = parse_args();
-    if cfg.trace.is_some() {
-        colorist_trace::collect_start();
-    }
+    colorist_trace::traced(cfg.trace.as_deref(), || run(&cfg)).expect("write trace document");
+}
+
+fn run(cfg: &Config) {
     let seed = seed();
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let patterns: Vec<Pattern> = tpcw::workload(&g).reads;
@@ -356,7 +357,7 @@ fn main() {
         let _ = writeln!(j, "    {{\"target_elements\": {target}, \"strategies\": [");
         for (ci, (strategy, fit)) in fits.iter().enumerate() {
             let (customers, db) = build(&g, *strategy, fit, target, seed);
-            let cell = run_cell(&g, db, &patterns, *strategy, customers, &cfg, cfg.workers);
+            let cell = run_cell(&g, db, &patterns, *strategy, customers, cfg, cfg.workers);
             eprintln!(
                 "colorist-scale: {target:>8} x {:<7} {:>9} elements  {:>10.1} q/s  p50 {:>8.1} us  p99 {:>8.1} us  hit rate {:.3}",
                 cell.strategy,
@@ -405,7 +406,7 @@ fn main() {
         let fit = &fits.iter().find(|(s, _)| *s == strategy).expect("DR fitted").1;
         let qps = |workers: usize| {
             let (customers, db) = build(&g, strategy, fit, cfg.speedup_scale, seed);
-            run_cell(&g, db, &patterns, strategy, customers, &cfg, workers).throughput_qps
+            run_cell(&g, db, &patterns, strategy, customers, cfg, workers).throughput_qps
         };
         let (one, many) = (qps(1), qps(cfg.speedup_workers));
         eprintln!(
@@ -441,11 +442,4 @@ fn main() {
     }
     std::fs::write(&cfg.out, &j).expect("write scale document");
     println!("colorist-scale: wrote {}", cfg.out);
-
-    if let Some(path) = &cfg.trace {
-        let trace = colorist_trace::collect_stop();
-        std::fs::write(path, colorist_trace::chrome_trace_json(&trace))
-            .expect("write trace document");
-        eprintln!("colorist-scale: trace {} spans -> {path}", trace.spans.len());
-    }
 }

@@ -47,22 +47,12 @@ fn main() {
         }
         path
     };
-    if trace_path.is_some() {
-        colorist_trace::collect_start();
-    }
-
-    let (_g, w, results, serial_wall) = colorist_bench::tpcw_suite_with_baseline();
-
-    if let Some(path) = &trace_path {
-        let trace = colorist_trace::collect_stop();
-        match std::fs::write(path, colorist_trace::chrome_trace_json(&trace)) {
-            Ok(()) => eprintln!("trace: {} spans -> {path}", trace.spans.len()),
-            Err(e) => {
+    let (_g, w, results, serial_wall) =
+        colorist_trace::traced(trace_path.as_deref(), colorist_bench::tpcw_suite_with_baseline)
+            .unwrap_or_else(|e| {
                 eprintln!("trace write failed: {e}");
                 std::process::exit(1);
-            }
-        }
-    }
+            });
 
     println!(
         "Table 1 — TPC-W data statistics and query processing time (scale: {} customers, seed {})",

@@ -8,14 +8,12 @@
 //!   describe comparable runs;
 //! * **operation-count drift** (structural/value joins, crossings,
 //!   dup-eliminations, group-bys, scans, probes, bytes, result counts) is a
-//!   **failure** when the current count regresses past the allowed factor,
-//!   and a **warning** when it *improves* — improvements mean the baseline
-//!   is stale and should be refreshed, not that the build is broken. The
-//!   counters are deterministic (same scale + seed ⇒ same counts), so the
-//!   default tolerance is zero: any growth fails;
-//! * **wall-clock regression** (`suite_wall_ms`) past the allowed fraction
-//!   is a failure by default, downgradeable to a warning with
-//!   [`GateConfig::wall_warn_only`] for shared/noisy CI hardware;
+//!   **failure** when the current count grew, and a **warning** when it
+//!   *shrank* — improvements mean the baseline is stale and should be
+//!   refreshed, not that the build is broken. The counters are
+//!   deterministic (same scale + seed ⇒ same counts), so they are compared
+//!   exactly. Wall-clock fields are never compared: `BENCHMARK.json` is the
+//!   authority for time;
 //! * **optimizer quality** (schema v4): on every query of *both*
 //!   documents, the cost-based planner's measured gate sum
 //!   (`elements_scanned + join_probes + bytes_touched`) must not exceed
@@ -28,24 +26,17 @@
 //! chrome-trace documents emitted by `--trace`, and [`compare_scale`],
 //! the diff for the `BENCH_scale.json` documents emitted by
 //! `colorist-scale` (schema v8): identity fields (element counts,
-//! answer checksums, final epochs) must match exactly, plan-cache
-//! counters follow the op-regress rules, and throughput/p99 latency
-//! follow the wall-clock rules (machine-dependent, downgradeable).
+//! answer checksums, final epochs) must match exactly and plan-cache
+//! counters follow the operation-count rule.
 
-use crate::summary::SCHEMA_VERSION;
+use crate::summary::{record_counters, SCHEMA_VERSION};
+use colorist_store::Metrics;
 use colorist_trace::Json;
 use std::collections::BTreeMap;
 
 /// What the gate tolerates before failing.
 #[derive(Debug, Clone)]
 pub struct GateConfig {
-    /// Allowed fractional growth in `suite_wall_ms` (e.g. `0.25` = +25%).
-    pub max_wall_regress: f64,
-    /// Downgrade wall-clock failures to warnings (shared CI hardware).
-    pub wall_warn_only: bool,
-    /// Allowed fractional growth in any deterministic counter. `0.0`
-    /// demands byte-exact counts.
-    pub max_op_regress: f64,
     /// Largest tolerated q-error (`max(est+1, meas+1) / min(est+1, meas+1)`)
     /// between a query's estimated and measured gate sums. Histograms are
     /// equi-depth with 16 buckets, so single-predicate estimates land well
@@ -55,21 +46,17 @@ pub struct GateConfig {
 
 impl Default for GateConfig {
     fn default() -> Self {
-        GateConfig {
-            max_wall_regress: 0.25,
-            wall_warn_only: false,
-            max_op_regress: 0.0,
-            q_error_budget: 8.0,
-        }
+        GateConfig { q_error_budget: 8.0 }
     }
 }
 
 /// The gate's verdict: failures block, warnings inform.
 #[derive(Debug, Default)]
 pub struct GateReport {
-    /// Regressions past the configured tolerances.
+    /// Regressions: grown counters, changed identities, optimizer-quality
+    /// violations.
     pub failures: Vec<String>,
-    /// Improvements and downgraded wall-clock regressions.
+    /// Improvements (a stale baseline) and additions.
     pub warnings: Vec<String>,
 }
 
@@ -80,96 +67,42 @@ impl GateReport {
     }
 }
 
-/// The deterministic per-query counters the gate compares exactly. The
-/// `heur_*` counters come from the heuristic-planner twin run and are
-/// just as deterministic as the primary ones.
-const OP_FIELDS: [&str; 24] = [
-    "logical",
-    "physical",
-    "structural_joins",
-    "value_joins",
-    "color_crossings",
-    "dup_eliminations",
-    "group_bys",
-    "duplicate_updates",
-    "icic_maintenance",
-    "elements_scanned",
-    "join_probes",
-    "bytes_touched",
-    "index_lookups",
-    "elements_skipped",
-    "page_reads",
-    "page_writes",
-    "pool_hits",
-    "pool_evictions",
-    "plan_cache_hits",
-    "plan_cache_misses",
-    "plan_cache_evictions",
-    "heur_scanned",
-    "heur_probes",
-    "heur_bytes",
-];
-// `queue_wait_ns` is deliberately NOT an OP_FIELD: it is wall-clock
-// derived (like `elapsed_us`) and never exact-gated.
+/// The deterministic per-query fields the gate compares exactly: the
+/// suite's result counts, every [`Metrics`] counter a summary record
+/// carries except the wall-clock derived `queue_wait_ns`, and the gate
+/// counters of the heuristic-planner twin run.
+fn op_fields() -> impl Iterator<Item = &'static str> {
+    let counters = record_counters(&Metrics::default()).map(|(key, _)| key);
+    ["logical", "physical"]
+        .into_iter()
+        .chain(counters.filter(|key| *key != "queue_wait_ns"))
+        .chain(["heur_scanned", "heur_probes", "heur_bytes"])
+}
 
-/// Counter keys a span of a known category may carry in its `args` (beside
-/// the structural `id`/`parent` links). Spans of categories not listed here
-/// (`compile`, `suite`, …) emit no counters today and are unconstrained.
-const SPAN_COUNTERS: [(&str, &[&str]); 8] = [
-    (
-        "op",
-        &[
-            "rows_in",
-            "rows_out",
-            "elements_scanned",
-            "join_probes",
-            "bytes_touched",
-            "structural_joins",
-            "value_joins",
-            "color_crossings",
-            "dup_eliminations",
-            "group_bys",
-            "index_lookups",
-            "elements_skipped",
-            "page_reads",
-            "page_writes",
-            "pool_hits",
-            "pool_evictions",
-        ],
-    ),
-    (
-        "query",
-        &[
-            "results",
-            "distinct",
-            "elements_scanned",
-            "join_probes",
-            "bytes_touched",
-            "index_lookups",
-            "elements_skipped",
-            "page_reads",
-            "page_writes",
-            "pool_hits",
-            "pool_evictions",
-        ],
-    ),
-    ("materialize", &["elements", "colors"]),
-    ("batch", &["batch_ops"]),
-    ("snapshot", &["snapshot_reads"]),
-    ("effect", &["effect_keys"]),
-    ("storage", &["page_reads", "page_writes", "pool_hits", "pool_evictions"]),
-    (
-        "server",
-        &[
-            "queue_wait_ns",
-            "plan_cache_hits",
-            "plan_cache_misses",
-            "plan_cache_evictions",
-            "admitted",
-            "groups",
-        ],
-    ),
+/// Per span category: the counter keys of its own a span may carry in its
+/// `args` (beside the structural `id`/`parent` links), and whether it may
+/// also carry [`Metrics`] counters under their field names. Spans of
+/// categories not listed here (`compile`, `suite`, …) emit no counters
+/// today and are unconstrained.
+const SPAN_COUNTERS: [(&str, &[&str], bool); 8] = [
+    ("op", &["rows_in", "rows_out"], true),
+    ("query", &[], true),
+    ("storage", &[], true),
+    ("server", &["admitted", "groups"], true),
+    ("materialize", &["elements", "colors"], false),
+    ("batch", &["batch_ops"], false),
+    ("snapshot", &["snapshot_reads"], false),
+    ("effect", &["effect_keys"], false),
 ];
+
+/// The operation-count rule: growth fails, shrinkage warns.
+fn gate_count(report: &mut GateReport, what: &str, field: &str, b: u64, c: u64) {
+    if c > b {
+        report.failures.push(format!("{what}: {field} regressed {b} -> {c}"));
+    } else if c < b {
+        report.warnings.push(format!("{what}: {field} improved {b} -> {c} — refresh the baseline"));
+    }
+}
 
 fn require_u64(doc: &Json, key: &str, what: &str) -> Result<u64, String> {
     doc.get(key)
@@ -235,24 +168,6 @@ pub fn compare(baseline: &Json, current: &Json, cfg: &GateConfig) -> Result<Gate
 
     let mut report = GateReport::default();
 
-    // wall clock
-    let b_wall = baseline.get("suite_wall_ms").and_then(Json::as_f64);
-    let c_wall = current.get("suite_wall_ms").and_then(Json::as_f64);
-    if let (Some(b), Some(c)) = (b_wall, c_wall) {
-        if b > 0.0 && c > b * (1.0 + cfg.max_wall_regress) {
-            let msg = format!(
-                "suite_wall_ms regressed {:.1}% ({b:.3} -> {c:.3} ms; allowed +{:.0}%)",
-                (c / b - 1.0) * 100.0,
-                cfg.max_wall_regress * 100.0
-            );
-            if cfg.wall_warn_only {
-                report.warnings.push(format!("{msg} [wall-warn-only]"));
-            } else {
-                report.failures.push(msg);
-            }
-        }
-    }
-
     // deterministic counters
     let base = index(baseline, "baseline")?;
     let cur = index(current, "current")?;
@@ -276,21 +191,11 @@ pub fn compare(baseline: &Json, current: &Json, cfg: &GateConfig) -> Result<Gate
                 report.warnings.push(format!("{label}/{name} is new (not in the baseline)"));
                 continue;
             };
-            for field in OP_FIELDS {
-                let what = format!("{label}/{name}");
+            let what = format!("{label}/{name}");
+            for field in op_fields() {
                 let b = require_u64(bq, field, &format!("baseline {what}"))?;
                 let c = require_u64(cq, field, &format!("current {what}"))?;
-                let allowed = (b as f64 * (1.0 + cfg.max_op_regress)).floor() as u64;
-                if c > allowed.max(b) {
-                    report.failures.push(format!(
-                        "{what}: {field} regressed {b} -> {c} (allowed <= {})",
-                        allowed.max(b)
-                    ));
-                } else if c < b {
-                    report.warnings.push(format!(
-                        "{what}: {field} improved {b} -> {c} — refresh the baseline"
-                    ));
-                }
+                gate_count(&mut report, &what, field, b, c);
             }
         }
     }
@@ -313,8 +218,8 @@ const SCALE_IDENTITY_FIELDS: [&str; 6] =
     ["customers", "elements", "reads", "writes", "answers_checksum", "final_epoch"];
 
 /// Plan-cache counters of one cell: deterministic costs under the
-/// serve-under-lock cache design, gated like [`OP_FIELDS`] (growth past
-/// `max_op_regress` fails, improvement warns).
+/// serve-under-lock cache design, gated like the per-query counters
+/// (getting worse fails, getting better warns).
 const SCALE_CACHE_FIELDS: [&str; 3] =
     ["plan_cache_hits", "plan_cache_misses", "plan_cache_evictions"];
 
@@ -349,16 +254,11 @@ fn scale_index<'a>(
 ///
 /// Identity fields (customers, elements, reads, writes, answers
 /// checksum, final epoch) must match exactly in both directions;
-/// plan-cache counters follow the `max_op_regress` rules;
-/// `throughput_qps` (lower is worse) and `p99_us` (higher is worse)
-/// follow the wall-clock rules and respect [`GateConfig::wall_warn_only`].
-/// The `speedup` section is not diffed — worker scaling is a property of
-/// the host's core count, not of the code under test.
-pub fn compare_scale(
-    baseline: &Json,
-    current: &Json,
-    cfg: &GateConfig,
-) -> Result<GateReport, String> {
+/// plan-cache counters follow the operation-count rule (for hits, fewer
+/// is the regression). Throughput, latencies and the `speedup` section are
+/// not diffed — they are properties of the host, not of the code under
+/// test.
+pub fn compare_scale(baseline: &Json, current: &Json) -> Result<GateReport, String> {
     for (doc, what) in [(baseline, "baseline"), (current, "current")] {
         let v = require_u64(doc, "schema_version", what)?;
         if v != SCHEMA_VERSION {
@@ -427,52 +327,9 @@ pub fn compare_scale(
             for field in SCALE_CACHE_FIELDS {
                 let b = require_u64(bc, field, &format!("baseline {what}"))?;
                 let c = require_u64(cc, field, &format!("current {what}"))?;
-                let allowed = (b as f64 * (1.0 + cfg.max_op_regress)).floor() as u64;
                 // hits shrinking is the regression; misses/evictions growing is
-                if field == "plan_cache_hits" {
-                    if c < b {
-                        report.failures.push(format!("{what}: {field} regressed {b} -> {c}"));
-                    } else if c > b {
-                        report.warnings.push(format!(
-                            "{what}: {field} improved {b} -> {c} — refresh the baseline"
-                        ));
-                    }
-                } else if c > allowed.max(b) {
-                    report.failures.push(format!(
-                        "{what}: {field} regressed {b} -> {c} (allowed <= {})",
-                        allowed.max(b)
-                    ));
-                } else if c < b {
-                    report.warnings.push(format!(
-                        "{what}: {field} improved {b} -> {c} — refresh the baseline"
-                    ));
-                }
-            }
-            // machine-dependent throughput/latency: wall-clock rules
-            let pairs = [("throughput_qps", false), ("p99_us", true)];
-            for (field, higher_is_worse) in pairs {
-                let b = bc.get(field).and_then(Json::as_f64);
-                let c = cc.get(field).and_then(Json::as_f64);
-                let (Some(b), Some(c)) = (b, c) else { continue };
-                if b <= 0.0 {
-                    continue;
-                }
-                let regressed = if higher_is_worse {
-                    c > b * (1.0 + cfg.max_wall_regress)
-                } else {
-                    c < b / (1.0 + cfg.max_wall_regress)
-                };
-                if regressed {
-                    let msg = format!(
-                        "{what}: {field} regressed {b:.1} -> {c:.1} (allowed ±{:.0}%)",
-                        cfg.max_wall_regress * 100.0
-                    );
-                    if cfg.wall_warn_only {
-                        report.warnings.push(format!("{msg} [wall-warn-only]"));
-                    } else {
-                        report.failures.push(msg);
-                    }
-                }
+                let (b, c) = if field == "plan_cache_hits" { (c, b) } else { (b, c) };
+                gate_count(&mut report, &what, field, b, c);
             }
         }
     }
@@ -534,14 +391,15 @@ fn optimizer_gate(
 /// non-negative `ts`/`dur`, unique `args.id`, whose `args.parent`
 /// references an existing span on the same thread that contains the child's
 /// interval (with a small µs-rounding slack), and whose counters are
-/// restricted to the per-category whitelist (e.g. only `op` and `query`
-/// spans may carry `index_lookups`/`elements_skipped`) with non-negative
-/// integer values.
+/// restricted to the per-category whitelist (e.g. only `op`, `query`,
+/// `storage` and `server` spans may carry `Metrics` counters such as
+/// `index_lookups`) with non-negative integer values.
 pub fn validate_trace(doc: &Json) -> Result<(), String> {
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
         .ok_or("trace: missing `traceEvents` array")?;
+    let metric_keys: Vec<&str> = Metrics::default().counters().map(|(key, _)| key).collect();
     // (id -> (tid, start, end)); slack for the ns -> µs {:.3} rounding
     let mut spans: BTreeMap<u64, (u64, f64, f64)> = BTreeMap::new();
     let mut xs = 0usize;
@@ -568,17 +426,18 @@ pub fn validate_trace(doc: &Json) -> Result<(), String> {
         if spans.insert(id, (tid, ts, ts + dur)).is_some() {
             return Err(format!("trace: duplicate span id {id}"));
         }
-        // counter keys are cat-scoped: an `op` span may not carry a
-        // `query`-level counter (or a typo'd one), and every counter must
-        // be a non-negative integer
+        // counter keys are cat-scoped: a `batch` span may not carry a
+        // `snapshot` counter (or a typo'd one), and every counter must be
+        // a non-negative integer
         let cat = e.get("cat").and_then(Json::as_str).expect("checked above");
-        if let Some((_, allowed)) = SPAN_COUNTERS.iter().find(|(c, _)| *c == cat) {
+        if let Some(&(_, own, metrics)) = SPAN_COUNTERS.iter().find(|(c, ..)| *c == cat) {
             let pairs = args.as_obj().ok_or(format!("trace event {i}: args not an object"))?;
             for (key, value) in pairs {
                 if key == "id" || key == "parent" {
                     continue;
                 }
-                if !allowed.contains(&key.as_str()) {
+                let key = key.as_str();
+                if !(own.contains(&key) || (metrics && metric_keys.contains(&key))) {
                     return Err(format!(
                         "trace: span {id} (cat {cat}) carries unknown counter `{key}`"
                     ));
@@ -738,32 +597,9 @@ mod tests {
             report.failures
         );
         // a generous budget accepts the same drift
-        let lax = GateConfig { q_error_budget: f64::INFINITY, ..GateConfig::default() };
+        let lax = GateConfig { q_error_budget: f64::INFINITY };
         let report = compare(&drifted, &drifted, &lax).expect("comparable");
         assert!(!report.failures.iter().any(|f| f.contains("estimate drift")));
-    }
-
-    #[test]
-    fn wall_regression_respects_warn_only() {
-        let j = small_summary();
-        let base = Json::parse(&j).expect("parses");
-        let mut cur = base.clone();
-        if let Json::Obj(m) = &mut cur {
-            for (k, v) in m.iter_mut() {
-                if k == "suite_wall_ms" {
-                    if let Json::Num(n) = v {
-                        *n = *n * 10.0 + 1000.0;
-                    }
-                }
-            }
-        }
-        let hard = compare(&base, &cur, &GateConfig::default()).expect("comparable");
-        assert!(!hard.pass());
-        let soft =
-            compare(&base, &cur, &GateConfig { wall_warn_only: true, ..GateConfig::default() })
-                .expect("comparable");
-        assert!(soft.pass());
-        assert!(soft.warnings.iter().any(|w| w.contains("wall-warn-only")), "{:?}", soft.warnings);
     }
 
     #[test]
@@ -832,7 +668,7 @@ mod tests {
     #[test]
     fn scale_gate_passes_identical_and_fails_identity_drift() {
         let doc = small_scale_doc();
-        let clean = compare_scale(&doc, &doc, &GateConfig::default()).expect("comparable");
+        let clean = compare_scale(&doc, &doc).expect("comparable");
         assert!(clean.pass(), "{:?}", clean.failures);
         assert!(clean.warnings.is_empty(), "{:?}", clean.warnings);
 
@@ -841,7 +677,7 @@ mod tests {
         let mut cur = doc.clone();
         patch_num(&mut cur, "answers_checksum", 99999.0);
         for (b, c) in [(&doc, &cur), (&cur, &doc)] {
-            let report = compare_scale(b, c, &GateConfig::default()).expect("comparable");
+            let report = compare_scale(b, c).expect("comparable");
             assert!(
                 report.failures.iter().any(|f| f.contains("answers_checksum")),
                 "{:?}",
@@ -851,63 +687,56 @@ mod tests {
     }
 
     #[test]
-    fn scale_gate_op_rules_for_cache_and_wall_rules_for_throughput() {
+    fn scale_gate_op_rules_for_cache_counters() {
         let doc = small_scale_doc();
         // more misses = regression; fewer = warning
         let mut missy = doc.clone();
         patch_num(&mut missy, "plan_cache_misses", 40.0);
-        let report = compare_scale(&doc, &missy, &GateConfig::default()).expect("comparable");
+        let report = compare_scale(&doc, &missy).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("plan_cache_misses regressed")),
             "{:?}",
             report.failures
         );
-        let rev = compare_scale(&missy, &doc, &GateConfig::default()).expect("comparable");
+        let rev = compare_scale(&missy, &doc).expect("comparable");
         assert!(rev.pass(), "{:?}", rev.failures);
         assert!(rev.warnings.iter().any(|w| w.contains("improved")), "{:?}", rev.warnings);
 
         // fewer hits is the hit-count regression direction
         let mut cold = doc.clone();
         patch_num(&mut cold, "plan_cache_hits", 1.0);
-        let report = compare_scale(&doc, &cold, &GateConfig::default()).expect("comparable");
+        let report = compare_scale(&doc, &cold).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("plan_cache_hits regressed")),
             "{:?}",
             report.failures
         );
 
-        // throughput collapse follows the wall rules incl. warn-only
+        // throughput and latency are the host's business, not the gate's
         let mut slow = doc.clone();
         patch_num(&mut slow, "throughput_qps", 100.0);
-        let hard = compare_scale(&doc, &slow, &GateConfig::default()).expect("comparable");
-        assert!(!hard.pass());
-        let soft = compare_scale(
-            &doc,
-            &slow,
-            &GateConfig { wall_warn_only: true, ..GateConfig::default() },
-        )
-        .expect("comparable");
-        assert!(soft.pass(), "{:?}", soft.failures);
-        assert!(soft.warnings.iter().any(|w| w.contains("wall-warn-only")), "{:?}", soft.warnings);
+        patch_num(&mut slow, "p99_us", 5000.0);
+        let report = compare_scale(&doc, &slow).expect("comparable");
+        assert!(report.pass() && report.warnings.is_empty(), "{report:?}");
 
         // meta mismatch is a usage error, and a plain bench summary is not
         // a scale document
         let mut other = doc.clone();
         patch_num(&mut other, "workers", 16.0);
-        assert!(compare_scale(&doc, &other, &GateConfig::default()).is_err());
+        assert!(compare_scale(&doc, &other).is_err());
         let summary = Json::parse(&small_summary()).expect("parses");
-        assert!(compare_scale(&summary, &summary, &GateConfig::default()).is_err());
+        assert!(compare_scale(&summary, &summary).is_err());
     }
 
     #[test]
     fn validates_a_real_trace_and_rejects_shapes() {
-        colorist_trace::collect_start();
+        let session = colorist_trace::Session::start();
         {
             let mut outer = colorist_trace::span("t", "outer");
             outer.counter("k", 1);
             let _inner = colorist_trace::span("t", "inner");
         }
-        let trace = colorist_trace::collect_stop();
+        let trace = session.finish();
         let doc = Json::parse(&colorist_trace::chrome_trace_json(&trace)).expect("parses");
         validate_trace(&doc).expect("well-formed trace validates");
 
@@ -935,10 +764,10 @@ mod tests {
         ]}"#;
         let err = validate_trace(&Json::parse(unknown).unwrap()).unwrap_err();
         assert!(err.contains("unknown counter"), "{err}");
-        // a query-level counter is not valid on an `op` span
+        // `rows_in` belongs to `op` spans only
         let wrong_cat = r#"{"traceEvents": [
-            {"ph": "X", "name": "scan", "cat": "op", "pid": 1, "tid": 0,
-             "ts": 0.0, "dur": 1.0, "args": {"id": 0, "results": 3}}
+            {"ph": "X", "name": "q", "cat": "query", "pid": 1, "tid": 0,
+             "ts": 0.0, "dur": 1.0, "args": {"id": 0, "rows_in": 3}}
         ]}"#;
         assert!(validate_trace(&Json::parse(wrong_cat).unwrap()).is_err());
         // counters must be non-negative integers

@@ -13,6 +13,8 @@
 //! diff documents whose versions disagree. Every field is documented in
 //! EXPERIMENTS.md ("The `bench_summary.json` schema").
 
+use colorist_store::Metrics;
+use colorist_trace::escape_json;
 use colorist_workload::{QueryKind, SuiteResult};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -95,25 +97,15 @@ pub struct SummaryMeta<'a> {
     pub serial_wall: Option<Duration>,
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+/// The [`Metrics`] counters a per-query record carries, in declaration
+/// order: all of them but the two result counts, which the record reports
+/// as the suite's `logical`/`physical`.
+pub fn record_counters(m: &Metrics) -> impl Iterator<Item = (&'static str, u64)> {
+    m.counters().filter(|(key, _)| !matches!(*key, "results" | "distinct_results"))
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Render the summary document.
@@ -121,12 +113,12 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(j, "  \"git_rev\": \"{}\",", esc(&git_rev()));
-    let _ = writeln!(j, "  \"bench\": \"{}\",", esc(meta.bench));
+    let _ = writeln!(j, "  \"git_rev\": \"{}\",", escape_json(&git_rev()));
+    let _ = writeln!(j, "  \"bench\": \"{}\",", escape_json(meta.bench));
     let _ = writeln!(j, "  \"scale\": {},", meta.scale);
     let _ = writeln!(j, "  \"seed\": {},", meta.seed);
     let _ = writeln!(j, "  \"threads\": {},", meta.threads);
-    let _ = writeln!(j, "  \"backend\": \"{}\",", esc(meta.backend));
+    let _ = writeln!(j, "  \"backend\": \"{}\",", escape_json(meta.backend));
     let _ = writeln!(j, "  \"pool_bytes\": {},", meta.pool_bytes);
     let suite_wall = results.first().map_or(Duration::ZERO, |r| r.suite_wall);
     let _ = writeln!(j, "  \"suite_wall_ms\": {:.3},", ms(suite_wall));
@@ -144,7 +136,7 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
     for (i, r) in results.iter().enumerate() {
         let total: Duration = r.runs.iter().map(|q| q.metrics.elapsed).sum();
         let _ = writeln!(j, "    {{");
-        let _ = writeln!(j, "      \"strategy\": \"{}\",", esc(r.strategy.label()));
+        let _ = writeln!(j, "      \"strategy\": \"{}\",", escape_json(r.strategy.label()));
         let _ = writeln!(j, "      \"colors\": {},", r.colors);
         let _ = writeln!(j, "      \"elements\": {},", r.stats.elements);
         let _ = writeln!(j, "      \"data_mbytes\": {:.3},", r.stats.data_mbytes());
@@ -168,44 +160,17 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
             let _ = write!(
                 j,
                 "        {{\"name\": \"{}\", \"kind\": \"{kind}\", \
-                 \"elapsed_us\": {}, \"logical\": {}, \"physical\": {}, \
-                 \"structural_joins\": {}, \"value_joins\": {}, \
-                 \"color_crossings\": {}, \"dup_eliminations\": {}, \
-                 \"group_bys\": {}, \"duplicate_updates\": {}, \
-                 \"icic_maintenance\": {}, \"elements_scanned\": {}, \
-                 \"join_probes\": {}, \"bytes_touched\": {}, \
-                 \"index_lookups\": {}, \"elements_skipped\": {}, \
-                 \"page_reads\": {}, \"page_writes\": {}, \
-                 \"pool_hits\": {}, \"pool_evictions\": {}, \
-                 \"plan_cache_hits\": {}, \"plan_cache_misses\": {}, \
-                 \"plan_cache_evictions\": {}, \"queue_wait_ns\": {}, \
-                 \"heur_scanned\": {hs}, \"heur_probes\": {hp}, \
-                 \"heur_bytes\": {hb}",
-                esc(&q.name),
+                 \"elapsed_us\": {}, \"logical\": {}, \"physical\": {}",
+                escape_json(&q.name),
                 m.elapsed.as_micros(),
                 q.logical,
                 q.physical,
-                m.structural_joins,
-                m.value_joins,
-                m.color_crossings,
-                m.dup_eliminations,
-                m.group_bys,
-                m.duplicate_updates,
-                m.icic_maintenance,
-                m.elements_scanned,
-                m.join_probes,
-                m.bytes_touched,
-                m.index_lookups,
-                m.elements_skipped,
-                m.page_reads,
-                m.page_writes,
-                m.pool_hits,
-                m.pool_evictions,
-                m.plan_cache_hits,
-                m.plan_cache_misses,
-                m.plan_cache_evictions,
-                m.queue_wait_ns,
             );
+            for (key, value) in record_counters(m) {
+                let _ = write!(j, ", \"{key}\": {value}");
+            }
+            let _ =
+                write!(j, ", \"heur_scanned\": {hs}, \"heur_probes\": {hp}, \"heur_bytes\": {hb}");
             if let Some(est) = &q.est {
                 let _ = write!(
                     j,
@@ -251,12 +216,6 @@ pub fn write_bench_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn summary_shape_on_empty_results() {

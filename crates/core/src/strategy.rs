@@ -81,7 +81,7 @@ impl fmt::Display for Strategy {
 /// Debug builds run the static schema linter ([`colorist_mct::lint`]) and
 /// the `S007` property-checker cross-validation on every designed schema.
 pub fn design(graph: &ErGraph, strategy: Strategy) -> Result<MctSchema, SchemaError> {
-    let _span = colorist_trace::span("design", format!("design:{strategy}"));
+    let _span = colorist_trace::span("design", format_args!("design:{strategy}"));
     let schema = match strategy {
         Strategy::Deep => deep::deep(graph),
         Strategy::Af => af::af(graph),

@@ -105,7 +105,7 @@ pub fn compile_with(
     pattern: &Pattern,
     order: Option<ChildOrder<'_>>,
 ) -> Result<Plan, QueryError> {
-    let _span = colorist_trace::span("compile", format!("compile:{}", pattern.name));
+    let _span = colorist_trace::span("compile", format_args!("compile:{}", pattern.name));
     let full = completeness(graph, schema);
     Compiler { graph, schema, full, order }.run(pattern)
 }

@@ -148,7 +148,7 @@ pub fn execute_snapshot(
     graph: &ErGraph,
     plan: &Plan,
 ) -> Result<QueryResult, QueryError> {
-    let mut span = colorist_trace::span("snapshot", format!("query:{}", plan.name));
+    let mut span = colorist_trace::span("snapshot", format_args!("query:{}", plan.name));
     span.counter("snapshot_reads", 1);
     run(snap.database(), graph, plan, None)
 }
@@ -220,7 +220,7 @@ fn run(
     mut profile: Option<&mut Vec<OpProfile>>,
 ) -> Result<QueryResult, QueryError> {
     let mut query_span =
-        colorist_trace::span("query", format!("execute:{}:{}", plan.name, plan.strategy));
+        colorist_trace::span("query", format_args!("execute:{}:{}", plan.name, plan.strategy));
     let start = Instant::now();
     let mut metrics = Metrics::default();
     // page accounting: a per-query cold buffer pool over the attached
@@ -264,24 +264,8 @@ fn run(
             let delta = metrics.since(&snapshot);
             let elapsed = op_start.elapsed();
             if op_span.is_recording() {
-                for (key, value) in [
-                    ("rows_in", rows_in),
-                    ("rows_out", rows_out),
-                    ("elements_scanned", delta.elements_scanned),
-                    ("join_probes", delta.join_probes),
-                    ("bytes_touched", delta.bytes_touched),
-                    ("structural_joins", delta.structural_joins),
-                    ("value_joins", delta.value_joins),
-                    ("color_crossings", delta.color_crossings),
-                    ("dup_eliminations", delta.dup_eliminations),
-                    ("group_bys", delta.group_bys),
-                    ("index_lookups", delta.index_lookups),
-                    ("elements_skipped", delta.elements_skipped),
-                    ("page_reads", delta.page_reads),
-                    ("page_writes", delta.page_writes),
-                    ("pool_hits", delta.pool_hits),
-                    ("pool_evictions", delta.pool_evictions),
-                ] {
+                let rows = [("rows_in", rows_in), ("rows_out", rows_out)];
+                for (key, value) in rows.into_iter().chain(delta.counters()) {
                     if value > 0 {
                         op_span.counter(key, value);
                     }
@@ -310,20 +294,10 @@ fn run(
     metrics.distinct_results = distinct;
     metrics.elapsed = start.elapsed();
     if query_span.is_recording() {
-        for (key, value) in [
-            ("results", results),
-            ("distinct", distinct),
-            ("elements_scanned", metrics.elements_scanned),
-            ("join_probes", metrics.join_probes),
-            ("bytes_touched", metrics.bytes_touched),
-            ("index_lookups", metrics.index_lookups),
-            ("elements_skipped", metrics.elements_skipped),
-            ("page_reads", metrics.page_reads),
-            ("page_writes", metrics.page_writes),
-            ("pool_hits", metrics.pool_hits),
-            ("pool_evictions", metrics.pool_evictions),
-        ] {
-            query_span.counter(key, value);
+        for (key, value) in metrics.counters() {
+            if value > 0 {
+                query_span.counter(key, value);
+            }
         }
     }
     Ok(QueryResult { results, distinct, elements, metrics })

@@ -53,7 +53,7 @@ pub fn optimize(db: &Database, graph: &ErGraph, pattern: &Pattern) -> Result<Pla
     if db.kernel_dispatch() != KernelDispatch::CostModel {
         return compile(graph, &db.schema, pattern);
     }
-    let _span = colorist_trace::span("optimize", format!("optimize:{}", pattern.name));
+    let _span = colorist_trace::span("optimize", format_args!("optimize:{}", pattern.name));
     let order = |v: usize, edges: &[usize]| order_children(db, pattern, v, edges);
     let mut plan = compile_with(graph, &db.schema, pattern, Some(&order))?;
     plan.costs = annotate_costs(db, graph, &plan);

@@ -44,7 +44,7 @@ pub fn execute_update(
     graph: &ErGraph,
     spec: &UpdateSpec,
 ) -> Result<UpdateOutcome, QueryError> {
-    let _span = colorist_trace::span("update", format!("update:{}", spec.name));
+    let _span = colorist_trace::span("update", format_args!("update:{}", spec.name));
     let started = std::time::Instant::now();
     // 1. locate targets (cost-based when the database runs the
     // cost-model dispatch; plain compile under the heuristic modes)
@@ -103,7 +103,7 @@ pub fn execute_update(
     let report = db.flush_storage().map_err(|e| QueryError::Storage(e.to_string()))?;
     if report.pages_written > 0 {
         metrics.page_writes += report.pages_written;
-        let mut span = colorist_trace::span("storage", format!("flush:{}", spec.name));
+        let mut span = colorist_trace::span("storage", format_args!("flush:{}", spec.name));
         span.counter("page_writes", report.pages_written);
     }
 

@@ -289,7 +289,8 @@ pub struct Client {
 }
 
 impl Server {
-    /// Take ownership of `db` and start `config.workers` workers.
+    /// Take ownership of `db` and start `config.workers` workers. They
+    /// record into the trace session the calling thread is bound to, if any.
     pub fn start(db: Database, graph: &ErGraph, config: &ServerConfig) -> Server {
         let workers = config.workers.max(1);
         let snap = Arc::new(db.snapshot());
@@ -306,12 +307,17 @@ impl Server {
             admit_max: config.admit_max.max(1),
             worker_metrics: (0..workers).map(|_| Mutex::new(Metrics::default())).collect(),
         });
+        let session = colorist_trace::Session::current();
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
+                let session = session.clone();
                 std::thread::Builder::new()
                     .name(format!("colorist-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || {
+                        let _traced = session.enter();
+                        worker_loop(&shared, i)
+                    })
                     .expect("spawn worker")
             })
             .collect();
@@ -501,7 +507,7 @@ fn serve_read(
 ) -> Result<ReadReply, ServerError> {
     let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
     let snap = Arc::clone(&*shared.snap.lock().expect("snapshot lock"));
-    let mut span = colorist_trace::span("server", format!("read:{}", pattern.name));
+    let mut span = colorist_trace::span("server", format_args!("read:{}", pattern.name));
     span.counter("queue_wait_ns", queue_wait_ns);
     let lookup = optimize_cached(&shared.cache, snap.database(), &shared.graph, pattern)?;
     if lookup.hit {

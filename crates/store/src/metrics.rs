@@ -15,103 +15,157 @@
 use std::ops::AddAssign;
 use std::time::Duration;
 
-/// Operation counts plus runtime measurements for one query (or an
-/// aggregate over a workload).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Metrics {
+/// Declares [`Metrics`] from its one list of `u64` counters: the struct,
+/// the name/value walk [`Metrics::counters`] that every consumer derives
+/// its counter vocabulary from (span counters, summary records, the
+/// perfgate's exact-match list), and the field-wise arithmetic.
+macro_rules! metrics {
+    ($($(#[$doc:meta])* $counter:ident,)*) => {
+        /// Operation counts plus runtime measurements for one query (or an
+        /// aggregate over a workload).
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $counter: u64,)*
+            /// Measured evaluation time of **this query alone** — the wall-clock
+            /// span between the start and end of its `execute`/`execute_update`
+            /// call. Under the parallel suite runner
+            /// (`colorist_workload::suite::run_suite_on`), queries from different
+            /// strategies run concurrently, so these per-query spans overlap in
+            /// real time: summing them over a suite yields aggregate CPU-ish work,
+            /// **not** the suite's wall time (per-query values may also be inflated
+            /// by scheduling contention). The suite's end-to-end wall time is
+            /// reported separately as `SuiteResult::suite_wall`.
+            pub elapsed: Duration,
+        }
+
+        impl Metrics {
+            /// Every counter as `(field name, value)`, in declaration order
+            /// (`elapsed` is not a counter).
+            ///
+            /// ```
+            /// let m = colorist_store::Metrics { value_joins: 2, ..Default::default() };
+            /// assert_eq!(m.counters().nth(1), Some(("value_joins", 2)));
+            /// ```
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($counter), self.$counter)),*].into_iter()
+            }
+
+            /// The field-wise difference `self - earlier`: what was charged between
+            /// two snapshots of an accumulating counter set. Every count saturates
+            /// at zero, so a stale (larger) `earlier` cannot underflow. This is how
+            /// the executor attributes per-operator costs in `EXPLAIN ANALYZE`: a
+            /// snapshot before and after each operator, and the deltas sum back to
+            /// the query totals exactly.
+            ///
+            /// ```
+            /// use colorist_store::Metrics;
+            /// let before = Metrics { structural_joins: 1, elements_scanned: 100, ..Default::default() };
+            /// let after = Metrics { structural_joins: 2, elements_scanned: 250, ..Default::default() };
+            /// let delta = after.since(&before);
+            /// assert_eq!(delta.structural_joins, 1);
+            /// assert_eq!(delta.elements_scanned, 150);
+            /// ```
+            pub fn since(&self, earlier: &Metrics) -> Metrics {
+                Metrics {
+                    $($counter: self.$counter.saturating_sub(earlier.$counter),)*
+                    elapsed: self.elapsed.saturating_sub(earlier.elapsed),
+                }
+            }
+        }
+
+        impl AddAssign for Metrics {
+            fn add_assign(&mut self, rhs: Metrics) {
+                $(self.$counter += rhs.$counter;)*
+                self.elapsed += rhs.elapsed;
+            }
+        }
+    };
+}
+
+metrics! {
     /// Structural (containment) joins — Figure 8.
-    pub structural_joins: u64,
+    structural_joins,
     /// Value (id/idref) joins — Figure 9, first component.
-    pub value_joins: u64,
+    value_joins,
     /// Color crossings (same-logical-node hops between colored trees) —
     /// Figure 9, second component.
-    pub color_crossings: u64,
+    color_crossings,
     /// Duplicate eliminations — Figure 10.
-    pub dup_eliminations: u64,
+    dup_eliminations,
     /// Group-by-value operations — Figure 10.
-    pub group_bys: u64,
+    group_bys,
     /// Duplicate updates (extra physical writes to copies) — Figure 10.
-    pub duplicate_updates: u64,
+    duplicate_updates,
     /// ICIC maintenance writes (re-applying an update in another color).
-    pub icic_maintenance: u64,
+    icic_maintenance,
     /// Elements touched (scan + probe volume).
-    pub elements_scanned: u64,
+    elements_scanned,
     /// Candidate tests performed inside the join kernels: containment tests
     /// against the ancestor stack for structural (semi-)joins, hash-table
     /// probes for value joins, adjacency lookups for link joins. A finer
     /// work surrogate than `structural_joins`/`value_joins` (which count
     /// operator invocations) — deterministic for a given plan and database.
-    pub join_probes: u64,
+    join_probes,
     /// Bytes of stored data moved through the operators: occurrence records
     /// merged by structural joins, join keys hashed by value joins, element
     /// ids crossed/deduplicated. A proxy for memory traffic; deterministic.
-    pub bytes_touched: u64,
+    bytes_touched,
     /// Probes answered by the persistent index layer: one per key lookup in
     /// the attribute value index (`Scan` with an equality predicate), one
     /// per distinct key group examined by a range predicate, and one per
     /// source element resolved through the id→element index (`ValueSemi`).
     /// Zero on the reference (linear/merge) kernels — deterministic for a
     /// given plan and database.
-    pub index_lookups: u64,
+    index_lookups,
     /// Elements the index layer and the gallop-skipping join kernels proved
     /// irrelevant *without touching them*: extent entries an index probe
     /// avoided walking, and occurrence-list runs a gallop join leapt over by
     /// binary search. The complement of `elements_scanned` relative to the
     /// reference kernels' full walks; deterministic.
-    pub elements_skipped: u64,
+    elements_skipped,
     /// Pages fetched from the storage backend because the buffer pool did
     /// not hold them (pool misses). Zero on the in-memory heap backend —
     /// only the paged backend (DESIGN.md §14) maintains a pool. One per
     /// distinct page faulted in, deterministic for a given plan, database
     /// and pool budget.
-    pub page_reads: u64,
+    page_reads,
     /// Pages written back to the storage backend at a commit point: dirty
     /// segment pages, the segment directory, and the meta page. Charged to
     /// the flushing update/batch, zero for pure reads and for the heap
     /// backend.
-    pub page_writes: u64,
+    page_writes,
     /// Page requests answered by the buffer pool without touching the
     /// backend. `pool_hits / (pool_hits + page_reads)` is the hit rate
     /// EXPERIMENTS.md's pool-size narrative plots.
-    pub pool_hits: u64,
+    pool_hits,
     /// Unpinned pages evicted by the clock sweep to make room under the
     /// pool byte budget. Exact-matched by the perfgate like every other
     /// deterministic counter.
-    pub pool_evictions: u64,
+    pool_evictions,
     /// Prepared-plan cache hits: the query's plan was served from the
     /// sharded plan cache (DESIGN.md §15) without recompiling or
     /// re-optimizing. Deterministic for a given request schedule (a query
     /// either is or is not the first of its `(pattern, strategy,
     /// statistics-epoch)` key).
-    pub plan_cache_hits: u64,
+    plan_cache_hits,
     /// Prepared-plan cache misses: the plan was compiled + optimized and
     /// inserted. Every request charges exactly one of
     /// `plan_cache_hits`/`plan_cache_misses` when it goes through the
     /// cache, and neither when it executes a pre-built plan directly.
-    pub plan_cache_misses: u64,
+    plan_cache_misses,
     /// Plans evicted from the cache by the per-shard capacity sweep.
     /// Deterministic for a given request schedule and cache capacity.
-    pub plan_cache_evictions: u64,
+    plan_cache_evictions,
     /// Nanoseconds a server request waited in the submission queue before
     /// a worker picked it up (DESIGN.md §15). Wall-clock derived, hence
     /// machine-dependent like `elapsed` — reported, never exact-gated.
-    pub queue_wait_ns: u64,
+    queue_wait_ns,
     /// Tuples produced by the final operator.
-    pub results: u64,
+    results,
     /// Distinct logical results (differs from `results` when a
     /// non-node-normalized schema returns duplicates; the parenthesized
     /// numbers of Table 1).
-    pub distinct_results: u64,
-    /// Measured evaluation time of **this query alone** — the wall-clock
-    /// span between the start and end of its `execute`/`execute_update`
-    /// call. Under the parallel suite runner
-    /// (`colorist_workload::suite::run_suite_on`), queries from different
-    /// strategies run concurrently, so these per-query spans overlap in
-    /// real time: summing them over a suite yields aggregate CPU-ish work,
-    /// **not** the suite's wall time (per-query values may also be inflated
-    /// by scheduling contention). The suite's end-to-end wall time is
-    /// reported separately as `SuiteResult::suite_wall`.
-    pub elapsed: Duration,
+    distinct_results,
 }
 
 impl Metrics {
@@ -125,51 +179,6 @@ impl Metrics {
         self.value_joins + self.color_crossings
     }
 
-    /// The field-wise difference `self - earlier`: what was charged between
-    /// two snapshots of an accumulating counter set. Every count saturates
-    /// at zero, so a stale (larger) `earlier` cannot underflow. This is how
-    /// the executor attributes per-operator costs in `EXPLAIN ANALYZE`: a
-    /// snapshot before and after each operator, and the deltas sum back to
-    /// the query totals exactly.
-    ///
-    /// ```
-    /// use colorist_store::Metrics;
-    /// let before = Metrics { structural_joins: 1, elements_scanned: 100, ..Default::default() };
-    /// let after = Metrics { structural_joins: 2, elements_scanned: 250, ..Default::default() };
-    /// let delta = after.since(&before);
-    /// assert_eq!(delta.structural_joins, 1);
-    /// assert_eq!(delta.elements_scanned, 150);
-    /// ```
-    pub fn since(&self, earlier: &Metrics) -> Metrics {
-        Metrics {
-            structural_joins: self.structural_joins.saturating_sub(earlier.structural_joins),
-            value_joins: self.value_joins.saturating_sub(earlier.value_joins),
-            color_crossings: self.color_crossings.saturating_sub(earlier.color_crossings),
-            dup_eliminations: self.dup_eliminations.saturating_sub(earlier.dup_eliminations),
-            group_bys: self.group_bys.saturating_sub(earlier.group_bys),
-            duplicate_updates: self.duplicate_updates.saturating_sub(earlier.duplicate_updates),
-            icic_maintenance: self.icic_maintenance.saturating_sub(earlier.icic_maintenance),
-            elements_scanned: self.elements_scanned.saturating_sub(earlier.elements_scanned),
-            join_probes: self.join_probes.saturating_sub(earlier.join_probes),
-            bytes_touched: self.bytes_touched.saturating_sub(earlier.bytes_touched),
-            index_lookups: self.index_lookups.saturating_sub(earlier.index_lookups),
-            elements_skipped: self.elements_skipped.saturating_sub(earlier.elements_skipped),
-            page_reads: self.page_reads.saturating_sub(earlier.page_reads),
-            page_writes: self.page_writes.saturating_sub(earlier.page_writes),
-            pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
-            pool_evictions: self.pool_evictions.saturating_sub(earlier.pool_evictions),
-            plan_cache_hits: self.plan_cache_hits.saturating_sub(earlier.plan_cache_hits),
-            plan_cache_misses: self.plan_cache_misses.saturating_sub(earlier.plan_cache_misses),
-            plan_cache_evictions: self
-                .plan_cache_evictions
-                .saturating_sub(earlier.plan_cache_evictions),
-            queue_wait_ns: self.queue_wait_ns.saturating_sub(earlier.queue_wait_ns),
-            results: self.results.saturating_sub(earlier.results),
-            distinct_results: self.distinct_results.saturating_sub(earlier.distinct_results),
-            elapsed: self.elapsed.saturating_sub(earlier.elapsed),
-        }
-    }
-
     /// Figure 10's combined metric.
     pub fn dup_group_metric(&self) -> u64 {
         self.dup_eliminations + self.group_bys + self.duplicate_updates
@@ -178,34 +187,6 @@ impl Metrics {
     /// Number of duplicate results returned (0 for normalized schemas).
     pub fn duplicate_results(&self) -> u64 {
         self.results.saturating_sub(self.distinct_results)
-    }
-}
-
-impl AddAssign for Metrics {
-    fn add_assign(&mut self, rhs: Metrics) {
-        self.structural_joins += rhs.structural_joins;
-        self.value_joins += rhs.value_joins;
-        self.color_crossings += rhs.color_crossings;
-        self.dup_eliminations += rhs.dup_eliminations;
-        self.group_bys += rhs.group_bys;
-        self.duplicate_updates += rhs.duplicate_updates;
-        self.icic_maintenance += rhs.icic_maintenance;
-        self.elements_scanned += rhs.elements_scanned;
-        self.join_probes += rhs.join_probes;
-        self.bytes_touched += rhs.bytes_touched;
-        self.index_lookups += rhs.index_lookups;
-        self.elements_skipped += rhs.elements_skipped;
-        self.page_reads += rhs.page_reads;
-        self.page_writes += rhs.page_writes;
-        self.pool_hits += rhs.pool_hits;
-        self.pool_evictions += rhs.pool_evictions;
-        self.plan_cache_hits += rhs.plan_cache_hits;
-        self.plan_cache_misses += rhs.plan_cache_misses;
-        self.plan_cache_evictions += rhs.plan_cache_evictions;
-        self.queue_wait_ns += rhs.queue_wait_ns;
-        self.results += rhs.results;
-        self.distinct_results += rhs.distinct_results;
-        self.elapsed += rhs.elapsed;
     }
 }
 

@@ -7,7 +7,7 @@
 //! `thread_name` metadata event per thread. Everything runs in `pid` 1;
 //! `tid` is the trace-local thread id of [`SpanRecord::tid`].
 
-use crate::span::{SpanRecord, Trace};
+use crate::span::{Session, SpanRecord, Trace};
 use std::fmt::Write as _;
 
 /// Escape `s` for inclusion in a JSON string literal.
@@ -86,6 +86,19 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     let _ = writeln!(j, "  ]");
     let _ = write!(j, "}}");
     j
+}
+
+/// The `--trace PATH` option of the binaries: run `work` under a fresh
+/// [`Session`], write what it recorded to `path` as chrome-trace JSON and
+/// report the span count on stderr. With no path, just run `work`.
+pub fn traced<R>(path: Option<&str>, work: impl FnOnce() -> R) -> std::io::Result<R> {
+    let Some(path) = path else { return Ok(work()) };
+    let session = Session::start();
+    let out = work();
+    let trace = session.finish();
+    std::fs::write(path, chrome_trace_json(&trace))?;
+    eprintln!("trace: {} spans -> {path}", trace.spans.len());
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -10,12 +10,16 @@
 //!
 //! Two invariants the rest of the workspace leans on:
 //!
-//! * **Off means free.** With no collection session active, [`span()`] is one
-//!   relaxed atomic load — no clock read, no allocation — so instrumented
-//!   hot paths (the per-operator executor loop) cost nothing in ordinary
-//!   benchmark runs. Collection is opt-in per process via
-//!   [`collect_start`] / [`collect_stop`] (the `--trace` flag of the
-//!   `table1` and `colorist-oracle` binaries).
+//! * **Off means free.** While no [`Session`] is live, [`span()`] is one
+//!   relaxed atomic load — no clock read, no allocation, the name is not
+//!   even formatted — so instrumented hot paths (the per-operator executor
+//!   loop, the server's read path) cost nothing in ordinary benchmark
+//!   runs. Collection is a value: [`Session::start`] records the calling
+//!   thread plus every thread that [enters](SessionHandle::enter) the
+//!   session (the suite runner's and the server's workers do), any number
+//!   of sessions record concurrently without seeing each other, and
+//!   [`Session::finish`] returns the [`Trace`]. The `--trace` flag of
+//!   `table1`, `colorist-oracle` and `colorist-scale` is [`traced`].
 //! * **Counters are deterministic, only time is not.** Span *counters*
 //!   are copied from the deterministic [`Metrics`] deltas of the executor,
 //!   so they are byte-identical across `COLORIST_THREADS` settings; the
@@ -27,20 +31,21 @@
 //! ## Example
 //!
 //! ```
-//! use colorist_trace::{collect_start, collect_stop, span, chrome_trace_json};
+//! use colorist_trace::{chrome_trace_json, span, Session};
 //!
-//! collect_start();
+//! let session = Session::start();
 //! {
-//!     let mut q = span("query", "execute:Q1");
+//!     let mut q = span("query", format_args!("execute:Q{}", 1));
 //!     {
 //!         let mut op = span("op", "scan");
 //!         op.counter("elements_scanned", 103);
 //!     } // `scan` closes here, nested inside `execute:Q1`
 //!     q.counter("rows_out", 15);
 //! }
-//! let trace = collect_stop();
+//! let trace = session.finish();
 //!
 //! assert_eq!(trace.spans.len(), 2);
+//! assert_eq!(trace.spans[1].name, "execute:Q1");
 //! trace.check_well_formed().expect("RAII spans nest");
 //! assert_eq!(trace.total("elements_scanned"), 103);
 //!
@@ -57,6 +62,6 @@ pub mod chrome;
 pub mod json;
 pub mod span;
 
-pub use chrome::{chrome_trace_json, escape_json};
+pub use chrome::{chrome_trace_json, escape_json, traced};
 pub use json::Json;
-pub use span::{collect_start, collect_stop, is_collecting, span, Span, SpanRecord, Trace};
+pub use span::{span, Entered, Session, SessionHandle, Span, SpanRecord, Trace};

@@ -1,4 +1,4 @@
-//! The span model and the global collector.
+//! The span model and collection sessions.
 //!
 //! A **span** is one timed region of work on one thread: it has a category
 //! (`design`, `materialize`, `compile`, `query`, `op`, …), a name, a
@@ -7,36 +7,43 @@
 //! becomes its child (RAII nesting), so dropping guards in LIFO order —
 //! the only order safe Rust scoping produces — yields a well-formed tree.
 //!
-//! Collection is **global and off by default**: when no collection session
-//! is active, [`span()`] returns an inert guard whose construction costs one
-//! relaxed atomic load and no clock read, so instrumented hot paths stay
-//! free. [`collect_start`] opens a session on every thread at once;
-//! [`collect_stop`] closes it and returns the [`Trace`]. Guards opened in
-//! an earlier session (or before the session started) never leak records
-//! into a later one.
+//! Collection is **a value, and off by default**. [`Session::start`] opens
+//! a session and binds the calling thread to it; a thread spawned on the
+//! session's behalf joins it with [`Session::current`] +
+//! [`SessionHandle::enter`]; [`Session::finish`] returns the [`Trace`].
+//! Any number of sessions may record at once, each seeing only the threads
+//! bound to it. A thread bound to no session gets an inert guard from
+//! [`span()`] — and while no session is live anywhere in the process that
+//! costs one relaxed atomic load, no clock read and no allocation (the
+//! name is formatted only when recording), so instrumented hot paths stay
+//! free. Every recording guard holds its own session, so a span can only
+//! ever land in the session it was opened under; one that outlives
+//! `finish` records nowhere.
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::cell::RefCell;
+use std::fmt;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One completed span, as stored in a [`Trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Process-unique span id (monotonically assigned across threads).
+    /// Session-unique span id, assigned densely from 0 in opening order
+    /// (across the session's threads).
     pub id: u64,
     /// Id of the innermost span that was open on the same thread when this
     /// one started, if any.
     pub parent: Option<u64>,
-    /// Trace-local thread id: 0 for the first thread that ever recorded,
-    /// then densely increasing per new OS thread.
+    /// Session-local thread id: 0 for the thread that started the session,
+    /// then densely increasing in the order threads entered it.
     pub tid: u32,
     /// Span category (`"design"`, `"op"`, …) — the chrome `cat` field.
     pub cat: &'static str,
     /// Human-readable span name (e.g. `"execute:Q12:DR"`).
     pub name: String,
-    /// Start offset in nanoseconds since the process trace epoch (the
-    /// first [`collect_start`] of the process).
+    /// Start offset in nanoseconds since [`Session::start`].
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
@@ -46,7 +53,7 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// End offset in nanoseconds since the trace epoch.
+    /// End offset in nanoseconds since the session started.
     pub fn end_ns(&self) -> u64 {
         self.start_ns + self.dur_ns
     }
@@ -57,8 +64,7 @@ impl SpanRecord {
     }
 }
 
-/// A completed collection session: every span recorded between one
-/// [`collect_start`]/[`collect_stop`] pair, in completion order.
+/// Everything one [`Session`] recorded, in completion order.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// The recorded spans. Ordered by span *end* time per thread (spans are
@@ -144,71 +150,131 @@ impl Trace {
     }
 }
 
-struct Collector {
-    collecting: AtomicBool,
-    session: AtomicU64,
+/// How many sessions are live in the process. This is all the global state
+/// there is: it lets [`span()`] answer "off" with one relaxed load and
+/// without touching thread-local storage. `Relaxed` suffices because the
+/// count publishes no data: a thread's binding lives in its own
+/// thread-local, and a session reaches another thread only through a
+/// [`SessionHandle`] sent to it, which orders that thread after `start`.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// What a session's threads and guards share.
+struct Shared {
+    started: Instant,
     next_id: AtomicU64,
     next_tid: AtomicU32,
-    records: Mutex<Vec<SpanRecord>>,
+    /// `None` once the session has finished: late guards record nowhere.
+    records: Mutex<Option<Vec<SpanRecord>>>,
 }
 
-static COLLECTOR: Collector = Collector {
-    collecting: AtomicBool::new(false),
-    session: AtomicU64::new(0),
-    next_id: AtomicU64::new(0),
-    next_tid: AtomicU32::new(0),
-    records: Mutex::new(Vec::new()),
-};
+impl Shared {
+    /// The record buffer. Guards push to it from `Drop`, which must not
+    /// panic, so a poisoned lock is recovered: every update (a push, a
+    /// take) leaves the buffer valid.
+    fn records(&self) -> MutexGuard<'_, Option<Vec<SpanRecord>>> {
+        self.records.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
 
-/// The process trace epoch: set by the first [`collect_start`] and shared
-/// by every later session, so `start_ns` offsets are comparable within a
-/// process lifetime.
-static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// A thread's membership of a session.
+struct Binding {
+    session: Arc<Shared>,
+    tid: u32,
+    /// Ids of the spans open on this thread, innermost last.
+    open: Vec<u64>,
+}
 
 thread_local! {
-    static TID: Cell<Option<u32>> = const { Cell::new(None) };
-    // (session, span id) of every open span on this thread, innermost last
-    static STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
+    static BOUND: RefCell<Option<Binding>> = const { RefCell::new(None) };
 }
 
-fn tid() -> u32 {
-    TID.with(|t| match t.get() {
-        Some(id) => id,
-        None => {
-            let id = COLLECTOR.next_tid.fetch_add(1, Ordering::Relaxed);
-            t.set(Some(id));
-            id
+/// An open collection session. It records the spans of the thread that
+/// started it and of every thread that [entered](SessionHandle::enter) it,
+/// and nothing else; dropping it without [`finish`](Session::finish)
+/// discards what it recorded.
+pub struct Session {
+    shared: Arc<Shared>,
+    _entered: Entered,
+}
+
+/// A cheap, clonable, sendable reference to a session (or to none), for
+/// handing to threads that work on the session's behalf.
+#[derive(Clone, Default)]
+pub struct SessionHandle(Option<Arc<Shared>>);
+
+/// Guard returned by [`SessionHandle::enter`]: the thread stays bound to
+/// the session until this drops, then returns to its previous binding.
+pub struct Entered {
+    restore: Option<Option<Binding>>,
+    // bindings are per thread: the guard must drop where it was made
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Session {
+    /// Open a session and bind the calling thread to it (as `tid` 0) until
+    /// the session is finished or dropped.
+    pub fn start() -> Session {
+        let shared = Arc::new(Shared {
+            started: Instant::now(),
+            next_id: AtomicU64::new(0),
+            next_tid: AtomicU32::new(0),
+            records: Mutex::new(Some(Vec::new())),
+        });
+        LIVE.fetch_add(1, Ordering::SeqCst);
+        let entered = SessionHandle(Some(Arc::clone(&shared))).enter();
+        Session { shared, _entered: entered }
+    }
+
+    /// The session the calling thread is bound to — an empty handle when it
+    /// is bound to none. Capture this before spawning a worker and
+    /// [`enter`](SessionHandle::enter) it on the worker.
+    pub fn current() -> SessionHandle {
+        BOUND.with(|b| SessionHandle(b.borrow().as_ref().map(|b| Arc::clone(&b.session))))
+    }
+
+    /// Close the session and return everything it recorded. Spans still
+    /// open are discarded when they eventually drop, so finish only after
+    /// the instrumented work has joined.
+    pub fn finish(self) -> Trace {
+        Trace { spans: self.shared.records().take().unwrap_or_default() }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.shared.records().take();
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl SessionHandle {
+    /// Bind the calling thread to this session under a fresh `tid`. A no-op
+    /// on an empty handle and on a thread already bound to the session.
+    pub fn enter(&self) -> Entered {
+        let restore = self.0.as_ref().and_then(|session| {
+            BOUND.with(|b| {
+                let mut b = b.borrow_mut();
+                if b.as_ref().is_some_and(|b| Arc::ptr_eq(&b.session, session)) {
+                    return None;
+                }
+                let tid = session.next_tid.fetch_add(1, Ordering::Relaxed);
+                Some(b.replace(Binding { session: Arc::clone(session), tid, open: Vec::new() }))
+            })
+        });
+        Entered { restore, _not_send: PhantomData }
+    }
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        if let Some(previous) = self.restore.take() {
+            BOUND.with(|b| *b.borrow_mut() = previous);
         }
-    })
-}
-
-/// Is a collection session active? One relaxed atomic load.
-pub fn is_collecting() -> bool {
-    COLLECTOR.collecting.load(Ordering::Relaxed)
-}
-
-/// Start a global collection session, discarding any records a previous
-/// unfinished session left behind. Spans opened by any thread while the
-/// session is active are recorded when their guard drops.
-pub fn collect_start() {
-    EPOCH.get_or_init(Instant::now);
-    let mut recs = COLLECTOR.records.lock().expect("trace record buffer");
-    recs.clear();
-    COLLECTOR.session.fetch_add(1, Ordering::SeqCst);
-    COLLECTOR.collecting.store(true, Ordering::SeqCst);
-}
-
-/// Stop the active session and return everything it recorded. Spans still
-/// open are discarded when they eventually drop (they belong to no
-/// session), so stop only after the instrumented work has joined.
-pub fn collect_stop() -> Trace {
-    COLLECTOR.collecting.store(false, Ordering::SeqCst);
-    let mut recs = COLLECTOR.records.lock().expect("trace record buffer");
-    Trace { spans: std::mem::take(&mut *recs) }
+    }
 }
 
 struct ActiveSpan {
-    session: u64,
+    session: Arc<Shared>,
     id: u64,
     parent: Option<u64>,
     tid: u32,
@@ -219,34 +285,40 @@ struct ActiveSpan {
 }
 
 /// An RAII span guard: the span covers the guard's lifetime. Inert (and
-/// nearly free) when no collection session is active.
+/// nearly free) on a thread bound to no session.
 pub struct Span {
     active: Option<ActiveSpan>,
 }
 
-/// Open a span. The span's parent is the innermost span currently open on
-/// this thread; its interval closes when the returned guard drops.
-pub fn span(cat: &'static str, name: impl Into<String>) -> Span {
-    if !is_collecting() {
+/// Open a span in the calling thread's session. The span's parent is the
+/// innermost span currently open on this thread; its interval closes when
+/// the returned guard drops. `name` is formatted only if the span records,
+/// so pass `format_args!(…)` rather than a `format!`ed `String`.
+#[inline]
+pub fn span(cat: &'static str, name: impl fmt::Display) -> Span {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return Span { active: None };
     }
-    let session = COLLECTOR.session.load(Ordering::SeqCst);
-    let id = COLLECTOR.next_id.fetch_add(1, Ordering::Relaxed);
-    let tid = tid();
-    let parent = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let parent = s.iter().rev().find(|&&(ss, _)| ss == session).map(|&(_, id)| id);
-        s.push((session, id));
-        parent
+    open(cat, &name)
+}
+
+fn open(cat: &'static str, name: &dyn fmt::Display) -> Span {
+    let bound = BOUND.with(|b| {
+        b.borrow_mut().as_mut().map(|b| {
+            let id = b.session.next_id.fetch_add(1, Ordering::Relaxed);
+            let parent = b.open.last().copied();
+            b.open.push(id);
+            (Arc::clone(&b.session), id, parent, b.tid)
+        })
     });
     Span {
-        active: Some(ActiveSpan {
+        active: bound.map(|(session, id, parent, tid)| ActiveSpan {
             session,
             id,
             parent,
             tid,
             cat,
-            name: name.into(),
+            name: name.to_string(),
             start: Instant::now(),
             counters: Vec::new(),
         }),
@@ -275,65 +347,70 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(a) = self.active.take() else { return };
         let dur = a.start.elapsed();
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            if let Some(pos) = s.iter().rposition(|&(ss, id)| ss == a.session && id == a.id) {
-                s.remove(pos);
+        BOUND.with(|b| {
+            if let Some(b) = b.borrow_mut().as_mut().filter(|b| Arc::ptr_eq(&b.session, &a.session))
+            {
+                if let Some(pos) = b.open.iter().rposition(|&id| id == a.id) {
+                    b.open.remove(pos);
+                }
             }
         });
-        // record only if the guard's own session is still the active one
-        if !is_collecting() || COLLECTOR.session.load(Ordering::SeqCst) != a.session {
-            return;
-        }
-        let epoch = EPOCH.get().copied().unwrap_or(a.start);
-        let start_ns = a.start.saturating_duration_since(epoch).as_nanos() as u64;
         let rec = SpanRecord {
             id: a.id,
             parent: a.parent,
             tid: a.tid,
             cat: a.cat,
             name: a.name,
-            start_ns,
+            start_ns: a.start.saturating_duration_since(a.session.started).as_nanos() as u64,
             dur_ns: dur.as_nanos() as u64,
             counters: a.counters,
         };
-        COLLECTOR.records.lock().expect("trace record buffer").push(rec);
+        let mut records = a.session.records();
+        if let Some(recs) = records.as_mut() {
+            recs.push(rec);
+        }
     }
-}
-
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
+    /// A span name that panics if formatted on a thread bound to no session.
+    struct BoundOnly;
+    impl fmt::Display for BoundOnly {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            assert!(Session::current().0.is_some(), "an inert span formatted its name");
+            f.write_str("bound")
+        }
+    }
 
     #[test]
-    fn disabled_spans_are_inert() {
-        let _l = test_lock();
-        assert!(!is_collecting());
-        let mut s = span("test", "off");
+    fn inert_spans_never_format_their_name() {
+        // other tests' sessions may be live on their own threads; this
+        // thread is bound to none
+        let mut s = span("test", BoundOnly);
         assert!(!s.is_recording());
         s.counter("k", 1);
         drop(s);
+        let session = Session::start();
+        drop(span("test", BoundOnly));
+        assert_eq!(session.finish().spans[0].name, "bound");
     }
 
     #[test]
     fn nesting_and_counters() {
-        let _l = test_lock();
-        collect_start();
+        let session = Session::start();
         {
             let mut outer = span("test", "outer");
             outer.counter("n", 2);
             outer.counter("n", 3);
             {
-                let _inner = span("test", "inner");
+                let _inner = span("test", format_args!("in{}", "ner"));
             }
         }
-        let t = collect_stop();
+        let t = session.finish();
         assert_eq!(t.spans.len(), 2);
         // completion order: inner drops first
         assert_eq!(t.spans[0].name, "inner");
@@ -345,42 +422,78 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_spans_get_distinct_tids() {
-        let _l = test_lock();
-        collect_start();
+    fn entered_threads_join_the_session_and_others_record_nothing() {
+        let session = Session::start();
         {
             let _root = span("test", "main-side");
+            let handle = Session::current();
             std::thread::scope(|s| {
                 for i in 0..2 {
+                    let handle = handle.clone();
                     s.spawn(move || {
-                        let _w = span("test", format!("worker-{i}"));
+                        let _in = handle.enter();
+                        let _w = span("test", format_args!("worker-{i}"));
                     });
                 }
+                // spawned while the session is open, but never entered
+                s.spawn(|| assert!(!span("test", "bystander").is_recording()));
             });
         }
-        let t = collect_stop();
+        let t = session.finish();
         assert_eq!(t.spans.len(), 3);
         t.check_well_formed().expect("per-thread forests are well-formed");
-        let main_tid = t.spans.iter().find(|s| s.name == "main-side").unwrap().tid;
-        for s in t.spans.iter().filter(|s| s.name.starts_with("worker")) {
-            assert_ne!(s.tid, main_tid, "worker spans carry their own tid");
+        // ids and tids are dense per session, the starting thread is tid 0
+        let mut ids: Vec<u64> = t.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2]);
+        let mut tids: Vec<u32> = t.spans.iter().map(|s| s.tid).collect();
+        tids.sort_unstable();
+        assert_eq!(tids, [0, 1, 2]);
+        for s in &t.spans {
+            assert_eq!(s.tid == 0, s.name == "main-side");
             assert_eq!(s.parent, None, "no cross-thread parenting");
         }
     }
 
     #[test]
-    fn stale_session_guards_do_not_leak() {
-        let _l = test_lock();
-        collect_start();
-        let stale = span("test", "stale");
-        let _ = collect_stop();
-        collect_start();
-        drop(stale); // belongs to the closed session: must not record
-        let fresh = span("test", "fresh");
-        drop(fresh);
-        let t = collect_stop();
+    fn concurrent_sessions_share_nothing() {
+        let both_open = Barrier::new(2);
+        let traces: Vec<Trace> = std::thread::scope(|s| {
+            let run = |name: &'static str| {
+                let both_open = &both_open;
+                s.spawn(move || {
+                    let session = Session::start();
+                    both_open.wait();
+                    {
+                        let _outer = span("test", name);
+                        let _inner = span("test", name);
+                        both_open.wait(); // both sessions hold open spans here
+                    }
+                    session.finish()
+                })
+            };
+            [run("a"), run("b")].map(|h| h.join().expect("session thread")).into()
+        });
+        for (t, name) in traces.iter().zip(["a", "b"]) {
+            t.check_well_formed().expect("each session is a forest of its own");
+            // each numbers its own spans and threads from zero
+            assert_eq!(t.spans.iter().map(|s| (s.id, s.tid)).collect::<Vec<_>>(), [(1, 0), (0, 0)]);
+            assert!(t.spans.iter().all(|s| s.name == name), "foreign span in session {name}");
+        }
+    }
+
+    #[test]
+    fn a_guard_that_outlives_its_session_records_nowhere() {
+        let first = Session::start();
+        let late = span("test", "late");
+        assert_eq!(first.finish().spans.len(), 0);
+        let second = Session::start();
+        drop(late); // its session is closed, and it knows no other
+        drop(span("test", "fresh"));
+        let t = second.finish();
         assert_eq!(t.spans.len(), 1);
-        assert_eq!(t.spans[0].name, "fresh");
+        assert_eq!((t.spans[0].name.as_str(), t.spans[0].id), ("fresh", 0));
+        assert!(!span("test", "after").is_recording(), "finish unbinds the thread");
     }
 
     #[test]

@@ -112,24 +112,12 @@ fn parse_args() -> Args {
     args
 }
 
-fn write_trace(path: &str) {
-    let trace = colorist_trace::collect_stop();
-    match std::fs::write(path, colorist_trace::chrome_trace_json(&trace)) {
-        Ok(()) => eprintln!("trace: {} spans -> {path}", trace.spans.len()),
-        Err(e) => eprintln!("trace write failed: {e}"),
-    }
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
-    if args.trace.is_some() {
-        colorist_trace::collect_start();
-    }
-    let code = run(&args);
-    if let Some(path) = &args.trace {
-        write_trace(path);
-    }
-    code
+    colorist_trace::traced(args.trace.as_deref(), || run(&args)).unwrap_or_else(|e| {
+        eprintln!("trace write failed: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 fn run(args: &Args) -> ExitCode {

@@ -159,22 +159,27 @@ pub fn suite_threads() -> usize {
 /// Map `f` over `0..n` on up to `threads` scoped workers, returning the
 /// results in index order (a shared atomic cursor hands out indices; each
 /// result lands in its own slot, so the output is identical to the serial
-/// `(0..n).map(f)` regardless of scheduling).
+/// `(0..n).map(f)` regardless of scheduling). The workers join the
+/// caller's trace session, if it has one.
 pub(crate) fn par_map<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let session = colorist_trace::Session::current();
     std::thread::scope(|s| {
         for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                let _traced = session.enter();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = f(i);
+                    *slots[i].lock().expect("slot lock") = Some(r);
                 }
-                let r = f(i);
-                *slots[i].lock().expect("slot lock") = Some(r);
             });
         }
     });
@@ -205,7 +210,7 @@ pub fn run_suite_on_threads(
     instance: &CanonicalInstance,
     threads: usize,
 ) -> Result<Vec<SuiteResult>, QueryError> {
-    let _suite_span = colorist_trace::span("suite", format!("suite:{}", workload.name));
+    let _suite_span = colorist_trace::span("suite", format_args!("suite:{}", workload.name));
     let start = Instant::now();
 
     // phase A: design + materialize every strategy — independent, so each
@@ -214,7 +219,7 @@ pub fn run_suite_on_threads(
     // plans come from the plain compiler — the optimizer's differential
     // partner for the perfgate's counter-domination check.
     let dbs = par_map(strategies.len(), threads, |i| {
-        let _span = colorist_trace::span("suite", format!("setup:{}", strategies[i]));
+        let _span = colorist_trace::span("suite", format_args!("setup:{}", strategies[i]));
         let schema = design(graph, strategies[i]).expect("strategy designs the diagram");
         let mut db = materialize(graph, &schema, instance);
         // `COLORIST_BACKEND=paged|paged-mem` attaches the paged storage
@@ -241,7 +246,7 @@ pub fn run_suite_on_threads(
             } else {
                 &workload.updates[qi - n_reads].name
             };
-            let _span = colorist_trace::span("suite", format!("{}:{}", strategies[si], qname));
+            let _span = colorist_trace::span("suite", format_args!("{}:{}", strategies[si], qname));
             if qi < n_reads {
                 let q = &workload.reads[qi];
                 let plan = optimize(db, graph, q)?;

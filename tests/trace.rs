@@ -1,38 +1,53 @@
 //! Observability-layer integration tests (DESIGN.md §9): span nesting
 //! well-formedness over a traced suite run, chrome-trace round-tripping
 //! through the in-tree JSON parser, counter determinism across worker
-//! counts, and the per-op/total reconciliation contract of
-//! `execute_profiled` + `explain_analyze`.
+//! counts, session isolation (concurrent sessions, unbound threads, suite
+//! and server workers joining their starter's session), and the
+//! per-op/total reconciliation contract of `execute_profiled` +
+//! `explain_analyze`. Every test runs on cargo's default parallel test
+//! threads: a session sees only the threads bound to it.
 
 use colorist::core::{design, Strategy};
-use colorist::datagen::{generate, materialize, ScaleProfile};
+use colorist::datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
 use colorist::query::{compile, execute, execute_profiled, explain_analyze, Metrics};
-use colorist::trace::{self, Json, Trace};
-use colorist::workload::{suite::run_suite_on_threads, tpcw};
-use std::sync::{Mutex, MutexGuard};
+use colorist::server::{Server, ServerConfig};
+use colorist::trace::{self, Json, Session, Trace};
+use colorist::workload::{suite::run_suite_on_threads, tpcw, Workload};
+use std::sync::Barrier;
 
-/// The trace collector is process-global; tests that collect must not
-/// overlap.
-fn collector_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn traced_suite(threads: usize) -> Trace {
-    let _guard = collector_lock();
+fn fixture() -> (ErGraph, Workload, CanonicalInstance) {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let w = tpcw::workload(&g);
     let instance = generate(&g, &ScaleProfile::tpcw(&g, 20), 7);
-    trace::collect_start();
+    (g, w, instance)
+}
+
+fn traced_suite(threads: usize) -> Trace {
+    let (g, w, instance) = fixture();
+    let session = Session::start();
     run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, threads).expect("suite runs");
-    trace::collect_stop()
+    session.finish()
+}
+
+/// Span ids are numbered per session, densely from zero, and so are thread
+/// ids: the starting thread is 0 and the `joined` threads that entered
+/// the session follow (one that found no work left records no span).
+fn assert_dense(t: &Trace, joined: u32) {
+    let mut ids: Vec<u64> = t.spans.iter().map(|s| s.id).collect();
+    ids.sort_unstable();
+    assert!(ids.iter().copied().eq(0..ids.len() as u64), "span ids are not 0..{}", ids.len());
+    let top = t.spans.iter().map(|s| s.tid).max().expect("spans");
+    assert!(top <= joined, "tid {top} with only {joined} joined thread(s)");
 }
 
 #[test]
 fn traced_suite_is_well_formed() {
     let t = traced_suite(4);
     t.check_well_formed().expect("hierarchy holds");
+    // two parallel phases (set-up, queries) of four workers each
+    assert_dense(&t, 2 * 4);
+    assert_eq!(t.spans.iter().find(|s| s.name == "suite:tpcw").map(|s| s.tid), Some(0));
     // every pipeline stage shows up as its own span category
     for cat in ["suite", "design", "materialize", "compile", "query", "op", "update"] {
         assert!(!t.of_cat(cat).is_empty(), "no `{cat}` spans in {} total", t.spans.len());
@@ -79,6 +94,10 @@ fn chrome_trace_round_trips_through_the_json_parser() {
 fn span_counters_are_deterministic_across_worker_counts() {
     let serial = traced_suite(1);
     let parallel = traced_suite(4);
+    // the suite's workers joined the session: nothing ran unrecorded
+    assert_eq!(serial.spans.len(), parallel.spans.len());
+    assert!(serial.spans.iter().all(|s| s.tid == 0), "a serial run stays on the starting thread");
+    assert!(parallel.spans.iter().any(|s| s.tid > 0), "no worker thread recorded");
     // wall-clock, ids and thread assignment legitimately differ; the
     // multiset of (cat, name, counters) must not
     type SpanKey = (String, String, Vec<(&'static str, u64)>);
@@ -135,11 +154,81 @@ fn index_and_skip_counters_are_present_and_deterministic() {
     assert_eq!(per_query(&serial), per_query(&parallel));
 }
 
+/// Two sessions open at once on two threads, each running its own query,
+/// while a third thread bound to neither runs a third: each session
+/// records exactly its own spans.
+#[test]
+fn concurrent_sessions_record_disjoint_span_sets() {
+    const RUNS: usize = 20;
+    let (g, w, instance) = fixture();
+    let schema = design(&g, Strategy::Dr).expect("designs");
+    let db = materialize(&g, &schema, &instance);
+    let both_open = Barrier::new(3);
+    let run = |qi: usize, traced: bool| {
+        let plan = compile(&g, &schema, &w.reads[qi]).expect("compiles");
+        let session = traced.then(Session::start);
+        both_open.wait();
+        for _ in 0..RUNS {
+            execute(&db, &g, &plan).expect("runs");
+        }
+        both_open.wait(); // nobody finishes before everybody ran
+        (plan, session.map(Session::finish))
+    };
+    let (a, b, bystander) = std::thread::scope(|s| {
+        let a = s.spawn(|| run(0, true));
+        let b = s.spawn(|| run(1, true));
+        let bystander = s.spawn(|| run(2, false));
+        (a.join().unwrap(), b.join().unwrap(), bystander.join().unwrap())
+    });
+    assert!(bystander.1.is_none());
+    for (plan, t) in [a, b] {
+        let t = t.expect("traced");
+        t.check_well_formed().expect("each session is well-formed on its own");
+        assert_dense(&t, 0);
+        let queries = t.of_cat("query");
+        assert_eq!(queries.len(), RUNS);
+        let name = format!("execute:{}:{}", plan.name, plan.strategy);
+        assert!(queries.iter().all(|s| s.name == name), "a foreign query leaked into {name}");
+        assert_eq!(t.of_cat("op").len(), RUNS * plan.ops.len());
+        assert_eq!(t.spans.len(), RUNS * (1 + plan.ops.len()));
+    }
+}
+
+/// Server workers record into the session that was current at
+/// `Server::start`, whatever their number; a server started on an unbound
+/// thread records nowhere.
+#[test]
+fn server_workers_inherit_the_starting_session() {
+    let (g, w, instance) = fixture();
+    let schema = design(&g, Strategy::Dr).expect("designs");
+    let db = materialize(&g, &schema, &instance);
+    let serve = |workers: usize| {
+        let server = Server::start(db.clone(), &g, &ServerConfig { workers, ..Default::default() });
+        let client = server.client();
+        for q in w.reads.iter().chain(&w.reads) {
+            client.read(q).wait().expect("read serves");
+        }
+        server.shutdown();
+    };
+    let traced = |workers: usize| {
+        let session = Session::start();
+        serve(workers);
+        session.finish()
+    };
+    let (one, four) = (traced(1), traced(4));
+    serve(2); // unbound: must not show up anywhere
+    for (t, workers) in [(&one, 1), (&four, 4)] {
+        t.check_well_formed().expect("hierarchy holds");
+        assert_dense(t, workers);
+        assert_eq!(t.of_cat("server").len(), 2 * w.reads.len(), "one server span per read");
+        assert!(t.spans.iter().all(|s| s.tid > 0), "the client thread itself records nothing");
+    }
+    assert_eq!(one.spans.len(), four.spans.len());
+}
+
 #[test]
 fn per_op_deltas_sum_exactly_on_every_query_and_strategy() {
-    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
-    let w = tpcw::workload(&g);
-    let instance = generate(&g, &ScaleProfile::tpcw(&g, 20), 7);
+    let (g, w, instance) = fixture();
     for strategy in Strategy::ALL {
         let schema = design(&g, strategy).expect("designs");
         let db = materialize(&g, &schema, &instance);
