@@ -95,6 +95,14 @@ echo "==> delete/batch torture (release): snapshot isolation under concurrent co
 # the release rerun exercises the race without debug_assert pacing.
 cargo test -q --release --test deletes
 
+echo "==> server torture (release): admission groups, plan cache, reader under a fast writer"
+# tests/server.rs: the 1/2/8-worker serial-oracle torture with its
+# group-cut and final-epoch assertions, the plan-cache invalidation rule,
+# and a closed-loop reader racing a writer that commits as fast as it can.
+# The debug suite above runs them too; at release speed the writer is two
+# orders of magnitude faster, which is the regime the race is about.
+cargo test -q --release --test server
+
 echo "==> table1 bench (COLORIST_SCALE=300, traced)"
 # Full-scale run with span collection: the summary feeds the perf gate, the
 # chrome-trace JSON is validated for shape (hierarchy, ids, thread nesting).
@@ -152,7 +160,8 @@ echo "==> server smoke: colorist-scale (scale-300-sized point, traced + gated)"
 # category with its queue-wait/plan-cache counters), and the scale
 # document is diffed against the committed baseline: identity fields
 # (element counts, request counts, answer checksums, final epochs) and
-# plan-cache counters exactly; throughput and latency are not gated. The
+# plan-cache counters exactly; throughput, latency and the per-round
+# `write_burst_us` are not gated. The
 # validated trace is also the proof that server workers inherit the
 # session current at `Server::start`: every `server` span in it was
 # recorded on a worker thread. Worker counts are pinned because `workers` is comparability

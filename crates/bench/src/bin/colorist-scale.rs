@@ -10,11 +10,13 @@
 //! timed read phase from `--clients` concurrent client threads.
 //!
 //! It publishes per-cell throughput (timed reads only), p50/p99 latency,
-//! the plan-cache counters, and an order-stable FNV checksum over every
-//! read answer into a schema-v8 `BENCH_scale.json` that
-//! `colorist-perfgate --scale` diffs across commits: identity fields
-//! (element counts, request counts, checksums, final epochs) exactly,
-//! timing under the wall-clock rules.
+//! the median wall time of a round's write burst (`write_burst_us`:
+//! submit, flush, every ticket back — the commit path end to end), the
+//! plan-cache counters, and an order-stable FNV checksum over every read
+//! answer into a schema-v8 `BENCH_scale.json` that `colorist-perfgate
+//! --scale` diffs across commits: identity fields (element counts,
+//! request counts, checksums, final epochs) and plan-cache counters
+//! exactly; wall-clock fields are published, never gated.
 //!
 //! ```text
 //! colorist-scale [--scales 1000,10000,100000,1000000] [--workers N]
@@ -175,6 +177,7 @@ struct Cell {
     throughput_qps: f64,
     p50_us: f64,
     p99_us: f64,
+    write_burst_us: f64,
     wall_ms: f64,
 }
 
@@ -207,11 +210,13 @@ fn run_cell(
     let main = server.client();
     let mut checksum = FNV_OFFSET;
     let mut latencies: Vec<Duration> = Vec::new();
+    let mut bursts: Vec<Duration> = Vec::new();
     let mut timed = Duration::ZERO;
     let (mut reads, mut writes) = (0u64, 0u64);
     let wall_start = Instant::now();
     for round in 0..cfg.rounds {
         // write burst: admission-batched, group-committed by the flush
+        let burst_start = Instant::now();
         let pending: Vec<_> = (0..cfg.writes_per_round)
             .map(|k| {
                 let ordinal = (round * cfg.writes_per_round + k) % customers;
@@ -226,9 +231,10 @@ fn run_cell(
             p.wait().expect("write commits");
             writes += 1;
         }
-        // re-warm: one serial read per pattern. These are exactly the
-        // round's plan-cache misses — the write burst bumped the
-        // statistics epoch, so every cached plan is stale by key.
+        bursts.push(burst_start.elapsed());
+        // re-warm: one serial read per pattern. The round's plan-cache
+        // misses all fall here: first touch in round 0, afterwards only
+        // the plans the burst moved an optimizer input of.
         for q in patterns {
             let r = main.read(q).wait().expect("warm read serves");
             checksum = digest(checksum, r.results, r.distinct, &r.elements);
@@ -278,6 +284,7 @@ fn run_cell(
     let final_epoch = server.published_epoch();
     server.shutdown();
     latencies.sort_unstable();
+    bursts.sort_unstable();
     let timed_reads = cfg.rounds as u64 * cfg.reads_per_round as u64;
     Cell {
         strategy: strategy.label(),
@@ -294,6 +301,7 @@ fn run_cell(
         throughput_qps: timed_reads as f64 / timed.as_secs_f64().max(1e-9),
         p50_us: percentile(&latencies, 0.50),
         p99_us: percentile(&latencies, 0.99),
+        write_burst_us: percentile(&bursts, 0.50),
         wall_ms: wall.as_secs_f64() * 1e3,
     }
 }
@@ -359,12 +367,13 @@ fn run(cfg: &Config) {
             let (customers, db) = build(&g, *strategy, fit, target, seed);
             let cell = run_cell(&g, db, &patterns, *strategy, customers, cfg, cfg.workers);
             eprintln!(
-                "colorist-scale: {target:>8} x {:<7} {:>9} elements  {:>10.1} q/s  p50 {:>8.1} us  p99 {:>8.1} us  hit rate {:.3}",
+                "colorist-scale: {target:>8} x {:<7} {:>9} elements  {:>10.1} q/s  p50 {:>8.1} us  p99 {:>8.1} us  burst {:>8.1} us  hit rate {:.3}",
                 cell.strategy,
                 cell.elements,
                 cell.throughput_qps,
                 cell.p50_us,
                 cell.p99_us,
+                cell.write_burst_us,
                 cell.plan_cache_hits as f64
                     / (cell.plan_cache_hits + cell.plan_cache_misses).max(1) as f64,
             );
@@ -375,7 +384,8 @@ fn run(cfg: &Config) {
                  \x20       \"final_epoch\": {}, \"plan_cache_hits\": {},\n\
                  \x20       \"plan_cache_misses\": {}, \"plan_cache_evictions\": {},\n\
                  \x20       \"queue_wait_ns\": {}, \"throughput_qps\": {:.3},\n\
-                 \x20       \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"wall_ms\": {:.3}}}{}",
+                 \x20       \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"write_burst_us\": {:.3},\n\
+                 \x20       \"wall_ms\": {:.3}}}{}",
                 cell.strategy,
                 cell.customers,
                 cell.elements,
@@ -390,6 +400,7 @@ fn run(cfg: &Config) {
                 cell.throughput_qps,
                 cell.p50_us,
                 cell.p99_us,
+                cell.write_burst_us,
                 cell.wall_ms,
                 if ci + 1 < fits.len() { "," } else { "" }
             );

@@ -42,7 +42,8 @@ use crate::plan::{CostEst, KernelChoice, Op, Plan, VDir};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::ColorId;
 use colorist_store::{
-    gallop_cost_wins, CmpKind, Database, ElementId, KernelDispatch, OccId, Occurrence, ValueKey,
+    gallop_cost_wins, CmpKind, Database, ElementId, KernelDispatch, OccId, Occurrence, StatKey,
+    ValueKey,
 };
 
 /// Compile `pattern` with cost-based child ordering and cost annotations
@@ -81,6 +82,37 @@ fn node_rows(db: &Database, pattern: &Pattern, v: usize) -> f64 {
     match &pattern.nodes[v].predicate {
         None => extent,
         Some(p) => pred_rows(db, node, p).min(extent),
+    }
+}
+
+/// A digest of everything this module reads from the summary behind
+/// `key` when it optimizes `pattern`: an extent's cardinality; a column's
+/// row and distinct counts and the estimate of each predicate the pattern
+/// puts on it; a color's version (its occurrence lists are read whole).
+/// Two databases that agree on this digest for every summary in the
+/// plan's read footprint optimize `pattern` to the same plan — the plan
+/// cache's licence to keep serving one across commits that rebuilt a
+/// summary without moving it. Keep it in step with [`node_rows`],
+/// [`pred_rows`] and [`annotate_costs`].
+pub(crate) fn statistics_inputs(db: &Database, pattern: &Pattern, key: StatKey) -> u64 {
+    let stats = db.statistics();
+    match key {
+        StatKey::Extent(node) => stats.extent_rows(node),
+        StatKey::Color(_) => stats.version(key),
+        StatKey::Column(node, attr) => {
+            let (rows, distinct) =
+                stats.column(node, attr).map_or((0, 0), |c| (c.rows, c.distinct));
+            let estimates = pattern
+                .nodes
+                .iter()
+                .filter(|n| n.node == node)
+                .filter_map(|n| n.predicate.as_ref().filter(|p| p.attr == attr))
+                .map(|p| pred_rows(db, node, p).to_bits());
+            [rows, distinct]
+                .into_iter()
+                .chain(estimates)
+                .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3))
+        }
     }
 }
 

@@ -56,12 +56,11 @@ pub fn execute_update(
     // 2. apply
     let (logical, physical) = match &spec.action {
         UpdateAction::Modify { attr, value } => {
-            let copies = copies_map(db);
             let mut physical = 0u64;
             for &t in &targets {
                 db.write_attr(t, *attr, value.clone());
                 physical += 1;
-                for &c in copies.get(&t).map(Vec::as_slice).unwrap_or(&[]) {
+                for c in db.copies_of(t) {
                     db.write_attr(c, *attr, value.clone());
                     physical += 1;
                     metrics.duplicate_updates += 1;
@@ -71,16 +70,18 @@ pub fn execute_update(
         }
 
         UpdateAction::Delete => {
-            let copies = copies_map(db);
+            // resolved up front: a delete takes the subtrees below it, and
+            // with them copies of targets still to come
+            let copies: Vec<Vec<ElementId>> = targets.iter().map(|&t| db.copies_of(t)).collect();
             let mut physical = 0u64;
-            for &t in &targets {
+            for (&t, copies) in targets.iter().zip(&copies) {
                 db.kill_links_of(graph, t);
                 physical += db.remove_element_occurrences(t) as u64;
                 // the canonical delete already removed every copy's
                 // occurrences; these per-copy calls are now no-ops kept for
                 // the duplicate-maintenance accounting (one duplicate write
                 // per physical copy, exactly as on the write path)
-                for &c in copies.get(&t).map(Vec::as_slice).unwrap_or(&[]) {
+                for &c in copies {
                     physical += db.remove_element_occurrences(c) as u64;
                     metrics.duplicate_updates += 1;
                 }
@@ -111,18 +112,6 @@ pub fn execute_update(
     metrics.distinct_results = logical;
     metrics.elapsed = started.elapsed();
     Ok(UpdateOutcome { logical, physical, metrics })
-}
-
-/// Physical copies per canonical element.
-fn copies_map(db: &Database) -> HashMap<ElementId, Vec<ElementId>> {
-    let mut map: HashMap<ElementId, Vec<ElementId>> = HashMap::new();
-    for (i, e) in db.elements().iter().enumerate() {
-        let id = ElementId(i as u32);
-        if e.canonical != id {
-            map.entry(e.canonical).or_default().push(id);
-        }
-    }
-    map
 }
 
 /// First matched element per pattern node of the locating pattern.
@@ -480,7 +469,7 @@ mod tests {
         // all copies updated
         let item = g.node_by_name("item").unwrap();
         let target = db.extent(item)[3];
-        for (i, e) in db.elements().iter().enumerate() {
+        for (i, e) in db.elements().enumerate() {
             if e.canonical == target {
                 assert_eq!(e.attrs[2], Value::Float(9.99), "element {i}");
             }

@@ -11,22 +11,27 @@
 //!   taking the view is one `Arc` clone, and the copy-on-write store
 //!   guarantees the answer equals what the database would have returned
 //!   at snapshot time, byte for byte. Plans come from the sharded
-//!   prepared-plan cache ([`PlanCache`]) keyed on
-//!   `(pattern, strategy, statistics epoch)`: compile + optimize once,
-//!   hit thereafter, re-optimize after any statistics-catalog
-//!   maintenance (the epoch shifts the key — stale plans are never
-//!   served).
-//! * **Writes** flow through *admission batching* into the
-//!   commutativity-certified group commit of DESIGN.md §13: each write
-//!   gets a global admission sequence number when it enters the queue;
-//!   a commit cycle drains the contiguous admitted prefix **in sequence
-//!   order** into a [`CommitScheduler`], which partitions it into
-//!   independence classes and commits each class under one epoch bump.
-//!   Draining in admission order makes the final database state equal
-//!   the serial application of all writes in admission order — for any
-//!   worker count — because distinct classes are certified to commute
-//!   and conflicting writes stay in one class in admission order. The
-//!   torture tests in `tests/server.rs` pin exactly this.
+//!   prepared-plan cache ([`PlanCache`]) keyed on `(pattern, strategy)`:
+//!   compile + optimize once, hit for as long as the statistics the plan
+//!   was costed from stand still, re-optimize in place once one of them
+//!   has moved (stale plans are never served; a write to a column the
+//!   plan does not read costs it nothing).
+//! * **Writes** flow through *admission batching* into the group commit
+//!   of DESIGN.md §13: [`Client::write`] appends the batch to the
+//!   admission buffer itself, in submission order; the sequence is cut
+//!   into **admission groups** at every `admit_max`-th write and at every
+//!   flush barrier — a pure function of the submission order, so groups
+//!   are the same for any worker count — and each group goes **in
+//!   sequence order** into a [`CommitScheduler`], which writes it through
+//!   the authoritative database as one staged version: one statistics
+//!   rebuild, one flush, one publish. Writing through in admission order
+//!   *is* serial application, so the final state equals the serial
+//!   oracle's by construction. The torture tests in `tests/server.rs` pin
+//!   exactly this. A write needs a worker only once its group is
+//!   complete, one worker commits at a time, and no worker ever waits for
+//!   another's commit — a flush that arrives meanwhile is left for the
+//!   committing worker to answer — so commits never take the pool away
+//!   from readers.
 //! * **Metrics** aggregate per worker and are summed on collection
 //!   ([`Server::metrics`]): each request charges exactly one worker
 //!   once, so every deterministic counter family stays exact under any
@@ -44,8 +49,8 @@ use colorist_query::{execute_snapshot, optimize_cached, Pattern, PlanCache, Quer
 use colorist_store::{
     BatchError, BatchReceipt, CommitScheduler, Database, ElementId, Metrics, Snapshot, UpdateBatch,
 };
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -58,10 +63,10 @@ pub struct ServerConfig {
     /// Worker threads. Thread-per-core is [`ServerConfig::per_core`];
     /// the default is 1 (fully deterministic scheduling).
     pub workers: usize,
-    /// Admission threshold: a commit cycle starts as soon as this many
-    /// writes are pending (a [`Client::flush`] commits everything
-    /// regardless). Larger values give the certifier more batches to
-    /// group under one epoch bump.
+    /// Admission threshold: the write sequence is cut into a commit
+    /// group at every multiple of this (a [`Client::flush`] cuts one at
+    /// its barrier regardless). Larger values put more batches under one
+    /// staged version.
     pub admit_max: usize,
     /// Total prepared-plan cache capacity, in plans.
     pub plan_cache_capacity: usize,
@@ -144,10 +149,11 @@ pub struct WriteReply {
     /// The batch's own receipt (epoch rewritten to the group's commit
     /// epoch when it group-committed).
     pub receipt: BatchReceipt,
-    /// Epoch the write's independence class committed under.
+    /// Epoch the database reached when the write's admission group
+    /// committed — the epoch of the view published for it.
     pub group_epoch: u64,
-    /// Batches in the independence class this write committed with (1 =
-    /// it shared its epoch bump with nobody).
+    /// Batches in the admission group this write committed with (1 = it
+    /// shared its staged version, flush and publish with nobody).
     pub group_size: usize,
     /// Per-request metrics: `queue_wait_ns` plus the receipt's
     /// `pages_written` as `page_writes`.
@@ -215,62 +221,92 @@ enum Request {
         enqueued: Instant,
         ticket: Ticket<Result<ReadReply, ServerError>>,
     },
-    Write {
-        wseq: u64,
-        batch: Box<UpdateBatch>,
-        enqueued: Instant,
-        ticket: Ticket<Result<WriteReply, ServerError>>,
-    },
-    Flush {
-        /// Every write admitted before this flush entered the queue has
-        /// `wseq < upto`; the flush waits for and commits them all.
-        upto: u64,
-        ticket: Ticket<Result<FlushReply, ServerError>>,
-    },
-}
-
-/// The MPMC submission queue. Write sequence numbers are assigned under
-/// the same lock that orders the queue, so FIFO pop order respects
-/// admission order — the invariant the flush barrier relies on.
-struct Queue {
-    requests: VecDeque<Request>,
-    next_wseq: u64,
-    stopped: bool,
+    /// A commit barrier: every write admitted before it has `wseq < upto`.
+    Flush { upto: u64, ticket: Ticket<Result<FlushReply, ServerError>> },
+    /// A write just completed an `admit_max` group: somebody commit it.
+    Commit,
 }
 
 /// One admitted-but-uncommitted write.
 struct PendingWrite {
-    batch: Box<UpdateBatch>,
+    batch: UpdateBatch,
     ticket: Ticket<Result<WriteReply, ServerError>>,
-    queue_wait_ns: u64,
+    admitted: Instant,
+    /// A flush barrier was submitted since the previous write: this write
+    /// opens a new admission group.
+    starts_group: bool,
 }
 
-/// Admission buffer: writes keyed by sequence number, plus the commit
-/// frontier. `pending` may have gaps (a worker still carrying a popped
-/// write); commit cycles only drain the contiguous prefix at
-/// `next_commit`, so commits never reorder admissions.
-struct Admission {
-    pending: BTreeMap<u64, PendingWrite>,
+/// A flush a worker has taken off the queue and nobody has answered yet.
+struct Barrier {
+    upto: u64,
+    /// Writes below `upto` still uncommitted when the worker took it.
+    found: u64,
+    ticket: Ticket<Result<FlushReply, ServerError>>,
+}
+
+/// Everything clients and workers hand each other, under one mutex: the
+/// MPMC request queue, and the admission buffer with its commit frontier.
+/// A write never enters `requests`: [`Client::write`] appends it to
+/// `writes` directly — under this lock, so admission order *is*
+/// submission order and the buffer has no gaps — and a worker is only
+/// needed once a group is complete.
+struct Queue {
+    requests: VecDeque<Request>,
+    stopped: bool,
+    /// Admitted, uncommitted writes in admission order; the front one has
+    /// sequence number `next_commit`.
+    writes: VecDeque<PendingWrite>,
     next_commit: u64,
+    /// Set by a flush, taken by the next write (its `starts_group`).
+    flushed_since_write: bool,
+    /// Some worker is committing a group. Groups never overlap; whoever
+    /// holds the flag keeps cutting until no group is due and every
+    /// barrier below the frontier is answered, so nobody ever waits for it.
+    committing: bool,
+    barriers: Vec<Barrier>,
+}
+
+impl Queue {
+    /// The sequence number the next admitted write receives.
+    fn next_wseq(&self) -> u64 {
+        self.next_commit + self.writes.len() as u64
+    }
+
+    /// Cut the next admission group off the front of `writes`, if a
+    /// complete one is there. Group boundaries are a pure function of the
+    /// submission sequence: every multiple of `admit_max`, and every flush
+    /// barrier — the write submitted after a flush carries `starts_group`,
+    /// and a barrier that nothing has followed yet is in `barriers`.
+    fn next_group(&mut self, admit_max: u64) -> Option<Vec<PendingWrite>> {
+        let (start, end) = (self.next_commit, self.next_wseq());
+        let boundary = |wseq: u64| wseq.is_multiple_of(admit_max);
+        let cut = (start + 1..end)
+            .find(|&wseq| boundary(wseq) || self.writes[(wseq - start) as usize].starts_group)
+            .or_else(|| {
+                let closed = boundary(end) || self.barriers.iter().any(|b| b.upto == end);
+                (end > start && closed).then_some(end)
+            })?;
+        self.next_commit = cut;
+        Some(self.writes.drain(..(cut - start) as usize).collect())
+    }
 }
 
 struct Shared {
     graph: ErGraph,
     queue: Mutex<Queue>,
     queue_cv: Condvar,
-    /// Authoritative database; committed to under `commit_gate`.
+    /// Authoritative database; written only by the worker holding
+    /// `Queue::committing`.
     db: Mutex<Database>,
-    /// Published read view, republished after every commit cycle.
+    /// Published read view, republished after every commit group.
     snap: Mutex<Arc<Snapshot>>,
+    /// Views `publish` has replaced that a read may still hold. The
+    /// committing worker drops them once no read does, so reclaiming the
+    /// version a commit replaced is never a reader's work.
+    retired: Mutex<Vec<Arc<Snapshot>>>,
     cache: PlanCache,
-    admission: Mutex<Admission>,
-    /// Signaled when a write lands in the admission buffer (flush
-    /// barriers wait on it).
-    admission_cv: Condvar,
-    /// Serializes drain+commit cycles so contiguous prefixes commit in
-    /// admission order even when several workers race to commit.
-    commit_gate: Mutex<()>,
-    admit_max: usize,
+    admit_max: u64,
     worker_metrics: Vec<Mutex<Metrics>>,
 }
 
@@ -296,15 +332,21 @@ impl Server {
         let snap = Arc::new(db.snapshot());
         let shared = Arc::new(Shared {
             graph: graph.clone(),
-            queue: Mutex::new(Queue { requests: VecDeque::new(), next_wseq: 0, stopped: false }),
+            queue: Mutex::new(Queue {
+                requests: VecDeque::new(),
+                stopped: false,
+                writes: VecDeque::new(),
+                next_commit: 0,
+                flushed_since_write: false,
+                committing: false,
+                barriers: Vec::new(),
+            }),
             queue_cv: Condvar::new(),
             db: Mutex::new(db),
             snap: Mutex::new(snap),
+            retired: Mutex::new(Vec::new()),
             cache: PlanCache::new(config.plan_cache_capacity),
-            admission: Mutex::new(Admission { pending: BTreeMap::new(), next_commit: 0 }),
-            admission_cv: Condvar::new(),
-            commit_gate: Mutex::new(()),
-            admit_max: config.admit_max.max(1),
+            admit_max: config.admit_max.max(1) as u64,
             worker_metrics: (0..workers).map(|_| Mutex::new(Metrics::default())).collect(),
         });
         let session = colorist_trace::Session::current();
@@ -352,10 +394,10 @@ impl Server {
 
     /// Flush all pending writes, stop the workers, and return the final
     /// database. Requests still queued after the flush barrier are
-    /// answered with [`ServerError::Stopped`]; writes a worker already
-    /// admitted (racing the stop flag past the barrier) are committed by
-    /// a final drain so no ticket is left unfulfilled and no admitted
-    /// write is silently dropped.
+    /// answered with [`ServerError::Stopped`]; writes admitted after the
+    /// barrier but before the stop flag went up are committed by a final
+    /// drain, so no ticket is left unfulfilled and no admitted write is
+    /// silently dropped.
     pub fn shutdown(self) -> Database {
         let _ = self.client().flush().wait();
         {
@@ -366,95 +408,81 @@ impl Server {
         for h in self.workers {
             let _ = h.join();
         }
-        {
+        let stragglers: Vec<PendingWrite> = {
             let mut q = self.shared.queue.lock().expect("queue lock");
             for req in q.requests.drain(..) {
                 match req {
                     Request::Read { ticket, .. } => ticket.fulfill(Err(ServerError::Stopped)),
-                    Request::Write { ticket, .. } => ticket.fulfill(Err(ServerError::Stopped)),
                     Request::Flush { ticket, .. } => ticket.fulfill(Err(ServerError::Stopped)),
+                    Request::Commit => {}
                 }
             }
-        }
-        // A write submitted after the internal flush barrier captured its
-        // `upto` but popped and admitted by a worker before it observed
-        // the stop flag sits in the admission buffer below `admit_max`
-        // with nobody left to commit it. Drain and commit the stragglers
-        // (BTreeMap order = admission order) so their clients unblock
-        // with real receipts and the returned database contains every
-        // write that was ever admitted.
-        let stragglers: Vec<PendingWrite> = {
-            let mut adm = self.shared.admission.lock().expect("admission lock");
-            std::mem::take(&mut adm.pending).into_values().collect()
+            // workers joined: nobody is committing and no barrier is open
+            q.next_commit = q.next_wseq();
+            q.writes.drain(..).collect()
         };
         if !stragglers.is_empty() {
             commit_group(&self.shared, 0, stragglers);
         }
-        // workers joined and queue drained; clients may still hold
-        // handles, so clone the authoritative database out instead of
-        // unwrapping the Arc
+        // clients may still hold handles, so clone the authoritative
+        // database out instead of unwrapping the Arc
         self.shared.db.lock().expect("db lock").clone()
     }
 }
 
 impl Client {
-    /// Submit a prepared read query; executes against the published
-    /// snapshot on any worker.
-    pub fn read(&self, pattern: &Pattern) -> Pending<Result<ReadReply, ServerError>> {
+    /// Put `request` on the queue and wake one worker for it, unless the
+    /// server has stopped.
+    fn submit<T>(
+        &self,
+        request: impl FnOnce(&mut Queue, Ticket<Result<T, ServerError>>) -> Option<Request>,
+    ) -> Pending<Result<T, ServerError>> {
         let (pending, ticket) = Pending::new();
         let mut q = self.shared.queue.lock().expect("queue lock");
         if q.stopped {
             drop(q);
             return Pending::ready(Err(ServerError::Stopped));
         }
-        q.requests.push_back(Request::Read {
-            pattern: Box::new(pattern.clone()),
-            enqueued: Instant::now(),
-            ticket,
-        });
+        let Some(request) = request(&mut q, ticket) else { return pending };
+        q.requests.push_back(request);
         drop(q);
-        self.shared.queue_cv.notify_all();
+        self.shared.queue_cv.notify_one();
         pending
     }
 
+    /// Submit a prepared read query; executes against the published
+    /// snapshot on any worker.
+    pub fn read(&self, pattern: &Pattern) -> Pending<Result<ReadReply, ServerError>> {
+        let pattern = Box::new(pattern.clone());
+        self.submit(|_, ticket| Some(Request::Read { pattern, enqueued: Instant::now(), ticket }))
+    }
+
     /// Submit a write batch; it is admitted in submission order and
-    /// group-committed with whatever certified-independent writes share
-    /// its commit cycle.
+    /// group-committed with the writes that share its admission group. A
+    /// write occupies no worker until its group is complete — at every
+    /// `admit_max`-th write, or at the next [`Client::flush`].
     pub fn write(&self, batch: UpdateBatch) -> Pending<Result<WriteReply, ServerError>> {
-        let (pending, ticket) = Pending::new();
-        let mut q = self.shared.queue.lock().expect("queue lock");
-        if q.stopped {
-            drop(q);
-            return Pending::ready(Err(ServerError::Stopped));
-        }
-        let wseq = q.next_wseq;
-        q.next_wseq += 1;
-        q.requests.push_back(Request::Write {
-            wseq,
-            batch: Box::new(batch),
-            enqueued: Instant::now(),
-            ticket,
-        });
-        drop(q);
-        self.shared.queue_cv.notify_all();
-        pending
+        let admit_max = self.shared.admit_max;
+        self.submit(|q, ticket| {
+            let starts_group = std::mem::take(&mut q.flushed_since_write);
+            q.writes.push_back(PendingWrite {
+                batch,
+                ticket,
+                admitted: Instant::now(),
+                starts_group,
+            });
+            q.next_wseq().is_multiple_of(admit_max).then_some(Request::Commit)
+        })
     }
 
     /// Commit barrier: waits for every write submitted before this call
     /// to commit, then republishes the read view. The reply reports how
-    /// many writes the barrier itself had to commit.
+    /// many of them were still uncommitted when a worker took the barrier.
     pub fn flush(&self) -> Pending<Result<FlushReply, ServerError>> {
-        let (pending, ticket) = Pending::new();
-        let mut q = self.shared.queue.lock().expect("queue lock");
-        if q.stopped {
-            drop(q);
-            return Pending::ready(Err(ServerError::Stopped));
-        }
-        let upto = q.next_wseq;
-        q.requests.push_back(Request::Flush { upto, ticket });
-        drop(q);
-        self.shared.queue_cv.notify_all();
-        pending
+        self.submit(|q, ticket| {
+            q.flushed_since_write = true;
+            Some(Request::Flush { upto: q.next_wseq(), ticket })
+        })
     }
 }
 
@@ -480,21 +508,14 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 }
                 ticket.fulfill(reply);
             }
-            Request::Write { wseq, batch, enqueued, ticket } => {
-                let queue_wait_ns = enqueued.elapsed().as_nanos() as u64;
-                {
-                    let mut span = colorist_trace::span("server", "admit");
-                    span.counter("queue_wait_ns", queue_wait_ns);
-                    let mut adm = shared.admission.lock().expect("admission lock");
-                    adm.pending.insert(wseq, PendingWrite { batch, ticket, queue_wait_ns });
-                    shared.admission_cv.notify_all();
-                }
-                commit_cycle(shared, worker, None);
-            }
             Request::Flush { upto, ticket } => {
-                let committed = commit_cycle(shared, worker, Some(upto));
-                let epoch = shared.snap.lock().expect("snapshot lock").epoch();
-                ticket.fulfill(Ok(FlushReply { committed, epoch }));
+                let mut q = shared.queue.lock().expect("queue lock");
+                let found = upto.saturating_sub(q.next_commit);
+                q.barriers.push(Barrier { upto, found, ticket });
+                commit_cycle(shared, worker, q);
+            }
+            Request::Commit => {
+                commit_cycle(shared, worker, shared.queue.lock().expect("queue lock"));
             }
         }
     }
@@ -539,152 +560,103 @@ fn charge(shared: &Shared, worker: usize, metrics: Metrics) {
     *shared.worker_metrics[worker].lock().expect("worker metrics lock") += metrics;
 }
 
-/// Run commit cycles. With `barrier: None`, commit only if the admission
-/// threshold is reached; with `Some(upto)`, loop — waiting for stragglers
-/// still between the queue and the admission buffer — until every write
-/// with `wseq < upto` has committed. Returns how many writes this call
-/// committed. Cycles are serialized by `commit_gate` and each drains the
-/// contiguous admitted prefix, so commits apply in admission order.
-fn commit_cycle(shared: &Shared, worker: usize, barrier: Option<u64>) -> u64 {
-    let _gate = shared.commit_gate.lock().expect("commit gate");
-    let mut committed = 0u64;
+/// Commit every admission group that is complete, one at a time, and
+/// answer every barrier the commit frontier has passed — unless another
+/// worker is already doing so: it looks again, under this same lock,
+/// before it gives the flag up, so whatever the caller just put into the
+/// queue state is its to handle and the caller goes straight back to
+/// serving requests. No worker ever waits for a commit.
+fn commit_cycle<'a>(shared: &'a Shared, worker: usize, mut q: MutexGuard<'a, Queue>) {
+    if q.committing {
+        return;
+    }
     loop {
-        let drained: Vec<PendingWrite> = {
-            let mut adm = shared.admission.lock().expect("admission lock");
-            loop {
-                // the commit frontier is admitted AND (a barrier is
-                // active, or the admission threshold is reached): drain
-                // the whole contiguous prefix
-                let due = adm.pending.contains_key(&adm.next_commit)
-                    && (barrier.is_some() || adm.pending.len() >= shared.admit_max);
-                if due {
-                    let mut v = Vec::new();
-                    loop {
-                        let frontier = adm.next_commit;
-                        match adm.pending.remove(&frontier) {
-                            Some(w) => {
-                                v.push(w);
-                                adm.next_commit += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    break v;
-                }
-                match barrier {
-                    Some(upto) if adm.next_commit < upto => {
-                        // a write admitted before the barrier is still on
-                        // its way from the queue: wait for its worker
-                        adm = shared.admission_cv.wait(adm).expect("admission wait");
-                    }
-                    // below threshold, or a straggler owns the frontier
-                    // (its own admission will trigger the cycle)
-                    _ => return committed,
-                }
+        let frontier = q.next_commit;
+        let (met, open) =
+            std::mem::take(&mut q.barriers).into_iter().partition(|b| b.upto <= frontier);
+        q.barriers = open;
+        let group = q.next_group(shared.admit_max);
+        q.committing = group.is_some();
+        drop(q);
+        if !Vec::is_empty(&met) {
+            let epoch = shared.snap.lock().expect("snapshot lock").epoch();
+            for Barrier { found, ticket, .. } in met {
+                ticket.fulfill(Ok(FlushReply { committed: found, epoch }));
             }
-        };
-        committed += drained.len() as u64;
-        commit_group(shared, worker, drained);
+        }
+        let Some(group) = group else { return };
+        commit_group(shared, worker, group);
+        q = shared.queue.lock().expect("queue lock");
+        q.committing = false;
     }
 }
 
-/// Group-commit one drained admission prefix: certify independence,
-/// commit each class under one epoch bump, republish the read view, and
-/// fulfill the write tickets. If certification-ordered application fails
-/// validation, fall back to committing each batch serially in admission
-/// order (per-batch atomicity, per-batch verdicts) — the final state is
-/// the serial-order state either way.
-fn commit_group(shared: &Shared, worker: usize, drained: Vec<PendingWrite>) {
+/// Commit one admission group through the authoritative database as one
+/// staged version (DESIGN.md §13), republish the read view, and fulfill
+/// the write tickets. If a batch of the group fails validation the
+/// scheduler has put the database back untouched; fall back to committing
+/// each batch serially in admission order (per-batch atomicity, per-batch
+/// verdicts) — the final state is the serial-order state either way.
+fn commit_group(shared: &Shared, worker: usize, group: Vec<PendingWrite>) {
     let mut span = colorist_trace::span("server", "commit");
-    span.counter("admitted", drained.len() as u64);
+    span.counter("admitted", group.len() as u64);
     let mut sched = CommitScheduler::new();
-    let mut tickets = Vec::with_capacity(drained.len());
-    for w in drained {
-        sched.stage(*w.batch);
-        tickets.push(Some((w.ticket, w.queue_wait_ns)));
+    let mut tickets = Vec::with_capacity(group.len());
+    for w in group {
+        sched.stage(w.batch);
+        tickets.push((w.ticket, w.admitted.elapsed().as_nanos() as u64));
     }
     let mut db = shared.db.lock().expect("db lock");
-    // Commit against a trial clone and install it only on full success.
-    // `CommitScheduler::commit` installs independence classes one at a
-    // time, so an error on a later class leaves earlier classes applied;
-    // the serial fallback must start from the pre-group state or batches
-    // in already-committed classes would apply twice.
-    let mut trial = db.clone();
-    match sched.commit(&mut trial, &shared.graph) {
-        Ok(groups) => {
-            *db = trial;
-            publish(shared, &db);
-            drop(db);
-            span.counter("groups", groups.len() as u64);
-            for g in &groups {
-                for (&member, receipt) in g.members.iter().zip(&g.receipts) {
-                    let (ticket, queue_wait_ns) =
-                        tickets[member].take().expect("one receipt per stage");
-                    let metrics = Metrics {
-                        queue_wait_ns,
-                        page_writes: receipt.pages_written,
-                        ..Metrics::default()
-                    };
-                    charge(shared, worker, metrics);
-                    ticket.fulfill(Ok(WriteReply {
-                        receipt: receipt.clone(),
-                        group_epoch: g.epoch,
-                        group_size: g.members.len(),
-                        metrics,
-                    }));
-                }
-            }
-        }
-        Err(_) => {
-            // some batch fails validation *somewhere* in the certified
-            // order: drop the trial state and degrade to serial
-            // admission-order commits against the untouched database so
-            // every batch gets an individual verdict
-            drop(trial);
-            let mut verdicts = Vec::with_capacity(tickets.len());
-            for (i, slot) in tickets.iter_mut().enumerate() {
-                let (ticket, queue_wait_ns) = slot.take().expect("unfulfilled");
-                verdicts.push((
-                    ticket,
-                    queue_wait_ns,
-                    sched.batches()[i].apply(&mut db, &shared.graph),
-                ));
-            }
-            // republish before fulfilling, mirroring the Ok arm, so a
-            // client whose write succeeded can never read a snapshot
-            // that predates its own commit
-            publish(shared, &db);
-            drop(db);
-            for (ticket, queue_wait_ns, verdict) in verdicts {
-                match verdict {
-                    Ok(receipt) => {
-                        let metrics = Metrics {
-                            queue_wait_ns,
-                            page_writes: receipt.pages_written,
-                            ..Metrics::default()
-                        };
-                        charge(shared, worker, metrics);
-                        let group_epoch = receipt.epoch;
-                        ticket.fulfill(Ok(WriteReply {
-                            receipt,
-                            group_epoch,
-                            group_size: 1,
-                            metrics,
-                        }));
-                    }
-                    Err(e) => {
-                        charge(shared, worker, Metrics { queue_wait_ns, ..Metrics::default() });
-                        ticket.fulfill(Err(ServerError::Batch(e)));
+    let verdicts: Vec<Result<(BatchReceipt, u64, usize), BatchError>> =
+        match sched.commit(&mut db, &shared.graph) {
+            Ok(classes) => {
+                span.counter("groups", classes.len() as u64);
+                let (group_epoch, group_size) = (db.epoch(), tickets.len());
+                let mut by_stage = vec![None; tickets.len()];
+                for class in classes {
+                    for (member, receipt) in class.members.into_iter().zip(class.receipts) {
+                        by_stage[member] = Some(Ok((receipt, group_epoch, group_size)));
                     }
                 }
+                by_stage.into_iter().map(|v| v.expect("one receipt per stage")).collect()
             }
-        }
+            Err(_) => sched
+                .batches()
+                .iter()
+                .map(|b| {
+                    let receipt = b.apply(&mut db, &shared.graph)?;
+                    let epoch = receipt.epoch;
+                    Ok((receipt, epoch, 1))
+                })
+                .collect(),
+        };
+    // republish before fulfilling, so a client whose write succeeded can
+    // never read a snapshot that predates its own commit
+    publish(shared, &db);
+    drop(db);
+    for ((ticket, queue_wait_ns), verdict) in tickets.into_iter().zip(verdicts) {
+        let page_writes = verdict.as_ref().map_or(0, |(receipt, ..)| receipt.pages_written);
+        let metrics = Metrics { queue_wait_ns, page_writes, ..Metrics::default() };
+        charge(shared, worker, metrics);
+        ticket.fulfill(match verdict {
+            Ok((receipt, group_epoch, group_size)) => {
+                Ok(WriteReply { receipt, group_epoch, group_size, metrics })
+            }
+            Err(e) => Err(ServerError::Batch(e)),
+        });
     }
 }
 
-/// Republish the read view from the authoritative database.
+/// Republish the read view from the authoritative database. Whoever drops
+/// the last handle on the replaced view frees every chunk and column the
+/// commit replaced, so the view is parked until no read holds it and is
+/// dropped here, by a committing worker.
 fn publish(shared: &Shared, db: &Database) {
-    *shared.snap.lock().expect("snapshot lock") = Arc::new(db.snapshot());
+    let fresh = Arc::new(db.snapshot());
+    let stale = std::mem::replace(&mut *shared.snap.lock().expect("snapshot lock"), fresh);
+    let mut retired = shared.retired.lock().expect("retired views lock");
+    retired.push(stale);
+    retired.retain(|view| Arc::strong_count(view) > 1);
 }
 
 #[cfg(test)]
@@ -876,19 +848,31 @@ mod tests {
         let (g, db) = build(Strategy::Dr);
         let customer = by_name(&g, "customer");
         let target = db.canonical_by_ordinal(customer, 0).expect("instance");
+        let doomed = db.canonical_by_ordinal(customer, 1).expect("instance");
         let q = customers_query(&g);
         let server = Server::start(db, &g, &ServerConfig::default());
         let c = server.client();
         assert!(!c.read(&q).wait().expect("read").cache_hit);
         assert!(c.read(&q).wait().expect("read").cache_hit);
-        // a committed write refreshes the statistics catalog -> epoch bump
+        // the plan navigates to customers but reads none of their
+        // attributes: a committed attribute write moves the epoch and one
+        // column's statistics, neither of which the plan was costed from
         let mut b = UpdateBatch::new();
         b.write_attr(target, 1, Value::Int(77));
         c.write(b);
-        c.flush().wait().expect("flush");
+        let epoch = c.flush().wait().expect("flush").epoch;
         let post = c.read(&q).wait().expect("read");
-        assert!(!post.cache_hit, "stale plan must be re-optimized, not served");
+        assert_eq!(post.epoch, epoch, "the read sees the new version");
+        assert!(post.cache_hit, "a write to a column the plan does not read costs it nothing");
+        // a delete moves the customer extent and relabels the colors the
+        // plan walks: stale, re-optimized exactly once, never served
+        let mut b = UpdateBatch::new();
+        b.delete(doomed);
+        c.write(b);
+        c.flush().wait().expect("flush");
+        assert!(!c.read(&q).wait().expect("read").cache_hit, "stale plan must be re-optimized");
         assert!(c.read(&q).wait().expect("read").cache_hit);
+        assert_eq!(server.cache_stats().entries, 1, "re-optimized in place, nothing orphaned");
         server.shutdown();
     }
 

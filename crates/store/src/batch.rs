@@ -4,10 +4,12 @@
 //! instance deletes, element inserts, occurrence edits — validates them
 //! *together* against the pre-batch database (cross-op conflict detection,
 //! arity and placement checks, per-color coverage so inter-color
-//! constraints cannot be half-satisfied), and applies them atomically:
-//! every mutation lands on a staged clone of the database's copy-on-write
-//! state, and the live database only advances to the staged state when the
-//! whole batch has succeeded. A reader holding a
+//! constraints cannot be half-satisfied), and applies them atomically as
+//! **savepoint + write-through**: [`UpdateBatch::apply`] keeps a handle
+//! clone of the caller's database (refcount bumps, no data), writes every
+//! mutation through the caller's handle — copying only the chunks and
+//! columns the batch touches — and puts the savepoint back if the commit
+//! point fails. A reader holding a
 //! [`Snapshot`](crate::database::Snapshot) taken before
 //! [`UpdateBatch::apply`] keeps the pre-batch version of every structure
 //! (extents, color trees, value index, statistics catalog) and never
@@ -20,7 +22,7 @@
 //! entry, value-index postings and statistics contribution through the
 //! audited [`Database::remove_element_occurrences`] path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use colorist_er::{EdgeId, ErGraph, NodeId};
@@ -29,6 +31,7 @@ use colorist_mct::{ColorId, PlacementId};
 use crate::database::{Database, ElementId, OccId};
 use crate::effect::{self, shadow, EffectAnalysis, FootprintSummary, TouchedSet};
 use crate::value::Value;
+use colorist_trace::span;
 
 /// Where a newly inserted element (or a new occurrence of an existing one)
 /// goes in one color's forest.
@@ -216,6 +219,31 @@ pub struct BatchReceipt {
     pub footprint: FootprintSummary,
 }
 
+/// What [`UpdateBatch::stage`] hands back: the receipt so far (its
+/// `pages_written` is filled in by whoever runs the commit point), the
+/// effect analysis the batch was staged under, and — when tracked — the
+/// keys its mutators touched.
+pub(crate) struct Staged {
+    pub(crate) receipt: BatchReceipt,
+    pub(crate) analysis: EffectAnalysis,
+    pub(crate) touched: Option<TouchedSet>,
+}
+
+/// The commit point a single batch and a commit group share: rebuild each
+/// stale statistics column once, then write the dirty segments through the
+/// paged backend as one transaction. Returns the pages written (0 on the
+/// heap backend). Runs *before* the staged state is published, so on
+/// `Err` the caller still holds its savepoint.
+pub(crate) fn commit_staged(db: &mut Database) -> Result<u64, BatchError> {
+    db.refresh_statistics();
+    let flush = db.flush_storage().map_err(|e| BatchError::Storage(e.to_string()))?;
+    if flush.pages_written > 0 {
+        let mut sspan = span("storage", "flush:batch");
+        sspan.counter("page_writes", flush.pages_written);
+    }
+    Ok(flush.pages_written)
+}
+
 /// A validated-then-atomic collection of update operations.
 ///
 /// ```text
@@ -389,16 +417,7 @@ impl UpdateBatch {
     ///
     /// [`Snapshot`]: crate::database::Snapshot
     pub fn apply(&self, db: &mut Database, graph: &ErGraph) -> Result<BatchReceipt, BatchError> {
-        let (receipt, analysis, touched) = self.apply_inner(db, graph, cfg!(debug_assertions))?;
-        if let Some(touched) = touched {
-            // B002 — footprint soundness, asserted on every debug-build
-            // commit: what the shadow tracker saw the mutators touch must
-            // be contained in the static footprint
-            if let Err(msg) = analysis.footprint.covers(&touched) {
-                debug_assert!(false, "{msg}");
-            }
-        }
-        Ok(receipt)
+        self.apply_inner(db, graph, cfg!(debug_assertions)).map(|staged| staged.receipt)
     }
 
     /// [`UpdateBatch::apply`] with the B002 instrumentation forced on in
@@ -412,36 +431,50 @@ impl UpdateBatch {
         db: &mut Database,
         graph: &ErGraph,
     ) -> Result<(BatchReceipt, EffectAnalysis, TouchedSet), BatchError> {
-        let (receipt, analysis, touched) = self.apply_inner(db, graph, true)?;
-        Ok((receipt, analysis, touched.unwrap_or_default()))
+        let staged = self.apply_inner(db, graph, true)?;
+        Ok((staged.receipt, staged.analysis, staged.touched.unwrap_or_default()))
     }
 
+    /// Savepoint + write-through: stage onto `db` itself, run the commit
+    /// point, and put the savepoint back if either fails.
     fn apply_inner(
         &self,
         db: &mut Database,
         graph: &ErGraph,
         track: bool,
-    ) -> Result<(BatchReceipt, EffectAnalysis, Option<TouchedSet>), BatchError> {
-        let mut span = colorist_trace::span("batch", "apply");
-        span.counter("batch_ops", self.ops.len() as u64);
-        self.validate(db, graph)?;
+    ) -> Result<Staged, BatchError> {
+        db.or_roll_back(|db| {
+            let mut staged = self.stage(db, graph, None, track)?;
+            staged.receipt.pages_written = commit_staged(db)?;
+            Ok(staged)
+        })
+    }
 
+    /// Validate against `db`, then write every op through it — no
+    /// savepoint, no statistics rebuild, no flush: the caller owns the
+    /// savepoint and owes [`commit_staged`] before publishing. A validation
+    /// failure returns before anything is written. `analysis` is the
+    /// batch's effect analysis against exactly this `db` state when the
+    /// caller already has it (the commit scheduler does); `None` computes
+    /// it here. With `track` the shadow tracker runs and, in debug builds,
+    /// B002 — what the mutators touched must be contained in the static
+    /// footprint — is asserted.
+    pub(crate) fn stage(
+        &self,
+        db: &mut Database,
+        graph: &ErGraph,
+        analysis: Option<EffectAnalysis>,
+        track: bool,
+    ) -> Result<Staged, BatchError> {
+        let mut bspan = span("batch", "apply");
+        bspan.counter("batch_ops", self.ops.len() as u64);
+        self.validate(db, graph)?;
         // static effect analysis against the pre-batch state — always
-        // computed, so the receipt's footprint summary is deterministic
-        let analysis = {
-            let mut espan = colorist_trace::span("effect", "analyze");
-            let analysis = effect::analyze_batch(self, db, graph);
-            espan.counter("effect_keys", analysis.footprint.summary().effect_keys());
-            analysis
-        };
+        // present, so the receipt's footprint summary is deterministic
+        let analysis = analysis.unwrap_or_else(|| effect::analyze_traced(self, db, graph));
         if track {
             shadow::start();
         }
-
-        // all mutations land on the staged clone; the live database only
-        // advances when the whole batch has gone through (the clone is
-        // cheap: every bulk structure is behind an Arc)
-        let mut staged = db.clone();
         let mut receipt = BatchReceipt {
             ops: self.ops.len(),
             inserted: Vec::new(),
@@ -451,25 +484,16 @@ impl UpdateBatch {
             pages_written: 0,
             footprint: analysis.footprint.summary(),
         };
-
-        // copies per canonical element, for duplicate maintenance
-        let mut copies: HashMap<ElementId, Vec<ElementId>> = HashMap::new();
-        for (i, el) in staged.elements().iter().enumerate() {
-            let id = ElementId(i as u32);
-            if el.canonical != id {
-                copies.entry(el.canonical).or_default().push(id);
-            }
-        }
-
         let mut touched_colors: HashSet<ColorId> = HashSet::new();
 
-        // 1. attribute writes (fan out to copies)
+        // 1. attribute writes (fan out to copies; the trees still carry
+        // the pre-batch labels here, which is what `copies_of` reads)
         for op in &self.ops {
             if let BatchOp::WriteAttr { element, attr, value } = op {
-                let canon = staged.element(*element).canonical;
-                staged.write_attr(canon, *attr, value.clone());
-                for &c in copies.get(&canon).map(Vec::as_slice).unwrap_or(&[]) {
-                    staged.write_attr(c, *attr, value.clone());
+                let canon = db.element(*element).canonical;
+                db.stage_write_attr(canon, *attr, value.clone());
+                for c in db.copies_of(canon) {
+                    db.stage_write_attr(c, *attr, value.clone());
                     receipt.duplicate_writes += 1;
                 }
             }
@@ -480,28 +504,28 @@ impl UpdateBatch {
         for op in &self.ops {
             match op {
                 BatchOp::Insert { node, attrs, positions, links } => {
-                    let id = staged.insert_element(*node, attrs.clone());
+                    let id = db.stage_insert_element(*node, attrs.clone());
                     receipt.inserted.push(id);
-                    let ordinal = staged.element(id).ordinal;
+                    let ordinal = db.element(id).ordinal;
                     for l in links {
-                        staged.push_link(l.edge, ordinal, l.participant_ordinal);
+                        db.push_link(l.edge, ordinal, l.participant_ordinal);
                     }
                     for (i, p) in positions.iter().enumerate() {
                         // first occurrence binds the canonical element,
                         // later ones bind fresh copies (materializer rule)
-                        let el = if i == 0 { id } else { staged.insert_copy(id) };
-                        staged.push_occurrence(p.color, el, p.placement, p.parent);
+                        let el = if i == 0 { id } else { db.insert_copy(id) };
+                        db.push_occurrence(p.color, el, p.placement, p.parent);
                         touched_colors.insert(p.color);
                     }
                 }
                 BatchOp::AddOccurrence { element, position } => {
-                    let canon = staged.element(*element).canonical;
-                    let placed = (0..staged.color_count()).any(|c| {
+                    let canon = db.element(*element).canonical;
+                    let placed = (0..db.color_count()).any(|c| {
                         let c = ColorId(c as u16);
-                        staged.color(c).occs().iter().any(|o| o.element == canon)
+                        db.color(c).occs().iter().any(|o| o.element == canon)
                     });
-                    let el = if placed { staged.insert_copy(canon) } else { canon };
-                    staged.push_occurrence(position.color, el, position.placement, position.parent);
+                    let el = if placed { db.insert_copy(canon) } else { canon };
+                    db.push_occurrence(position.color, el, position.placement, position.parent);
                     touched_colors.insert(position.color);
                 }
                 _ => {}
@@ -511,7 +535,7 @@ impl UpdateBatch {
         // 3. explicit occurrence removals (pre-batch ids; still valid)
         for op in &self.ops {
             if let BatchOp::RemoveOccurrences { color, occs } = op {
-                receipt.occurrences_removed += staged.remove_occurrences(*color, occs) as u64;
+                receipt.occurrences_removed += db.remove_occurrences(*color, occs) as u64;
                 touched_colors.insert(*color);
             }
         }
@@ -520,33 +544,23 @@ impl UpdateBatch {
         let mut touched: Vec<ColorId> = touched_colors.into_iter().collect();
         touched.sort_unstable_by_key(|c| c.0);
         for c in touched {
-            staged.relabel_color(c);
+            db.relabel_color(c);
         }
 
         // 5. deletes last (they relabel the colors they empty themselves)
         for op in &self.ops {
             if let BatchOp::Delete { element } = op {
-                staged.kill_links_of(graph, *element);
-                receipt.occurrences_removed += staged.remove_element_occurrences(*element) as u64;
+                db.kill_links_of(graph, *element);
+                receipt.occurrences_removed += db.stage_remove_element_occurrences(*element) as u64;
             }
         }
 
         let touched = track.then(shadow::stop);
-        debug_assert_eq!(staged.check_integrity(), Ok(()));
-        receipt.epoch = staged.epoch();
-        // write the batch's dirty segments through the paged backend as one
-        // transaction *before* publishing the staged state, so a storage
-        // failure leaves the live database (and its backend) untouched
-        let flush = staged.flush_storage().map_err(|e| BatchError::Storage(e.to_string()))?;
-        receipt.pages_written = flush.pages_written;
-        if flush.pages_written > 0 {
-            let mut sspan = colorist_trace::span("storage", "flush:batch");
-            sspan.counter("page_writes", flush.pages_written);
-        }
-        // the commit point: readers that cloned the Arcs earlier keep the
-        // pre-batch version, everyone after sees the whole batch
-        *db = staged;
-        Ok((receipt, analysis, touched))
+        // B002 — footprint soundness, asserted on every debug-build commit
+        debug_assert_eq!(touched.as_ref().map_or(Ok(()), |t| analysis.footprint.covers(t)), Ok(()));
+        debug_assert_eq!(db.check_integrity(), Ok(()));
+        receipt.epoch = db.epoch();
+        Ok(Staged { receipt, analysis, touched })
     }
 
     /// Resolve `e` to its live canonical instance.

@@ -15,6 +15,7 @@
 //! `a.start < d.start && d.end <= a.end` — the primitive behind structural
 //! joins.
 
+use crate::chunked::Chunked;
 use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
 use crate::statistics::{Cardinality, CmpKind, Statistics};
@@ -22,7 +23,7 @@ use crate::storage::{SegId, Storage};
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::{ColorId, MctSchema, PlacementId};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -97,6 +98,14 @@ pub struct Element {
     pub canonical: ElementId,
     /// Attribute values, aligned with the ER node's attribute declaration.
     pub attrs: Vec<Value>,
+}
+
+/// The vacant slot: what pads the element store's last chunk past the
+/// last stored element. Never reachable through an [`ElementId`].
+impl Default for Element {
+    fn default() -> Self {
+        Element { node: NodeId(0), ordinal: 0, canonical: ElementId(0), attrs: Vec::new() }
+    }
 }
 
 impl Element {
@@ -177,20 +186,22 @@ type LogicalOccs = Vec<HashMap<(NodeId, u32), Vec<OccId>>>;
 
 /// A complete stored database over one schema.
 ///
-/// Every bulk structure sits behind an [`Arc`], so cloning a database —
-/// and therefore taking a [`Snapshot`] — costs a handful of refcount bumps
-/// plus a schema clone, never a data copy. Mutators go through
-/// [`Arc::make_mut`]: while no snapshot shares a structure the write lands
-/// in place; once a snapshot does, the structure is copied first
-/// (copy-on-write), so every outstanding snapshot keeps reading the exact
-/// pre-write version of the extents, color trees, value index and
-/// statistics catalog it was taken over. The [`Database::epoch`] counter
-/// stamps committed mutations so versions are distinguishable.
+/// Every bulk structure sits behind [`Arc`]s, so cloning a database —
+/// and therefore taking a [`Snapshot`] or a savepoint — costs refcount
+/// bumps plus a schema clone, never a data copy. Mutators go through
+/// [`Arc::make_mut`]: while no clone shares a structure the write lands
+/// in place; once one does, the *unit* the write touches is copied first
+/// (copy-on-write) — one element chunk, one value-index column, one whole
+/// color tree or slot table (DESIGN.md §12.4) — so every outstanding
+/// snapshot keeps reading the exact pre-write version of the extents,
+/// color trees, value index and statistics catalog it was taken over. The
+/// [`Database::epoch`] counter stamps committed mutations so versions are
+/// distinguishable.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The schema this database conforms to.
     pub schema: MctSchema,
-    pub(crate) elements: Arc<Vec<Element>>,
+    pub(crate) elements: Chunked<Element>,
     pub(crate) colors: Arc<Vec<ColorTree>>,
     /// **Live** canonical elements per ER node type (the extent), in
     /// ascending `ElementId` order (which is also insertion order).
@@ -228,6 +239,12 @@ pub struct Database {
     /// Built at `finish`, maintained by the same choke points as the value
     /// index plus [`Database::relabel_color`].
     pub(crate) statistics: Arc<Statistics>,
+    /// Columns whose postings changed since their statistics were last
+    /// rebuilt. The staged mutators only mark; every commit point — and
+    /// each public single-step mutator — drains the set through
+    /// [`Database::refresh_statistics`], so a batch or a commit group
+    /// rebuilds a column once however many of its cells it wrote.
+    pub(crate) stale_columns: BTreeSet<(NodeId, usize)>,
     /// Kernel-dispatch and planner mode; see [`KernelDispatch`]. The
     /// differential property tests and the oracle sweep flip this to pin
     /// fast ≡ reference on the same database.
@@ -279,14 +296,77 @@ impl Deref for Snapshot {
 }
 
 impl Database {
-    /// All stored elements.
-    pub fn elements(&self) -> &[Element] {
-        &self.elements
+    /// All stored elements, in id order.
+    pub fn elements(&self) -> impl Iterator<Item = &Element> + Clone {
+        self.elements.iter()
     }
 
     /// The element with the given id.
     pub fn element(&self, e: ElementId) -> &Element {
-        &self.elements[e.idx()]
+        self.elements.get(e.idx())
+    }
+
+    /// The physical copies of canonical element `canon`, in ascending id
+    /// order, resolved through the logical-occurrence maps (a copy exists
+    /// only as an occurrence, so the trees name every reachable one).
+    /// Reads the labels of the last relabel: call it before a structural
+    /// edit, not between the edit and its relabel.
+    pub fn copies_of(&self, canon: ElementId) -> Vec<ElementId> {
+        let mut copies: Vec<ElementId> = (0..self.colors.len() as u16)
+            .map(ColorId)
+            .flat_map(|c| {
+                self.occurrences_of_logical(c, canon)
+                    .iter()
+                    .map(move |&o| self.color(c).occ(o).element)
+            })
+            .filter(|&e| e != canon)
+            .collect();
+        copies.sort_unstable();
+        copies.dedup();
+        copies
+    }
+
+    /// Run `f` on this database and, if it fails, put back the handle
+    /// taken on entry: a savepoint costs refcount bumps, the writes `f`
+    /// makes copy only what they touch, and on `Err` the database is
+    /// byte-identical — epoch, statistics and storage state included — to
+    /// before the call.
+    pub(crate) fn or_roll_back<T, E>(
+        &mut self,
+        f: impl FnOnce(&mut Database) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let savepoint = self.clone();
+        let out = f(self);
+        if out.is_err() {
+            *self = savepoint;
+        }
+        out
+    }
+
+    /// Intern the text of `v`, if any. The symbol table is copied (when
+    /// shared) only for a symbol it does not hold yet.
+    fn intern_value(&mut self, v: &Value) {
+        if let Value::Text(s) = v {
+            if self.interner.get(s).is_none() {
+                shadow::new_symbol(s);
+                self.storage.mark(SegId::Symbols);
+                Arc::make_mut(&mut self.interner).intern(s);
+            }
+        }
+    }
+
+    /// Rebuild the statistics of every column marked stale since the last
+    /// call, each once, from the value index — so the catalog equals a
+    /// from-scratch build again. The commit points call this; so does each
+    /// public single-step mutator.
+    pub fn refresh_statistics(&mut self) {
+        if self.stale_columns.is_empty() {
+            return;
+        }
+        let statistics = Arc::make_mut(&mut self.statistics);
+        for (node, attr) in std::mem::take(&mut self.stale_columns) {
+            statistics.refresh_column(node, attr, &self.value_index, &self.interner);
+        }
     }
 
     /// Write one attribute value, interning text so the value stays
@@ -295,17 +375,19 @@ impl Database {
     /// This is the **only** attribute write path — there is deliberately no
     /// raw mutable element access, so the index cannot go stale.
     pub fn write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
-        if let Value::Text(s) = &v {
-            if self.interner.get(s).is_none() {
-                shadow::new_symbol(s);
-                self.storage.mark(SegId::Symbols);
-            }
-            Arc::make_mut(&mut self.interner).intern(s);
-        }
+        self.stage_write_attr(e, attr, v);
+        self.refresh_statistics();
+    }
+
+    /// [`Database::write_attr`] with the column's statistics marked stale
+    /// instead of rebuilt: the caller owes a [`Database::refresh_statistics`]
+    /// before the write is published.
+    pub(crate) fn stage_write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
+        self.intern_value(&v);
         shadow::write(e, attr);
         self.storage.mark(SegId::Elements);
         let new_key = self.interner.key(&v);
-        let el = &mut Arc::make_mut(&mut self.elements)[e.idx()];
+        let el = self.elements.get_mut(e.idx());
         let old = std::mem::replace(&mut el.attrs[attr], v);
         let (node, is_canonical) = (el.node, el.canonical == e);
         if is_canonical {
@@ -324,14 +406,9 @@ impl Database {
                 });
             }
             // the statistics catalog rides the same choke point: the
-            // changed column is recomputed from the index, so the catalog
-            // never drifts from a from-scratch build
-            Arc::make_mut(&mut self.statistics).refresh_column(
-                node,
-                attr,
-                &self.value_index,
-                &self.interner,
-            );
+            // changed column is recomputed from the index at the commit
+            // point, so the catalog never drifts from a from-scratch build
+            self.stale_columns.insert((node, attr));
         }
         self.epoch += 1;
     }
@@ -598,13 +675,13 @@ impl Database {
             let colors = Arc::make_mut(&mut self.colors);
             let tree = &mut colors[c.idx()];
             relabel(&mut tree.occs);
-            let logical_occs = Arc::make_mut(&mut self.logical_occs);
-            rebuild_tree_indexes(tree, c, &self.elements, logical_occs);
+            let logical = &mut Arc::make_mut(&mut self.logical_occs)[c.idx()];
+            rebuild_indexes_into(tree, &self.elements, logical);
         }
         // structural updates funnel through here, so this is the one
         // maintenance point the placement-occurrence summaries need
         let occs = placement_occ_counts(&self.schema, &self.colors);
-        Arc::make_mut(&mut self.statistics).set_placement_occs(occs);
+        Arc::make_mut(&mut self.statistics).set_placement_occs(c, occs);
         self.epoch += 1;
     }
 
@@ -614,21 +691,16 @@ impl Database {
     /// the append-only ordinal index, **not** from the extent length — the
     /// two diverge once anything has been deleted.
     pub fn insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
-        {
-            for v in &attrs {
-                if let Value::Text(s) = v {
-                    if self.interner.get(s).is_none() {
-                        shadow::new_symbol(s);
-                        self.storage.mark(SegId::Symbols);
-                    }
-                }
-            }
-            let interner = Arc::make_mut(&mut self.interner);
-            for v in &attrs {
-                if let Value::Text(s) = v {
-                    interner.intern(s);
-                }
-            }
+        let id = self.stage_insert_element(node, attrs);
+        self.refresh_statistics();
+        id
+    }
+
+    /// [`Database::insert_element`] with the new postings' columns marked
+    /// stale instead of rebuilt (see [`Database::stage_write_attr`]).
+    pub(crate) fn stage_insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
+        for v in &attrs {
+            self.intern_value(v);
         }
         let id = ElementId(self.elements.len() as u32);
         let ordinal = self.by_ordinal[node.idx()].len() as u32;
@@ -652,15 +724,11 @@ impl Database {
                 });
             }
         }
-        let arity = attrs.len();
-        Arc::make_mut(&mut self.elements).push(Element { node, ordinal, canonical: id, attrs });
+        self.stale_columns.extend((0..attrs.len()).map(|a| (node, a)));
+        self.elements.push(Element { node, ordinal, canonical: id, attrs });
         Arc::make_mut(&mut self.extents)[node.idx()].push(id);
         Arc::make_mut(&mut self.by_ordinal)[node.idx()].push(id);
-        let statistics = Arc::make_mut(&mut self.statistics);
-        statistics.note_insert(node);
-        for a in 0..arity {
-            statistics.refresh_column(node, a, &self.value_index, &self.interner);
-        }
+        Arc::make_mut(&mut self.statistics).note_insert(node);
         self.epoch += 1;
         id
     }
@@ -681,7 +749,7 @@ impl Database {
         let id = ElementId(self.elements.len() as u32);
         shadow::alloc(id);
         self.storage.mark(SegId::Elements);
-        Arc::make_mut(&mut self.elements).push(Element { canonical: canon, ..src });
+        self.elements.push(Element { canonical: canon, ..src });
         self.epoch += 1;
         id
     }
@@ -765,6 +833,15 @@ impl Database {
     /// copies) removes nothing and retracts nothing. Relabels every
     /// affected color. Returns the number of occurrences removed.
     pub fn remove_element_occurrences(&mut self, e: ElementId) -> usize {
+        let removed = self.stage_remove_element_occurrences(e);
+        self.refresh_statistics();
+        removed
+    }
+
+    /// [`Database::remove_element_occurrences`] with the retracted
+    /// postings' columns marked stale instead of rebuilt (see
+    /// [`Database::stage_write_attr`]).
+    pub(crate) fn stage_remove_element_occurrences(&mut self, e: ElementId) -> usize {
         let canon = self.element(e).canonical;
         let mut total = 0;
         for c in 0..self.colors.len() {
@@ -776,7 +853,7 @@ impl Database {
                 .occs
                 .iter()
                 .enumerate()
-                .filter(|(_, o)| self.elements[o.element.idx()].canonical == canon)
+                .filter(|(_, o)| self.element(o.element).canonical == canon)
                 .map(|(i, _)| OccId(i as u32))
                 .collect();
             if !doomed.is_empty() {
@@ -808,16 +885,15 @@ impl Database {
                     shadow::posting(node, a, canon);
                     shadow::stat_column(node, a);
                     // stored values are always interned, but stay total
-                    if let Some(key) = self.interner.try_key(&self.elements[canon.idx()].attrs[a]) {
+                    if let Some(key) =
+                        self.interner.try_key(&self.elements.get(canon.idx()).attrs[a])
+                    {
                         index.remove(IndexEntry { node, attr: a as u32, key, element: canon });
                     }
                 }
             }
-            let statistics = Arc::make_mut(&mut self.statistics);
-            statistics.note_delete(node);
-            for a in 0..arity {
-                statistics.refresh_column(node, a, &self.value_index, &self.interner);
-            }
+            self.stale_columns.extend((0..arity).map(|a| (node, a)));
+            Arc::make_mut(&mut self.statistics).note_delete(node);
             self.epoch += 1;
         }
         total
@@ -971,7 +1047,8 @@ impl Database {
 #[derive(Debug)]
 pub struct DatabaseBuilder {
     schema: MctSchema,
-    elements: Vec<Element>,
+    /// Built in its final chunked form, so `finish` moves it.
+    elements: Chunked<Element>,
     extents: Vec<Vec<ElementId>>,
     colors: Vec<ColorTree>,
     links: Vec<Vec<u32>>,
@@ -984,7 +1061,7 @@ impl DatabaseBuilder {
         let colors = (0..schema.color_count()).map(|_| ColorTree::default()).collect();
         DatabaseBuilder {
             schema,
-            elements: Vec::new(),
+            elements: Chunked::default(),
             extents: vec![Vec::new(); node_count],
             colors,
             links: Vec::new(),
@@ -1014,7 +1091,7 @@ impl DatabaseBuilder {
 
     /// Add a physical copy of a canonical element.
     pub fn add_copy(&mut self, of: ElementId) -> ElementId {
-        let src = self.elements[of.idx()].clone();
+        let src = self.elements.get(of.idx()).clone();
         debug_assert_eq!(src.canonical, of, "copies must reference canonical elements");
         let id = ElementId(self.elements.len() as u32);
         self.elements.push(Element { canonical: of, ..src });
@@ -1041,19 +1118,19 @@ impl DatabaseBuilder {
     /// persistent attribute/id value index over the canonical elements.
     pub fn finish(mut self) -> Database {
         let mut interner = Interner::default();
-        for e in &self.elements {
+        for e in self.elements.iter() {
             for v in &e.attrs {
                 if let Value::Text(s) = v {
                     interner.intern(s);
                 }
             }
         }
-        let value_index = ValueIndex::build(&self.elements, &interner);
+        let value_index = ValueIndex::build(self.elements.iter(), &interner);
         let mut logical_occs = Vec::with_capacity(self.colors.len());
-        for (ci, tree) in self.colors.iter_mut().enumerate() {
+        for tree in &mut self.colors {
             relabel(&mut tree.occs);
             let mut lo = HashMap::new();
-            rebuild_indexes_into(tree, ColorId(ci as u16), &self.elements, &mut lo);
+            rebuild_indexes_into(tree, &self.elements, &mut lo);
             logical_occs.push(lo);
         }
         // reverse link index
@@ -1069,7 +1146,7 @@ impl DatabaseBuilder {
         let extent_rows = self.extents.iter().map(|e| e.len() as u64).collect();
         let statistics = Statistics::build(
             self.extents.len(),
-            |n| self.extents[n].first().map_or(0, |&e| self.elements[e.idx()].attrs.len()),
+            |n| self.extents[n].first().map_or(0, |&e| self.elements.get(e.idx()).attrs.len()),
             extent_rows,
             placement_occ_counts(&self.schema, &self.colors),
             &value_index,
@@ -1080,7 +1157,7 @@ impl DatabaseBuilder {
         let by_ordinal = self.extents.clone();
         Database {
             schema: self.schema,
-            elements: Arc::new(self.elements),
+            elements: self.elements,
             colors: Arc::new(self.colors),
             extents: Arc::new(self.extents),
             by_ordinal: Arc::new(by_ordinal),
@@ -1090,6 +1167,7 @@ impl DatabaseBuilder {
             interner: Arc::new(interner),
             value_index: Arc::new(value_index),
             statistics: Arc::new(statistics),
+            stale_columns: BTreeSet::new(),
             dispatch: KernelDispatch::default(),
             epoch: 0,
             storage: Storage::default(),
@@ -1161,8 +1239,7 @@ fn relabel(occs: &mut Vec<Occurrence>) {
 
 pub(crate) fn rebuild_indexes_into(
     tree: &mut ColorTree,
-    _c: ColorId,
-    elements: &[Element],
+    elements: &Chunked<Element>,
     logical: &mut HashMap<(NodeId, u32), Vec<OccId>>,
 ) {
     tree.by_placement.clear();
@@ -1171,19 +1248,10 @@ pub(crate) fn rebuild_indexes_into(
     for (i, o) in tree.occs.iter().enumerate() {
         let id = OccId(i as u32);
         tree.by_placement.entry(o.placement).or_default().push(id);
-        let canon = &elements[elements[o.element.idx()].canonical.idx()];
+        let canon = elements.get(elements.get(o.element.idx()).canonical.idx());
         tree.by_node.entry(canon.node).or_default().push(id);
         logical.entry((canon.node, canon.ordinal)).or_default().push(id);
     }
-}
-
-fn rebuild_tree_indexes(
-    tree: &mut ColorTree,
-    c: ColorId,
-    elements: &[Element],
-    logical_occs: &mut [HashMap<(NodeId, u32), Vec<OccId>>],
-) {
-    rebuild_indexes_into(tree, c, elements, &mut logical_occs[c.idx()]);
 }
 
 #[cfg(test)]
@@ -1413,6 +1481,93 @@ mod tests {
         // and the live database moved on
         assert_eq!(db.extent(b).len(), 1);
         assert_eq!(db.element(eb0).attrs[1], Value::Text("changed".into()));
+    }
+
+    /// `a0` over `n` relationship instances, each over one `b` with an
+    /// integer id and one of three tags — enough elements for several
+    /// chunks, deterministic so two builds are equal.
+    fn wide(g: &ErGraph, s: &MctSchema, n: i64) -> Database {
+        let [a, b, r] = ["a", "b", "r"].map(|name| g.node_by_name(name).unwrap());
+        let c = ColorId(0);
+        let [pa, pr, pb] = [a, r, b].map(|node| s.placements_of_in_color(node, c)[0]);
+        let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
+        let ea0 = bd.add_canonical(a, vec![Value::Int(0)]);
+        let oa0 = bd.add_occurrence(c, ea0, pa, None);
+        for i in 0..n {
+            let er = bd.add_canonical(r, vec![]);
+            let eb = bd.add_canonical(b, vec![Value::Int(i), Value::Text(format!("tag{}", i % 3))]);
+            let or = bd.add_occurrence(c, er, pr, Some(oa0));
+            bd.add_occurrence(c, eb, pb, Some(or));
+        }
+        bd.finish()
+    }
+
+    /// Regression: writing text the symbol table already holds used to
+    /// take `Arc::make_mut` on the table anyway and, against a live
+    /// snapshot, copy all of it.
+    #[test]
+    fn writing_interned_text_leaves_the_symbol_table_shared() {
+        let (g, s) = tiny();
+        let mut db = wide(&g, &s, 8);
+        let b = g.node_by_name("b").unwrap();
+        let snap = db.snapshot();
+        db.write_attr(db.extent(b)[0], 1, Value::Text("tag2".into()));
+        assert!(Arc::ptr_eq(&db.interner, &snap.interner), "no new symbol, no copy");
+        db.write_attr(db.extent(b)[0], 1, Value::Text("brand new".into()));
+        assert!(!Arc::ptr_eq(&db.interner, &snap.interner), "a new symbol copies on write");
+        assert!(snap.interner().get("brand new").is_none());
+    }
+
+    /// The copy-on-write unit: after a one-cell write against a pinned
+    /// snapshot, every element chunk and every posting column but the
+    /// touched ones is still the snapshot's own allocation, no other
+    /// structure was copied at all, and the snapshot still equals a
+    /// database that never saw the write.
+    #[test]
+    fn a_one_cell_write_shares_every_untouched_chunk_and_column_with_the_snapshot() {
+        let (g, s) = tiny();
+        let b = g.node_by_name("b").unwrap();
+        let n = 4 * crate::chunked::CHUNK_LEN as i64;
+        let pristine = wide(&g, &s, n);
+        let mut db = wide(&g, &s, n);
+        assert!(db.elements.chunks().len() >= 8, "several chunks to share");
+        let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
+        for round in 0..24 {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let target = db.extent(b)[(lcg >> 33) as usize % db.extent(b).len()];
+            let attr = round % 2;
+            let value =
+                if attr == 0 { Value::Int(-(round as i64)) } else { Value::Text("tag1".into()) };
+            let snap = db.snapshot();
+            let before = snap.element(target).attrs[attr].clone();
+            db.write_attr(target, attr, value.clone());
+            let touched = target.idx() / crate::chunked::CHUNK_LEN;
+            for (i, (live, pinned)) in
+                db.elements.chunks().iter().zip(snap.elements.chunks()).enumerate()
+            {
+                assert_eq!(Arc::ptr_eq(live, pinned), i != touched, "round {round}: chunk {i}");
+            }
+            let copied: Vec<_> = db
+                .value_index
+                .runs()
+                .zip(snap.value_index.runs())
+                .filter(|(live, pinned)| !Arc::ptr_eq(live, pinned))
+                .map(|(live, _)| (live[0].node, live[0].attr as usize))
+                .collect();
+            let moved = value != before;
+            assert_eq!(copied, if moved { vec![(b, attr)] } else { vec![] }, "round {round}");
+            assert!(Arc::ptr_eq(&db.colors, &snap.colors));
+            assert!(Arc::ptr_eq(&db.extents, &snap.extents));
+            assert!(Arc::ptr_eq(&db.by_ordinal, &snap.by_ordinal));
+            assert!(Arc::ptr_eq(&db.logical_occs, &snap.logical_occs));
+            assert!(Arc::ptr_eq(&db.interner, &snap.interner));
+            assert_eq!(snap.element(target).attrs[attr], before);
+            assert_eq!(db.element(target).attrs[attr], value);
+            if round == 0 {
+                assert_eq!(snap.same_state(&pristine, true), Ok(()));
+            }
+        }
+        assert_eq!(db.check_integrity(), Ok(()));
     }
 
     #[test]

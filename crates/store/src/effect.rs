@@ -37,23 +37,25 @@
 //!   per-register lattice) is disjoint from the batch's write surface.
 //!
 //! On top sits the first consumer, [`CommitScheduler`]: stage several
-//! batches, partition them into independence classes via the pairwise
-//! certificates, and group-commit each class under **one** epoch bump —
-//! the static-analysis foundation for multi-writer scaling (ROADMAP
-//! item 2). Pairwise independence extends to classes because every
-//! cross-batch interaction that could widen a batch's footprint mid-run
-//! (an added copy fanning out another batch's write, a new link killed
-//! by another batch's delete, an occurrence added to a color another
-//! batch relabels) is itself a certified conflict, so it keeps the
-//! interacting batches inside one class.
+//! batches, partition them into independence classes — each footprint is
+//! analysed once and registers its claims (see [`certify`]) in a
+//! claim → batches map, so a class is whatever a shared or rival claim
+//! connects — and group-commit them through **one** staging object, one
+//! epoch bump per class — the static-analysis foundation for
+//! multi-writer scaling. Pairwise independence extends to classes
+//! because every cross-batch interaction that could widen a batch's
+//! footprint mid-run (an added copy fanning out another batch's write, a
+//! new link killed by another batch's delete, an occurrence added to a
+//! color another batch relabels) is itself a certified conflict, so it
+//! keeps the interacting batches inside one class.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::ColorId;
 
-use crate::batch::{BatchError, BatchOp, BatchReceipt, UpdateBatch};
+use crate::batch::{commit_staged, BatchError, BatchOp, BatchReceipt, UpdateBatch};
 use crate::database::{Database, ElementId};
 use crate::value::Value;
 
@@ -541,6 +543,19 @@ pub struct EffectAnalysis {
     pub diags: Vec<BatchDiag>,
 }
 
+/// [`analyze_batch`] under the `effect` trace span every commit path
+/// emits, with the footprint's key count as its counter.
+pub(crate) fn analyze_traced(
+    batch: &UpdateBatch,
+    db: &Database,
+    graph: &ErGraph,
+) -> EffectAnalysis {
+    let mut span = colorist_trace::span("effect", "analyze");
+    let analysis = analyze_batch(batch, db, graph);
+    span.counter("effect_keys", analysis.footprint.summary().effect_keys());
+    analysis
+}
+
 /// Abstractly interpret `batch` against the pre-batch `db`, mirroring
 /// the exact maintenance each phase of `UpdateBatch::apply` performs
 /// (see the §12.2 table) without executing any of it.
@@ -548,14 +563,6 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Eff
     let mut fp = Footprint::default();
     let mut diags = Vec::new();
 
-    // copies per canonical, for write fan-out (same map apply builds)
-    let mut copies: HashMap<ElementId, Vec<ElementId>> = HashMap::new();
-    for (i, el) in db.elements().iter().enumerate() {
-        let id = ElementId(i as u32);
-        if el.canonical != id {
-            copies.entry(el.canonical).or_default().push(id);
-        }
-    }
     let resolve = |e: ElementId| -> Option<ElementId> {
         (e.idx() < db.element_count()).then(|| db.element(e).canonical).filter(|&c| db.is_live(c))
     };
@@ -659,7 +666,8 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Eff
             record_symbol(&mut fp, value);
             fp.writes.insert((canon, *attr));
             fp.written_instances.insert(canon);
-            for &c in copies.get(&canon).map(Vec::as_slice).unwrap_or(&[]) {
+            // write fan-out, resolved exactly as the apply phase does
+            for c in db.copies_of(canon) {
                 fp.writes.insert((c, *attr));
             }
             fp.postings.insert((el.node, *attr, canon));
@@ -796,92 +804,180 @@ impl fmt::Display for Certificate {
     }
 }
 
+/// The part an instance plays in a footprint, for the instance-level
+/// conflict rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Role {
+    Deleted,
+    Written,
+    OccAdded,
+    LinkTarget,
+}
+
+impl Role {
+    /// The parts another batch may not play on the same instance. A delete
+    /// orders against any other touch (the late order would fail
+    /// validation, or fan out to a different copy set and land on a
+    /// different epoch); an added occurrence orders against a write (an
+    /// added copy changes the write's fan-out) and against another added
+    /// occurrence. Symmetric by construction.
+    fn rivals(self) -> &'static [Role] {
+        use Role::*;
+        match self {
+            Deleted => &[Deleted, Written, OccAdded, LinkTarget],
+            Written => &[Deleted, OccAdded],
+            OccAdded => &[Deleted, Written, OccAdded],
+            LinkTarget => &[Deleted],
+        }
+    }
+
+    fn verb(self) -> &'static str {
+        match self {
+            Role::Deleted => "deleted",
+            Role::Written => "written",
+            Role::OccAdded => "given an occurrence",
+            Role::LinkTarget => "linked to by an insert",
+        }
+    }
+}
+
+/// One unit of a footprint's write surface at the granularity commit
+/// order is observable: cell-level where the structures commute by value
+/// (extents, sorted indexes, recomputed statistics), structure-level
+/// where they do not — whole colors (relabels remap every `OccId`), the
+/// element-id allocator, and the symbol table. Two footprints conflict
+/// iff one holds a claim that [rivals](Claim::rivals) a claim of the
+/// other; [`certify`] and the scheduler's class map both read the rule
+/// from here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Claim {
+    Cell(ElementId, usize),
+    Instance(ElementId, Role),
+    Color(ColorId),
+    Ordinal(NodeId, u32),
+    Posting(NodeId, usize, ElementId),
+    Link(EdgeId, u32),
+    Alloc,
+    Intern,
+}
+
+impl Claim {
+    /// The claims of another batch this one cannot coexist with: the
+    /// rival roles on the same instance, or — everywhere else — itself.
+    fn rivals(self) -> Vec<Claim> {
+        match self {
+            Claim::Instance(e, role) => {
+                role.rivals().iter().map(|&r| Claim::Instance(e, r)).collect()
+            }
+            other => vec![other],
+        }
+    }
+
+    fn witness(self) -> EffectKey {
+        match self {
+            Claim::Cell(e, a) => EffectKey::Write(e, a),
+            Claim::Instance(e, _) => EffectKey::Instance(e),
+            Claim::Color(c) => EffectKey::Color(c),
+            Claim::Ordinal(n, o) => EffectKey::Ordinal(n, o),
+            Claim::Posting(n, a, e) => EffectKey::Posting(n, a, e),
+            Claim::Link(e, o) => EffectKey::Link(e, o),
+            Claim::Alloc => EffectKey::Alloc,
+            Claim::Intern => EffectKey::Intern,
+        }
+    }
+
+    /// Why sharing this claim (against `rival`) orders two batches.
+    fn detail(self, rival: Claim) -> String {
+        match (self, rival) {
+            (Claim::Instance(_, mine), Claim::Instance(_, theirs)) => {
+                format!("{} by one batch, {} by the other", mine.verb(), theirs.verb())
+            }
+            _ => "both batches claim it, and commit order decides what it holds".into(),
+        }
+    }
+}
+
+impl Footprint {
+    /// The footprint as conflict claims, most specific witness first.
+    fn claims(&self) -> Vec<Claim> {
+        let instances = [
+            (&self.deleted, Role::Deleted),
+            (&self.written_instances, Role::Written),
+            (&self.occ_added, Role::OccAdded),
+            (&self.link_targets, Role::LinkTarget),
+        ];
+        let mut claims: Vec<Claim> = self.writes.iter().map(|&(e, a)| Claim::Cell(e, a)).collect();
+        for (set, role) in instances {
+            claims.extend(set.iter().map(|&e| Claim::Instance(e, role)));
+        }
+        claims.extend(self.colors.iter().map(|&c| Claim::Color(c)));
+        claims.extend(self.ordinals.iter().map(|&(n, o)| Claim::Ordinal(n, o)));
+        claims.extend(self.postings.iter().map(|&(n, a, e)| Claim::Posting(n, a, e)));
+        claims.extend(self.links.iter().map(|&(e, o)| Claim::Link(e, o)));
+        claims.extend((!self.allocated.is_empty()).then_some(Claim::Alloc));
+        claims.extend((!self.new_symbols.is_empty()).then_some(Claim::Intern));
+        claims
+    }
+}
+
 /// Certify whether two batches (whose footprints were computed against
-/// the same pre-state) commute. Disjointness is cell-level where the
-/// structures commute by value (extents, sorted indexes, recomputed
-/// statistics) and structure-level where commit order is observable:
-/// whole colors (relabels remap every `OccId`), the element-id
-/// allocator, and the symbol table.
+/// the same pre-state) commute. A footprint's *claims* are its write
+/// surface at the granularity commit order is observable — cells, slots
+/// and postings; whole colors, the id allocator and the symbol table; and
+/// per instance the role the batch plays on it — and the batches are
+/// independent iff no claim of one rivals a claim of the other.
 pub fn certify(a: &Footprint, b: &Footprint) -> Certificate {
-    let conflict = |witness: EffectKey, detail: &str| Certificate::Conflicting {
-        witness,
-        detail: detail.to_string(),
-    };
-    if let Some(&(e, at)) = a.writes.intersection(&b.writes).next() {
-        return conflict(EffectKey::Write(e, at), "both batches write the cell");
-    }
-    // instance-level: a delete orders against any other touch of the
-    // same instance (the late order would fail validation, or fan out
-    // to a different copy set and land on a different epoch)
-    for (x, y, what) in [(a, b, "first"), (b, a, "second")] {
-        for &e in &y.deleted {
-            if x.written_instances.contains(&e) {
-                return conflict(
-                    EffectKey::Instance(e),
-                    &format!("written by one batch, deleted by the {what}"),
-                );
-            }
-            if x.occ_added.contains(&e) {
-                return conflict(
-                    EffectKey::Instance(e),
-                    &format!("gains an occurrence in one batch, deleted by the {what}"),
-                );
-            }
-            if x.link_targets.contains(&e) {
-                return conflict(
-                    EffectKey::Instance(e),
-                    &format!("linked by one batch's insert, deleted by the {what}"),
-                );
-            }
+    let theirs: BTreeSet<Claim> = b.claims().into_iter().collect();
+    for mine in a.claims() {
+        if let Some(rival) = mine.rivals().into_iter().find(|r| theirs.contains(r)) {
+            return Certificate::Conflicting {
+                witness: mine.witness(),
+                detail: mine.detail(rival),
+            };
         }
-    }
-    if let Some(&e) = a.deleted.intersection(&b.deleted).next() {
-        return conflict(EffectKey::Instance(e), "both batches delete the instance");
-    }
-    if let Some(&e) = a.occ_added.intersection(&b.occ_added).next() {
-        return conflict(EffectKey::Instance(e), "both batches extend the instance's occurrences");
-    }
-    for (x, y) in [(a, b), (b, a)] {
-        if let Some(&e) = x.occ_added.intersection(&y.written_instances).next() {
-            return conflict(
-                EffectKey::Instance(e),
-                "one batch writes the instance, the other adds a copy (write fan-out differs \
-                 by order)",
-            );
-        }
-    }
-    if let Some(&c) = a.colors.intersection(&b.colors).next() {
-        return conflict(EffectKey::Color(c), "both batches relabel the color");
-    }
-    if let Some(&(n, o)) = a.ordinals.intersection(&b.ordinals).next() {
-        return conflict(EffectKey::Ordinal(n, o), "both batches touch the ordinal slot");
-    }
-    if let Some(&(n, at, e)) = a.postings.intersection(&b.postings).next() {
-        return conflict(EffectKey::Posting(n, at, e), "both batches touch the posting");
-    }
-    if let Some(&(e, o)) = a.links.intersection(&b.links).next() {
-        return conflict(EffectKey::Link(e, o), "both batches touch the link cell");
-    }
-    if !a.allocated.is_empty() && !b.allocated.is_empty() {
-        return conflict(
-            EffectKey::Alloc,
-            "both batches allocate element ids (order assigns them)",
-        );
-    }
-    if !a.new_symbols.is_empty() && !b.new_symbols.is_empty() {
-        return conflict(EffectKey::Intern, "both batches intern new symbols (order assigns them)");
     }
     Certificate::Independent
 }
 
-/// A staged multi-batch commit plan: per-batch footprints, the pairwise
-/// certificates, and the independence classes they induce.
+/// Partition footprints (in stage order) into independence classes: the
+/// connected components of the conflict graph, found through a claim →
+/// holders map instead of pairwise certificates. Each class is sorted by
+/// stage order; classes are ordered by their earliest member.
+fn independence_classes<'a>(footprints: impl Iterator<Item = &'a Footprint>) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], i: usize) -> usize {
+        if parent[i] != i {
+            parent[i] = find(parent, parent[i]);
+        }
+        parent[i]
+    }
+    let mut holders: BTreeMap<Claim, Vec<usize>> = BTreeMap::new();
+    let mut parent: Vec<usize> = Vec::new();
+    for (i, fp) in footprints.enumerate() {
+        parent.push(i);
+        let claims = fp.claims();
+        for rival in claims.iter().flat_map(|c| c.rivals()) {
+            for &j in holders.get(&rival).map_or(&[][..], Vec::as_slice) {
+                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                parent[ri.max(rj)] = ri.min(rj);
+            }
+        }
+        for c in claims {
+            holders.entry(c).or_default().push(i);
+        }
+    }
+    let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for i in 0..parent.len() {
+        by_root.entry(find(&mut parent, i)).or_default().push(i);
+    }
+    by_root.into_values().collect()
+}
+
+/// A staged multi-batch commit plan: per-batch footprints and the
+/// independence classes they induce.
 #[derive(Debug, Clone)]
 pub struct CommitPlan {
     /// Footprint per staged batch, in stage order.
     pub footprints: Vec<Footprint>,
-    /// One certificate per unordered pair `(i, j)`, `i < j`.
-    pub certificates: Vec<(usize, usize, Certificate)>,
     /// Independence classes: connected components of the conflict
     /// graph, each sorted by stage order; classes ordered by their
     /// earliest member. Distinct classes are mutually independent.
@@ -901,16 +997,18 @@ pub struct GroupReceipt {
 }
 
 /// The first consumer of the certificates: stage several batches,
-/// partition them into independence classes, and group-commit each
-/// class under **one** epoch bump, so a class of mutually conflicting
-/// batches is one version step and independent classes never pay for
-/// each other's ordering.
+/// partition them into independence classes, and group-commit them as
+/// **one staged version** — every batch writes through the caller's
+/// database in stage order (which *is* the serial order, so the final
+/// state needs no commutativity argument), each stale statistics column is
+/// rebuilt once, dirty segments flush once, and the epoch advances by
+/// one per class: a class of mutually conflicting batches is one version
+/// step, and receipts carry their class's epoch.
 ///
-/// Within a class, batches apply sequentially in stage order (they
-/// conflict — order is semantics). A batch that fails validation
-/// aborts its class atomically: the class's staged clone is dropped,
-/// previously committed classes remain, and the error is returned with
-/// the failing stage index.
+/// A batch that fails validation aborts the whole group: the caller's
+/// database is put back to the savepoint taken on entry — byte-identical
+/// to before the call — and the error is returned with the failing stage
+/// index.
 #[derive(Debug, Clone, Default)]
 pub struct CommitScheduler {
     batches: Vec<UpdateBatch>,
@@ -943,86 +1041,72 @@ impl CommitScheduler {
         &self.batches
     }
 
-    /// Analyze every staged batch against `db` and partition them into
-    /// independence classes via the pairwise certificates.
+    /// Analyze every staged batch against `db` (once each) and partition
+    /// them into independence classes.
     pub fn plan(&self, db: &Database, graph: &ErGraph) -> CommitPlan {
         let footprints: Vec<Footprint> =
-            self.batches.iter().map(|b| analyze_batch(b, db, graph).footprint).collect();
-        let n = footprints.len();
-        let mut certificates = Vec::new();
-        // union-find over the conflict graph
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-            if parent[i] != i {
-                let r = find(parent, parent[i]);
-                parent[i] = r;
-            }
-            parent[i]
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                let cert = certify(&footprints[i], &footprints[j]);
-                if !cert.is_independent() {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[ri.max(rj)] = ri.min(rj);
-                }
-                certificates.push((i, j, cert));
-            }
-        }
-        let mut by_root: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in 0..n {
-            let r = find(&mut parent, i);
-            by_root.entry(r).or_default().push(i);
-        }
-        CommitPlan { footprints, certificates, classes: by_root.into_values().collect() }
+            self.batches.iter().map(|b| analyze_traced(b, db, graph).footprint).collect();
+        let classes = independence_classes(footprints.iter());
+        CommitPlan { footprints, classes }
     }
 
-    /// Group-commit every staged batch: one epoch bump per independence
-    /// class. On error the failing class is rolled back whole (classes
-    /// committed before it remain) and the failing stage index is
-    /// returned with the batch error.
+    /// Group-commit every staged batch through `db`: one savepoint, one
+    /// statistics rebuild and one flush for the group, one epoch bump per
+    /// independence class. On error `db` is byte-identical to before the
+    /// call and the failing stage index is returned with the batch error
+    /// (a failed flush is charged to the batch that closes the group).
     pub fn commit(
         &self,
         db: &mut Database,
         graph: &ErGraph,
     ) -> Result<Vec<GroupReceipt>, (usize, BatchError)> {
-        let plan = self.plan(db, graph);
-        let mut groups = Vec::with_capacity(plan.classes.len());
-        for class in &plan.classes {
-            let mut staged = db.clone();
-            let mut receipts = Vec::with_capacity(class.len());
-            for &i in class {
-                match self.batches[i].apply(&mut staged, graph) {
-                    Ok(r) => receipts.push(r),
-                    Err(e) => return Err((i, e)),
-                }
-            }
-            let epoch = db.epoch() + 1;
-            staged.set_epoch(epoch);
-            for r in &mut receipts {
-                r.epoch = epoch;
-            }
-            *db = staged;
-            groups.push(GroupReceipt { members: class.clone(), receipts, epoch });
-        }
-        Ok(groups)
+        db.or_roll_back(|db| self.stage_all(db, graph))
     }
 
-    /// The admission hook for long-lived users (the query service's
-    /// write path, DESIGN.md §15): group-commit everything currently
-    /// staged, then clear the scheduler so the next admission window
-    /// starts empty. Equivalent to [`CommitScheduler::commit`] followed
-    /// by dropping the scheduler, but reuses the allocation. On error
-    /// the staged batches are **kept** (the failing stage index refers
-    /// to them), so the caller can inspect, drop, or re-stage.
-    pub fn drain_commit(
-        &mut self,
+    fn stage_all(
+        &self,
         db: &mut Database,
         graph: &ErGraph,
     ) -> Result<Vec<GroupReceipt>, (usize, BatchError)> {
-        let groups = self.commit(db, graph)?;
-        self.batches.clear();
-        Ok(groups)
+        let Some(closing) = self.batches.len().checked_sub(1) else { return Ok(Vec::new()) };
+        let base = db.epoch();
+        let mut analyses: Vec<Option<EffectAnalysis>> =
+            self.batches.iter().map(|b| Some(analyze_traced(b, db, graph))).collect();
+        let classes = independence_classes(analyses.iter().flatten().map(|a| &a.footprint));
+        let mut class_of = vec![0; self.batches.len()];
+        for (k, class) in classes.iter().enumerate() {
+            for &i in class {
+                class_of[i] = k;
+            }
+        }
+        let mut receipts = Vec::with_capacity(self.batches.len());
+        for (i, batch) in self.batches.iter().enumerate() {
+            // the pre-group analysis is exact for a class's first member
+            // (everything staged before it is certified independent of
+            // it); a later member follows writes it conflicts with and is
+            // re-analysed behind them
+            let analysis = if classes[class_of[i]][0] == i { analyses[i].take() } else { None };
+            let staged =
+                batch.stage(db, graph, analysis, cfg!(debug_assertions)).map_err(|e| (i, e))?;
+            receipts.push(Some(BatchReceipt {
+                epoch: base + 1 + class_of[i] as u64,
+                ..staged.receipt
+            }));
+        }
+        db.set_epoch(base + classes.len() as u64);
+        let pages_written = commit_staged(db).map_err(|e| (closing, e))?;
+        if let Some(Some(last)) = receipts.last_mut() {
+            last.pages_written = pages_written;
+        }
+        Ok(classes
+            .into_iter()
+            .enumerate()
+            .map(|(k, members)| GroupReceipt {
+                receipts: members.iter().filter_map(|&i| receipts[i].take()).collect(),
+                members,
+                epoch: base + 1 + k as u64,
+            })
+            .collect())
     }
 }
 
@@ -1249,7 +1333,11 @@ mod tests {
         // different attrs of the same instance — disjoint cells, disjoint
         // postings, so all three are mutually independent
         assert_eq!(plan.classes, vec![vec![0], vec![1], vec![2]]);
-        assert!(plan.certificates.iter().all(|(_, _, c)| c.is_independent()));
+        for (i, a) in plan.footprints.iter().enumerate() {
+            for b in &plan.footprints[i + 1..] {
+                assert!(certify(a, b).is_independent(), "the class map and certify agree");
+            }
+        }
         let epoch0 = db.epoch();
         let groups = s.commit(&mut db, &g).expect("all valid");
         assert_eq!(groups.len(), 3);
@@ -1282,7 +1370,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_aborts_a_failing_class_and_keeps_earlier_classes() {
+    fn a_failing_later_class_leaves_the_database_byte_identical() {
         let (g, mut db) = tiny();
         let b = g.node_by_name("b").unwrap();
         let eb0 = db.extent(b)[0];
@@ -1290,16 +1378,19 @@ mod tests {
         let mut s = CommitScheduler::new();
         let mut ok = UpdateBatch::new();
         ok.write_attr(eb0, 0, Value::Int(5));
+        ok.delete(eb1);
         s.stage(ok);
         let mut bad = UpdateBatch::new();
-        bad.write_attr(eb1, 9, Value::Int(6)); // attr out of range
+        bad.write_attr(eb0, 9, Value::Int(6)); // attr out of range
         s.stage(bad);
+        let before = db.clone();
         let err = s.commit(&mut db, &g).expect_err("second class fails");
         assert_eq!(err.0, 1);
         assert!(matches!(err.1, BatchError::BadAttr { .. }));
-        // the first class committed, the failing one rolled back whole
-        assert_eq!(db.element(eb0).attrs[0], Value::Int(5));
-        assert_eq!(db.element(eb1).attrs[0], Value::Int(1));
+        // the first class was staged through `db` before the failure; the
+        // savepoint puts every structure back, epoch and statistics too
+        assert_eq!(db.same_state(&before, true), Ok(()));
+        assert!(db.stale_columns.is_empty());
         assert_eq!(db.check_integrity(), Ok(()));
     }
 }

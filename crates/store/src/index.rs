@@ -2,12 +2,16 @@
 //!
 //! TIMBER never walks a document linearly: element lists arrive from index
 //! lookups, so query cost tracks the *selected* data, not the stored data.
-//! This module gives the executor the same property. [`ValueIndex`] is one
-//! flat vector of [`IndexEntry`] records — `(node, attr, key, element)` —
-//! sorted lexicographically, covering every attribute of every **canonical**
-//! element (copies always carry the same attribute values as their
-//! canonical, and extents list canonicals only, so indexing canonicals is
-//! complete).
+//! This module gives the executor the same property. [`ValueIndex`] holds
+//! one sorted run of [`IndexEntry`] records per `(node, attr)` **column**,
+//! covering every attribute of every **canonical** element (copies always
+//! carry the same attribute values as their canonical, and extents list
+//! canonicals only, so indexing canonicals is complete). Every probe
+//! addresses exactly one column, and each run sits behind its own
+//! [`Arc`], so a maintenance write against a shared index copies the one
+//! column it lands in and leaves every other run shared (DESIGN.md §12.4).
+//! Concatenated in `(node, attr)` order the runs are the index's global
+//! posting order — the row order of the paged postings segment.
 //!
 //! Keying by element rather than occurrence makes the index invariant under
 //! the operations that churn occurrence ids: `relabel_color` remaps every
@@ -19,15 +23,16 @@
 //! contribution, so index probes never see ghost elements that scans no
 //! longer return.
 //!
-//! Lookups are two `partition_point` binary searches (equality probes) or a
-//! bounded group walk (range predicates, which must compare stored keys to
-//! the constant in *value* order — see `Interner::key_value_cmp` — because
-//! `ValueKey`'s derived order interleaves variants differently than
-//! `Value::total_cmp`).
+//! Lookups are two `partition_point` binary searches within the column
+//! (equality probes) or a bounded group walk (range predicates, which must
+//! compare stored keys to the constant in *value* order — see
+//! `Interner::key_value_cmp` — because `ValueKey`'s derived order
+//! interleaves variants differently than `Value::total_cmp`).
 
 use crate::database::{Element, ElementId};
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
+use std::sync::Arc;
 
 /// One posting of the value index: canonical `element` (of ER type `node`)
 /// has `key` as the join key of its attribute `attr`.
@@ -52,12 +57,29 @@ pub struct IndexEntry {
 ///
 /// Built once in `DatabaseBuilder::finish` and maintained by the database's
 /// write paths; a maintenance write costs one binary search plus an `O(n)`
-/// vector shift, which updates already dwarf with their eager per-color
-/// relabel (TIMBER charges index maintenance to update cost the same way).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// shift within the one column it touches (TIMBER charges index
+/// maintenance to update cost the same way).
+#[derive(Debug, Clone, Default)]
 pub struct ValueIndex {
-    entries: Vec<IndexEntry>,
+    /// `[node][attr]` posting runs, each sorted by key then element.
+    columns: Vec<Vec<Arc<Vec<IndexEntry>>>>,
 }
+
+/// Content equality: a column that was never created and one whose
+/// postings were all retracted are the same (empty) column.
+impl PartialEq for ValueIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let nodes = self.columns.len().max(other.columns.len());
+        (0..nodes).all(|n| {
+            let attrs = |ix: &ValueIndex| ix.columns.get(n).map_or(0, Vec::len);
+            let node = NodeId(n as u32);
+            (0..attrs(self).max(attrs(other)))
+                .all(|a| self.of_attr(node, a) == other.of_attr(node, a))
+        })
+    }
+}
+
+impl Eq for ValueIndex {}
 
 impl ValueIndex {
     /// Rebuild an index from already-sorted postings, as the paged storage
@@ -65,15 +87,22 @@ impl ValueIndex {
     /// order).
     pub(crate) fn from_entries(entries: Vec<IndexEntry>) -> ValueIndex {
         debug_assert!(entries.windows(2).all(|w| w[0] <= w[1]), "postings must arrive sorted");
-        ValueIndex { entries }
+        let mut index = ValueIndex::default();
+        for run in entries.chunk_by(|a, b| (a.node, a.attr) == (b.node, b.attr)) {
+            *index.column_mut(run[0].node, run[0].attr as usize) = run.to_vec();
+        }
+        index
     }
 
-    /// Index every attribute of every canonical element. `interner` must
-    /// already contain all stored text (it does by the time
-    /// `DatabaseBuilder::finish` builds the index).
-    pub fn build(elements: &[Element], interner: &Interner) -> ValueIndex {
+    /// Index every attribute of every canonical element (`elements` in
+    /// id order). `interner` must already contain all stored text (it does
+    /// by the time `DatabaseBuilder::finish` builds the index).
+    pub fn build<'a>(
+        elements: impl IntoIterator<Item = &'a Element>,
+        interner: &Interner,
+    ) -> ValueIndex {
         let mut entries = Vec::new();
-        for (i, el) in elements.iter().enumerate() {
+        for (i, el) in elements.into_iter().enumerate() {
             let id = ElementId(i as u32);
             if el.canonical != id {
                 continue; // copies mirror their canonical's attributes
@@ -88,40 +117,43 @@ impl ValueIndex {
             }
         }
         entries.sort_unstable();
-        ValueIndex { entries }
+        ValueIndex::from_entries(entries)
     }
 
     /// Number of postings.
     pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Every posting, in sort order — the raw material of the S008
-    /// integrity audit (`Database::check_integrity`).
-    pub fn entries(&self) -> &[IndexEntry] {
-        &self.entries
+        self.runs().map(|r| r.len()).sum()
     }
 
     /// Whether the index holds no postings.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Every posting run, in `(node, attr)` order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = &Arc<Vec<IndexEntry>>> {
+        self.columns.iter().flatten()
+    }
+
+    /// Every posting, in sort order — the raw material of the S008
+    /// integrity audit (`Database::check_integrity`) and the row order of
+    /// the paged postings segment.
+    pub fn entries(&self) -> impl Iterator<Item = &IndexEntry> {
+        self.runs().flat_map(|r| r.iter())
     }
 
     /// All postings for `(node, attr)`, sorted by key then element.
     pub fn of_attr(&self, node: NodeId, attr: usize) -> &[IndexEntry] {
-        let attr = attr as u32;
-        let lo = self.entries.partition_point(|e| (e.node, e.attr) < (node, attr));
-        let hi = self.entries.partition_point(|e| (e.node, e.attr) <= (node, attr));
-        &self.entries[lo..hi]
+        self.columns.get(node.idx()).and_then(|c| c.get(attr)).map_or(&[], |run| run.as_slice())
     }
 
     /// The postings matching an equality probe, sorted by element (which is
     /// extent order — canonical ids ascend within a node's extent).
     pub fn matching(&self, node: NodeId, attr: usize, key: ValueKey) -> &[IndexEntry] {
-        let attr = attr as u32;
-        let lo = self.entries.partition_point(|e| (e.node, e.attr, e.key) < (node, attr, key));
-        let hi = self.entries.partition_point(|e| (e.node, e.attr, e.key) <= (node, attr, key));
-        &self.entries[lo..hi]
+        let run = self.of_attr(node, attr);
+        let lo = run.partition_point(|e| e.key < key);
+        let hi = run.partition_point(|e| e.key <= key);
+        &run[lo..hi]
     }
 
     /// Walk the distinct-key groups of `(node, attr)` in key order — the
@@ -133,19 +165,50 @@ impl ValueIndex {
         Groups { rest: self.of_attr(node, attr) }
     }
 
+    /// Position of `slice`'s first posting in the global posting order.
+    /// `slice` must be a non-empty sub-slice of one column's run, as
+    /// `matching`/`of_attr` return them.
+    pub(crate) fn row_of(&self, slice: &[IndexEntry]) -> Option<u64> {
+        let first = slice.first()?;
+        let run = self.of_attr(first.node, first.attr as usize);
+        let within = (slice.as_ptr() as usize).checked_sub(run.as_ptr() as usize)?
+            / std::mem::size_of::<IndexEntry>();
+        if within + slice.len() > run.len() {
+            return None; // not a slice of this index
+        }
+        let (node, attr) = (first.node.idx(), first.attr as usize);
+        let earlier = self.columns[..node].iter().flatten().chain(&self.columns[node][..attr]);
+        let before: usize = earlier.map(|r| r.len()).sum();
+        Some((before + within) as u64)
+    }
+
+    /// The run of `(node, attr)` for writing: created if the column is new,
+    /// copied first if a clone of the index still shares it.
+    fn column_mut(&mut self, node: NodeId, attr: usize) -> &mut Vec<IndexEntry> {
+        if self.columns.len() <= node.idx() {
+            self.columns.resize(node.idx() + 1, Vec::new());
+        }
+        let cols = &mut self.columns[node.idx()];
+        if cols.len() <= attr {
+            cols.resize(attr + 1, Arc::default());
+        }
+        Arc::make_mut(&mut cols[attr])
+    }
+
     /// Add a posting (element insert maintenance). No-op if the exact
     /// posting is already present.
     pub fn insert(&mut self, entry: IndexEntry) {
-        if let Err(pos) = self.entries.binary_search(&entry) {
-            self.entries.insert(pos, entry);
+        let run = self.column_mut(entry.node, entry.attr as usize);
+        if let Err(pos) = run.binary_search(&entry) {
+            run.insert(pos, entry);
         }
     }
 
     /// Drop a posting (the old-value half of an attribute overwrite).
     /// No-op if absent.
     pub fn remove(&mut self, entry: IndexEntry) {
-        if let Ok(pos) = self.entries.binary_search(&entry) {
-            self.entries.remove(pos);
+        if let Ok(pos) = self.of_attr(entry.node, entry.attr as usize).binary_search(&entry) {
+            self.column_mut(entry.node, entry.attr as usize).remove(pos);
         }
     }
 
@@ -176,8 +239,7 @@ impl ValueIndex {
         v: &Value,
     ) -> Vec<ElementId> {
         let key = interner.try_key(v);
-        self.entries
-            .iter()
+        self.entries()
             .filter(|e| e.node == node && e.attr == attr as u32 && Some(e.key) == key)
             .map(|e| e.element)
             .collect()

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod chunked;
 pub mod database;
 pub mod effect;
 pub mod index;
@@ -81,7 +82,7 @@ pub use metrics::Metrics;
 pub use page::{FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 pub use pool::{BufferPool, PoolConfig, DEFAULT_POOL_BYTES};
 pub use statistics::{
-    gallop_cost_wins, key_order, Bucket, Cardinality, CmpKind, ColumnStats, Selectivity,
+    gallop_cost_wins, key_order, Bucket, Cardinality, CmpKind, ColumnStats, Selectivity, StatKey,
     Statistics, HISTOGRAM_BUCKETS,
 };
 pub use stats::Stats;

@@ -23,12 +23,19 @@
 //!   (the denominator/numerator pairs behind average child fanout along a
 //!   placement edge), refreshed whenever a color is relabelled.
 //!
-//! Maintenance rides the same choke points as the value index: column
-//! statistics refresh in `Database::write_attr` and
-//! `Database::insert_element`, placement counts in
-//! `Database::relabel_color`. A refresh recomputes the affected column from
-//! the index, so the catalog is always byte-identical to a from-scratch
-//! build — an invariant the tests pin.
+//! Maintenance rides the same choke points as the value index:
+//! `Database::write_attr`, `insert_element` and
+//! `remove_element_occurrences` mark the columns they change stale and a
+//! commit point rebuilds each stale column once
+//! (`Database::refresh_statistics`); placement counts refresh in
+//! `Database::relabel_color`. A rebuild recomputes the column from the
+//! index, so the catalog is always byte-identical to a from-scratch build
+//! — an invariant the tests pin.
+//!
+//! Every summary carries a **version** ([`Statistics::version`], keyed by
+//! [`StatKey`]) that moves whenever the summary is rebuilt. A cached plan
+//! records the versions of exactly the summaries it was costed from and
+//! stays valid while they stand still (DESIGN.md §15.4).
 //!
 //! Histogram keys are ordered by **value order** (the order
 //! `Interner::key_value_cmp` answers range predicates in), not by
@@ -38,8 +45,9 @@
 use crate::index::ValueIndex;
 use crate::value::{Interner, ValueKey};
 use colorist_er::NodeId;
-use colorist_mct::PlacementId;
+use colorist_mct::{ColorId, PlacementId};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// Number of equi-depth buckets per column histogram. Small enough that a
 /// catalog refresh is a rounding error next to the index maintenance it
@@ -182,6 +190,19 @@ impl ColumnStats {
     }
 }
 
+/// One independently versioned summary of the catalog — what a cached
+/// plan can depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum StatKey {
+    /// The histogram and distinct count of one `(node, attr)` column.
+    Column(NodeId, usize),
+    /// The extent cardinality of one node.
+    Extent(NodeId),
+    /// The label surface of one color: its occurrence lists and the
+    /// placement-occurrence counts behind the fanout summaries.
+    Color(ColorId),
+}
+
 /// The per-database statistics catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Statistics {
@@ -191,15 +212,11 @@ pub struct Statistics {
     extent_rows: Vec<u64>,
     /// Occurrences per schema placement (all colors).
     placement_occs: Vec<u64>,
-    /// Maintenance generation: bumped by every catalog mutation
-    /// (`refresh_column`, `note_insert`, `note_delete`,
-    /// `set_placement_occs`). Cached artifacts derived from the catalog —
-    /// the prepared-plan cache keys on it (DESIGN.md §15) — are invalidated
-    /// by comparing epochs, so a stale plan is re-optimized rather than
-    /// served. Not part of the catalog's *content*: equality (and hence
+    /// How many times each summary has been rebuilt (absent = never).
+    /// Not part of the catalog's *content*: equality (and hence
     /// `Database::same_state`) ignores it, because two maintenance
     /// histories that converge to the same summaries are the same catalog.
-    epoch: u64,
+    versions: BTreeMap<StatKey, u64>,
 }
 
 /// Content equality: the summaries, not the maintenance history. Two
@@ -233,15 +250,18 @@ impl Statistics {
                     .collect()
             })
             .collect();
-        Statistics { columns, extent_rows, placement_occs, epoch: 0 }
+        Statistics { columns, extent_rows, placement_occs, versions: BTreeMap::new() }
     }
 
-    /// The maintenance generation: how many catalog mutations this
-    /// statistics object has absorbed. A fresh [`Statistics::build`] starts
-    /// at 0; every `refresh_column` / `note_insert` / `note_delete` /
-    /// `set_placement_occs` bumps it. Plan caches key on this.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// How many times the summary behind `key` has been rebuilt since
+    /// [`Statistics::build`] (0 = never). Within one database's history a
+    /// summary whose version has not moved has not changed.
+    pub fn version(&self, key: StatKey) -> u64 {
+        self.versions.get(&key).copied().unwrap_or(0)
+    }
+
+    fn bump(&mut self, key: StatKey) {
+        *self.versions.entry(key).or_default() += 1;
     }
 
     /// Recompute one column from the index (attribute-write / element-insert
@@ -261,7 +281,7 @@ impl Statistics {
             cols.resize(attr + 1, ColumnStats::default());
         }
         cols[attr] = ColumnStats::build(index.of_attr(node, attr), interner);
-        self.epoch += 1;
+        self.bump(StatKey::Column(node, attr));
     }
 
     /// Record one new canonical instance (element-insert maintenance).
@@ -270,7 +290,7 @@ impl Statistics {
             self.extent_rows.resize(node.idx() + 1, 0);
         }
         self.extent_rows[node.idx()] += 1;
-        self.epoch += 1;
+        self.bump(StatKey::Extent(node));
     }
 
     /// Record one deleted canonical instance (element-delete maintenance) —
@@ -279,13 +299,14 @@ impl Statistics {
         if let Some(rows) = self.extent_rows.get_mut(node.idx()) {
             *rows = rows.saturating_sub(1);
         }
-        self.epoch += 1;
+        self.bump(StatKey::Extent(node));
     }
 
-    /// Replace the per-placement occurrence counts (relabel maintenance).
-    pub fn set_placement_occs(&mut self, occs: Vec<u64>) {
+    /// Replace the per-placement occurrence counts after `color` was
+    /// relabelled (relabel maintenance).
+    pub fn set_placement_occs(&mut self, color: ColorId, occs: Vec<u64>) {
         self.placement_occs = occs;
-        self.epoch += 1;
+        self.bump(StatKey::Color(color));
     }
 
     /// Canonical instances of an ER node type.
@@ -471,23 +492,29 @@ mod tests {
     }
 
     #[test]
-    fn epoch_counts_mutations_but_not_content() {
+    fn versions_move_per_summary_and_are_not_content() {
         let mut a = Statistics::default();
         let mut b = Statistics::default();
-        assert_eq!(a.epoch(), 0);
-        a.note_insert(NodeId(0));
-        a.note_delete(NodeId(0));
-        assert_eq!(a.epoch(), 2);
-        a.set_placement_occs(Vec::new());
-        assert_eq!(a.epoch(), 3);
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        assert_eq!(a.version(StatKey::Extent(n0)), 0);
+        a.note_insert(n0);
+        a.note_delete(n0);
+        a.set_placement_occs(ColorId(0), Vec::new());
+        a.refresh_column(n0, 1, &ValueIndex::default(), &Interner::default());
+        // each rebuild moves exactly its own summary's version
+        assert_eq!(a.version(StatKey::Extent(n0)), 2);
+        assert_eq!(a.version(StatKey::Color(ColorId(0))), 1);
+        assert_eq!(a.version(StatKey::Column(n0, 1)), 1);
+        for untouched in [StatKey::Extent(n1), StatKey::Color(ColorId(1)), StatKey::Column(n0, 0)] {
+            assert_eq!(a.version(untouched), 0, "{untouched:?}");
+        }
         // same content reached through a shorter maintenance history:
-        // equal despite the diverged epochs — same_state must not see them
-        b.note_insert(NodeId(0));
-        b.note_delete(NodeId(0));
-        assert_eq!(b.epoch(), 2);
+        // equal despite the diverged versions — same_state must not see them
+        b.note_insert(n0);
+        b.note_delete(n0);
+        b.refresh_column(n0, 1, &ValueIndex::default(), &Interner::default());
         assert_eq!(a, b);
-        // but the epoch alone distinguishes the histories (plan-cache keys)
-        assert_ne!(a.epoch(), b.epoch());
+        assert_ne!(a.version(StatKey::Color(ColorId(0))), b.version(StatKey::Color(ColorId(0))));
     }
 
     #[test]

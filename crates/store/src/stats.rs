@@ -89,7 +89,6 @@ pub fn stats(db: &Database, graph: &ErGraph) -> Stats {
     // sanity: text attr values actually stored as Text
     debug_assert!(db
         .elements()
-        .iter()
         .flat_map(|e| &e.attrs)
         .all(|v| matches!(v, Value::Int(_) | Value::Float(_) | Value::Text(_))));
     s

@@ -34,6 +34,7 @@
 //! `Arc`, so clones and [`crate::database::Snapshot`]s keep reading the
 //! exact pages their directory named when they were taken.
 
+use crate::chunked::Chunked;
 use crate::database::{
     placement_occ_counts, rebuild_indexes_into, ColorTree, Database, Element, ElementId, OccId,
     Occurrence, TOMBSTONE,
@@ -252,9 +253,9 @@ fn decode_value(cur: &mut Cur, interner: &Interner) -> io::Result<Value> {
     }
 }
 
-fn encode_elements(elements: &[Element], interner: &Interner) -> (Vec<u8>, u64) {
+fn encode_elements(elements: &Chunked<Element>, interner: &Interner) -> (Vec<u8>, u64) {
     let mut out = Vec::new();
-    for el in elements {
+    for el in elements.iter() {
         put_u32(&mut out, el.node.0);
         put_u32(&mut out, el.ordinal);
         put_u32(&mut out, el.canonical.0);
@@ -266,9 +267,9 @@ fn encode_elements(elements: &[Element], interner: &Interner) -> (Vec<u8>, u64) 
     (out, elements.len() as u64)
 }
 
-fn decode_elements(bytes: &[u8], rows: u64, interner: &Interner) -> io::Result<Vec<Element>> {
+fn decode_elements(bytes: &[u8], rows: u64, interner: &Interner) -> io::Result<Chunked<Element>> {
     let mut cur = Cur::new(bytes);
-    let mut out = Vec::with_capacity(rows as usize);
+    let mut out = Chunked::default();
     for _ in 0..rows {
         let node = NodeId(cur.u32()?);
         let ordinal = cur.u32()?;
@@ -433,15 +434,15 @@ fn decode_key(cur: &mut Cur) -> io::Result<ValueKey> {
     }
 }
 
-fn encode_postings(entries: &[IndexEntry]) -> (Vec<u8>, u64) {
-    let mut out = Vec::with_capacity(entries.len() * REC_POSTING as usize);
-    for e in entries {
+fn encode_postings(index: &ValueIndex) -> (Vec<u8>, u64) {
+    let mut out = Vec::with_capacity(index.len() * REC_POSTING as usize);
+    for e in index.entries() {
         put_u32(&mut out, e.node.0);
         put_u32(&mut out, e.attr);
         encode_key(&mut out, e.key);
         put_u32(&mut out, e.element.0);
     }
-    (out, entries.len() as u64)
+    (out, index.len() as u64)
 }
 
 fn decode_postings(bytes: &[u8], rows: u64) -> io::Result<Vec<IndexEntry>> {
@@ -679,7 +680,7 @@ impl Database {
                     new_dir.ordinal_bases = bases;
                     (b, rows)
                 }
-                SegId::Postings => encode_postings(self.value_index.entries()),
+                SegId::Postings => encode_postings(&self.value_index),
                 SegId::Links => {
                     let (b, bases, rows) = encode_slots(&self.links);
                     new_dir.link_bases = bases;
@@ -809,7 +810,7 @@ impl Database {
             let (b, rows) = read_seg(SegId::Tree(c as u16))?;
             let mut tree = ColorTree::from_occs(decode_tree(&b, rows)?);
             let mut lo = HashMap::new();
-            rebuild_indexes_into(&mut tree, ColorId(c as u16), &elements, &mut lo);
+            rebuild_indexes_into(&mut tree, &elements, &mut lo);
             colors.push(tree);
             logical_occs.push(lo);
         }
@@ -827,7 +828,7 @@ impl Database {
         // statistics are rebuilt, not stored: the maintenance choke points
         // guarantee the catalog never drifts from a from-scratch build
         let mut arity: Vec<Option<usize>> = vec![None; extents.len()];
-        for el in &elements {
+        for el in elements.iter() {
             let slot = &mut arity[el.node.idx()];
             if slot.is_none() {
                 *slot = Some(el.attrs.len());
@@ -844,7 +845,7 @@ impl Database {
         );
         Ok(Database {
             schema,
-            elements: Arc::new(elements),
+            elements,
             colors: Arc::new(colors),
             extents: Arc::new(extents),
             by_ordinal: Arc::new(by_ordinal),
@@ -854,6 +855,7 @@ impl Database {
             interner: Arc::new(interner),
             value_index: Arc::new(value_index),
             statistics: Arc::new(statistics),
+            stale_columns: BTreeSet::new(),
             dispatch: Default::default(),
             epoch: meta.epoch,
             storage: Storage::Paged(PagedState {
@@ -982,17 +984,15 @@ impl StorageCtx {
     }
 
     /// Touch a probed or scanned range of value-index postings. `slice`
-    /// must be a sub-slice of `index.entries()` (as returned by
-    /// `matching`/`of_attr`); its position within the index is its row
-    /// range in the postings segment.
+    /// must be a sub-slice of one column's run (as returned by
+    /// `matching`/`of_attr`); its position in the index's global posting
+    /// order is its row range in the postings segment.
     pub fn touch_postings(&mut self, index: &ValueIndex, slice: &[IndexEntry], m: &mut Metrics) {
-        if self.inner.is_none() || slice.is_empty() {
+        if self.inner.is_none() {
             return;
         }
-        let base = index.entries().as_ptr() as usize;
-        let row0 = (slice.as_ptr() as usize - base) / std::mem::size_of::<IndexEntry>();
-        let rows = row0 as u64..row0 as u64 + slice.len() as u64;
-        self.touch_rows(SegId::Postings, REC_POSTING, rows, m);
+        let Some(row0) = index.row_of(slice) else { return };
+        self.touch_rows(SegId::Postings, REC_POSTING, row0..row0 + slice.len() as u64, m);
     }
 
     /// Touch one ordinal-index slot (an id→element probe).

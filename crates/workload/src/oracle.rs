@@ -1576,6 +1576,55 @@ mod tests {
         assert_eq!(rep.genuine(), serial.genuine());
     }
 
+    /// Random delete-closed batches written through one staging object
+    /// land exactly where applying them one by one does — every structure,
+    /// the statistics catalog included — with a clean S008 audit, and
+    /// leave a snapshot pinned before the group untouched.
+    #[test]
+    fn a_group_through_one_staging_object_equals_serial_application() {
+        let cfg = OracleConfig { scale: 8, queries: 2, ..OracleConfig::default() };
+        let (mut groups, mut shared_classes) = (0, 0);
+        for seed in 0..16 {
+            let setup = setup_seed(seed, &cfg);
+            let g = &setup.graph;
+            let dbs = build_databases(&setup, seed, &cfg, &mut Vec::new());
+            if dbs.is_empty() {
+                continue;
+            }
+            let mut rng = Rng::new(seed.wrapping_mul(ORACLE_STREAM) ^ 0x6E0);
+            let logical: Vec<LogicalBatch> =
+                (0..3).flat_map(|_| <[_; 2]>::from(independence_pair(&mut rng, g, &dbs))).collect();
+            for (s, db) in &dbs {
+                // the serial reference; a batch an earlier one invalidated
+                // (it writes what that one deleted) is left out of both
+                let mut serial = db.clone();
+                let mut sched = CommitScheduler::new();
+                for batch in logical.iter().map(|l| l.resolve(db)) {
+                    if batch.apply(&mut serial, g).is_ok() {
+                        sched.stage(batch);
+                    }
+                }
+                let pinned = db.snapshot();
+                let mut grouped = db.clone();
+                let classes = sched
+                    .commit(&mut grouped, g)
+                    .unwrap_or_else(|(i, e)| panic!("seed {seed} [{s}]: stage {i} rejected: {e}"));
+                grouped.same_state(&serial, false).unwrap_or_else(|m| {
+                    panic!("seed {seed} [{s}]: group diverges from serial: {m}")
+                });
+                assert_eq!(grouped.check_integrity(), Ok(()), "seed {seed} [{s}]");
+                assert_eq!(grouped.epoch(), db.epoch() + classes.len() as u64);
+                assert_eq!(pinned.same_state(db, true), Ok(()), "seed {seed} [{s}]");
+                groups += 1;
+                shared_classes += usize::from(classes.iter().any(|c| c.members.len() > 1));
+            }
+        }
+        assert!(
+            groups > 0 && shared_classes > 0,
+            "{groups} groups, {shared_classes} with conflicts"
+        );
+    }
+
     #[test]
     fn replay_text_describes_a_seed() {
         let cfg = OracleConfig { scale: 6, queries: 2, ..OracleConfig::default() };

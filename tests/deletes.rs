@@ -142,7 +142,7 @@ fn copy_occurrences_die_with_their_canonical_on_deep_and_undr() {
         let schema = design(&g, s).expect("designs");
         let mut db = materialize(&g, &schema, &inst);
         // find a copy: an element whose canonical is a different id
-        let copy = (0..db.elements().len() as u32)
+        let copy = (0..db.element_count() as u32)
             .map(ElementId)
             .find(|&e| db.element(e).canonical != e)
             .unwrap_or_else(|| panic!("{s} materializes at least one copy"));

@@ -3,14 +3,15 @@
 //! serially as the oracle reference. Per-read answers, the final
 //! database state (`same_state`), and every deterministic counter must
 //! be identical across 1/2/8 workers, both kernel families, and both
-//! storage backends — and the prepared-plan cache must reach
-//! steady-state hit rate ≥ 0.99 with zero stale serves after a
-//! statistics-epoch bump.
+//! storage backends — as must the admission groups the writes committed
+//! in — and the prepared-plan cache must reach steady-state hit rate
+//! ≥ 0.99, re-optimize a plan exactly when a statistic it was costed from
+//! has moved, and stay warm under a writer committing as fast as it can.
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph, NodeId};
-use colorist::query::{execute, optimize, Pattern};
+use colorist::query::{execute, optimize, plan_read_footprint, Pattern};
 use colorist::server::{Server, ServerConfig};
 use colorist::store::{
     Database, ElementId, KernelDispatch, MemPages, Metrics, PoolConfig, UpdateBatch, Value,
@@ -29,6 +30,11 @@ fn instance(db: &Database, node: NodeId, ordinal: u32) -> ElementId {
 
 /// A read's answer shape: (physical results, distinct results, elements).
 type Answer = (u64, u64, Vec<ElementId>);
+
+/// What one replay through a server produced: per-read answers, the final
+/// database, the summed worker metrics, and each write's
+/// `(group_epoch, group_size)` in admission order.
+type Replay = (Vec<Answer>, Database, Metrics, Vec<(u64, usize)>);
 
 /// Tiny deterministic LCG so schedules are reproducible without any
 /// external randomness source.
@@ -109,22 +115,25 @@ fn serial_replay(
 /// Run the schedule through a server: writes admitted from the main
 /// thread (admission order = schedule order), a flush barrier per round,
 /// then the round's reads fired from two concurrent client threads and
-/// folded back in submission order.
+/// folded back in submission order. `admit_max` 2 makes every round cut
+/// threshold groups as well as the flush's.
 fn server_replay(
     g: &ErGraph,
     db: Database,
     patterns: &[Pattern],
     plan: &[Round],
     workers: usize,
-) -> (Vec<Answer>, Database, Metrics) {
-    let server = Server::start(db, g, &ServerConfig::default().with_workers(workers));
+) -> Replay {
+    let config = ServerConfig { admit_max: 2, ..ServerConfig::default().with_workers(workers) };
+    let server = Server::start(db, g, &config);
     let main = server.client();
-    let mut answers = Vec::new();
+    let (mut answers, mut groups) = (Vec::new(), Vec::new());
     for round in plan {
         let pending: Vec<_> = round.writes.iter().map(|w| main.write(w.clone())).collect();
         main.flush().wait().expect("flush commits");
         for p in pending {
-            p.wait().expect("write commits");
+            let w = p.wait().expect("write commits");
+            groups.push((w.group_epoch, w.group_size));
         }
         let mut shards: Vec<Vec<(usize, Answer)>> = std::thread::scope(|scope| {
             (0..2)
@@ -154,7 +163,7 @@ fn server_replay(
     }
     let metrics = server.metrics();
     let final_db = server.shutdown();
-    (answers, final_db, metrics)
+    (answers, final_db, metrics, groups)
 }
 
 /// Zero the wall-clock-derived fields so the rest of the counter set can
@@ -166,8 +175,9 @@ fn deterministic(m: Metrics) -> Metrics {
 /// The tentpole invariant: for every strategy, kernel family, and
 /// storage backend, the concurrent schedule lands on the serial oracle's
 /// answers and final state for 1, 2, and 8 workers — and every
-/// deterministic counter (plan-cache families included) is identical
-/// across the worker counts.
+/// deterministic counter (plan-cache families included), every write's
+/// admission group and the final epoch are identical across the worker
+/// counts.
 #[test]
 fn torture_matches_serial_oracle_for_any_worker_count() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
@@ -188,59 +198,198 @@ fn torture_matches_serial_oracle_for_any_worker_count() {
                 let mut counter_sets = Vec::new();
                 for workers in [1, 2, 8] {
                     let ctx = format!("{s}/{dispatch:?}/paged={paged}/workers={workers}");
-                    let (answers, final_db, metrics) =
+                    let (answers, final_db, metrics, groups) =
                         server_replay(&g, base.clone(), &patterns, &plan, workers);
                     assert_eq!(answers, oracle_answers, "{ctx}: answers diverge from serial");
                     final_db
                         .same_state(&oracle_db, false)
                         .unwrap_or_else(|m| panic!("{ctx}: state diverges from serial: {m}"));
-                    counter_sets.push((ctx, deterministic(metrics)));
+                    // rounds of 3, 4 and 3 writes at `admit_max` 2: cut at
+                    // every even sequence number and at each round's flush
+                    let sizes: Vec<usize> = groups.iter().map(|&(_, size)| size).collect();
+                    assert_eq!(sizes, [2, 2, 1, 1, 2, 2, 1, 1, 2, 2], "{ctx}: group cuts");
+                    counter_sets.push((ctx, deterministic(metrics), groups, final_db.epoch()));
                 }
-                let (ref_ctx, reference) = &counter_sets[0];
-                for (ctx, m) in &counter_sets[1..] {
+                let (ref_ctx, ref_counters, ref_groups, ref_epoch) = &counter_sets[0];
+                for (ctx, counters, groups, epoch) in &counter_sets[1..] {
                     assert_eq!(
-                        m, reference,
+                        counters, ref_counters,
                         "{ctx}: deterministic counters diverge from {ref_ctx}"
                     );
+                    assert_eq!(
+                        groups, ref_groups,
+                        "{ctx}: admission groups diverge from {ref_ctx}"
+                    );
+                    assert_eq!(epoch, ref_epoch, "{ctx}: final epoch diverges from {ref_ctx}");
                 }
             }
         }
     }
 }
 
+/// The `(node, attr)` columns each pattern's plan is costed from, as the
+/// plan cache derives them: the attribute reads of the optimized plan.
+fn costed_columns(g: &ErGraph, db: &Database, patterns: &[Pattern]) -> Vec<Vec<(NodeId, usize)>> {
+    patterns
+        .iter()
+        .map(|q| {
+            let plan = optimize(db, g, q).expect("plan");
+            plan_read_footprint(g, &db.schema, &plan).attrs.into_iter().collect()
+        })
+        .collect()
+}
+
+/// A batch writing one cell of instance `ordinal` of `node`.
+fn set(db: &Database, node: NodeId, ordinal: u32, attr: usize, value: Value) -> UpdateBatch {
+    let mut b = UpdateBatch::new();
+    b.write_attr(instance(db, node, ordinal), attr, value);
+    b
+}
+
+/// The value instance `ordinal` of `node` holds in `attr`.
+fn cell(db: &Database, node: NodeId, ordinal: u32, attr: usize) -> Value {
+    db.element(instance(db, node, ordinal)).attrs[attr].clone()
+}
+
 /// Acceptance criterion: steady-state plan-cache hit rate ≥ 0.99 on a
-/// repeated workload, and a statistics-epoch bump causes exactly one
-/// re-optimization per pattern — never a stale serve.
+/// repeated workload, and after a committed write a pattern misses —
+/// exactly once — iff the write moved something its plan was costed from:
+/// a write to a column the plan does not read leaves it a hit, so does one
+/// that rebuilds a column's statistics without moving the plan's
+/// estimates, and a plan whose inputs moved is never served.
 #[test]
 fn plan_cache_steady_state_hit_rate_with_zero_stale_serves() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let schema = design(&g, Strategy::Dr).expect("tpcw designs");
     let db = materialize(&g, &schema, &generate(&g, &ScaleProfile::uniform(&g, 6), 11));
-    let customer = by_name(&g, "customer");
-    let target = instance(&db, customer, 0);
-    let patterns: Vec<Pattern> = tpcw::workload(&g).reads.into_iter().take(2).collect();
+    let probe = db.clone();
+    let patterns: Vec<Pattern> = tpcw::workload(&g).reads;
+    let costed = costed_columns(&g, &probe, &patterns);
+    let n = patterns.len();
     let server = Server::start(db, &g, &ServerConfig::default().with_workers(4));
     let c = server.client();
-    // repeated workload: 2 compile misses, then hits forever
-    for i in 0..300 {
-        let r = c.read(&patterns[i % 2]).wait().expect("read serves");
-        assert_eq!(r.cache_hit, i >= 2, "request {i}");
+    // repeated workload: one compile miss per pattern, then hits forever
+    for i in 0..1500 {
+        let r = c.read(&patterns[i % n]).wait().expect("read serves");
+        assert_eq!(r.cache_hit, i >= n, "request {i}");
     }
     let stats = server.cache_stats();
     assert!(stats.hit_rate() >= 0.99, "steady-state hit rate {}", stats.hit_rate());
-    assert_eq!((stats.hits, stats.misses), (298, 2));
+    assert_eq!((stats.hits, stats.misses), (1500 - n as u64, n as u64));
 
-    // a committed write bumps the statistics epoch: the next serve of
-    // each pattern must re-optimize (miss), all later serves hit again
-    let mut b = UpdateBatch::new();
-    b.write_attr(target, 1, Value::Int(4242));
-    c.write(b);
-    c.flush().wait().expect("flush commits");
-    for (i, q) in patterns.iter().enumerate() {
-        assert!(!c.read(q).wait().expect("read serves").cache_hit, "pattern {i} must re-optimize");
-        assert!(c.read(q).wait().expect("read serves").cache_hit, "pattern {i} re-cached");
+    let column = |node: &str, attr: &str| {
+        let node = by_name(&g, node);
+        (node, probe.attr_index(&g, node, attr).expect("attribute exists"))
+    };
+    let (customer, uname) = column("customer", "uname");
+    let (country, name) = column("country", "name");
+    let (order, status) = column("order", "status");
+    let status_1 = Value::Text("order_status_1".into());
+    let other =
+        (0..).find(|&o| cell(&probe, order, o, status) != status_1).expect("another status");
+    // committed writes, one cell at a time: (column written, new value,
+    // plans costed from the column, whether the write moves their inputs)
+    let (mut hits, mut misses) = (stats.hits, stats.misses);
+    for (written, write, readers, moves) in [
+        // no plan reads customer.uname
+        ((customer, uname), set(&probe, customer, 0, uname, Value::Text("u".into())), 0, false),
+        // a second country of the same name: the column's distinct count,
+        // which six plans' predicates were costed from, drops
+        ((country, name), set(&probe, country, 0, name, cell(&probe, country, 1, name)), 6, true),
+        // the same cell written as it is: statistics rebuilt, nothing moved
+        ((country, name), set(&probe, country, 0, name, cell(&probe, country, 1, name)), 6, false),
+        // one more order in the status two plans select on
+        ((order, status), set(&probe, order, other, status, status_1.clone()), 2, true),
+    ] {
+        c.write(write);
+        c.flush().wait().expect("flush commits");
+        let costed_from = |i: usize| costed[i].contains(&written);
+        assert_eq!((0..n).filter(|&i| costed_from(i)).count(), readers, "{written:?}");
+        for (i, q) in patterns.iter().enumerate() {
+            let stale = moves && costed_from(i);
+            let first = c.read(q).wait().expect("read serves").cache_hit;
+            assert_eq!(first, !stale, "{written:?}: {} costed from it: {}", q.name, costed_from(i));
+            assert!(c.read(q).wait().expect("read serves").cache_hit, "{} re-cached", q.name);
+            misses += u64::from(stale);
+            hits += 2 - u64::from(stale);
+        }
     }
     let m = server.metrics();
-    assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (4, 300), "zero stale serves");
+    assert_eq!((m.plan_cache_misses, m.plan_cache_hits), (misses, hits), "zero stale serves");
+    assert_eq!(misses, n as u64 + 6 + 2);
+    assert_eq!(server.cache_stats().entries, n as u64, "re-optimized in place, nothing orphaned");
+    server.shutdown();
+}
+
+/// A closed-loop reader must stay warm while a writer commits as fast as
+/// it can: writes to a column no plan reads cost the reader nothing at
+/// all, and its misses are bounded by the number of commits that moved a
+/// column it does read — never by the number of epochs.
+#[test]
+fn reader_under_a_fast_writer_misses_only_for_columns_it_reads() {
+    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
+    let schema = design(&g, Strategy::Dr).expect("tpcw designs");
+    let db = materialize(&g, &schema, &generate(&g, &ScaleProfile::uniform(&g, 6), 11));
+    let probe = db.clone();
+    let patterns: Vec<Pattern> = tpcw::workload(&g).reads;
+    let costed = costed_columns(&g, &probe, &patterns);
+    let customer = by_name(&g, "customer");
+    let order = by_name(&g, "order");
+    let uname = probe.attr_index(&g, customer, "uname").expect("uname");
+    let status = probe.attr_index(&g, order, "status").expect("status");
+    assert!(costed.iter().all(|cols| !cols.contains(&(customer, uname))), "nobody reads uname");
+    let status_readers = costed.iter().filter(|cols| cols.contains(&(order, status))).count();
+    assert!(status_readers > 0, "somebody reads order.status");
+
+    let server = Server::start(db, &g, &ServerConfig::default().with_workers(2));
+    let cold = patterns.len() as u64;
+    for q in &patterns {
+        server.client().read(q).wait().expect("warm-up read");
+    }
+    assert_eq!(server.metrics().plan_cache_misses, cold);
+
+    // `bursts` flushed bursts of 4 single-cell writes — burst `k` sets the
+    // cell of instances 0..4 to `values[k % 2]` — while a reader loops
+    let race = |node: NodeId, attr: usize, values: [Value; 2], bursts: usize| {
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let c = server.client();
+                let mut reads = 0u64;
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    c.read(&patterns[reads as usize % patterns.len()]).wait().expect("read");
+                    reads += 1;
+                }
+                reads
+            });
+            let c = server.client();
+            for k in 0..bursts {
+                let tickets: Vec<_> = (0..4)
+                    .map(|o| c.write(set(&probe, node, o, attr, values[k % 2].clone())))
+                    .collect();
+                c.flush().wait().expect("flush commits");
+                for t in tickets {
+                    assert_eq!(t.wait().expect("write commits").group_size, 4);
+                }
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            reader.join().expect("reader thread")
+        })
+    };
+    let unames = [Value::Text("a".into()), Value::Text("b".into())];
+    let reads = race(customer, uname, unames, 100);
+    let m = server.metrics();
+    assert_eq!(m.plan_cache_misses, cold, "400 uname writes in 100 epochs, {reads} reads");
+    // every burst moves four orders into or out of the status two plans
+    // select on, so every commit moves their estimates
+    let statuses = [Value::Text("order_status_1".into()), Value::Text("order_status_2".into())];
+    let reads = race(order, status, statuses, 50);
+    let m = server.metrics();
+    let bound = cold + 50 * status_readers as u64;
+    assert!(
+        m.plan_cache_misses <= bound,
+        "{} misses over {reads} reads; 50 commits moved a column {status_readers} plan(s) read",
+        m.plan_cache_misses
+    );
     server.shutdown();
 }
