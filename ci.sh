@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every table, figure and tool is a subcommand of the one `colorist` binary.
+colorist() { cargo run -q --release -p colorist-bench --bin colorist -- "$@"; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -35,13 +38,13 @@ done
 echo "==> static lint (catalog x 7 strategies: schema linter + plan verifier)"
 # S0xx schema diagnostics and P0xx plan diagnostics over the whole catalog;
 # exits non-zero on any diagnostic.
-cargo run -q --release -p colorist-workload --bin colorist-lint
+colorist lint
 
 echo "==> oracle smoke (256 seeds, all seven strategies)"
 # Differential-testing oracle: random diagrams, shared canonical instance,
 # randomized pattern workload, pairwise answer equivalence. Bounded well
 # under a minute; exits non-zero on any divergence.
-cargo run -q --release -p colorist-workload --bin colorist-oracle -- --seeds 256
+colorist oracle --seeds 256
 
 echo "==> paged-backend oracle (64 seeds, in-memory page store)"
 # The same answer-equivalence sweep with every database attached to the
@@ -49,8 +52,7 @@ echo "==> paged-backend oracle (64 seeds, in-memory page store)"
 # deterministic counters must stay byte-identical; only the page counters
 # may differ from zero. Uses the in-memory page store so CI leaves no
 # files behind.
-cargo run -q --release -p colorist-workload --bin colorist-oracle -- \
-    --seeds 64 --backend paged-mem
+colorist oracle --seeds 64 --backend paged-mem
 
 echo "==> batch oracle (128 seeds: atomic batches, snapshot reads, B002, traced)"
 # Replays randomized update batches (attribute writes + delete-closed
@@ -61,10 +63,8 @@ echo "==> batch oracle (128 seeds: atomic batches, snapshot reads, B002, traced)
 # in this release build through `apply_verified`). The emitted trace is
 # shape-validated so the batch/snapshot/effect span categories stay within
 # the perfgate vocabulary.
-cargo run -q --release -p colorist-workload --bin colorist-oracle -- \
-    --batch-seeds 128 --trace results/trace_batch_ci.json
-cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \
-    --validate-trace results/trace_batch_ci.json
+colorist oracle --batch-seeds 128 --trace results/trace_batch_ci.json
+colorist gate --validate-trace results/trace_batch_ci.json
 rm -f results/trace_batch_ci.json
 
 echo "==> file-backed batch oracle (32 seeds, FilePages backend)"
@@ -73,8 +73,7 @@ echo "==> file-backed batch oracle (32 seeds, FilePages backend)"
 # file-backed flush bugs (torn segment writes, stale directory entries)
 # that the in-memory page store cannot exhibit. Temp files are unlinked
 # on drop, so CI leaves nothing behind.
-cargo run -q --release -p colorist-workload --bin colorist-oracle -- \
-    --batch-seeds 32 --backend paged
+colorist oracle --batch-seeds 32 --backend paged
 
 echo "==> delete/batch torture (release): snapshot isolation under concurrent commit"
 # tests/deletes.rs: delete-then-query differentials across kernel
@@ -91,18 +90,15 @@ echo "==> server torture (release): admission groups, plan cache, reader under a
 # orders of magnitude faster, which is the regime the race is about.
 cargo test -q --release --test server
 
-echo "==> table1 bench (COLORIST_SCALE=300, traced)"
+echo "==> table1 bench (scale 300, traced)"
 # Full-scale run with span collection: the summary feeds the perf gate, the
 # chrome-trace JSON is validated for shape (hierarchy, ids, thread nesting).
-COLORIST_SCALE=300 COLORIST_SEED=42 \
-    COLORIST_SUMMARY="results/bench_summary_ci.json" \
-    cargo run -q --release -p colorist-bench --bin table1 -- \
-    --trace results/trace_ci.json >/dev/null
+colorist table1 --scale 300 --seed 42 \
+    --out results/bench_summary_ci.json --trace results/trace_ci.json >/dev/null
 test -s results/bench_summary_ci.json
 
 echo "==> perfgate: validate emitted trace"
-cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \
-    --validate-trace results/trace_ci.json
+colorist gate --validate-trace results/trace_ci.json
 
 echo "==> perfgate: diff against committed baseline + optimizer-quality gate"
 # Deterministic operation counts must match the committed baseline exactly
@@ -112,11 +108,21 @@ echo "==> perfgate: diff against committed baseline + optimizer-quality gate"
 # documents: no query's cost-based gate sum may exceed its heuristic
 # twin's, and estimate-vs-measured drift must stay within the committed
 # q-error budget.
-cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \
-    --baseline results/bench_baseline.json \
-    --current results/bench_summary_ci.json \
-    --q-error-budget 8.0
+colorist gate --baseline results/bench_baseline.json \
+    --current results/bench_summary_ci.json --q-error-budget 8.0
 rm -f results/bench_summary_ci.json results/trace_ci.json
+
+echo "==> table1 bench at --threads 1 and 4: worker count moves no gated number"
+# The parallel suite runner fills per-task result slots, so every count,
+# checksum and estimate is identical for any worker count; only timings
+# move. Both summaries must pass the same committed baseline.
+for threads in 1 4; do
+    colorist table1 --scale 300 --seed 42 --threads "$threads" \
+        --out "results/bench_summary_threads_ci.json" >/dev/null
+    colorist gate --baseline results/bench_baseline.json \
+        --current results/bench_summary_threads_ci.json --q-error-budget 8.0
+    rm -f results/bench_summary_threads_ci.json
+done
 
 echo "==> table1 bench, paged backend (scale 300, two pool budgets)"
 # The same suite through the paged storage backend (in-memory page store),
@@ -127,20 +133,15 @@ echo "==> table1 bench, paged backend (scale 300, two pool budgets)"
 # exact-matches them against the committed per-budget baselines — any
 # drift in eviction or fault behavior hard-fails.
 for pool in 16777216 65536; do
-    baseline="results/bench_baseline_paged_${pool}.json"
-    COLORIST_SCALE=300 COLORIST_SEED=42 \
-        COLORIST_SUMMARY="results/bench_summary_paged_ci.json" \
-        cargo run -q --release -p colorist-bench --bin table1 -- \
-        --backend paged-mem --pool-bytes "$pool" >/dev/null
+    colorist table1 --scale 300 --seed 42 --backend paged-mem --pool-bytes "$pool" \
+        --out results/bench_summary_paged_ci.json >/dev/null
     test -s results/bench_summary_paged_ci.json
-    cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \
-        --baseline "$baseline" \
-        --current results/bench_summary_paged_ci.json \
-        --q-error-budget 8.0
+    colorist gate --baseline "results/bench_baseline_paged_${pool}.json" \
+        --current results/bench_summary_paged_ci.json --q-error-budget 8.0
     rm -f results/bench_summary_paged_ci.json
 done
 
-echo "==> server smoke: colorist-scale (scale-300-sized point, traced + gated)"
+echo "==> server smoke: colorist scale (scale-300-sized point, traced + gated)"
 # Small concurrent run of the multi-client query service (DESIGN.md §15):
 # 2 workers, 2 client threads, round-structured read-heavy mix at the
 # 10k-element point (the same order of magnitude as the scale-300 table1
@@ -156,15 +157,11 @@ echo "==> server smoke: colorist-scale (scale-300-sized point, traced + gated)"
 # metadata — counters are deterministic for ANY worker count (the
 # torture test in tests/server.rs pins that), but two documents must
 # describe the same configuration to be diffable.
-COLORIST_SEED=42 \
-    cargo run -q --release -p colorist-bench --bin colorist-scale -- \
-    --scales 1000,10000 --workers 2 --clients 2 --rounds 2 \
+colorist scale --seed 42 --scales 1000,10000 --workers 2 --clients 2 --rounds 2 \
     --speedup-scale 0 --out results/bench_scale_ci.json \
     --trace results/trace_scale_ci.json >/dev/null
-cargo run -q --release -p colorist-bench --bin colorist-perfgate -- \
-    --validate-trace results/trace_scale_ci.json
-cargo run -q --release -p colorist-bench --bin colorist-perfgate -- --scale \
-    --baseline results/bench_scale_baseline.json \
+colorist gate --validate-trace results/trace_scale_ci.json
+colorist gate --scale --baseline results/bench_scale_baseline.json \
     --current results/bench_scale_ci.json
 rm -f results/bench_scale_ci.json results/trace_scale_ci.json
 

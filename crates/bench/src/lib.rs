@@ -1,8 +1,9 @@
 //! # colorist-bench — the benchmark harness
 //!
-//! One binary per table/figure of the paper's evaluation (§6):
+//! One binary, `colorist`, regenerates every table and figure of the
+//! paper's evaluation (§6), one subcommand each:
 //!
-//! | binary | regenerates |
+//! | subcommand | regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — storage statistics and query processing time for the 7 TPC-W schemas |
 //! | `fig8` | Figure 8 — structural joins per TPC-W query |
@@ -10,18 +11,22 @@
 //! | `fig10` | Figure 10 — duplicate eliminations / duplicate updates / group-bys |
 //! | `fig11` | Figure 11 — query processing time |
 //! | `fig12`–`fig14` | Figures 12–14 — geometric means of the three metrics over the ER collection |
-//! | `collection_summary` | §6.2's prose numbers: 66-schema sweep, color counts, query counts |
+//! | `collection` | §6.2's prose numbers: 66-schema sweep, color counts, query counts |
 //!
-//! Two observability tools ride along (DESIGN.md §9): `colorist-explain`
-//! prints `EXPLAIN ANALYZE` for any catalog query × strategy, and
-//! `colorist-perfgate` ([`perfgate`]) diffs two `bench_summary.json`
-//! documents and fails on regressions. `table1 --trace out.json` captures a
-//! chrome-trace of the whole suite.
+//! The same binary carries the tools around them (DESIGN.md §9, §15.7):
+//! `explain` prints `EXPLAIN ANALYZE` for any catalog query × strategy,
+//! `scale` runs the multi-client scale curves, `oracle` and `lint` drive
+//! the differential oracle and the static linter, and `gate`
+//! ([`perfgate`]) diffs two summary documents and fails on regressions.
 //!
-//! Scale is controlled by `COLORIST_SCALE` (default 300 TPC-W customers /
-//! 120 instances per collection entity) and `COLORIST_SEED` (default 42).
-//! Absolute sizes are far below the paper's 2.6M-element database — this is
-//! an in-memory reproduction — but every reported *shape* (who wins, by
+//! The shared flags are parsed once into a [`RunConfig`] that every
+//! library call here takes as a value: `--scale` (default 300 TPC-W
+//! customers / 150 instances per collection entity), `--seed` (default
+//! 42), `--threads` (default: available parallelism), `--backend` and
+//! `--pool-bytes` (the [`Storage`] every database is attached to),
+//! `--trace FILE` (a chrome-trace of the whole run) and `--out FILE`.
+//! Absolute sizes are far below the paper's 2.6M-element database — this
+//! is an in-memory reproduction — but every reported *shape* (who wins, by
 //! what rough factor, where the crossovers are) is scale-stable; see
 //! EXPERIMENTS.md.
 //!
@@ -29,16 +34,13 @@
 //! dependency-free [`micro`] harness) for the primitives underlying those
 //! tables: structural vs value joins, the design algorithms,
 //! materialization, query evaluation, and updates.
-//!
-//! Suite runs are parallel across strategies and queries
-//! (`COLORIST_THREADS`, default: available parallelism); [`summary`]
-//! persists each run to `results/bench_summary.json`.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use colorist_core::Strategy;
 use colorist_datagen::{generate, ScaleProfile};
 use colorist_er::{catalog, ErGraph};
+use colorist_store::Storage;
 use colorist_workload::{derby, suite, tpcw, xmark, SuiteResult, Workload};
 use std::time::Duration;
 
@@ -49,65 +51,63 @@ pub mod summary;
 pub use perfgate::{compare, compare_scale, validate_trace, GateConfig, GateReport};
 pub use summary::{bench_summary_json, write_bench_summary, SummaryMeta, SCHEMA_VERSION};
 
-/// TPC-W customers at scale 1.
-pub fn scale() -> u32 {
-    std::env::var("COLORIST_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(300)
+/// One run's configuration: the `colorist` CLI's shared flags, parsed once
+/// and handed to every library call as a value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunConfig {
+    /// TPC-W customers at scale 1; collection diagrams get half as many
+    /// instances per entity (`--scale`, default 300).
+    pub scale: u32,
+    /// Deterministic data seed (`--seed`, default 42).
+    pub seed: u64,
+    /// Suite worker threads (`--threads`, default: available parallelism).
+    pub threads: usize,
+    /// Storage every database is attached to (`--backend`, `--pool-bytes`).
+    pub storage: Storage,
+    /// Where to write a chrome-trace of the run (`--trace`).
+    pub trace: Option<String>,
+    /// Where to write the run's document (`--out`; the subcommand picks
+    /// the default).
+    pub out: Option<String>,
 }
 
-/// Deterministic data seed.
-pub fn seed() -> u64 {
-    std::env::var("COLORIST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
-}
-
-/// Storage backend label in effect (`COLORIST_BACKEND`, default `"mem"`).
-pub fn backend() -> String {
-    colorist_store::env_backend()
-}
-
-/// Buffer-pool byte budget for the summary metadata: 0 on the heap
-/// backend, else `COLORIST_POOL_BYTES` (default 16 MiB).
-pub fn pool_bytes() -> u64 {
-    if backend() == "mem" {
-        0
-    } else {
-        colorist_store::env_pool_bytes()
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            scale: 300,
+            seed: 42,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            storage: Storage::Heap,
+            trace: None,
+            out: None,
+        }
     }
 }
 
-/// Run the TPC-W workload on all seven schemas.
-pub fn tpcw_suite() -> (ErGraph, Workload, Vec<SuiteResult>) {
+/// Run the TPC-W workload on all seven schemas. With `serial_baseline`
+/// and more than one worker, an extra single-worker pass over the same
+/// instance times the parallel-speedup figure of the JSON summary.
+pub fn tpcw_suite(
+    run: &RunConfig,
+    serial_baseline: bool,
+) -> (Workload, Vec<SuiteResult>, Option<Duration>) {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let w = tpcw::workload(&g);
-    let profile = ScaleProfile::tpcw(&g, scale());
-    let results =
-        suite::run_suite(&g, &Strategy::ALL, &w, &profile, seed()).expect("tpcw suite runs");
-    (g, w, results)
-}
-
-/// [`tpcw_suite`] plus, when the suite ran on more than one worker, an
-/// extra single-worker pass over the same instance whose wall time anchors
-/// the parallel-speedup figure in the JSON summary.
-pub fn tpcw_suite_with_baseline() -> (ErGraph, Workload, Vec<SuiteResult>, Option<Duration>) {
-    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
-    let w = tpcw::workload(&g);
-    let profile = ScaleProfile::tpcw(&g, scale());
-    let instance = generate(&g, &profile, seed());
-    let threads = suite::suite_threads();
-    let results = suite::run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, threads)
-        .expect("tpcw suite runs");
-    let serial_wall = (threads > 1).then(|| {
-        suite::run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, 1)
-            .expect("serial baseline runs")
-            .first()
-            .map_or(Duration::ZERO, |r| r.suite_wall)
-    });
-    (g, w, results, serial_wall)
+    let instance = generate(&g, &ScaleProfile::tpcw(&g, run.scale), run.seed);
+    let suite = |threads| {
+        suite::run_suite_on(&g, &Strategy::ALL, &w, &instance, threads, run.storage)
+            .expect("tpcw suite runs")
+    };
+    let results = suite(run.threads);
+    let serial_wall = (serial_baseline && run.threads > 1)
+        .then(|| suite(1).first().map_or(Duration::ZERO, |r| r.suite_wall));
+    (w, results, serial_wall)
 }
 
 /// Run the appropriate workload on every diagram of the collection
 /// (Figures 12–14: six strategies, UNDR excluded).
-pub fn collection_suites() -> Vec<(String, Workload, Vec<SuiteResult>)> {
-    let base = (scale() / 2).max(30);
+pub fn collection_suites(run: &RunConfig) -> Vec<(String, Workload, Vec<SuiteResult>)> {
+    let base = (run.scale / 2).max(30);
     catalog::COLLECTION
         .iter()
         .map(|&name| {
@@ -122,7 +122,9 @@ pub fn collection_suites() -> Vec<(String, Workload, Vec<SuiteResult>)> {
                 "tpcw" => ScaleProfile::tpcw(&g, base),
                 _ => ScaleProfile::uniform(&g, base),
             };
-            let results = suite::run_suite(&g, &Strategy::COLLECTION, &w, &profile, seed())
+            let instance = generate(&g, &profile, run.seed);
+            let (strategies, threads) = (&Strategy::COLLECTION, run.threads);
+            let results = suite::run_suite_on(&g, strategies, &w, &instance, threads, run.storage)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             (name.to_string(), w, results)
         })

@@ -1,4 +1,4 @@
-//! The performance-regression gate behind `colorist-perfgate`.
+//! The performance-regression gate behind `colorist gate`.
 //!
 //! Diffs two [`bench_summary.json`](crate::summary) documents — a committed
 //! baseline and the current run — and classifies the differences:
@@ -25,7 +25,7 @@
 //! The module also hosts [`validate_trace`], the shape checker for
 //! chrome-trace documents emitted by `--trace`, and [`compare_scale`],
 //! the diff for the `BENCH_scale.json` documents emitted by
-//! `colorist-scale` (schema v8): identity fields (element counts,
+//! `colorist scale` (schema v8): identity fields (element counts,
 //! answer checksums, final epochs) must match exactly and plan-cache
 //! counters follow the operation-count rule.
 
@@ -249,7 +249,7 @@ fn scale_index<'a>(
     Ok(out)
 }
 
-/// Diff two `BENCH_scale.json` documents (emitted by `colorist-scale`)
+/// Diff two `BENCH_scale.json` documents (emitted by `colorist scale`)
 /// under `cfg`.
 ///
 /// Identity fields (customers, elements, reads, writes, answers
@@ -492,15 +492,8 @@ mod tests {
         let profile = ScaleProfile::tpcw(&g, 20);
         let results = suite::run_suite(&g, &[Strategy::Af, Strategy::Dr], &w, &profile, 7)
             .expect("suite runs");
-        let meta = SummaryMeta {
-            bench: "gate-test",
-            scale: 20,
-            seed: 7,
-            threads: 1,
-            backend: "mem",
-            pool_bytes: 0,
-            serial_wall: None,
-        };
+        let run = crate::RunConfig { scale: 20, seed: 7, threads: 1, ..Default::default() };
+        let meta = SummaryMeta { bench: "gate-test", run: &run, serial_wall: None };
         bench_summary_json(&meta, &results)
     }
 

@@ -1,6 +1,6 @@
 //! Machine-readable run summaries: `results/bench_summary.json`.
 //!
-//! The table/figure binaries print human-oriented matrices; this module
+//! The table/figure subcommands print human-oriented matrices; this module
 //! additionally persists one JSON document per run with the per-query wall
 //! times, the per-strategy operation totals, and the run metadata (scale,
 //! seed, worker count, suite wall clock) so results can be diffed across
@@ -9,10 +9,11 @@
 //! crates — and kept flat enough for `jq` one-liners.
 //!
 //! The document is versioned: [`SCHEMA_VERSION`] bumps whenever a field is
-//! added, removed, or changes meaning, and `colorist-perfgate` refuses to
+//! added, removed, or changes meaning, and `colorist gate` refuses to
 //! diff documents whose versions disagree. Every field is documented in
 //! EXPERIMENTS.md ("The `bench_summary.json` schema").
 
+use crate::RunConfig;
 use colorist_store::Metrics;
 use colorist_trace::escape_json;
 use colorist_workload::{QueryKind, SuiteResult};
@@ -21,51 +22,13 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// Version stamped into every summary document as `"schema_version"`.
-///
-/// History: 1 — the original unversioned layout (no `schema_version`,
-/// `git_rev`, `join_probes` or `bytes_touched`); 2 — adds those four
-/// fields; 3 — adds per-query `index_lookups` and `elements_skipped`
-/// (the index/gallop kernel counters); 4 — adds the optimizer fields:
-/// `heur_scanned`/`heur_probes`/`heur_bytes` (measured gate counters of
-/// the heuristic-planner twin run on every query) and, on read queries,
-/// `est_scanned`/`est_probes`/`est_bytes`/`est_index_lookups` (the
-/// cost-based planner's estimates, rounded to integers); 5 — the trace
-/// vocabulary gains the `batch`/`snapshot` span categories with their
-/// `batch_ops`/`snapshot_reads` counters (emitted by
-/// `UpdateBatch::apply` and `execute_snapshot`), which
-/// `colorist-perfgate --validate-trace` now whitelists; the summary
-/// fields themselves are unchanged; 6 — the trace vocabulary gains the
-/// `effect` span category with its `effect_keys` counter (emitted by the
-/// static batch effect analysis inside `UpdateBatch::apply`); the summary
-/// fields themselves are again unchanged; 7 — the pluggable paged storage
-/// backend: run metadata gains `backend` (`"mem"`, `"paged"` or
-/// `"paged-mem"`) and `pool_bytes` (the buffer-pool byte budget, 0 on the
-/// heap backend), every per-query record gains the four deterministic page
-/// counters `page_reads`/`page_writes`/`pool_hits`/`pool_evictions`, and
-/// the trace vocabulary gains the `storage` span category carrying those
-/// counters on op, query, and flush spans; 8 — the multi-client query
-/// service: every per-query record gains the prepared-plan-cache counters
-/// `plan_cache_hits`/`plan_cache_misses`/`plan_cache_evictions`
-/// (deterministic; 0 when the query executed a pre-built plan without
-/// consulting the cache) and the machine-dependent `queue_wait_ns`
-/// (submission-queue wait, 0 outside the server), and the trace
-/// vocabulary gains the `server` span category (read/admit/commit spans
-/// carrying `queue_wait_ns`, the three `plan_cache_*` counters,
-/// `admitted`, and `groups`). `colorist-scale` emits a sibling
-/// `BENCH_scale.json` document (schema documented in EXPERIMENTS.md)
-/// that the perfgate diffs with `--scale`.
+/// What each version added is tabulated in EXPERIMENTS.md ("The
+/// `bench_summary.json` schema").
 pub const SCHEMA_VERSION: u64 = 8;
 
-/// The git revision to stamp into the document: `COLORIST_GIT_REV` if set,
-/// else `git rev-parse --short=12 HEAD`, else `"unknown"` (e.g. when built
-/// from a tarball).
+/// The git revision to stamp into the document: `git rev-parse --short=12
+/// HEAD`, else `"unknown"` (e.g. when built from a tarball).
 pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("COLORIST_GIT_REV") {
-        let rev = rev.trim().to_string();
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
     std::process::Command::new("git")
         .args(["rev-parse", "--short=12", "HEAD"])
         .output()
@@ -80,18 +43,11 @@ pub fn git_rev() -> String {
 /// Run metadata stamped into the summary document.
 #[derive(Debug, Clone)]
 pub struct SummaryMeta<'a> {
-    /// Which binary produced this (e.g. `"table1"`).
+    /// Which subcommand produced this (e.g. `"table1"`).
     pub bench: &'a str,
-    /// `COLORIST_SCALE` in effect.
-    pub scale: u32,
-    /// `COLORIST_SEED` in effect.
-    pub seed: u64,
-    /// Worker count the suite ran with (`COLORIST_THREADS`).
-    pub threads: usize,
-    /// Storage backend label in effect (`"mem"`, `"paged"`, `"paged-mem"`).
-    pub backend: &'a str,
-    /// Buffer-pool byte budget (0 on the heap backend).
-    pub pool_bytes: u64,
+    /// The configuration the suite ran with: scale, seed, worker count,
+    /// storage, and where the document goes.
+    pub run: &'a RunConfig,
     /// Wall time of an extra single-worker pass over the same instance,
     /// when one was taken (for the parallel speedup figure).
     pub serial_wall: Option<Duration>,
@@ -115,11 +71,12 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
     let _ = writeln!(j, "  \"schema_version\": {SCHEMA_VERSION},");
     let _ = writeln!(j, "  \"git_rev\": \"{}\",", escape_json(&git_rev()));
     let _ = writeln!(j, "  \"bench\": \"{}\",", escape_json(meta.bench));
-    let _ = writeln!(j, "  \"scale\": {},", meta.scale);
-    let _ = writeln!(j, "  \"seed\": {},", meta.seed);
-    let _ = writeln!(j, "  \"threads\": {},", meta.threads);
-    let _ = writeln!(j, "  \"backend\": \"{}\",", escape_json(meta.backend));
-    let _ = writeln!(j, "  \"pool_bytes\": {},", meta.pool_bytes);
+    let run = meta.run;
+    let _ = writeln!(j, "  \"scale\": {},", run.scale);
+    let _ = writeln!(j, "  \"seed\": {},", run.seed);
+    let _ = writeln!(j, "  \"threads\": {},", run.threads);
+    let _ = writeln!(j, "  \"backend\": \"{}\",", run.storage.label());
+    let _ = writeln!(j, "  \"pool_bytes\": {},", run.storage.pool_bytes());
     let suite_wall = results.first().map_or(Duration::ZERO, |r| r.suite_wall);
     let _ = writeln!(j, "  \"suite_wall_ms\": {:.3},", ms(suite_wall));
     if let Some(serial) = meta.serial_wall {
@@ -190,20 +147,13 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
     j
 }
 
-/// Default output path: `COLORIST_SUMMARY` if set, else
-/// `results/bench_summary.json` under the current directory.
-pub fn summary_path() -> PathBuf {
-    std::env::var_os("COLORIST_SUMMARY")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/bench_summary.json"))
-}
-
-/// Write the summary document and return where it landed.
+/// Write the summary document to the run's `--out` path (default
+/// `results/bench_summary.json`) and return where it landed.
 pub fn write_bench_summary(
     meta: &SummaryMeta,
     results: &[SuiteResult],
 ) -> std::io::Result<PathBuf> {
-    let path = summary_path();
+    let path = PathBuf::from(meta.run.out.as_deref().unwrap_or("results/bench_summary.json"));
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
@@ -219,15 +169,9 @@ mod tests {
 
     #[test]
     fn summary_shape_on_empty_results() {
-        let meta = SummaryMeta {
-            bench: "t",
-            scale: 1,
-            seed: 2,
-            threads: 3,
-            backend: "mem",
-            pool_bytes: 0,
-            serial_wall: Some(Duration::from_millis(10)),
-        };
+        let run = RunConfig { scale: 1, seed: 2, threads: 3, ..RunConfig::default() };
+        let meta =
+            SummaryMeta { bench: "t", run: &run, serial_wall: Some(Duration::from_millis(10)) };
         let j = bench_summary_json(&meta, &[]);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));

@@ -19,7 +19,7 @@ use crate::chunked::Chunked;
 use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
 use crate::statistics::{Cardinality, CmpKind, Statistics};
-use crate::storage::{SegId, Storage};
+use crate::storage::{Backing, SegId};
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::{ColorId, MctSchema, PlacementId};
@@ -256,7 +256,7 @@ pub struct Database {
     /// default, or attached to a paged [`crate::page::StorageBackend`]
     /// with a segment directory and dirty-segment tracking. Excluded from
     /// [`Database::same_state`] — backing is orthogonal to content.
-    pub(crate) storage: Storage,
+    pub(crate) storage: Backing,
 }
 
 /// A consistent read view of a [`Database`] at one [`epoch`](Database::epoch).
@@ -1210,7 +1210,7 @@ impl DatabaseBuilder {
             stale_columns: BTreeSet::new(),
             dispatch: KernelDispatch::default(),
             epoch: 0,
-            storage: Storage::default(),
+            storage: Backing::default(),
         }
     }
 }

@@ -82,6 +82,6 @@ pub use statistics::{
     Statistics, HISTOGRAM_BUCKETS,
 };
 pub use stats::Stats;
-pub use storage::{attach_from_env, env_backend, env_pool_bytes, FlushReport, StorageCtx};
+pub use storage::{FlushReport, Storage, StorageCtx};
 pub use value::{Interner, Value, ValueKey};
 pub use xml::to_xml;

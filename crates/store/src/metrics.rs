@@ -29,12 +29,13 @@ macro_rules! metrics {
             /// Measured evaluation time of **this query alone** — the wall-clock
             /// span between the start and end of its `execute`/`execute_update`
             /// call. Under the parallel suite runner
-            /// (`colorist_workload::suite::run_suite_on`), queries from different
-            /// strategies run concurrently, so these per-query spans overlap in
-            /// real time: summing them over a suite yields aggregate CPU-ish work,
-            /// **not** the suite's wall time (per-query values may also be inflated
-            /// by scheduling contention). The suite's end-to-end wall time is
-            /// reported separately as `SuiteResult::suite_wall`.
+            /// (`colorist_workload::suite::run_suite_on` with `threads > 1`),
+            /// queries from different strategies run concurrently, so these
+            /// per-query spans overlap in real time: summing them over a suite
+            /// yields aggregate CPU-ish work, **not** the suite's wall time
+            /// (per-query values may also be inflated by scheduling contention).
+            /// The suite's end-to-end wall time is reported separately as
+            /// `SuiteResult::suite_wall`.
             pub elapsed: Duration,
         }
 

@@ -88,14 +88,11 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
 
     /// Flush buffered writes to durable storage (no-op for [`MemPages`]).
     fn sync(&self) -> io::Result<()>;
-
-    /// Short label for summaries and traces: `"paged-mem"` or `"paged"`.
-    fn label(&self) -> &'static str;
 }
 
 /// In-memory page array: the paged backend's accounting and layout with no
 /// filesystem underneath. Used by the differential tests, and available
-/// via `COLORIST_BACKEND=paged-mem`.
+/// as `--backend paged-mem`.
 #[derive(Debug, Default)]
 pub struct MemPages {
     inner: Mutex<MemInner>,
@@ -174,10 +171,6 @@ impl StorageBackend for MemPages {
 
     fn sync(&self) -> io::Result<()> {
         Ok(())
-    }
-
-    fn label(&self) -> &'static str {
-        "paged-mem"
     }
 }
 
@@ -326,10 +319,6 @@ impl StorageBackend for FilePages {
 
     fn sync(&self) -> io::Result<()> {
         self.inner.lock().unwrap().file.sync_data()
-    }
-
-    fn label(&self) -> &'static str {
-        "paged"
     }
 }
 

@@ -121,7 +121,7 @@ impl SegmentDirectory {
 /// How a [`Database`] is backed: the default pure heap, or attached to a
 /// paged backend.
 #[derive(Debug, Clone, Default)]
-pub(crate) enum Storage {
+pub(crate) enum Backing {
     /// Purely in-memory — no pages, page counters stay zero.
     #[default]
     Heap,
@@ -138,11 +138,11 @@ pub(crate) struct PagedState {
     pool: PoolConfig,
 }
 
-impl Storage {
+impl Backing {
     /// Record that a stored structure changed since the last flush.
     /// A no-op on the heap backend.
     pub(crate) fn mark(&mut self, seg: SegId) {
-        if let Storage::Paged(s) = self {
+        if let Backing::Paged(s) = self {
             s.dirty.insert(seg);
         }
     }
@@ -596,25 +596,7 @@ fn decode_meta(page: &[u8]) -> io::Result<Meta> {
 impl Database {
     /// Whether this database is attached to a paged backend.
     pub fn is_paged(&self) -> bool {
-        matches!(self.storage, Storage::Paged(_))
-    }
-
-    /// The backend label for summaries: `"mem"` when heap-backed, else the
-    /// backend's own label (`"paged"` / `"paged-mem"`).
-    pub fn storage_label(&self) -> &'static str {
-        match &self.storage {
-            Storage::Heap => "mem",
-            Storage::Paged(s) => s.backend.label(),
-        }
-    }
-
-    /// The buffer-pool byte budget queries against this database run with
-    /// (0 when heap-backed — there is no pool).
-    pub fn storage_pool_bytes(&self) -> u64 {
-        match &self.storage {
-            Storage::Heap => 0,
-            Storage::Paged(s) => s.pool.pool_bytes,
-        }
+        matches!(self.storage, Backing::Paged(_))
     }
 
     /// Attach this database to a paged backend: every stored structure is
@@ -642,7 +624,7 @@ impl Database {
         for c in 0..self.colors.len() {
             dirty.insert(SegId::Tree(c as u16));
         }
-        self.storage = Storage::Paged(PagedState {
+        self.storage = Backing::Paged(PagedState {
             backend,
             dir: Arc::new(SegmentDirectory::default()),
             dirty,
@@ -653,7 +635,7 @@ impl Database {
 
     /// Detach from the paged backend, reverting to the pure heap.
     pub fn detach_storage(&mut self) {
-        self.storage = Storage::Heap;
+        self.storage = Backing::Heap;
     }
 
     /// Write every dirty segment back to the backend — the commit/
@@ -665,7 +647,7 @@ impl Database {
     /// heap-backed.
     pub fn flush_storage(&mut self) -> io::Result<FlushReport> {
         let (backend, old_dir, dirty) = match &self.storage {
-            Storage::Paged(s) if !s.dirty.is_empty() => {
+            Backing::Paged(s) if !s.dirty.is_empty() => {
                 (s.backend.clone(), s.dir.clone(), s.dirty.clone())
             }
             _ => return Ok(FlushReport::default()),
@@ -728,7 +710,7 @@ impl Database {
             dir_checksum: fnv1a64(&dir_bytes),
         }))?;
         backend.sync()?;
-        if let Storage::Paged(s) = &mut self.storage {
+        if let Backing::Paged(s) = &mut self.storage {
             s.dir = Arc::new(new_dir);
             s.dirty.clear();
         }
@@ -858,7 +840,7 @@ impl Database {
             stale_columns: BTreeSet::new(),
             dispatch: Default::default(),
             epoch: meta.epoch,
-            storage: Storage::Paged(PagedState {
+            storage: Backing::Paged(PagedState {
                 backend,
                 dir: Arc::new(dir),
                 dirty: BTreeSet::new(),
@@ -874,8 +856,8 @@ impl Database {
     /// under any worker count.
     pub fn storage_ctx(&self) -> StorageCtx {
         match &self.storage {
-            Storage::Heap => StorageCtx { inner: None },
-            Storage::Paged(s) => StorageCtx {
+            Backing::Heap => StorageCtx { inner: None },
+            Backing::Paged(s) => StorageCtx {
                 inner: Some(PagedCtx {
                     backend: s.backend.clone(),
                     dir: s.dir.clone(),
@@ -1011,44 +993,58 @@ impl StorageCtx {
 }
 
 // ---------------------------------------------------------------------------
-// environment knobs
+// backend selection
 
-/// The backend selector: `COLORIST_BACKEND`, default `"mem"`. Recognized:
-/// `"mem"` (heap), `"paged"` (file-backed pages under `COLORIST_PAGE_DIR`
-/// or the system temp dir), `"paged-mem"` (in-memory pages).
-pub fn env_backend() -> String {
-    std::env::var("COLORIST_BACKEND").unwrap_or_else(|_| "mem".to_string())
+/// Which storage a freshly materialized database is attached to — the
+/// run configuration's `--backend`/`--pool-bytes` pair as a value.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Storage {
+    /// Stay on the heap: no pages, page counters stay zero.
+    #[default]
+    Heap,
+    /// In-memory pages ([`MemPages`]) read through pools of this budget.
+    PagedMem(PoolConfig),
+    /// A temp page file ([`FilePages`], under `COLORIST_PAGE_DIR` or the
+    /// system temp dir) read through pools of this budget.
+    PagedFile(PoolConfig),
 }
 
-/// The pool budget: `COLORIST_POOL_BYTES`, default
-/// [`crate::pool::DEFAULT_POOL_BYTES`].
-pub fn env_pool_bytes() -> u64 {
-    std::env::var("COLORIST_POOL_BYTES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(crate::pool::DEFAULT_POOL_BYTES)
-}
+impl Storage {
+    /// Select by backend label: `"mem"`, `"paged-mem"` or `"paged"`.
+    pub fn parse(label: &str, pool: PoolConfig) -> Result<Storage, String> {
+        match label {
+            "mem" => Ok(Storage::Heap),
+            "paged-mem" => Ok(Storage::PagedMem(pool)),
+            "paged" => Ok(Storage::PagedFile(pool)),
+            other => Err(format!("unknown backend {other:?} (expected mem, paged or paged-mem)")),
+        }
+    }
 
-/// Attach `db` per the `COLORIST_BACKEND`/`COLORIST_POOL_BYTES`
-/// environment (the `--backend`/`--pool-bytes` CLI knobs set these).
-/// Returns whether an attachment happened; `"mem"` (the default) leaves
-/// the database heap-backed.
-pub fn attach_from_env(db: &mut Database) -> io::Result<bool> {
-    let pool = PoolConfig { pool_bytes: env_pool_bytes() };
-    match env_backend().as_str() {
-        "mem" => Ok(false),
-        "paged" => {
-            db.attach_paged(Arc::new(FilePages::create_temp()?), pool)?;
-            Ok(true)
+    /// The backend label summaries print; [`Storage::parse`] inverts it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Storage::Heap => "mem",
+            Storage::PagedMem(_) => "paged-mem",
+            Storage::PagedFile(_) => "paged",
         }
-        "paged-mem" => {
-            db.attach_paged(Arc::new(MemPages::new()), pool)?;
-            Ok(true)
+    }
+
+    /// The buffer-pool byte budget (0 on the heap — there is no pool).
+    pub fn pool_bytes(&self) -> u64 {
+        match self {
+            Storage::Heap => 0,
+            Storage::PagedMem(pool) | Storage::PagedFile(pool) => pool.pool_bytes,
         }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unknown COLORIST_BACKEND {other:?} (expected mem, paged, or paged-mem)"),
-        )),
+    }
+
+    /// Attach `db` to this storage; a no-op on the heap.
+    pub fn attach(&self, db: &mut Database) -> io::Result<()> {
+        let (backend, pool): (Arc<dyn StorageBackend>, _) = match *self {
+            Storage::Heap => return Ok(()),
+            Storage::PagedMem(pool) => (Arc::new(MemPages::new()), pool),
+            Storage::PagedFile(pool) => (Arc::new(FilePages::create_temp()?), pool),
+        };
+        db.attach_paged(backend, pool).map(drop)
     }
 }
 
@@ -1098,7 +1094,6 @@ mod tests {
         let backend = Arc::new(MemPages::new());
         let report = db.attach_paged(backend.clone(), PoolConfig::default()).unwrap();
         assert!(report.pages_written >= 2, "segments + directory + meta");
-        assert_eq!(db.storage_label(), "paged-mem");
         let loaded =
             Database::load_from_backend(backend, s.clone(), PoolConfig::default()).unwrap();
         assert_eq!(loaded.same_state(&db, true), Ok(()));
@@ -1184,19 +1179,19 @@ mod tests {
     }
 
     #[test]
-    fn attach_from_env_rejects_unknown_backend() {
-        // exercised without touching the real process env for known good
-        // values (the env is process-global; oracle/suite set it up front)
+    fn storage_selection_parses_and_attaches() {
         let (g, s) = tiny();
+        let pool = PoolConfig::default();
+        assert!(Storage::parse("bogus", pool).is_err());
+        let paged = Storage::parse("paged-mem", pool).unwrap();
         let mut db = build(&g, &s);
-        std::env::set_var("COLORIST_BACKEND", "bogus");
-        assert!(attach_from_env(&mut db).is_err());
-        std::env::set_var("COLORIST_BACKEND", "paged-mem");
-        assert!(attach_from_env(&mut db).unwrap());
+        paged.attach(&mut db).unwrap();
         assert!(db.is_paged());
-        std::env::remove_var("COLORIST_BACKEND");
-        let mut db2 = build(&g, &s);
-        assert!(!attach_from_env(&mut db2).unwrap());
-        let _ = s;
+        assert_eq!((paged.label(), paged.pool_bytes()), ("paged-mem", pool.pool_bytes));
+        let heap = Storage::parse("mem", pool).unwrap();
+        let mut db = build(&g, &s);
+        heap.attach(&mut db).unwrap();
+        assert!(!db.is_paged());
+        assert_eq!((heap.label(), heap.pool_bytes()), ("mem", 0));
     }
 }

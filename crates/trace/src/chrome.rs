@@ -88,7 +88,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     j
 }
 
-/// The `--trace PATH` option of the binaries: run `work` under a fresh
+/// The `--trace PATH` option of the `colorist` CLI: run `work` under a fresh
 /// [`Session`], write what it recorded to `path` as chrome-trace JSON and
 /// report the span count on stderr. With no path, just run `work`.
 pub fn traced<R>(path: Option<&str>, work: impl FnOnce() -> R) -> std::io::Result<R> {

@@ -18,11 +18,11 @@
 //!   thread plus every thread that [enters](SessionHandle::enter) the
 //!   session (the suite runner's and the server's workers do), any number
 //!   of sessions record concurrently without seeing each other, and
-//!   [`Session::finish`] returns the [`Trace`]. The `--trace` flag of
-//!   `table1`, `colorist-oracle` and `colorist-scale` is [`traced`].
+//!   [`Session::finish`] returns the [`Trace`]. The `--trace FILE` flag
+//!   of the `colorist` CLI is [`traced`].
 //! * **Counters are deterministic, only time is not.** Span *counters*
 //!   are copied from the deterministic [`Metrics`] deltas of the executor,
-//!   so they are byte-identical across `COLORIST_THREADS` settings; the
+//!   so they are byte-identical for any `--threads` count; the
 //!   wall-clock fields (`start_ns`, `dur_ns`) are the only
 //!   machine-dependent content of a trace.
 //!

@@ -32,4 +32,4 @@ pub use oracle::{
     compile_seed, run_seed, run_seeds, Divergence, MinimizedCase, OracleConfig, OracleReport,
     SeedCorpus, SeedReport,
 };
-pub use suite::{geo_mean, suite_threads, EstTotals, QueryKind, QueryRun, SuiteResult, Workload};
+pub use suite::{geo_mean, EstTotals, QueryKind, QueryRun, SuiteResult, Workload};

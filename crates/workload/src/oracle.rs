@@ -50,7 +50,7 @@ use colorist_query::{
     compile, execute, execute_snapshot, optimize, verify_plan, CmpOp, Pattern, PatternBuilder,
     Plan, QueryResult,
 };
-use colorist_store::{Database, UpdateBatch, Value};
+use colorist_store::{Database, Storage, UpdateBatch, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -72,11 +72,21 @@ pub struct OracleConfig {
     pub max_rels: usize,
     /// Maximum association length considered when picking chain queries.
     pub max_chain: usize,
+    /// Storage every strategy's database is attached to, so the sweep also
+    /// exercises the paged backend's flush/reload-path accounting.
+    pub storage: Storage,
 }
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig { scale: 20, queries: 6, max_entities: 5, max_rels: 7, max_chain: 6 }
+        OracleConfig {
+            scale: 20,
+            queries: 6,
+            max_entities: 5,
+            max_rels: 7,
+            max_chain: 6,
+            storage: Storage::Heap,
+        }
     }
 }
 
@@ -421,10 +431,7 @@ fn build_databases(
                     });
                 }
                 let mut db = materialize(g, &schema, &inst);
-                // `COLORIST_BACKEND` attaches the paged storage backend so
-                // the equivalence sweep also exercises flush/reload-path
-                // accounting under every strategy
-                colorist_store::attach_from_env(&mut db).expect("storage backend attaches");
+                cfg.storage.attach(&mut db).expect("storage backend attaches");
                 dbs.push((s, db));
             }
             Err(e) => divergences.push(Divergence {
@@ -695,7 +702,7 @@ pub fn minimize(seed: u64, cfg: &OracleConfig) -> Option<MinimizedCase> {
 }
 
 /// Human-readable description of one seed's diagram and workload — the
-/// replay view printed by `colorist-oracle --replay`.
+/// replay view printed by `colorist oracle --replay`.
 pub fn replay_text(seed: u64, cfg: &OracleConfig) -> String {
     use fmt::Write as _;
     let setup = setup_seed(seed, cfg);

@@ -5,7 +5,7 @@ use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist_er::ErGraph;
 use colorist_query::{execute, execute_update, optimize, Pattern, Plan, QueryError, UpdateSpec};
-use colorist_store::{stats::stats, KernelDispatch, Metrics, Stats};
+use colorist_store::{stats::stats, KernelDispatch, Metrics, Stats, Storage};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -120,7 +120,7 @@ pub struct SuiteResult {
     /// End-to-end wall-clock time of the whole suite invocation that
     /// produced this result (design + materialize + every query on every
     /// strategy). The same value is stamped on every `SuiteResult` of one
-    /// `run_suite_on` call; with `COLORIST_THREADS > 1` it is smaller than
+    /// `run_suite_on` call; with `threads > 1` it is smaller than
     /// the sum of per-query `Metrics::elapsed` spans, which overlap.
     pub suite_wall: Duration,
 }
@@ -132,9 +132,10 @@ impl SuiteResult {
     }
 }
 
-/// Run `workload` for every strategy on one diagram. The same canonical
-/// instance (from `profile` and `seed`) backs every schema, so logical
-/// results agree across strategies by construction.
+/// Run `workload` for every strategy on one diagram, on the heap and on
+/// every available core. The same canonical instance (from `profile` and
+/// `seed`) backs every schema, so logical results agree across strategies
+/// by construction.
 pub fn run_suite(
     graph: &ErGraph,
     strategies: &[Strategy],
@@ -143,17 +144,8 @@ pub fn run_suite(
     seed: u64,
 ) -> Result<Vec<SuiteResult>, QueryError> {
     let instance = generate(graph, profile, seed);
-    run_suite_on(graph, strategies, workload, &instance)
-}
-
-/// Worker count for the suite runner: `COLORIST_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn suite_threads() -> usize {
-    std::env::var("COLORIST_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_suite_on(graph, strategies, workload, &instance, threads, Storage::Heap)
 }
 
 /// Map `f` over `0..n` on up to `threads` scoped workers, returning the
@@ -189,26 +181,17 @@ pub(crate) fn par_map<R: Send>(n: usize, threads: usize, f: impl Fn(usize) -> R 
         .collect()
 }
 
-/// Like [`run_suite`] with a pre-generated instance. Parallelism comes
-/// from [`suite_threads`] (`COLORIST_THREADS`).
+/// [`run_suite`] over a pre-generated instance, on `threads` workers, with
+/// every database attached to `storage`. `threads <= 1` runs fully
+/// serially; any other count produces byte-identical `QueryRun`s (only
+/// the measured times differ).
 pub fn run_suite_on(
     graph: &ErGraph,
     strategies: &[Strategy],
     workload: &Workload,
     instance: &CanonicalInstance,
-) -> Result<Vec<SuiteResult>, QueryError> {
-    run_suite_on_threads(graph, strategies, workload, instance, suite_threads())
-}
-
-/// [`run_suite_on`] with an explicit worker count. `threads <= 1` runs
-/// fully serially; any other count produces byte-identical `QueryRun`s
-/// (only the measured times differ).
-pub fn run_suite_on_threads(
-    graph: &ErGraph,
-    strategies: &[Strategy],
-    workload: &Workload,
-    instance: &CanonicalInstance,
     threads: usize,
+    storage: Storage,
 ) -> Result<Vec<SuiteResult>, QueryError> {
     let _suite_span = colorist_trace::span("suite", format_args!("suite:{}", workload.name));
     let start = Instant::now();
@@ -222,10 +205,10 @@ pub fn run_suite_on_threads(
         let _span = colorist_trace::span("suite", format_args!("setup:{}", strategies[i]));
         let schema = design(graph, strategies[i]).expect("strategy designs the diagram");
         let mut db = materialize(graph, &schema, instance);
-        // `COLORIST_BACKEND=paged|paged-mem` attaches the paged storage
-        // backend here, before the twin clone — both plans then read
-        // through (independent, per-query) buffer pools over one backend
-        colorist_store::attach_from_env(&mut db).expect("storage backend attaches");
+        // a paged `storage` attaches here, before the twin clone — both
+        // plans then read through (independent, per-query) buffer pools
+        // over one backend
+        storage.attach(&mut db).expect("storage backend attaches");
         let mut heuristic = db.clone();
         heuristic.set_kernel_dispatch(KernelDispatch::Ratio);
         (db, heuristic)
@@ -345,10 +328,9 @@ mod tests {
         let w = crate::tpcw::workload(&g);
         let profile = ScaleProfile::tpcw(&g, 20);
         let instance = generate(&g, &profile, 7);
-        let serial =
-            run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, 1).expect("serial suite");
-        let par =
-            run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, 4).expect("parallel suite");
+        let run = |threads| run_suite_on(&g, &Strategy::ALL, &w, &instance, threads, Storage::Heap);
+        let serial = run(1).expect("serial suite");
+        let par = run(4).expect("parallel suite");
         assert_eq!(serial.len(), par.len());
         let norm = |m: Metrics| Metrics { elapsed: Duration::default(), ..m };
         for (a, b) in serial.iter().zip(&par) {
@@ -365,13 +347,6 @@ mod tests {
                 assert_eq!(x.heuristic.map(norm), y.heuristic.map(norm), "{}", x.name);
             }
         }
-    }
-
-    #[test]
-    fn suite_threads_respects_env_contract() {
-        // can't set the process env safely in a threaded test binary, but
-        // the default must be at least 1
-        assert!(suite_threads() >= 1);
     }
 
     #[test]

@@ -12,8 +12,9 @@ use colorist::datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
 use colorist::query::{compile, execute, execute_profiled, explain_analyze, Metrics};
 use colorist::server::{Server, ServerConfig};
+use colorist::store::Storage;
 use colorist::trace::{self, Json, Session, Trace};
-use colorist::workload::{suite::run_suite_on_threads, tpcw, Workload};
+use colorist::workload::{suite::run_suite_on, tpcw, Workload};
 use std::sync::Barrier;
 
 fn fixture() -> (ErGraph, Workload, CanonicalInstance) {
@@ -26,7 +27,7 @@ fn fixture() -> (ErGraph, Workload, CanonicalInstance) {
 fn traced_suite(threads: usize) -> Trace {
     let (g, w, instance) = fixture();
     let session = Session::start();
-    run_suite_on_threads(&g, &Strategy::ALL, &w, &instance, threads).expect("suite runs");
+    run_suite_on(&g, &Strategy::ALL, &w, &instance, threads, Storage::Heap).expect("suite runs");
     session.finish()
 }
 
