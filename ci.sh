@@ -82,6 +82,15 @@ echo "==> delete/batch torture (release): snapshot isolation under concurrent co
 # the release rerun exercises the race without debug_assert pacing.
 cargo test -q --release --test deletes
 
+echo "==> structural maintenance (release): incremental splice ≡ a from-scratch relabel"
+# tests/incremental.rs: U1/U3, deletes and a mixed structural batch on all
+# seven strategies under both kernel families, each step checked against
+# the full DFS relabel and hash index rebuild it replaced, a paged save/load
+# round trip, a pinned pre-write snapshot and per-color sharing. The debug
+# suite above runs it too; release runs the same sequence at the speed the
+# benchmark sees, with debug assertions off.
+cargo test -q --release --test incremental
+
 echo "==> server torture (release): admission groups, plan cache, reader under a fast writer"
 # tests/server.rs: the 1/2/8-worker serial-oracle torture with its
 # group-cut and one-epoch-per-group assertions, the plan-cache rule,

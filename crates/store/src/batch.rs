@@ -508,7 +508,7 @@ impl UpdateBatch {
                     let canon = db.element(*element).canonical;
                     // the first occurrence binds the canonical, later ones
                     // fresh copies; until the phase-4 relabel the
-                    // logical-occurrence maps know only pre-batch
+                    // logical-occurrence index knows only pre-batch
                     // placements, so this batch's own are in `placed`
                     let el = if db.canonical_placed(canon, &placed) {
                         db.insert_copy(canon)

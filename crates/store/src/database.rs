@@ -11,9 +11,10 @@
 //! at most one occurrence per color (the MCT invariant: a node belongs to
 //! exactly one rooted tree per color it carries); each copy element has
 //! exactly one occurrence. Occurrences carry `(start, end, level)` interval
-//! labels assigned by a DFS per color, so that `a` is an ancestor of `d` iff
-//! `a.start < d.start && d.end <= a.end` — the primitive behind structural
-//! joins.
+//! labels, the DFS numbering of each color's forest, so that `a` is an
+//! ancestor of `d` iff `a.start < d.start && d.end <= a.end` — the
+//! primitive behind structural joins. Structural writes keep the labels
+//! and the per-tree indexes in place ([`ColorTree`], DESIGN.md §5a).
 
 use crate::chunked::Chunked;
 use crate::effect::shadow;
@@ -23,10 +24,12 @@ use crate::storage::{Backing, SegId};
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::{ColorId, MctSchema, PlacementId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
+
+pub use crate::tree::{ColorTree, Occurrence};
 
 /// Tombstone marker in the ordinal index: this ordinal's instance was
 /// deleted. Ordinals are never reused, so a stale link or idref value can
@@ -115,75 +118,6 @@ impl Element {
     }
 }
 
-/// One position in a color's tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Occurrence {
-    /// The stored element at this position.
-    pub element: ElementId,
-    /// The schema placement this position instantiates.
-    pub placement: PlacementId,
-    /// Parent occurrence within the same color.
-    pub parent: Option<OccId>,
-    /// DFS interval start.
-    pub start: u32,
-    /// DFS interval end (`start < desc.start && desc.end <= end` ⇔ ancestor).
-    pub end: u32,
-    /// Depth in the color tree.
-    pub level: u16,
-}
-
-/// One color's labelled tree.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColorTree {
-    /// Occurrences in document (DFS/start) order.
-    pub(crate) occs: Vec<Occurrence>,
-    /// Occurrence ids per placement, in document order.
-    pub(crate) by_placement: HashMap<PlacementId, Vec<OccId>>,
-    /// Occurrence ids per ER node type (label), in document order — XPath
-    /// steps match labels, not placements.
-    pub(crate) by_node: HashMap<NodeId, Vec<OccId>>,
-}
-
-impl ColorTree {
-    /// A tree over already-labelled occurrences, with the derived
-    /// per-placement/per-node indexes left empty (the storage loader fills
-    /// them via [`rebuild_indexes_into`]).
-    pub(crate) fn from_occs(occs: Vec<Occurrence>) -> ColorTree {
-        ColorTree { occs, ..ColorTree::default() }
-    }
-
-    /// All occurrences, in document order (sorted by `start`).
-    pub fn occs(&self) -> &[Occurrence] {
-        &self.occs
-    }
-
-    /// The occurrence with the given id.
-    pub fn occ(&self, o: OccId) -> &Occurrence {
-        &self.occs[o.idx()]
-    }
-
-    /// Occurrence ids instantiating a placement, in document order.
-    pub fn of_placement(&self, p: PlacementId) -> &[OccId] {
-        self.by_placement.get(&p).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Occurrence ids of every element labelled with the ER node type, in
-    /// document order (all placements of the node in this color).
-    pub fn of_node(&self, n: NodeId) -> &[OccId] {
-        self.by_node.get(&n).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether `anc` is a proper ancestor of `desc` (interval containment).
-    pub fn is_ancestor(&self, anc: OccId, desc: OccId) -> bool {
-        let a = self.occ(anc);
-        let d = self.occ(desc);
-        a.start < d.start && d.end <= a.end
-    }
-}
-
-/// Per color, the occurrences of each logical instance `(node, ordinal)`.
-type LogicalOccs = Vec<HashMap<(NodeId, u32), Vec<OccId>>>;
-
 /// A complete stored database over one schema.
 ///
 /// Every bulk structure sits behind [`Arc`]s, so cloning a database —
@@ -191,8 +125,8 @@ type LogicalOccs = Vec<HashMap<(NodeId, u32), Vec<OccId>>>;
 /// bumps plus a schema clone, never a data copy. Mutators go through
 /// [`Arc::make_mut`]: while no clone shares a structure the write lands
 /// in place; once one does, the *unit* the write touches is copied first
-/// (copy-on-write) — one element chunk, one value-index column, one whole
-/// color tree or slot table (DESIGN.md §12.4) — so every outstanding
+/// (copy-on-write) — one element chunk, one value-index column, one
+/// color's tree or one slot table (DESIGN.md §12.4) — so every outstanding
 /// snapshot keeps reading the exact pre-write version of the extents,
 /// color trees, value index and statistics catalog it was taken over. The
 /// [`Database::epoch`] counter stamps committed mutations so versions are
@@ -202,7 +136,10 @@ pub struct Database {
     /// The schema this database conforms to.
     pub schema: MctSchema,
     pub(crate) elements: Chunked<Element>,
-    pub(crate) colors: Arc<Vec<ColorTree>>,
+    /// One tree per color, each with its own copy-on-write unit: a
+    /// structural write replaces the labelled versions of the colors it
+    /// touches and shares the rest.
+    pub(crate) colors: Vec<ColorTree>,
     /// **Live** canonical elements per ER node type (the extent), in
     /// ascending `ElementId` order (which is also insertion order).
     /// Deletes retract their entry — scans and reference joins walk live
@@ -214,8 +151,6 @@ pub struct Database {
     /// shrinks: deletes tombstone the slot (see [`Database::canonical_by_ordinal`])
     /// so ordinals are never reused.
     pub(crate) by_ordinal: Arc<Vec<Vec<ElementId>>>,
-    /// Per color: occurrences of each logical instance `(node, ordinal)`.
-    pub(crate) logical_occs: Arc<LogicalOccs>,
     /// Per ER edge: participant ordinal per relationship ordinal — the
     /// parent-child adjacency the trees encode, stored explicitly so that
     /// link (parent-child) joins stay exact under any schema and so that
@@ -237,7 +172,8 @@ pub struct Database {
     /// Statistics catalog: column histograms/distinct counts, extent
     /// cardinalities, per-placement occurrence counts (DESIGN.md §11).
     /// Built at `finish`, maintained by the same choke points as the value
-    /// index plus [`Database::relabel_color`].
+    /// index; the placement counts move by delta in
+    /// [`Database::push_occurrence`] and [`Database::remove_occurrences`].
     pub(crate) statistics: Arc<Statistics>,
     /// Columns whose postings changed since their statistics were last
     /// rebuilt. The staged mutators only mark; every commit point — and
@@ -307,10 +243,10 @@ impl Database {
     }
 
     /// The physical copies of canonical element `canon`, in ascending id
-    /// order, resolved through the logical-occurrence maps (a copy exists
+    /// order, resolved through the logical-occurrence index (a copy exists
     /// only as an occurrence, so the trees name every reachable one).
-    /// Reads the labels of the last relabel: call it before a structural
-    /// edit, not between the edit and its relabel.
+    /// Occurrences pushed since the last relabel are not indexed yet: call
+    /// it before a structural edit, not between the edit and its relabel.
     pub fn copies_of(&self, canon: ElementId) -> Vec<ElementId> {
         let mut copies: Vec<ElementId> = (0..self.colors.len() as u16)
             .map(ColorId)
@@ -327,7 +263,7 @@ impl Database {
     }
 
     /// Whether canonical element `canon` itself — not a copy — occurs in
-    /// some color: in the logical-occurrence maps of the last relabel, or
+    /// some color: in the logical-occurrence index of the last relabel, or
     /// in `placed_since`, the canonicals a batch has placed after it. An
     /// occurrence append binds the canonical when it is not placed and
     /// allocates a copy when it is.
@@ -400,8 +336,9 @@ impl Database {
 
     /// [`Database::write_attr`] with the column's statistics marked stale
     /// instead of rebuilt: the caller owes a [`Database::refresh_statistics`]
-    /// before the write is published.
-    pub(crate) fn stage_write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
+    /// before the write is published, so a multi-write update rebuilds
+    /// each column it wrote once.
+    pub fn stage_write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
         self.intern_value(&v);
         self.storage.mark(SegId::Elements);
         let new_key = self.interner.key(&v);
@@ -570,13 +507,11 @@ impl Database {
     /// Occurrences of the logical instance behind `e` in color `c` — the
     /// *color crossing* primitive, and the duplicate-expansion step for
     /// un-normalized schemas.
+    /// A copy carries its canonical's node and ordinal, so one element
+    /// load and two array loads answer it.
     pub fn occurrences_of_logical(&self, c: ColorId, e: ElementId) -> &[OccId] {
         let el = self.element(e);
-        let canon = self.element(el.canonical);
-        self.logical_occs[c.idx()]
-            .get(&(canon.node, canon.ordinal))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.colors[c.idx()].of_logical(el.node, el.ordinal)
     }
 
     /// Attribute index of `attr` in the ER node's declaration.
@@ -691,26 +626,20 @@ impl Database {
         }
     }
 
-    /// Recompute a color's interval labels after structural updates.
-    /// (Linear; the engine relabels eagerly after each update batch, which
-    /// is charged to update cost like TIMBER's index maintenance.)
+    /// Label the occurrences pushed into a color since its last relabel:
+    /// splice them into document order and into the color's indexes
+    /// (DESIGN.md §5a). Linear in the color's occurrences, with no hashing
+    /// and no allocation per occurrence; an unedited color is not copied.
+    /// The engine relabels eagerly after each update batch, charged to
+    /// update cost like TIMBER's index maintenance.
     pub fn relabel_color(&mut self, c: ColorId) {
         shadow::note(|t| {
             t.colors.insert(c);
             t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
-        {
-            let colors = Arc::make_mut(&mut self.colors);
-            let tree = &mut colors[c.idx()];
-            relabel(&mut tree.occs);
-            let logical = &mut Arc::make_mut(&mut self.logical_occs)[c.idx()];
-            rebuild_indexes_into(tree, &self.elements, logical);
-        }
-        // structural updates funnel through here, so this is the one
-        // maintenance point the placement-occurrence summaries need
-        let occs = placement_occ_counts(&self.schema, &self.colors);
-        Arc::make_mut(&mut self.statistics).set_placement_occs(c, occs);
+        self.colors[c.idx()].integrate(&self.elements);
+        Arc::make_mut(&mut self.statistics).note_relabel(c);
         self.epoch += 1;
     }
 
@@ -727,7 +656,7 @@ impl Database {
 
     /// [`Database::insert_element`] with the new postings' columns marked
     /// stale instead of rebuilt (see [`Database::stage_write_attr`]).
-    pub(crate) fn stage_insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
+    pub fn stage_insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
         for v in &attrs {
             self.intern_value(v);
         }
@@ -787,8 +716,10 @@ impl Database {
         id
     }
 
-    /// Append an occurrence to a color (labels stale until
-    /// [`Database::relabel_color`]).
+    /// Append an occurrence to a color's pending tail: unlabelled and
+    /// unindexed until [`Database::relabel_color`], which lands it as the
+    /// last child of `parent` (a root after every other). Counts it in its
+    /// placement's statistics.
     pub fn push_occurrence(
         &mut self,
         c: ColorId,
@@ -800,60 +731,30 @@ impl Database {
         shadow::note(|t| {
             t.colors.insert(c);
             t.occ_added.insert(canon);
+            t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
-        let tree = &mut Arc::make_mut(&mut self.colors)[c.idx()];
-        let id = OccId(tree.occs.len() as u32);
-        tree.occs.push(Occurrence { element, placement, parent, start: 0, end: 0, level: 0 });
+        Arc::make_mut(&mut self.statistics).note_occurrence(placement, true);
+        let id = self.colors[c.idx()].push(element, placement, parent);
         self.epoch += 1;
         id
     }
 
-    /// Remove occurrences (by id) from a color; parents of surviving
-    /// occurrences are remapped; labels must be recomputed afterwards.
-    /// Returns the number removed (descendants of removed occurrences are
-    /// removed transitively).
+    /// Remove occurrences (by id) from a color, with their descendants.
+    /// Each labelled subtree is drained as the contiguous id range it is:
+    /// what follows moves back, labels and indexes stay exact, and the
+    /// placement statistics drop by what left. Pending occurrences keep
+    /// their order with parents remapped. Returns the number removed.
     pub fn remove_occurrences(&mut self, c: ColorId, remove: &[OccId]) -> usize {
         shadow::note(|t| {
             t.colors.insert(c);
+            t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
         self.epoch += 1;
-        let tree = &mut Arc::make_mut(&mut self.colors)[c.idx()];
-        let n = tree.occs.len();
-        let mut dead = vec![false; n];
-        for &o in remove {
-            dead[o.idx()] = true;
-        }
-        // transitive: occurrences are stored with parents before children
-        // only pre-relabel; walk via parent chain instead to be safe.
-        for i in 0..n {
-            let mut cur = i;
-            loop {
-                if dead[cur] {
-                    dead[i] = true;
-                    break;
-                }
-                match tree.occs[cur].parent {
-                    Some(p) => cur = p.idx(),
-                    None => break,
-                }
-            }
-        }
-        let mut remap = vec![OccId(u32::MAX); n];
-        let mut kept = Vec::with_capacity(n);
-        for (i, occ) in tree.occs.iter().enumerate() {
-            if !dead[i] {
-                remap[i] = OccId(kept.len() as u32);
-                kept.push(*occ);
-            }
-        }
-        for occ in &mut kept {
-            occ.parent = occ.parent.map(|p| remap[p.idx()]);
-        }
-        let removed = n - kept.len();
-        tree.occs = kept;
-        removed
+        let statistics = &mut self.statistics;
+        self.colors[c.idx()]
+            .remove(remove, |o| Arc::make_mut(statistics).note_occurrence(o.placement, false))
     }
 
     /// Delete the logical instance behind `e` (canonical or copy): every
@@ -879,30 +780,31 @@ impl Database {
     /// [`Database::remove_element_occurrences`] with the retracted
     /// postings' columns marked stale instead of rebuilt (see
     /// [`Database::stage_write_attr`]).
-    pub(crate) fn stage_remove_element_occurrences(&mut self, e: ElementId) -> usize {
+    pub fn stage_remove_element_occurrences(&mut self, e: ElementId) -> usize {
         let canon = self.element(e).canonical;
+        let (node, ordinal) = {
+            let el = self.element(canon);
+            (el.node, el.ordinal)
+        };
         let mut total = 0;
         for c in 0..self.colors.len() {
             let c = ColorId(c as u16);
-            // match the whole logical instance — copies carry their own
-            // ElementId, so matching `o.element == e` would leave their
-            // occurrences behind on DEEP/UNDR
-            let doomed: Vec<OccId> = self.colors[c.idx()]
-                .occs
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| self.element(o.element).canonical == canon)
-                .map(|(i, _)| OccId(i as u32))
-                .collect();
+            // the whole logical instance, from the logical index: copies
+            // share its (node, ordinal), where matching `o.element == e`
+            // would leave their occurrences behind on DEEP/UNDR. Pending
+            // occurrences are not indexed yet.
+            let tree = &self.colors[c.idx()];
+            let mut doomed = tree.of_logical(node, ordinal).to_vec();
+            doomed.extend(
+                tree.pending()
+                    .filter(|(_, o)| self.element(o.element).canonical == canon)
+                    .map(|(id, _)| id),
+            );
             if !doomed.is_empty() {
                 total += self.remove_occurrences(c, &doomed);
                 self.relabel_color(c);
             }
         }
-        let (node, ordinal) = {
-            let el = self.element(canon);
-            (el.node, el.ordinal)
-        };
         if self.canonical_by_ordinal(node, ordinal) == Some(canon) {
             // first delete of this instance: retract the derived structures
             let arity = self.element(canon).attrs.len();
@@ -947,7 +849,15 @@ impl Database {
     /// no color tree holds an occurrence of a deleted instance; value-index
     /// postings cover live canonicals exactly once per attribute; and the
     /// statistics catalog's extent cardinalities match the extents.
-    /// Returns the first violation as `Err("S008: …")`.
+    ///
+    /// S009 — the tree audit behind in-place structural maintenance: in
+    /// every color, labels are the exact DFS numbering of the parent
+    /// pointers with document order equal to id order, every per-placement,
+    /// per-node and logical-index entry matches its occurrence, and the
+    /// catalog's placement counts equal a recount. Linear, with one stack
+    /// of open ancestors as its only per-tree allocation.
+    ///
+    /// Returns the first violation as `Err("S008: …")` or `Err("S009: …")`.
     pub fn check_integrity(&self) -> Result<(), String> {
         let fail = |msg: String| Err(format!("S008: {msg}"));
         for (n, extent) in self.extents.iter().enumerate() {
@@ -1008,7 +918,7 @@ impl Database {
             }
         }
         for (ci, tree) in self.colors.iter().enumerate() {
-            for o in &tree.occs {
+            for o in tree.occs() {
                 if !self.is_live(o.element) {
                     return fail(format!(
                         "color {ci} holds an occurrence of deleted element {}",
@@ -1032,6 +942,20 @@ impl Database {
                 return fail(format!("value index posts deleted element {}", en.element));
             }
         }
+        let mut placement_occs = vec![0; self.schema.placements().len()];
+        for (ci, tree) in self.colors.iter().enumerate() {
+            tree.audit(&self.elements, &mut placement_occs)
+                .map_err(|msg| format!("S009: color {ci}: {msg}"))?;
+        }
+        for (p, &counted) in placement_occs.iter().enumerate() {
+            let noted = self.statistics.placement_occs(PlacementId(p as u32));
+            if noted != counted {
+                return Err(format!(
+                    "S009: statistics count {noted} occurrences of placement {p}, the trees \
+                     hold {counted}"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -1050,8 +974,9 @@ impl Database {
     }
 
     /// Deep structural equality of two databases over the same schema:
-    /// elements, color trees, extents, ordinal index, logical-occurrence
-    /// maps, link tables, symbol table, value index, statistics catalog,
+    /// elements, color trees (with their per-placement, per-node and
+    /// logical-occurrence indexes), extents, ordinal index, link tables,
+    /// symbol table, value index, statistics catalog,
     /// dispatch mode — and, when `include_epoch`, the version counter.
     /// Returns the first mismatching structure by name. This is the
     /// oracles' "byte-identical final state" assertion (the schema itself
@@ -1069,7 +994,6 @@ impl Database {
         check(self.colors == other.colors, "color trees")?;
         check(self.extents == other.extents, "extents")?;
         check(self.by_ordinal == other.by_ordinal, "ordinal index")?;
-        check(self.logical_occs == other.logical_occs, "logical occurrences")?;
         check(self.links == other.links, "link tables")?;
         check(self.rev_links == other.rev_links, "reverse link tables")?;
         check(self.interner == other.interner, "symbol table")?;
@@ -1098,7 +1022,9 @@ impl DatabaseBuilder {
     /// Start building a database for `schema` over a graph with
     /// `node_count` ER node types.
     pub fn new(schema: MctSchema, node_count: usize) -> Self {
-        let colors = (0..schema.color_count()).map(|_| ColorTree::default()).collect();
+        let placements = schema.placements().len();
+        let colors =
+            (0..schema.color_count()).map(|_| ColorTree::new(placements, node_count)).collect();
         DatabaseBuilder {
             schema,
             elements: Chunked::default(),
@@ -1138,7 +1064,8 @@ impl DatabaseBuilder {
         id
     }
 
-    /// Add an occurrence (parents must be added before children).
+    /// Add an occurrence (parents must be added before children; siblings
+    /// keep the order they are added in).
     pub fn add_occurrence(
         &mut self,
         c: ColorId,
@@ -1146,16 +1073,14 @@ impl DatabaseBuilder {
         placement: PlacementId,
         parent: Option<OccId>,
     ) -> OccId {
-        let tree = &mut self.colors[c.idx()];
-        let id = OccId(tree.occs.len() as u32);
-        debug_assert!(parent.is_none_or(|p| p.idx() < tree.occs.len()));
-        tree.occs.push(Occurrence { element, placement, parent, start: 0, end: 0, level: 0 });
-        id
+        self.colors[c.idx()].push(element, placement, parent)
     }
 
     /// Label every color and freeze. Interns every stored text attribute
     /// value so join keys are `Copy` from here on, and builds the
     /// persistent attribute/id value index over the canonical elements.
+    /// Each color is labelled the way a structural write is — its whole
+    /// forest integrated as one pending tail into an empty tree.
     pub fn finish(mut self) -> Database {
         let mut interner = Interner::default();
         for e in self.elements.iter() {
@@ -1166,12 +1091,8 @@ impl DatabaseBuilder {
             }
         }
         let value_index = ValueIndex::build(self.elements.iter(), &interner);
-        let mut logical_occs = Vec::with_capacity(self.colors.len());
         for tree in &mut self.colors {
-            relabel(&mut tree.occs);
-            let mut lo = HashMap::new();
-            rebuild_indexes_into(tree, &self.elements, &mut lo);
-            logical_occs.push(lo);
+            tree.integrate(&self.elements);
         }
         // reverse link index
         let mut rev_links: Vec<Vec<Vec<u32>>> = Vec::with_capacity(self.links.len());
@@ -1198,10 +1119,9 @@ impl DatabaseBuilder {
         Database {
             schema: self.schema,
             elements: self.elements,
-            colors: Arc::new(self.colors),
+            colors: self.colors,
             extents: Arc::new(self.extents),
             by_ordinal: Arc::new(by_ordinal),
-            logical_occs: Arc::new(logical_occs),
             links: Arc::new(self.links),
             rev_links: Arc::new(rev_links),
             interner: Arc::new(interner),
@@ -1216,82 +1136,16 @@ impl DatabaseBuilder {
 }
 
 /// Occurrence count per schema placement, over every color tree — the raw
-/// material of the catalog's parent-fanout summaries.
+/// material of the catalog's parent-fanout summaries. Counted once at build
+/// and load; structural writes move the counts by delta.
 pub(crate) fn placement_occ_counts(schema: &MctSchema, colors: &[ColorTree]) -> Vec<u64> {
     let mut counts = vec![0u64; schema.placements().len()];
     for tree in colors {
-        for o in &tree.occs {
+        for o in tree.occs() {
             counts[o.placement.idx()] += 1;
         }
     }
     counts
-}
-
-/// Assign `(start, end, level)` by DFS over the parent arrays; reorders the
-/// occurrence vector into document order and remaps parents.
-fn relabel(occs: &mut Vec<Occurrence>) {
-    let n = occs.len();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut roots = Vec::new();
-    for (i, o) in occs.iter().enumerate() {
-        match o.parent {
-            Some(p) => children[p.idx()].push(i),
-            None => roots.push(i),
-        }
-    }
-    let mut ordered: Vec<Occurrence> = Vec::with_capacity(n);
-    let mut remap = vec![OccId(u32::MAX); n];
-    let mut counter: u32 = 0;
-    // iterative DFS with explicit post-processing for `end`
-    enum Ev {
-        Enter(usize, Option<OccId>, u16),
-        Exit(usize),
-    }
-    let mut stack: Vec<Ev> = roots.into_iter().rev().map(|r| Ev::Enter(r, None, 0)).collect();
-    while let Some(ev) = stack.pop() {
-        match ev {
-            Ev::Enter(i, parent, level) => {
-                counter += 1;
-                let new_id = OccId(ordered.len() as u32);
-                remap[i] = new_id;
-                ordered.push(Occurrence {
-                    element: occs[i].element,
-                    placement: occs[i].placement,
-                    parent,
-                    start: counter,
-                    end: 0,
-                    level,
-                });
-                stack.push(Ev::Exit(new_id.idx()));
-                for &c in children[i].iter().rev() {
-                    stack.push(Ev::Enter(c, Some(new_id), level + 1));
-                }
-            }
-            Ev::Exit(new_idx) => {
-                counter += 1;
-                ordered[new_idx].end = counter;
-            }
-        }
-    }
-    assert_eq!(ordered.len(), n, "relabel lost occurrences (cycle in parents?)");
-    *occs = ordered;
-}
-
-pub(crate) fn rebuild_indexes_into(
-    tree: &mut ColorTree,
-    elements: &Chunked<Element>,
-    logical: &mut HashMap<(NodeId, u32), Vec<OccId>>,
-) {
-    tree.by_placement.clear();
-    tree.by_node.clear();
-    logical.clear();
-    for (i, o) in tree.occs.iter().enumerate() {
-        let id = OccId(i as u32);
-        tree.by_placement.entry(o.placement).or_default().push(id);
-        let canon = elements.get(elements.get(o.element.idx()).canonical.idx());
-        tree.by_node.entry(canon.node).or_default().push(id);
-        logical.entry((canon.node, canon.ordinal)).or_default().push(id);
-    }
 }
 
 #[cfg(test)]
@@ -1596,10 +1450,13 @@ mod tests {
                 .collect();
             let moved = value != before;
             assert_eq!(copied, if moved { vec![(b, attr)] } else { vec![] }, "round {round}");
-            assert!(Arc::ptr_eq(&db.colors, &snap.colors));
+            assert!(db
+                .colors
+                .iter()
+                .zip(&snap.colors)
+                .all(|(a, b)| std::ptr::eq(a.occs(), b.occs())));
             assert!(Arc::ptr_eq(&db.extents, &snap.extents));
             assert!(Arc::ptr_eq(&db.by_ordinal, &snap.by_ordinal));
-            assert!(Arc::ptr_eq(&db.logical_occs, &snap.logical_occs));
             assert!(Arc::ptr_eq(&db.interner, &snap.interner));
             assert_eq!(snap.element(target).attrs[attr], before);
             assert_eq!(db.element(target).attrs[attr], value);

@@ -59,6 +59,7 @@ pub mod pool;
 pub mod statistics;
 pub mod stats;
 pub mod storage;
+mod tree;
 pub mod value;
 pub mod xml;
 

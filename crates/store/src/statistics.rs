@@ -21,16 +21,17 @@
 //! * **Extent cardinalities** — canonical instances per ER node type.
 //! * **Parent-fanout summaries** — occurrence counts per schema placement
 //!   (the denominator/numerator pairs behind average child fanout along a
-//!   placement edge), refreshed whenever a color is relabelled.
+//!   placement edge), counted at build and moved by delta as occurrences
+//!   come and go.
 //!
 //! Maintenance rides the same choke points as the value index:
 //! `Database::write_attr`, `insert_element` and
 //! `remove_element_occurrences` mark the columns they change stale and a
 //! commit point rebuilds each stale column once
-//! (`Database::refresh_statistics`); placement counts refresh in
-//! `Database::relabel_color`. A rebuild recomputes the column from the
-//! index, so the catalog is always byte-identical to a from-scratch build
-//! — an invariant the tests pin.
+//! (`Database::refresh_statistics`); `Database::push_occurrence` and
+//! `remove_occurrences` move the placement counts. A rebuild recomputes
+//! the column from the index, so the catalog is always byte-identical to a
+//! from-scratch build — an invariant the tests and the S009 audit pin.
 //!
 //! Every summary carries a **version** ([`Statistics::version`], keyed by
 //! [`StatKey`]) that moves whenever the summary is rebuilt. A cached plan
@@ -302,10 +303,17 @@ impl Statistics {
         self.bump(StatKey::Extent(node));
     }
 
-    /// Replace the per-placement occurrence counts after `color` was
-    /// relabelled (relabel maintenance).
-    pub fn set_placement_occs(&mut self, color: ColorId, occs: Vec<u64>) {
-        self.placement_occs = occs;
+    /// Count one occurrence added at (or removed from) placement `p`
+    /// (structural-write maintenance, by delta). The version moves when
+    /// the color is relabelled.
+    pub fn note_occurrence(&mut self, p: PlacementId, added: bool) {
+        let count = &mut self.placement_occs[p.idx()];
+        *count = if added { *count + 1 } else { *count - 1 };
+    }
+
+    /// Record that `color` was relabelled: its label surface — occurrence
+    /// lists and placement counts — may have changed.
+    pub fn note_relabel(&mut self, color: ColorId) {
         self.bump(StatKey::Color(color));
     }
 
@@ -499,7 +507,7 @@ mod tests {
         assert_eq!(a.version(StatKey::Extent(n0)), 0);
         a.note_insert(n0);
         a.note_delete(n0);
-        a.set_placement_occs(ColorId(0), Vec::new());
+        a.note_relabel(ColorId(0));
         a.refresh_column(n0, 1, &ValueIndex::default(), &Interner::default());
         // each rebuild moves exactly its own summary's version
         assert_eq!(a.version(StatKey::Extent(n0)), 2);

@@ -36,8 +36,7 @@
 
 use crate::chunked::Chunked;
 use crate::database::{
-    placement_occ_counts, rebuild_indexes_into, ColorTree, Database, Element, ElementId, OccId,
-    Occurrence, TOMBSTONE,
+    placement_occ_counts, ColorTree, Database, Element, ElementId, OccId, Occurrence, TOMBSTONE,
 };
 use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
@@ -47,7 +46,7 @@ use crate::statistics::Statistics;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
 use colorist_mct::{ColorId, MctSchema, PlacementId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -786,15 +785,17 @@ impl Database {
         let rev_links = decode_rev_links(&b)?;
         let (b, rows) = read_seg(SegId::Postings)?;
         let value_index = ValueIndex::from_entries(decode_postings(&b, rows)?);
+        // a stored tree is in document order, so integrating it as one
+        // pending tail reproduces it and builds its indexes
         let mut colors = Vec::with_capacity(schema.color_count());
-        let mut logical_occs = Vec::with_capacity(schema.color_count());
         for c in 0..schema.color_count() {
             let (b, rows) = read_seg(SegId::Tree(c as u16))?;
-            let mut tree = ColorTree::from_occs(decode_tree(&b, rows)?);
-            let mut lo = HashMap::new();
-            rebuild_indexes_into(&mut tree, &elements, &mut lo);
+            let mut tree = ColorTree::new(schema.placements().len(), by_ordinal.len());
+            for o in decode_tree(&b, rows)? {
+                tree.push(o.element, o.placement, o.parent);
+            }
+            tree.integrate(&elements);
             colors.push(tree);
-            logical_occs.push(lo);
         }
         // extents are the live ordinal slots; per node they are already in
         // ascending id order (ordinals and ids both grow with insertion)
@@ -828,10 +829,9 @@ impl Database {
         Ok(Database {
             schema,
             elements,
-            colors: Arc::new(colors),
+            colors,
             extents: Arc::new(extents),
             by_ordinal: Arc::new(by_ordinal),
-            logical_occs: Arc::new(logical_occs),
             links: Arc::new(links),
             rev_links: Arc::new(rev_links),
             interner: Arc::new(interner),
