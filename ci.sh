@@ -91,6 +91,14 @@ echo "==> structural maintenance (release): incremental splice ≡ a from-scratc
 # benchmark sees, with debug assertions off.
 cargo test -q --release --test incremental
 
+echo "==> columnar element store (release): columns ≡ a row store"
+# tests/columns.rs: build, U1-U3, a delete, a mixed batch (a number into a
+# text column, text into a numeric one) and a paged save/load round trip on
+# all seven strategies under both kernel families, the elements() view
+# checked against a row-store reference after every step, plus the
+# one-chunk-of-one-column copy-on-write rule for a one-cell write.
+cargo test -q --release --test columns
+
 echo "==> server torture (release): admission groups, plan cache, reader under a fast writer"
 # tests/server.rs: the 1/2/8-worker serial-oracle torture with its
 # group-cut and one-epoch-per-group assertions, the plan-cache rule,

@@ -1,6 +1,7 @@
-//! Materialization cost: one canonical TPC-W instance into each schema.
-//! Un-normalized schemas pay for their copies here (Table 1's storage
-//! column, as time).
+//! Build cost: one canonical TPC-W instance materialized into each schema
+//! and dropped again, at 150 and 1000 customers (the `design_sweep`
+//! workload's size). Un-normalized schemas pay for their copies here
+//! (Table 1's storage column, as time).
 
 use colorist_bench::micro;
 use colorist_core::{design, Strategy};
@@ -9,11 +10,14 @@ use colorist_er::{catalog, ErGraph};
 
 fn main() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
-    let p = ScaleProfile::tpcw(&g, 200);
-    let inst = generate(&g, &p, 42);
-    println!("materialize — canonical TPC-W instance (200 customers) into each schema");
-    for s in Strategy::ALL {
-        let schema = design(&g, s).unwrap();
-        micro::case(&format!("tpcw200/{}", s.label()), || materialize(&g, &schema, &inst));
+    for customers in [150, 1000] {
+        let inst = generate(&g, &ScaleProfile::tpcw(&g, customers), 42);
+        println!("materialize + drop — canonical TPC-W instance ({customers} customers)");
+        for s in Strategy::ALL {
+            let schema = design(&g, s).unwrap();
+            micro::case(&format!("tpcw{customers}/{}", s.label()), || {
+                drop(materialize(&g, &schema, &inst))
+            });
+        }
     }
 }

@@ -26,8 +26,7 @@
 use crate::canonical::CanonicalInstance;
 use colorist_er::ErGraph;
 use colorist_mct::{MctSchema, PlacementId};
-use colorist_store::{Database, DatabaseBuilder, ElementId, OccId};
-use std::collections::HashSet;
+use colorist_store::{Database, DatabaseBuilder, ElementId, OccId, Value};
 
 /// Materialize `instance` under `schema`.
 pub fn materialize(graph: &ErGraph, schema: &MctSchema, instance: &CanonicalInstance) -> Database {
@@ -45,6 +44,7 @@ pub fn materialize(graph: &ErGraph, schema: &MctSchema, instance: &CanonicalInst
     // 1. canonical elements, with idref values appended for relationship
     //    elements.
     let mut canonical: Vec<Vec<ElementId>> = vec![Vec::new(); graph.node_count()];
+    let mut idrefs: Vec<Value> = Vec::new();
     for n in graph.node_ids() {
         let idref_edges: Vec<_> = schema
             .idrefs()
@@ -53,30 +53,30 @@ pub fn materialize(graph: &ErGraph, schema: &MctSchema, instance: &CanonicalInst
             .map(|l| l.edge)
             .collect();
         for ordinal in 0..instance.count(n) {
-            let mut attrs = instance.attrs(n, ordinal).to_vec();
-            for &e in &idref_edges {
-                attrs.push(colorist_store::Value::Int(instance.link(e, ordinal) as i64));
-            }
-            canonical[n.idx()].push(b.add_canonical(n, attrs));
+            idrefs.clear();
+            idrefs
+                .extend(idref_edges.iter().map(|&e| Value::Int(instance.link(e, ordinal) as i64)));
+            canonical[n.idx()]
+                .push(b.add_canonical(n, instance.attrs(n, ordinal).iter().chain(&idrefs)));
         }
     }
 
     // 2. per color, instantiate the forest.
     for color in schema.colors() {
-        // placements allowed to bind canonicals: child-bearing ones, or any
-        // when the node has no child-bearing placement in this color
-        let mut bindable: HashSet<PlacementId> = HashSet::new();
+        // placements allowed to bind canonicals, by placement id:
+        // child-bearing ones, or any when the node has no child-bearing
+        // placement in this color
+        let mut bindable = vec![false; schema.placements().len()];
         for n in graph.node_ids() {
             let of_node = schema.placements_of_in_color(n, color);
-            let childful: Vec<PlacementId> =
-                of_node.iter().copied().filter(|&p| !schema.children(p).is_empty()).collect();
-            if childful.is_empty() {
-                bindable.extend(of_node);
-            } else {
-                bindable.extend(childful);
+            let childful = of_node.iter().any(|&p| !schema.children(p).is_empty());
+            for p in of_node {
+                bindable[p.idx()] = !childful || !schema.children(p).is_empty();
             }
         }
-        let mut bound: HashSet<(u32, u32)> = HashSet::new(); // (node, ordinal) with canonical bound
+        // per node, the ordinals whose canonical this color has bound
+        let mut bound: Vec<Vec<bool>> =
+            graph.node_ids().map(|n| vec![false; instance.count(n) as usize]).collect();
         for &root in schema.roots(color) {
             let node = schema.placement(root).node;
             for ordinal in 0..instance.count(node) {
@@ -98,12 +98,12 @@ pub fn materialize(graph: &ErGraph, schema: &MctSchema, instance: &CanonicalInst
             v
         };
         for p in placements_preorder {
-            if !bindable.contains(&p) {
+            if !bindable[p.idx()] {
                 continue;
             }
             let node = schema.placement(p).node;
             for ordinal in 0..instance.count(node) {
-                if !bound.contains(&(node.0, ordinal)) {
+                if !bound[node.idx()][ordinal as usize] {
                     instantiate(
                         graph, schema, instance, &mut b, &canonical, &bindable, &mut bound, color,
                         p, ordinal, None,
@@ -128,8 +128,8 @@ fn instantiate(
     instance: &CanonicalInstance,
     b: &mut DatabaseBuilder,
     canonical: &[Vec<ElementId>],
-    bindable: &HashSet<PlacementId>,
-    bound: &mut HashSet<(u32, u32)>,
+    bindable: &[bool],
+    bound: &mut [Vec<bool>],
     color: colorist_mct::ColorId,
     placement: PlacementId,
     ordinal: u32,
@@ -137,7 +137,9 @@ fn instantiate(
 ) {
     let node = schema.placement(placement).node;
     let canon = canonical[node.idx()][ordinal as usize];
-    let element = if bindable.contains(&placement) && bound.insert((node.0, ordinal)) {
+    let slot = &mut bound[node.idx()][ordinal as usize];
+    let element = if bindable[placement.idx()] && !*slot {
+        *slot = true;
         canon
     } else {
         b.add_copy(canon)

@@ -669,7 +669,7 @@ fn eval<'d>(
                         graph.node(el.node).name
                     )));
                 };
-                let Some(k) = db.try_join_key(v) else {
+                let Some(k) = el.attrs.key(*attr) else {
                     return Err(QueryError::Exec(format!(
                         "GroupBy: value `{v}` was never interned in this database"
                     )));

@@ -647,12 +647,12 @@ mod tests {
         let pr = s.placements_of_in_color(r, c)[0];
         let pb = s.placements_of_in_color(b, c)[0];
         let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
-        let ea0 = bd.add_canonical(a, vec![Value::Int(0)]);
-        let _ea1 = bd.add_canonical(a, vec![Value::Int(1)]);
-        let er0 = bd.add_canonical(r, vec![]);
-        let er1 = bd.add_canonical(r, vec![]);
-        let eb0 = bd.add_canonical(b, vec![Value::Int(0), Value::Text("u".into())]);
-        let eb1 = bd.add_canonical(b, vec![Value::Int(1), Value::Text("v".into())]);
+        let ea0 = bd.add_canonical(a, &[Value::Int(0)]);
+        let _ea1 = bd.add_canonical(a, &[Value::Int(1)]);
+        let er0 = bd.add_canonical(r, &[]);
+        let er1 = bd.add_canonical(r, &[]);
+        let eb0 = bd.add_canonical(b, &[Value::Int(0), Value::Text("u".into())]);
+        let eb1 = bd.add_canonical(b, &[Value::Int(1), Value::Text("v".into())]);
         let oa0 = bd.add_occurrence(c, ea0, pa, None);
         let _oa1 = bd.add_occurrence(c, _ea1, pa, None);
         let or0 = bd.add_occurrence(c, er0, pr, Some(oa0));

@@ -1,15 +1,14 @@
-//! The copy-on-write unit of the element store: a vector cut into
+//! The copy-on-write cell array of the element store: a vector cut into
 //! fixed-length chunks behind a spine of [`Arc`]s (DESIGN.md §12.4).
 //!
 //! Cloning a [`Chunked`] clones the spine — one refcount bump per chunk,
-//! never an element. A write through [`Chunked::get_mut`] or
+//! never a cell. A write through [`Chunked::get_mut`] or
 //! [`Chunked::push`] takes [`Arc::make_mut`] on the one chunk it lands in,
 //! so while a clone (a snapshot, a savepoint) shares the vector, a write
-//! copies `CHUNK_LEN` elements instead of all of them. Every chunk is a
-//! full power-of-two-length array — the last one padded with
-//! `T::default()` — so indexing is a shift, a mask and one bounds check
-//! (on the spine), the same two dependent loads a plain `Arc<Vec<T>>`
-//! costs.
+//! copies `CHUNK_LEN` cells instead of all of them. Every chunk is a full
+//! power-of-two-length array — the last one padded with clones of its
+//! first cell, which no index reaches — so indexing is a shift, a mask and
+//! one bounds check (on the spine).
 
 use std::sync::Arc;
 
@@ -19,18 +18,32 @@ const CHUNK_MASK: usize = CHUNK_LEN - 1;
 
 /// One chunk. Aligned to a cache line so that inside the `Arc` allocation
 /// the slots readers load sit on different lines from the refcounts every
-/// handle clone and drop writes to — otherwise a committing writer keeps
+/// spine clone and drop writes to — otherwise a committing writer keeps
 /// invalidating, on the readers' core, lines their scans go through.
 #[repr(align(64))]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Chunk<T>([T; CHUNK_LEN]);
 
-/// A vector of `T` in `CHUNK_LEN`-element copy-on-write chunks.
-#[derive(Debug, Clone, PartialEq)]
+/// A vector of `T` in `CHUNK_LEN`-cell copy-on-write chunks.
+#[derive(Debug, Clone)]
 pub(crate) struct Chunked<T> {
     chunks: Vec<Arc<Chunk<T>>>,
     len: usize,
 }
+
+/// Content equality over the first `len` cells: the padding differs with
+/// history, and a chunk both sides share is equal without a look.
+impl<T: PartialEq> PartialEq for Chunked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.chunks.iter().zip(&other.chunks).enumerate().all(|(i, (a, b))| {
+                let n = (self.len - i * CHUNK_LEN).min(CHUNK_LEN);
+                Arc::ptr_eq(a, b) || a.0[..n] == b.0[..n]
+            })
+    }
+}
+
+impl<T: Eq> Eq for Chunked<T> {}
 
 impl<T> Default for Chunked<T> {
     fn default() -> Self {
@@ -38,11 +51,12 @@ impl<T> Default for Chunked<T> {
     }
 }
 
-impl<T: Clone + Default> Chunked<T> {
+impl<T: Clone> Chunked<T> {
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> &T {
         debug_assert!(i < self.len);
         &self.chunks[i >> CHUNK_BITS].0[i & CHUNK_MASK]
@@ -57,32 +71,45 @@ impl<T: Clone + Default> Chunked<T> {
 
     pub(crate) fn push(&mut self, value: T) {
         if self.len & CHUNK_MASK == 0 {
-            self.chunks.push(Arc::new(Chunk(std::array::from_fn(|_| T::default()))));
+            self.chunks.push(Arc::new(Chunk(std::array::from_fn(|_| value.clone()))));
+        } else {
+            let last = self.chunks.last_mut().expect("a partly filled chunk");
+            Arc::make_mut(last).0[self.len & CHUNK_MASK] = value;
         }
-        let last = self.chunks.last_mut().expect("a chunk was just ensured");
-        Arc::make_mut(last).0[self.len & CHUNK_MASK] = value;
         self.len += 1;
     }
 
-    /// Every element, in index order.
+    /// Every cell, in index order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
-        self.chunks.iter().flat_map(|c| c.0.iter()).take(self.len)
+        self.slices().flatten()
     }
 
-    /// The spine, for tests that assert which chunks two versions share.
-    #[cfg(test)]
+    /// The cells chunk by chunk, as slices: the last one stops at `len`.
+    pub(crate) fn slices(&self) -> impl Iterator<Item = &[T]> + Clone {
+        let len = self.len;
+        (self.chunks.iter().enumerate())
+            .map(move |(i, c)| &c.0[..(len - i * CHUNK_LEN).min(CHUNK_LEN)])
+    }
+
+    /// The spine, for asserting which chunks two versions share.
     pub(crate) fn chunks(&self) -> &[Arc<Chunk<T>>] {
         &self.chunks
     }
 }
 
-impl<T: Clone + Default> FromIterator<T> for Chunked<T> {
+impl<T: Clone> Chunked<T> {
+    /// Bulk construction: one allocation per chunk, no per-cell
+    /// `make_mut`.
+    pub(crate) fn from_slice(cells: &[T]) -> Chunked<T> {
+        let chunk = |c: &[T]| std::array::from_fn(|i| c.get(i).unwrap_or(&c[0]).clone());
+        let chunks = cells.chunks(CHUNK_LEN).map(|c| Arc::new(Chunk(chunk(c)))).collect();
+        Chunked { chunks, len: cells.len() }
+    }
+}
+
+impl<T: Clone> FromIterator<T> for Chunked<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut out = Chunked::default();
-        for v in iter {
-            out.push(v);
-        }
-        out
+        Chunked::from_slice(&iter.into_iter().collect::<Vec<T>>())
     }
 }
 

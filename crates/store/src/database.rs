@@ -5,7 +5,9 @@
 //! exactly one *canonical* element; un-normalized schemas (DEEP, UNDR)
 //! additionally store *copies* — physically duplicated elements with their
 //! own attribute storage, which is why Table 1 shows DEEP at 6.08M elements
-//! against 2.64M for every node-normalized schema.
+//! against 2.64M for every node-normalized schema. Attribute storage is
+//! columnar: a row per element in per-node-type attribute columns
+//! (`crate::columns`), read through the [`ElementRef`] view.
 //!
 //! **Occurrences** are positions in a color's tree. A canonical element has
 //! at most one occurrence per color (the MCT invariant: a node belongs to
@@ -16,7 +18,7 @@
 //! primitive behind structural joins. Structural writes keep the labels
 //! and the per-tree indexes in place ([`ColorTree`], DESIGN.md §5a).
 
-use crate::chunked::Chunked;
+use crate::columns::{Cell, ColumnSharing, ElementRef, Elements, Staged};
 use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
 use crate::statistics::{Cardinality, CmpKind, Statistics};
@@ -89,35 +91,6 @@ impl fmt::Display for ElementId {
     }
 }
 
-/// A stored element.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Element {
-    /// The ER node type.
-    pub node: NodeId,
-    /// Ordinal of the logical instance within its type's extent.
-    pub ordinal: u32,
-    /// The canonical element of this logical instance (self for canonical
-    /// elements; a copy points at the original whose data it duplicates).
-    pub canonical: ElementId,
-    /// Attribute values, aligned with the ER node's attribute declaration.
-    pub attrs: Vec<Value>,
-}
-
-/// The vacant slot: what pads the element store's last chunk past the
-/// last stored element. Never reachable through an [`ElementId`].
-impl Default for Element {
-    fn default() -> Self {
-        Element { node: NodeId(0), ordinal: 0, canonical: ElementId(0), attrs: Vec::new() }
-    }
-}
-
-impl Element {
-    /// Whether this element is a physical duplicate.
-    pub fn is_copy(&self, own_id: ElementId) -> bool {
-        self.canonical != own_id
-    }
-}
-
 /// A complete stored database over one schema.
 ///
 /// Every bulk structure sits behind [`Arc`]s, so cloning a database —
@@ -125,8 +98,8 @@ impl Element {
 /// bumps plus a schema clone, never a data copy. Mutators go through
 /// [`Arc::make_mut`]: while no clone shares a structure the write lands
 /// in place; once one does, the *unit* the write touches is copied first
-/// (copy-on-write) — one element chunk, one value-index column, one
-/// color's tree or one slot table (DESIGN.md §12.4) — so every outstanding
+/// (copy-on-write) — one chunk of one attribute column, one value-index
+/// run, one color's tree or one slot table (DESIGN.md §12.4) — so every outstanding
 /// snapshot keeps reading the exact pre-write version of the extents,
 /// color trees, value index and statistics catalog it was taken over. The
 /// [`Database::epoch`] counter stamps committed mutations so versions are
@@ -135,7 +108,8 @@ impl Element {
 pub struct Database {
     /// The schema this database conforms to.
     pub schema: MctSchema,
-    pub(crate) elements: Chunked<Element>,
+    /// Element headers and the per-node attribute columns.
+    pub(crate) elements: Elements,
     /// One tree per color, each with its own copy-on-write unit: a
     /// structural write replaces the labelled versions of the colors it
     /// touches and shares the rest.
@@ -160,7 +134,8 @@ pub struct Database {
     /// Per ER edge: relationship ordinals per participant ordinal.
     pub(crate) rev_links: Arc<Vec<Vec<Vec<u32>>>>,
     /// Text symbol table: every stored text attribute value is interned, so
-    /// join keys are `Copy` (see [`crate::value::ValueKey`]).
+    /// join keys are `Copy` (see [`crate::value::ValueKey`]) and text cells
+    /// are symbols.
     pub(crate) interner: Arc<Interner>,
     /// Sorted `(node, attr, key, element)` postings over canonical
     /// elements — the persistent attribute/id value index (DESIGN.md §10).
@@ -233,13 +208,27 @@ impl Deref for Snapshot {
 
 impl Database {
     /// All stored elements, in id order.
-    pub fn elements(&self) -> impl Iterator<Item = &Element> + Clone {
-        self.elements.iter()
+    pub fn elements(&self) -> impl Iterator<Item = ElementRef<'_>> + Clone {
+        (0..self.elements.len() as u32).map(|e| self.element(ElementId(e)))
     }
 
     /// The element with the given id.
-    pub fn element(&self, e: ElementId) -> &Element {
-        self.elements.get(e.idx())
+    #[inline]
+    pub fn element(&self, e: ElementId) -> ElementRef<'_> {
+        let h = self.elements.header(e);
+        ElementRef {
+            node: h.node,
+            ordinal: h.ordinal,
+            canonical: h.canonical,
+            attrs: self.elements.attrs(h, &self.interner),
+        }
+    }
+
+    /// What this database shares with `other` of the attribute column
+    /// `(node, attr)` — the copy-on-write unit of an attribute write
+    /// (DESIGN.md §12.4).
+    pub fn column_sharing(&self, other: &Database, node: NodeId, attr: usize) -> ColumnSharing {
+        self.elements.sharing(&other.elements, node, attr)
     }
 
     /// The physical copies of canonical element `canon`, in ascending id
@@ -296,18 +285,20 @@ impl Database {
         out
     }
 
-    /// Intern the text of `v`, if any. The symbol table is copied (when
-    /// shared) only for a symbol it does not hold yet.
-    fn intern_value(&mut self, v: &Value) {
-        if let Value::Text(s) = v {
-            if self.interner.get(s).is_none() {
-                shadow::note(|t| {
-                    t.new_symbols.insert(s.clone());
-                });
-                self.storage.mark(SegId::Symbols);
-                Arc::make_mut(&mut self.interner).intern(s);
-            }
+    /// The cell that stores `v`, interning its text if it has any. The
+    /// symbol table is copied (when shared) only for a symbol it does not
+    /// hold yet.
+    fn cell(&mut self, v: Value) -> Cell {
+        let Value::Text(s) = v else { return Cell::Num(v) };
+        if let Some(sym) = self.interner.get(&s) {
+            return Cell::Sym(sym);
         }
+        self.storage.mark(SegId::Symbols);
+        let sym = Arc::make_mut(&mut self.interner).intern(&s);
+        shadow::note(|t| {
+            t.new_symbols.insert(s);
+        });
+        Cell::Sym(sym)
     }
 
     /// Rebuild the statistics of every column marked stale since the last
@@ -339,12 +330,12 @@ impl Database {
     /// before the write is published, so a multi-write update rebuilds
     /// each column it wrote once.
     pub fn stage_write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
-        self.intern_value(&v);
+        let cell = self.cell(v);
         self.storage.mark(SegId::Elements);
-        let new_key = self.interner.key(&v);
-        let el = self.elements.get_mut(e.idx());
-        let old = std::mem::replace(&mut el.attrs[attr], v);
-        let (node, is_canonical) = (el.node, el.canonical == e);
+        let new_key = cell.key(&self.interner);
+        let old_key = self.elements.write(e, attr, cell, &self.interner);
+        let h = self.elements.header(e);
+        let (node, is_canonical) = (h.node, h.canonical == e);
         shadow::note(|t| {
             t.writes.insert((e, attr));
             if is_canonical {
@@ -355,7 +346,7 @@ impl Database {
         if is_canonical {
             self.storage.mark(SegId::Postings);
             // stored values are always interned, but stay total if not
-            if let Some(old_key) = self.interner.try_key(&old) {
+            if let Some(old_key) = old_key {
                 Arc::make_mut(&mut self.value_index).reindex(node, attr, e, old_key, new_key);
             } else {
                 Arc::make_mut(&mut self.value_index).insert(IndexEntry {
@@ -484,9 +475,9 @@ impl Database {
     /// Whether the logical instance behind `e` (canonical or copy) is
     /// live, i.e. has not been deleted.
     pub fn is_live(&self, e: ElementId) -> bool {
-        let canon = self.element(e).canonical;
-        let el = self.element(canon);
-        self.canonical_by_ordinal(el.node, el.ordinal) == Some(canon)
+        // a copy carries its canonical's node and ordinal
+        let h = self.elements.header(e);
+        self.canonical_by_ordinal(h.node, h.ordinal) == Some(h.canonical)
     }
 
     /// The version counter: bumped by every committed mutation. A
@@ -657,9 +648,8 @@ impl Database {
     /// [`Database::insert_element`] with the new postings' columns marked
     /// stale instead of rebuilt (see [`Database::stage_write_attr`]).
     pub fn stage_insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
-        for v in &attrs {
-            self.intern_value(v);
-        }
+        let cells: Vec<Cell> = attrs.into_iter().map(|v| self.cell(v)).collect();
+        let arity = cells.len();
         let id = ElementId(self.elements.len() as u32);
         let ordinal = self.by_ordinal[node.idx()].len() as u32;
         shadow::note(|t| {
@@ -667,25 +657,25 @@ impl Database {
             t.ordinals.insert((node, ordinal));
             t.extent_nodes.insert(node);
             t.stat_nodes.insert(node);
-            t.postings.extend((0..attrs.len()).map(|a| (node, a, id)));
-            t.stat_columns.extend((0..attrs.len()).map(|a| (node, a)));
+            t.postings.extend((0..arity).map(|a| (node, a, id)));
+            t.stat_columns.extend((0..arity).map(|a| (node, a)));
         });
         self.storage.mark(SegId::Elements);
         self.storage.mark(SegId::Ordinals);
         self.storage.mark(SegId::Postings);
         {
             let index = Arc::make_mut(&mut self.value_index);
-            for (a, v) in attrs.iter().enumerate() {
+            for (a, cell) in cells.iter().enumerate() {
                 index.insert(IndexEntry {
                     node,
                     attr: a as u32,
-                    key: self.interner.key(v),
+                    key: cell.key(&self.interner),
                     element: id,
                 });
             }
         }
-        self.stale_columns.extend((0..attrs.len()).map(|a| (node, a)));
-        self.elements.push(Element { node, ordinal, canonical: id, attrs });
+        self.stale_columns.extend((0..arity).map(|a| (node, a)));
+        self.elements.push(node, ordinal, id, cells, &self.interner);
         Arc::make_mut(&mut self.extents)[node.idx()].push(id);
         Arc::make_mut(&mut self.by_ordinal)[node.idx()].push(id);
         Arc::make_mut(&mut self.statistics).note_insert(node);
@@ -705,13 +695,11 @@ impl Database {
     pub fn insert_copy(&mut self, of: ElementId) -> ElementId {
         let canon = self.element(of).canonical;
         debug_assert!(self.is_live(canon), "insert_copy of a deleted instance");
-        let src = self.element(canon).clone();
-        let id = ElementId(self.elements.len() as u32);
+        let id = self.elements.push_copy(canon);
         shadow::note(|t| {
             t.allocated.insert(id);
         });
         self.storage.mark(SegId::Elements);
-        self.elements.push(Element { canonical: canon, ..src });
         self.epoch += 1;
         id
     }
@@ -807,7 +795,7 @@ impl Database {
         }
         if self.canonical_by_ordinal(node, ordinal) == Some(canon) {
             // first delete of this instance: retract the derived structures
-            let arity = self.element(canon).attrs.len();
+            let arity = self.elements.arity(node);
             shadow::note(|t| {
                 t.deleted.insert(canon);
                 t.ordinals.insert((node, ordinal));
@@ -825,11 +813,10 @@ impl Database {
             }
             {
                 let index = Arc::make_mut(&mut self.value_index);
+                let attrs = self.elements.attrs(self.elements.header(canon), &self.interner);
                 for a in 0..arity {
                     // stored values are always interned, but stay total
-                    if let Some(key) =
-                        self.interner.try_key(&self.elements.get(canon.idx()).attrs[a])
-                    {
+                    if let Some(key) = attrs.key(a) {
                         index.remove(IndexEntry { node, attr: a as u32, key, element: canon });
                     }
                 }
@@ -857,8 +844,16 @@ impl Database {
     /// catalog's placement counts equal a recount. Linear, with one stack
     /// of open ancestors as its only per-tree allocation.
     ///
-    /// Returns the first violation as `Err("S008: …")` or `Err("S009: …")`.
+    /// S010 — the column audit: every attribute column of a node holds one
+    /// cell per row of the node's table, element headers and `(node, row)`
+    /// map onto each other both ways without gaps, every text symbol is in
+    /// the symbol table, and the value index equals a per-column rebuild
+    /// (each run sorted, each posting keyed by its cell). Linear.
+    ///
+    /// Returns the first violation as `Err("S008: …")`, `Err("S009: …")`
+    /// or `Err("S010: …")`.
     pub fn check_integrity(&self) -> Result<(), String> {
+        self.elements.audit(&self.interner).map_err(|msg| format!("S010: {msg}"))?;
         let fail = |msg: String| Err(format!("S008: {msg}"));
         for (n, extent) in self.extents.iter().enumerate() {
             let node = NodeId(n as u32);
@@ -889,32 +884,37 @@ impl Database {
                     extent.len()
                 ));
             }
-            if let Some(&e0) = extent.first() {
-                for a in 0..self.element(e0).attrs.len() {
-                    let postings = self.value_index.of_attr(node, a).len();
-                    if postings != extent.len() {
-                        return fail(format!(
-                            "value index holds {postings} postings for (node {n}, attr {a}) \
-                             over an extent of {}",
-                            extent.len()
-                        ));
-                    }
+            for a in 0..self.elements.arity(node) {
+                let postings = self.value_index.of_attr(node, a).len();
+                if postings != extent.len() {
+                    return fail(format!(
+                        "value index holds {postings} postings for (node {n}, attr {a}) \
+                         over an extent of {}",
+                        extent.len()
+                    ));
                 }
             }
         }
         for (n, slots) in self.by_ordinal.iter().enumerate() {
             let node = NodeId(n as u32);
+            let mut live = 0;
             for (k, &e) in slots.iter().enumerate() {
                 if e == TOMBSTONE {
                     continue;
                 }
-                let el = self.element(e);
-                if el.node != node || el.ordinal as usize != k || el.canonical != e {
+                live += 1;
+                let h = self.elements.header(e);
+                if h.node != node || h.ordinal as usize != k || h.canonical != e {
                     return fail(format!("ordinal slot ({n}, {k}) holds mismatched element {e}"));
                 }
-                if self.extents[n].binary_search(&e).is_err() {
-                    return fail(format!("live ordinal slot ({n}, {k}) missing from the extent"));
-                }
+            }
+            // every extent entry resolved through its own slot above, so
+            // equal counts leave no live slot outside the extent
+            if live != self.extents[n].len() {
+                return fail(format!(
+                    "node {n} has {live} live ordinal slots but an extent of {}",
+                    self.extents[n].len()
+                ));
             }
         }
         for (ci, tree) in self.colors.iter().enumerate() {
@@ -927,20 +927,48 @@ impl Database {
                 }
             }
         }
-        for en in self.value_index.entries() {
-            let el = self.element(en.element);
-            if el.canonical != en.element {
-                return fail(format!("value index posts copy {}", en.element));
+        let mut postings = 0;
+        for n in 0..self.extents.len() {
+            let node = NodeId(n as u32);
+            for a in 0..self.elements.arity(node) {
+                let run = self.value_index.of_attr(node, a);
+                postings += run.len();
+                let key_at = self.elements.keys(node, a, &self.interner);
+                for (i, en) in run.iter().enumerate() {
+                    let h = self.elements.header(en.element);
+                    if h.canonical != en.element {
+                        return fail(format!("value index posts copy {}", en.element));
+                    }
+                    if h.node != en.node {
+                        return fail(format!(
+                            "value index posting for {} names the wrong node",
+                            en.element
+                        ));
+                    }
+                    if self.canonical_by_ordinal(h.node, h.ordinal) != Some(en.element) {
+                        return fail(format!("value index posts deleted element {}", en.element));
+                    }
+                    // with the per-column counts above, sorted postings
+                    // whose keys are their cells' are exactly what a
+                    // per-column rebuild makes
+                    let sorted =
+                        i == 0 || (run[i - 1].key, run[i - 1].element) < (en.key, en.element);
+                    let placed = en.node == node && en.attr as usize == a;
+                    if !sorted || !placed || key_at(h.row) != Some(en.key) {
+                        return Err(format!(
+                            "S010: value index posting (node {n}, attr {a}, {}) is out of order \
+                             or disagrees with its column",
+                            en.element
+                        ));
+                    }
+                }
             }
-            if el.node != en.node {
-                return fail(format!(
-                    "value index posting for {} names the wrong node",
-                    en.element
-                ));
-            }
-            if !self.is_live(en.element) {
-                return fail(format!("value index posts deleted element {}", en.element));
-            }
+        }
+        if postings != self.value_index.len() {
+            return Err(format!(
+                "S010: the value index holds {} postings outside every column",
+                self.value_index.len() - postings
+            ));
         }
         let mut placement_occs = vec![0; self.schema.placements().len()];
         for (ci, tree) in self.colors.iter().enumerate() {
@@ -990,13 +1018,14 @@ impl Database {
                 Err(format!("databases differ in {what}"))
             }
         };
-        check(self.elements == other.elements, "elements")?;
+        // the symbol table first: text cells compare by symbol under it
+        check(self.interner == other.interner, "symbol table")?;
+        check(self.elements.same_content(&other.elements, &self.interner), "elements")?;
         check(self.colors == other.colors, "color trees")?;
         check(self.extents == other.extents, "extents")?;
         check(self.by_ordinal == other.by_ordinal, "ordinal index")?;
         check(self.links == other.links, "link tables")?;
         check(self.rev_links == other.rev_links, "reverse link tables")?;
-        check(self.interner == other.interner, "symbol table")?;
         check(self.value_index == other.value_index, "value index")?;
         check(self.statistics == other.statistics, "statistics catalog")?;
         check(self.dispatch == other.dispatch, "kernel dispatch")?;
@@ -1011,8 +1040,12 @@ impl Database {
 #[derive(Debug)]
 pub struct DatabaseBuilder {
     schema: MctSchema,
-    /// Built in its final chunked form, so `finish` moves it.
-    elements: Chunked<Element>,
+    /// Staged as plain vectors, cut into chunks once at `finish`.
+    elements: Staged,
+    /// Text is interned as canonical elements arrive, in element order.
+    interner: Interner,
+    /// The cells of the element being added.
+    cells: Vec<Cell>,
     extents: Vec<Vec<ElementId>>,
     colors: Vec<ColorTree>,
     links: Vec<Vec<u32>>,
@@ -1027,7 +1060,9 @@ impl DatabaseBuilder {
             (0..schema.color_count()).map(|_| ColorTree::new(placements, node_count)).collect();
         DatabaseBuilder {
             schema,
-            elements: Chunked::default(),
+            elements: Staged::new(node_count),
+            interner: Interner::default(),
+            cells: Vec::new(),
             extents: vec![Vec::new(); node_count],
             colors,
             links: Vec::new(),
@@ -1045,23 +1080,35 @@ impl DatabaseBuilder {
         &self.schema
     }
 
-    /// Add the canonical element of logical instance `(node, ordinal)`.
-    /// Ordinals must arrive densely in order per node.
-    pub fn add_canonical(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
+    /// Add the canonical element of logical instance `(node, ordinal)`,
+    /// interning its text. Ordinals must arrive densely in order per node,
+    /// and every element of a node stores the same number of attributes.
+    pub fn add_canonical<'v>(
+        &mut self,
+        node: NodeId,
+        attrs: impl IntoIterator<Item = &'v Value>,
+    ) -> ElementId {
         let id = ElementId(self.elements.len() as u32);
         let ordinal = self.extents[node.idx()].len() as u32;
-        self.elements.push(Element { node, ordinal, canonical: id, attrs });
+        let interner = &mut self.interner;
+        self.cells.extend(attrs.into_iter().map(|v| match v {
+            Value::Text(s) => Cell::Sym(interner.intern(s)),
+            v => Cell::Num(v.clone()),
+        }));
+        self.elements.push(node, ordinal, id, self.cells.drain(..), &self.interner);
         self.extents[node.idx()].push(id);
         id
     }
 
-    /// Add a physical copy of a canonical element.
+    /// Add a physical copy of a canonical element: its cells, copied into
+    /// a row of its own.
     pub fn add_copy(&mut self, of: ElementId) -> ElementId {
-        let src = self.elements.get(of.idx()).clone();
-        debug_assert_eq!(src.canonical, of, "copies must reference canonical elements");
-        let id = ElementId(self.elements.len() as u32);
-        self.elements.push(Element { canonical: of, ..src });
-        id
+        debug_assert_eq!(
+            self.elements.header(of).canonical,
+            of,
+            "copies must reference canonical elements"
+        );
+        self.elements.push_copy(of)
     }
 
     /// Add an occurrence (parents must be added before children; siblings
@@ -1076,23 +1123,16 @@ impl DatabaseBuilder {
         self.colors[c.idx()].push(element, placement, parent)
     }
 
-    /// Label every color and freeze. Interns every stored text attribute
-    /// value so join keys are `Copy` from here on, and builds the
-    /// persistent attribute/id value index over the canonical elements.
-    /// Each color is labelled the way a structural write is — its whole
-    /// forest integrated as one pending tail into an empty tree.
+    /// Label every color and freeze: builds the persistent attribute/id
+    /// value index over the canonical elements, a run per column. Each
+    /// color is labelled the way a structural write is — its whole forest
+    /// integrated as one pending tail into an empty tree.
     pub fn finish(mut self) -> Database {
-        let mut interner = Interner::default();
-        for e in self.elements.iter() {
-            for v in &e.attrs {
-                if let Value::Text(s) = v {
-                    interner.intern(s);
-                }
-            }
-        }
-        let value_index = ValueIndex::build(self.elements.iter(), &interner);
+        let interner = self.interner;
+        let value_index = self.elements.build_index(&interner);
+        let elements = self.elements.freeze();
         for tree in &mut self.colors {
-            tree.integrate(&self.elements);
+            tree.integrate(&elements);
         }
         // reverse link index
         let mut rev_links: Vec<Vec<Vec<u32>>> = Vec::with_capacity(self.links.len());
@@ -1107,7 +1147,7 @@ impl DatabaseBuilder {
         let extent_rows = self.extents.iter().map(|e| e.len() as u64).collect();
         let statistics = Statistics::build(
             self.extents.len(),
-            |n| self.extents[n].first().map_or(0, |&e| self.elements.get(e.idx()).attrs.len()),
+            |n| elements.arity(NodeId(n as u32)),
             extent_rows,
             placement_occ_counts(&self.schema, &self.colors),
             &value_index,
@@ -1118,7 +1158,7 @@ impl DatabaseBuilder {
         let by_ordinal = self.extents.clone();
         Database {
             schema: self.schema,
-            elements: self.elements,
+            elements,
             colors: self.colors,
             extents: Arc::new(self.extents),
             by_ordinal: Arc::new(by_ordinal),
@@ -1173,12 +1213,12 @@ mod tests {
         let pr = s.placements_of_in_color(r, c)[0];
         let pb = s.placements_of_in_color(b, c)[0];
         let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
-        let ea0 = bd.add_canonical(a, vec![Value::Int(0)]);
-        let ea1 = bd.add_canonical(a, vec![Value::Int(1)]);
-        let er0 = bd.add_canonical(r, vec![]);
-        let er1 = bd.add_canonical(r, vec![]);
-        let eb0 = bd.add_canonical(b, vec![Value::Int(0), Value::Text("u".into())]);
-        let eb1 = bd.add_canonical(b, vec![Value::Int(1), Value::Text("v".into())]);
+        let ea0 = bd.add_canonical(a, &[Value::Int(0)]);
+        let ea1 = bd.add_canonical(a, &[Value::Int(1)]);
+        let er0 = bd.add_canonical(r, &[]);
+        let er1 = bd.add_canonical(r, &[]);
+        let eb0 = bd.add_canonical(b, &[Value::Int(0), Value::Text("u".into())]);
+        let eb1 = bd.add_canonical(b, &[Value::Int(1), Value::Text("v".into())]);
         let oa0 = bd.add_occurrence(c, ea0, pa, None);
         let _oa1 = bd.add_occurrence(c, ea1, pa, None);
         let or0 = bd.add_occurrence(c, er0, pr, Some(oa0));
@@ -1385,11 +1425,11 @@ mod tests {
         let c = ColorId(0);
         let [pa, pr, pb] = [a, r, b].map(|node| s.placements_of_in_color(node, c)[0]);
         let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
-        let ea0 = bd.add_canonical(a, vec![Value::Int(0)]);
+        let ea0 = bd.add_canonical(a, &[Value::Int(0)]);
         let oa0 = bd.add_occurrence(c, ea0, pa, None);
         for i in 0..n {
-            let er = bd.add_canonical(r, vec![]);
-            let eb = bd.add_canonical(b, vec![Value::Int(i), Value::Text(format!("tag{}", i % 3))]);
+            let er = bd.add_canonical(r, &[]);
+            let eb = bd.add_canonical(b, &[Value::Int(i), Value::Text(format!("tag{}", i % 3))]);
             let or = bd.add_occurrence(c, er, pr, Some(oa0));
             bd.add_occurrence(c, eb, pb, Some(or));
         }
@@ -1413,8 +1453,9 @@ mod tests {
     }
 
     /// The copy-on-write unit: after a one-cell write against a pinned
-    /// snapshot, every element chunk and every posting column but the
-    /// touched ones is still the snapshot's own allocation, no other
+    /// snapshot, every column but the written one and every posting run
+    /// but the touched one is still the snapshot's own allocation, the
+    /// written column shares every chunk but the written cell's, no other
     /// structure was copied at all, and the snapshot still equals a
     /// database that never saw the write.
     #[test]
@@ -1424,7 +1465,6 @@ mod tests {
         let n = 4 * crate::chunked::CHUNK_LEN as i64;
         let pristine = wide(&g, &s, n);
         let mut db = wide(&g, &s, n);
-        assert!(db.elements.chunks().len() >= 8, "several chunks to share");
         let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
         for round in 0..24 {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1435,12 +1475,16 @@ mod tests {
             let snap = db.snapshot();
             let before = snap.element(target).attrs[attr].clone();
             db.write_attr(target, attr, value.clone());
-            let touched = target.idx() / crate::chunked::CHUNK_LEN;
-            for (i, (live, pinned)) in
-                db.elements.chunks().iter().zip(snap.elements.chunks()).enumerate()
-            {
-                assert_eq!(Arc::ptr_eq(live, pinned), i != touched, "round {round}: chunk {i}");
+            for node in g.node_ids() {
+                for a in 0..db.elements.arity(node) {
+                    let shared = db.column_sharing(&snap, node, a);
+                    let written = (node, a) == (b, attr);
+                    assert_eq!(shared.column, !written, "round {round}: column ({}, {a})", node.0);
+                    let copied = shared.chunks - shared.shared_chunks;
+                    assert_eq!(copied, usize::from(written), "round {round}: ({}, {a})", node.0);
+                }
             }
+            assert_eq!(db.column_sharing(&snap, b, attr).chunks, 4, "several chunks to share");
             let copied: Vec<_> = db
                 .value_index
                 .runs()

@@ -29,7 +29,7 @@
 //! `Interner::key_value_cmp` — because `ValueKey`'s derived order
 //! interleaves variants differently than `Value::total_cmp`).
 
-use crate::database::{Element, ElementId};
+use crate::database::ElementId;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
 use std::sync::Arc;
@@ -55,7 +55,8 @@ pub struct IndexEntry {
 
 /// Sorted per-`(node, attr)` value index over canonical elements.
 ///
-/// Built once in `DatabaseBuilder::finish` and maintained by the database's
+/// Built once in `DatabaseBuilder::finish`, a run per attribute column of
+/// the element store, and maintained by the database's
 /// write paths; a maintenance write costs one binary search plus an `O(n)`
 /// shift within the one column it touches (TIMBER charges index
 /// maintenance to update cost the same way).
@@ -89,35 +90,17 @@ impl ValueIndex {
         debug_assert!(entries.windows(2).all(|w| w[0] <= w[1]), "postings must arrive sorted");
         let mut index = ValueIndex::default();
         for run in entries.chunk_by(|a, b| (a.node, a.attr) == (b.node, b.attr)) {
-            *index.column_mut(run[0].node, run[0].attr as usize) = run.to_vec();
+            index.set_run(run[0].node, run[0].attr as usize, run.to_vec());
         }
         index
     }
 
-    /// Index every attribute of every canonical element (`elements` in
-    /// id order). `interner` must already contain all stored text (it does
-    /// by the time `DatabaseBuilder::finish` builds the index).
-    pub fn build<'a>(
-        elements: impl IntoIterator<Item = &'a Element>,
-        interner: &Interner,
-    ) -> ValueIndex {
-        let mut entries = Vec::new();
-        for (i, el) in elements.into_iter().enumerate() {
-            let id = ElementId(i as u32);
-            if el.canonical != id {
-                continue; // copies mirror their canonical's attributes
-            }
-            for (a, v) in el.attrs.iter().enumerate() {
-                entries.push(IndexEntry {
-                    node: el.node,
-                    attr: a as u32,
-                    key: interner.key(v),
-                    element: id,
-                });
-            }
-        }
-        entries.sort_unstable();
-        ValueIndex::from_entries(entries)
+    /// Install the whole posting run of `(node, attr)`, sorted by key then
+    /// element — how a build and a load lay the index down, a column at a
+    /// time.
+    pub(crate) fn set_run(&mut self, node: NodeId, attr: usize, run: Vec<IndexEntry>) {
+        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "a run is sorted and distinct");
+        *self.column_mut(node, attr) = run;
     }
 
     /// Number of postings.
@@ -135,9 +118,8 @@ impl ValueIndex {
         self.columns.iter().flatten()
     }
 
-    /// Every posting, in sort order — the raw material of the S008
-    /// integrity audit (`Database::check_integrity`) and the row order of
-    /// the paged postings segment.
+    /// Every posting, in sort order — the row order of the paged postings
+    /// segment.
     pub fn entries(&self) -> impl Iterator<Item = &IndexEntry> {
         self.runs().flat_map(|r| r.iter())
     }
@@ -288,11 +270,11 @@ mod tests {
         let pb = s.placements_of_in_color(b, c)[0];
         let mut bd = DatabaseBuilder::new(s, g.node_count());
         for i in 0..6i64 {
-            let e = bd.add_canonical(a, vec![Value::Int(i), Value::Text(format!("tag_{}", i % 3))]);
+            let e = bd.add_canonical(a, &[Value::Int(i), Value::Text(format!("tag_{}", i % 3))]);
             bd.add_occurrence(c, e, pa, None);
         }
         for i in 0..4i64 {
-            let e = bd.add_canonical(b, vec![Value::Int(i % 2)]);
+            let e = bd.add_canonical(b, &[Value::Int(i % 2)]);
             bd.add_occurrence(c, e, pb, None);
         }
         // one copy: must not add postings

@@ -57,7 +57,10 @@ pub fn attr_value(db: &Database, e: ElementId, r: AttrRef) -> Value {
 pub fn attr_key(db: &Database, e: ElementId, r: AttrRef) -> ValueKey {
     match r {
         AttrRef::Id => ValueKey::Num(db.element(db.element(e).canonical).ordinal as i64),
-        AttrRef::Attr(i) => db.join_key(&db.element(e).attrs[i]),
+        AttrRef::Attr(i) => {
+            let attrs = db.element(e).attrs;
+            attrs.key(i).unwrap_or_else(|| db.join_key(&attrs[i]))
+        }
     }
 }
 
@@ -639,12 +642,12 @@ mod tests {
         let mut bd = DatabaseBuilder::new(s, g.node_count());
         let mut bi = 0i64;
         for ai in 0..n_a {
-            let ea = bd.add_canonical(a, vec![Value::Int(ai as i64)]);
+            let ea = bd.add_canonical(a, &[Value::Int(ai as i64)]);
             let oa = bd.add_occurrence(c, ea, pa, None);
             for _ in 0..per_a {
-                let er = bd.add_canonical(r, vec![]);
+                let er = bd.add_canonical(r, &[]);
                 let or = bd.add_occurrence(c, er, pr, Some(oa));
-                let eb = bd.add_canonical(b, vec![Value::Int(bi), Value::Int(ai as i64)]);
+                let eb = bd.add_canonical(b, &[Value::Int(bi), Value::Int(ai as i64)]);
                 bd.add_occurrence(c, eb, pb, Some(or));
                 bi += 1;
             }
@@ -817,17 +820,13 @@ mod tests {
         let pb = s.placements_of_in_color(b, c)[0];
         let mut bd = DatabaseBuilder::new(s, g.node_count());
         for i in 0..n_a {
-            let e = bd.add_canonical(
-                a,
-                vec![Value::Int(i as i64), Value::Text(format!("tag_{}", i % 3))],
-            );
+            let e =
+                bd.add_canonical(a, &[Value::Int(i as i64), Value::Text(format!("tag_{}", i % 3))]);
             bd.add_occurrence(c, e, pa, None);
         }
         for i in 0..n_b {
-            let e = bd.add_canonical(
-                b,
-                vec![Value::Int(i as i64), Value::Text(format!("tag_{}", i % 4))],
-            );
+            let e =
+                bd.add_canonical(b, &[Value::Int(i as i64), Value::Text(format!("tag_{}", i % 4))]);
             bd.add_occurrence(c, e, pb, None);
         }
         (g, bd.finish())

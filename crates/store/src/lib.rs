@@ -6,7 +6,8 @@
 //!
 //! * [`value`] — attribute values;
 //! * [`database`] — the stored database: **elements** (one per logical ER
-//!   instance, plus physical *copies* for un-normalized schemas) and
+//!   instance, plus physical *copies* for un-normalized schemas, each a
+//!   header plus a row of per-node attribute columns) and
 //!   per-color **occurrence trees** carrying `(start, end, level)` interval
 //!   labels computed by DFS — a node belongs to exactly one rooted tree per
 //!   color, per the MCT model;
@@ -49,6 +50,7 @@
 
 pub mod batch;
 mod chunked;
+mod columns;
 pub mod database;
 pub mod effect;
 pub mod index;
@@ -64,9 +66,9 @@ pub mod value;
 pub mod xml;
 
 pub use batch::{BatchError, BatchLink, BatchOp, BatchPosition, BatchReceipt, UpdateBatch};
+pub use columns::{Attrs, ColumnSharing, ElementRef};
 pub use database::{
-    ColorTree, Database, DatabaseBuilder, Element, ElementId, KernelDispatch, OccId, Occurrence,
-    Snapshot,
+    ColorTree, Database, DatabaseBuilder, ElementId, KernelDispatch, OccId, Occurrence, Snapshot,
 };
 pub use effect::{analyze_batch, CommitScheduler, Footprint, ReadFootprint};
 pub use index::{IndexEntry, ValueIndex};

@@ -89,7 +89,7 @@ pub fn stats(db: &Database, graph: &ErGraph) -> Stats {
     // sanity: text attr values actually stored as Text
     debug_assert!(db
         .elements()
-        .flat_map(|e| &e.attrs)
+        .flat_map(|e| e.attrs.iter())
         .all(|v| matches!(v, Value::Int(_) | Value::Float(_) | Value::Text(_))));
     s
 }
@@ -111,11 +111,11 @@ mod tests {
         let a = g.node_by_name("a").unwrap();
         let mut bd = DatabaseBuilder::new(schema.clone(), g.node_count());
         let pa = schema.placements_of(a)[0];
-        let ea = bd.add_canonical(a, vec![Value::Int(0), Value::Text("xyz".into())]);
+        let ea = bd.add_canonical(a, &[Value::Int(0), Value::Text("xyz".into())]);
         bd.add_occurrence(ColorId(0), ea, pa, None);
         // an unreachable b element (no occurrence) still counts as storage
         let b = g.node_by_name("b").unwrap();
-        bd.add_canonical(b, vec![Value::Int(0)]);
+        bd.add_canonical(b, &[Value::Int(0)]);
         let db = bd.finish();
         let st = stats(&db, &g);
         assert_eq!(st.elements, 2);

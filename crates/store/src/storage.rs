@@ -34,9 +34,9 @@
 //! `Arc`, so clones and [`crate::database::Snapshot`]s keep reading the
 //! exact pages their directory named when they were taken.
 
-use crate::chunked::Chunked;
+use crate::columns::{Cell, Elements, Staged};
 use crate::database::{
-    placement_occ_counts, ColorTree, Database, Element, ElementId, OccId, Occurrence, TOMBSTONE,
+    placement_occ_counts, ColorTree, Database, ElementId, OccId, Occurrence, TOMBSTONE,
 };
 use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
@@ -219,68 +219,83 @@ impl<'a> Cur<'a> {
 // ---------------------------------------------------------------------------
 // segment encode/decode
 
-fn encode_value(out: &mut Vec<u8>, v: &Value, interner: &Interner) {
-    match v {
-        Value::Int(i) => {
+fn encode_cell(out: &mut Vec<u8>, cell: Cell) {
+    match cell {
+        Cell::Num(Value::Int(i)) => {
             out.push(0);
             out.extend_from_slice(&i.to_le_bytes());
         }
-        Value::Float(f) => {
+        Cell::Num(Value::Float(f)) => {
             out.push(1);
             out.extend_from_slice(&f.to_bits().to_le_bytes());
         }
-        Value::Text(s) => {
+        Cell::Sym(sym) => {
             out.push(2);
-            let sym = interner.get(s).expect("stored text is interned by every write path");
             put_u32(out, sym);
         }
+        Cell::Num(Value::Text(_)) => unreachable!("text cells travel as symbols"),
     }
 }
 
-fn decode_value(cur: &mut Cur, interner: &Interner) -> io::Result<Value> {
+fn decode_cell(cur: &mut Cur, interner: &Interner) -> io::Result<Cell> {
     match cur.u8()? {
-        0 => Ok(Value::Int(i64::from_le_bytes(cur.take(8)?.try_into().unwrap()))),
-        1 => Ok(Value::Float(f64::from_bits(cur.u64()?))),
+        0 => Ok(Cell::Num(Value::Int(i64::from_le_bytes(cur.take(8)?.try_into().unwrap())))),
+        1 => Ok(Cell::Num(Value::Float(f64::from_bits(cur.u64()?)))),
         2 => {
             let sym = cur.u32()?;
             if sym as usize >= interner.len() {
                 return Err(corrupt("symbol out of range"));
             }
-            Ok(Value::Text(interner.resolve(sym).to_owned()))
+            Ok(Cell::Sym(sym))
         }
         t => Err(corrupt(format!("unknown value tag {t}"))),
     }
 }
 
-fn encode_elements(elements: &Chunked<Element>, interner: &Interner) -> (Vec<u8>, u64) {
+/// The element segment: one record per element in id order — node,
+/// ordinal, canonical, then its row's cells — read out of the columns.
+fn encode_elements(elements: &Elements, interner: &Interner) -> (Vec<u8>, u64) {
     let mut out = Vec::new();
-    for el in elements.iter() {
-        put_u32(&mut out, el.node.0);
-        put_u32(&mut out, el.ordinal);
-        put_u32(&mut out, el.canonical.0);
-        put_u16(&mut out, el.attrs.len() as u16);
-        for v in &el.attrs {
-            encode_value(&mut out, v, interner);
+    for e in 0..elements.len() as u32 {
+        let h = elements.header(ElementId(e));
+        put_u32(&mut out, h.node.0);
+        put_u32(&mut out, h.ordinal);
+        put_u32(&mut out, h.canonical.0);
+        let arity = elements.arity(h.node);
+        put_u16(&mut out, arity as u16);
+        for a in 0..arity {
+            encode_cell(&mut out, elements.cell(h, a, interner));
         }
     }
     (out, elements.len() as u64)
 }
 
-fn decode_elements(bytes: &[u8], rows: u64, interner: &Interner) -> io::Result<Chunked<Element>> {
+fn decode_elements(
+    bytes: &[u8],
+    rows: u64,
+    node_count: usize,
+    interner: &Interner,
+) -> io::Result<Elements> {
     let mut cur = Cur::new(bytes);
-    let mut out = Chunked::default();
+    let mut out = Staged::new(node_count);
+    let mut cells = Vec::new();
     for _ in 0..rows {
         let node = NodeId(cur.u32()?);
         let ordinal = cur.u32()?;
         let canonical = ElementId(cur.u32()?);
         let arity = cur.u16()? as usize;
-        let mut attrs = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            attrs.push(decode_value(&mut cur, interner)?);
+        if node.idx() >= node_count
+            || out.arity(node).is_some_and(|a| a != arity)
+            || canonical.idx() > out.len()
+        {
+            return Err(corrupt(format!("malformed element record {}", out.len())));
         }
-        out.push(Element { node, ordinal, canonical, attrs });
+        for _ in 0..arity {
+            cells.push(decode_cell(&mut cur, interner)?);
+        }
+        out.push(node, ordinal, canonical, cells.drain(..), interner);
     }
-    Ok(out)
+    Ok(out.freeze())
 }
 
 fn encode_tree(occs: &[Occurrence]) -> (Vec<u8>, u64) {
@@ -775,10 +790,10 @@ impl Database {
         };
         let (b, rows) = read_seg(SegId::Symbols)?;
         let interner = decode_symbols(&b, rows)?;
-        let (b, rows) = read_seg(SegId::Elements)?;
-        let elements = decode_elements(&b, rows, &interner)?;
         let (b, rows) = read_seg(SegId::Ordinals)?;
         let by_ordinal: Vec<Vec<ElementId>> = decode_slots(&b, &dir.ordinal_bases, rows)?;
+        let (b, rows) = read_seg(SegId::Elements)?;
+        let elements = decode_elements(&b, rows, by_ordinal.len(), &interner)?;
         let (b, rows) = read_seg(SegId::Links)?;
         let links: Vec<Vec<u32>> = decode_slots(&b, &dir.link_bases, rows)?;
         let (b, _) = read_seg(SegId::RevLinks)?;
@@ -810,17 +825,10 @@ impl Database {
             .collect();
         // statistics are rebuilt, not stored: the maintenance choke points
         // guarantee the catalog never drifts from a from-scratch build
-        let mut arity: Vec<Option<usize>> = vec![None; extents.len()];
-        for el in elements.iter() {
-            let slot = &mut arity[el.node.idx()];
-            if slot.is_none() {
-                *slot = Some(el.attrs.len());
-            }
-        }
         let extent_rows = extents.iter().map(|e| e.len() as u64).collect();
         let statistics = Statistics::build(
             extents.len(),
-            |n| arity[n].unwrap_or(0),
+            |n| elements.arity(NodeId(n as u32)),
             extent_rows,
             placement_occ_counts(&schema, &colors),
             &value_index,
@@ -1073,12 +1081,12 @@ mod tests {
         let pr = s.placements_of_in_color(r, c)[0];
         let pb = s.placements_of_in_color(b, c)[0];
         let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
-        let ea0 = bd.add_canonical(a, vec![Value::Int(0)]);
-        let _ea1 = bd.add_canonical(a, vec![Value::Int(1)]);
-        let er0 = bd.add_canonical(r, vec![]);
-        let er1 = bd.add_canonical(r, vec![]);
-        let eb0 = bd.add_canonical(b, vec![Value::Int(0), Value::Text("u".into())]);
-        let eb1 = bd.add_canonical(b, vec![Value::Int(1), Value::Text("v".into())]);
+        let ea0 = bd.add_canonical(a, &[Value::Int(0)]);
+        let _ea1 = bd.add_canonical(a, &[Value::Int(1)]);
+        let er0 = bd.add_canonical(r, &[]);
+        let er1 = bd.add_canonical(r, &[]);
+        let eb0 = bd.add_canonical(b, &[Value::Int(0), Value::Text("u".into())]);
+        let eb1 = bd.add_canonical(b, &[Value::Int(1), Value::Text("v".into())]);
         let oa0 = bd.add_occurrence(c, ea0, pa, None);
         let or0 = bd.add_occurrence(c, er0, pr, Some(oa0));
         let or1 = bd.add_occurrence(c, er1, pr, Some(oa0));

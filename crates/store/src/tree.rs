@@ -31,8 +31,8 @@
 //! and structural writes share one path, and a maintained tree equals,
 //! field for field, one built from scratch.
 
-use crate::chunked::Chunked;
-use crate::database::{Element, ElementId, OccId};
+use crate::columns::Elements;
+use crate::database::{ElementId, OccId};
 use colorist_er::NodeId;
 use colorist_mct::PlacementId;
 use std::sync::Arc;
@@ -150,7 +150,11 @@ const GONE: u32 = u32::MAX;
 
 /// Stable counting sort by a dense key below `keys`: the items of key `k`
 /// are `out[at[k]..at[k + 1]]`, in input order.
-fn group<T: Copy>(items: &[T], keys: usize, key: impl Fn(&T) -> usize) -> (Vec<usize>, Vec<T>) {
+pub(crate) fn group<T: Copy>(
+    items: &[T],
+    keys: usize,
+    key: impl Fn(&T) -> usize,
+) -> (Vec<usize>, Vec<T>) {
     let mut at = vec![0; keys + 1];
     for t in items {
         at[key(t) + 1] += 1;
@@ -271,7 +275,7 @@ impl OrdinalRows {
                 break;
             }
             // that row: its old ids merged with its adds
-            let here = a + adds[a..].partition_point(|add| add.ordinal as usize == next);
+            let here = a + adds[a..].iter().take_while(|add| add.ordinal as usize == next).count();
             for o in self.row(next as u32).iter().map(moved) {
                 while a < here && adds[a].id < o {
                     ids.push(adds[a].id);
@@ -421,7 +425,7 @@ impl ColorTree {
     /// Splice the pending tail into document order: label it, move the
     /// labelled part's ids and labels past it, and merge it into the
     /// indexes. The result equals a DFS relabel of the whole forest.
-    pub(crate) fn integrate(&mut self, elements: &Chunked<Element>) {
+    pub(crate) fn integrate(&mut self, elements: &Elements) {
         if self.pending.is_empty() {
             return;
         }
@@ -514,7 +518,7 @@ impl ColorTree {
         for (&pos, total) in ids.starts.iter().zip(&ids.delta) {
             let total = total.expect("an insertion removes nothing") as usize;
             for (k, o) in laid.iter().enumerate().take(total).skip(from) {
-                let el = elements.get(o.element.idx());
+                let el = elements.header(o.element);
                 let (node, ordinal) = (el.node, el.ordinal);
                 adds.push(Laid {
                     id: OccId(pos + k as u32),
@@ -614,7 +618,7 @@ impl ColorTree {
     /// stack of open ancestors.
     pub(crate) fn audit(
         &self,
-        elements: &Chunked<Element>,
+        elements: &Elements,
         placement_occs: &mut [u64],
     ) -> Result<(), String> {
         if !self.pending.is_empty() {
@@ -662,7 +666,7 @@ impl ColorTree {
         // each occurrence's logical key, looked up once
         let keys: Vec<(NodeId, u32)> = (t.occs.iter())
             .map(|o| {
-                let el = elements.get(o.element.idx());
+                let el = elements.header(o.element);
                 (el.node, el.ordinal)
             })
             .collect();

@@ -85,19 +85,24 @@ pub enum ValueKey {
 
 /// Text symbol table. Every text attribute value stored in a database is
 /// interned here (at build time and on every write), so join keys for text
-/// are plain `u32` symbols.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// are plain `u32` symbols — and the element store's text cells are those
+/// symbols, so the table holds each stored string once.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Interner {
     map: HashMap<String, u32>,
-    strings: Vec<String>,
+    /// `Value::Text` per symbol: a text cell reads as a `&Value` from here.
+    values: Vec<Value>,
 }
+
+/// Every value the table holds is text, whose equality is total.
+impl Eq for Interner {}
 
 impl Interner {
     /// Rebuild a table from its symbol-ordered string list, as the paged
     /// storage loader decodes it. Symbols keep their stored values.
     pub(crate) fn from_strings(strings: Vec<String>) -> Interner {
         let map = strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        Interner { map, strings }
+        Interner { map, values: strings.into_iter().map(Value::Text).collect() }
     }
 
     /// Intern `s`, returning its symbol (stable for the table's lifetime).
@@ -105,9 +110,9 @@ impl Interner {
         if let Some(&sym) = self.map.get(s) {
             return sym;
         }
-        let sym = self.strings.len() as u32;
+        let sym = self.values.len() as u32;
         self.map.insert(s.to_owned(), sym);
-        self.strings.push(s.to_owned());
+        self.values.push(Value::Text(s.to_owned()));
         sym
     }
 
@@ -118,17 +123,26 @@ impl Interner {
 
     /// The string behind a symbol.
     pub fn resolve(&self, sym: u32) -> &str {
-        &self.strings[sym as usize]
+        match self.value(sym) {
+            Value::Text(s) => s,
+            _ => unreachable!("the table holds text values only"),
+        }
+    }
+
+    /// The text value behind a symbol.
+    #[inline]
+    pub(crate) fn value(&self, sym: u32) -> &Value {
+        &self.values[sym as usize]
     }
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.values.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.values.is_empty()
     }
 
     /// The `Copy` join key of a value (distinguishes variants except for

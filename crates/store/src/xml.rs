@@ -111,9 +111,9 @@ mod tests {
         let pr = schema.placements_of_in_color(r, c)[0];
         let pb = schema.placements_of_in_color(b, c)[0];
         let mut bd = crate::database::DatabaseBuilder::new(schema, g.node_count());
-        let ea = bd.add_canonical(a, vec![Value::Int(0), Value::Text("x<y".into())]);
-        let er = bd.add_canonical(r, vec![]);
-        let eb = bd.add_canonical(b, vec![Value::Int(0)]);
+        let ea = bd.add_canonical(a, &[Value::Int(0), Value::Text("x<y".into())]);
+        let er = bd.add_canonical(r, &[]);
+        let eb = bd.add_canonical(b, &[Value::Int(0)]);
         let oa = bd.add_occurrence(c, ea, pa, None);
         let or = bd.add_occurrence(c, er, pr, Some(oa));
         bd.add_occurrence(c, eb, pb, Some(or));

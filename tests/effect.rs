@@ -59,7 +59,7 @@ fn occurrence_appends_bind_then_copy_inside_the_footprint_on_every_strategy() {
         let item = by_name(&g, "item");
         let placed = instance(&db, item, 0);
         // a live instance with no occurrence yet: the next append binds it
-        let unplaced = db.insert_element(item, db.element(placed).attrs.clone());
+        let unplaced = db.insert_element(item, db.element(placed).attrs.to_vec());
         let at = position_of(&db, item);
         let append = |element| BatchOp::AddOccurrence { element, position: at };
         let mut batch = UpdateBatch::new();
