@@ -75,6 +75,15 @@ echo "==> file-backed batch oracle (32 seeds, FilePages backend)"
 # on drop, so CI leaves nothing behind.
 colorist oracle --batch-seeds 32 --backend paged
 
+echo "==> page-granular flush (release): crash points, torn pages, file bound, forked clones"
+# tests/storage.rs: an I/O error injected at every mutating backend call of
+# a four-write group commit (on FilePages and MemPages) must leave the
+# previous epoch in memory and on disk and lose no free page; torn pages
+# load as typed errors; 1,000 group commits keep the page file within 4x a
+# fresh save; forked clones never overwrite each other's pages. The debug
+# suite above runs them too; release runs the sweep at flush speed.
+cargo test -q --release --test storage
+
 echo "==> delete/batch torture (release): snapshot isolation under concurrent commit"
 # tests/deletes.rs: delete-then-query differentials across kernel
 # dispatches, DEEP/UNDR copy-delete regression, and concurrent snapshot

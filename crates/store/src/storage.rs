@@ -3,19 +3,19 @@
 //!
 //! DESIGN.md §14 describes the model in full. In short: a database may be
 //! *attached* to a [`StorageBackend`] ([`Database::attach_paged`]), at
-//! which point every stored structure is serialized into a **segment** — a
-//! contiguous run of 8 KB pages — and a **segment directory** maps each
-//! segment to its page range. The in-memory structures remain the working
-//! representation (a deserialization cache over the pages, the way an
-//! in-memory TIMBER buffer pool would hold every hot page); the paged
-//! layer adds
+//! which point every stored structure is serialized into a **segment** —
+//! a byte run cut into 8 KB pages — and a **segment directory** lists, per
+//! segment, one `(page id, checksum)` per page. The in-memory structures
+//! remain the working representation (a deserialization cache over the
+//! pages, the way an in-memory TIMBER buffer pool would hold every hot
+//! page); the paged layer adds
 //!
 //! * a **commit protocol**: mutators mark the segments they touch dirty,
 //!   and every commit point (`execute_update`, `UpdateBatch::apply`,
-//!   attach) re-serializes exactly the dirty segments, appends them with
-//!   the new directory in one reserved page range — one backend
-//!   transaction — and repoints the meta page; `page_writes` counts the
-//!   pages laid down;
+//!   attach) re-serializes exactly the dirty segments, hashes every page,
+//!   writes only the pages whose checksum changed (and the directory
+//!   pages that changed with them) to free pages, and repoints the meta
+//!   page at the new directory; `page_writes` counts the pages laid down;
 //! * **page accounting for reads**: each query runs with a
 //!   [`StorageCtx`] holding its own cold [`BufferPool`], and the executor
 //!   reports every record it reads to the context, which resolves the
@@ -29,10 +29,12 @@
 //!   maintenance invariant says a from-scratch build equals the
 //!   maintained catalog).
 //!
-//! Append-only paging is what keeps copy-on-write cloning sound: a flush
-//! writes fresh pages and swaps only the flushing database's directory
-//! `Arc`, so clones and [`crate::database::Snapshot`]s keep reading the
-//! exact pages their directory named when they were taken.
+//! Copy-on-write paging is what keeps cloning sound: a flush never
+//! overwrites a page a live directory version names, and swaps only the
+//! flushing database's directory `Arc`, so clones and
+//! [`crate::database::Snapshot`]s keep reading the exact pages their
+//! directory named when they were taken. A page no live version names any
+//! more goes back to the backend's [`crate::page::PageTable`] free list.
 
 use crate::columns::{Cell, Elements, Staged};
 use crate::database::{
@@ -40,21 +42,30 @@ use crate::database::{
 };
 use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
-use crate::page::{pages_for, FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
+use crate::page::{checksum, pages_for, FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolConfig};
 use crate::statistics::Statistics;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
 use colorist_mct::{ColorId, MctSchema, PlacementId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes opening the meta page.
 const MAGIC: &[u8; 8] = b"CLRPAGE1";
-/// On-page format version.
-const FORMAT_VERSION: u32 = 1;
+/// On-page format version. A file of another version (1 stored each
+/// segment as one contiguous run) is refused with
+/// [`PageFileError::UnsupportedVersion`].
+const FORMAT_VERSION: u32 = 2;
+/// Bytes of the meta page ahead of its directory page list: magic,
+/// version, epoch, directory length and page count.
+const META_HEAD: usize = 8 + 4 + 8 + 8 + 4;
+/// The most directory pages the meta page can list (16 bytes each, after
+/// the head and before the trailing checksum).
+const MAX_DIR_PAGES: usize = (PAGE_SIZE - META_HEAD - 8) / 16;
 
 /// Serialized record size of one [`Occurrence`] (element, placement,
 /// parent, start, end as `u32`; level as `u16`).
@@ -89,21 +100,28 @@ pub(crate) enum SegId {
     Tree(u16),
 }
 
-/// Where one segment lives: its first page, its exact byte length, its row
-/// count, and a checksum over the serialized bytes.
+/// One 8 KB page of a segment or of the directory: where it lives, and
+/// the [`checksum`] of its bytes (zero padding included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SegEntry {
-    pub(crate) first_page: PageId,
-    pub(crate) bytes: u64,
-    pub(crate) rows: u64,
-    pub(crate) checksum: u64,
+struct PageRef {
+    id: PageId,
+    checksum: u64,
+}
+
+/// Where one segment lives: its exact byte length, its row count, and
+/// one [`PageRef`] per page, in page-index order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SegEntry {
+    bytes: u64,
+    rows: u64,
+    pages: Vec<PageRef>,
 }
 
 /// The segment directory one flush publishes: segment locations plus the
 /// per-node/per-edge row bases that map `(node, ordinal)` and
 /// `(edge, rel_ordinal)` to rows of the flat slot segments.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct SegmentDirectory {
+struct SegmentDirectory {
     segs: BTreeMap<SegId, SegEntry>,
     /// Row of node `n`'s first slot in [`SegId::Ordinals`].
     ordinal_bases: Vec<u64>,
@@ -114,6 +132,44 @@ pub(crate) struct SegmentDirectory {
 impl SegmentDirectory {
     fn entry(&self, seg: SegId) -> Option<&SegEntry> {
         self.segs.get(&seg)
+    }
+}
+
+/// One published directory version: the directory, the pages its own
+/// encoding occupies, and the backend both live on. While any handle on
+/// it is alive — a database, a clone, a savepoint, a snapshot, a running
+/// query's [`StorageCtx`] — every page it names stays pinned in the
+/// backend's [`crate::page::PageTable`]; dropping the last handle unpins
+/// them.
+#[derive(Debug)]
+pub(crate) struct DirVersion {
+    backend: Arc<dyn StorageBackend>,
+    dir: SegmentDirectory,
+    dir_pages: Vec<PageRef>,
+}
+
+impl DirVersion {
+    /// Wrap a version whose pages are all written, pinning them.
+    fn pinned(
+        backend: Arc<dyn StorageBackend>,
+        dir: SegmentDirectory,
+        dir_pages: Vec<PageRef>,
+    ) -> Arc<DirVersion> {
+        let version = DirVersion { backend, dir, dir_pages };
+        version.backend.pages().pin(version.page_ids());
+        Arc::new(version)
+    }
+
+    /// Every page this version names: each segment's, then the
+    /// directory's.
+    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.dir.segs.values().flat_map(|e| &e.pages).chain(&self.dir_pages).map(|p| p.id)
+    }
+}
+
+impl Drop for DirVersion {
+    fn drop(&mut self) {
+        self.backend.pages().unpin(self.page_ids());
     }
 }
 
@@ -131,8 +187,7 @@ pub(crate) enum Backing {
 /// The paged attachment one database (or clone) carries.
 #[derive(Debug, Clone)]
 pub(crate) struct PagedState {
-    backend: Arc<dyn StorageBackend>,
-    dir: Arc<SegmentDirectory>,
+    dir: Arc<DirVersion>,
     dirty: BTreeSet<SegId>,
     pool: PoolConfig,
 }
@@ -150,22 +205,57 @@ impl Backing {
 /// What a flush laid down, for `page_writes` accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Pages written: dirty segment pages + directory pages + the meta
-    /// page. Zero when nothing was dirty (or the database is heap-backed).
+    /// Pages written: the dirty segments' pages whose bytes changed, the
+    /// directory pages that changed with them, and the meta page. Zero
+    /// when nothing was dirty (or the database is heap-backed).
     pub pages_written: u64,
+}
+
+/// Why a page file cannot be trusted: the payload of the
+/// [`io::ErrorKind::InvalidData`] errors [`Database::load_paged`] returns
+/// for it (`err.get_ref()` downcasts to this type).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PageFileError {
+    /// Page 0 does not open with the page-file magic bytes.
+    BadMagic,
+    /// The meta page names a format version this build does not read.
+    UnsupportedVersion(u32),
+    /// A page's bytes do not hash to the checksum recorded for it: a torn
+    /// or stale page.
+    Checksum {
+        /// The segment the page belongs to, as [`Database::page_map`]
+        /// names it; `"meta"` and `"directory"` for those pages.
+        segment: String,
+        /// The page's index within the segment.
+        page: u64,
+    },
+}
+
+impl fmt::Display for PageFileError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PageFileError::BadMagic => write!(f, "not a colorist page file (bad magic)"),
+            PageFileError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported page format version {v} (this build reads version {FORMAT_VERSION})"
+            ),
+            PageFileError::Checksum { segment, page } => {
+                write!(f, "checksum mismatch in segment {segment}, page {page}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PageFileError {}
+
+impl From<PageFileError> for io::Error {
+    fn from(e: PageFileError) -> io::Error {
+        io::Error::new(io::ErrorKind::InvalidData, e)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // byte-level helpers
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -521,6 +611,20 @@ fn seg_from_tag(tag: u8, color: u16) -> io::Result<SegId> {
     })
 }
 
+fn put_page_refs(out: &mut Vec<u8>, pages: &[PageRef]) {
+    for p in pages {
+        put_u64(out, p.id);
+        put_u64(out, p.checksum);
+    }
+}
+
+fn page_refs(cur: &mut Cur, n: u64) -> io::Result<Vec<PageRef>> {
+    (0..n).map(|_| Ok(PageRef { id: cur.u64()?, checksum: cur.u64()? })).collect()
+}
+
+/// Per segment: tag, colour, byte length, rows, then one `(page id,
+/// checksum)` per page (the count follows from the length); then the
+/// ordinal and link bases.
 fn encode_dir(dir: &SegmentDirectory) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, dir.segs.len() as u32);
@@ -528,10 +632,9 @@ fn encode_dir(dir: &SegmentDirectory) -> Vec<u8> {
         let (tag, color) = seg_tag(seg);
         out.push(tag);
         put_u16(&mut out, color);
-        put_u64(&mut out, e.first_page);
         put_u64(&mut out, e.bytes);
         put_u64(&mut out, e.rows);
-        put_u64(&mut out, e.checksum);
+        put_page_refs(&mut out, &e.pages);
     }
     for bases in [&dir.ordinal_bases, &dir.link_bases] {
         put_u32(&mut out, bases.len() as u32);
@@ -550,13 +653,9 @@ fn decode_dir(bytes: &[u8]) -> io::Result<SegmentDirectory> {
         let tag = cur.u8()?;
         let color = cur.u16()?;
         let seg = seg_from_tag(tag, color)?;
-        let entry = SegEntry {
-            first_page: cur.u64()?,
-            bytes: cur.u64()?,
-            rows: cur.u64()?,
-            checksum: cur.u64()?,
-        };
-        segs.insert(seg, entry);
+        let (bytes, rows) = (cur.u64()?, cur.u64()?);
+        let pages = page_refs(&mut cur, pages_for(bytes))?;
+        segs.insert(seg, SegEntry { bytes, rows, pages });
     }
     let mut bases = [Vec::new(), Vec::new()];
     for b in &mut bases {
@@ -569,39 +668,102 @@ fn decode_dir(bytes: &[u8]) -> io::Result<SegmentDirectory> {
     Ok(SegmentDirectory { segs, ordinal_bases, link_bases })
 }
 
+/// What the meta page records: the epoch and where the directory lives.
 struct Meta {
     epoch: u64,
-    dir_first: PageId,
     dir_bytes: u64,
-    dir_checksum: u64,
+    dir_pages: Vec<PageRef>,
 }
 
-fn encode_meta(m: &Meta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(44);
+/// Magic, version, epoch, directory length and its page list, zero
+/// padding, and in the page's last 8 bytes a checksum over the rest of it,
+/// so a torn meta page is detected wherever it tore.
+fn encode_meta(epoch: u64, dir_bytes: u64, dir_pages: &[PageRef]) -> io::Result<Vec<u8>> {
+    if dir_pages.len() > MAX_DIR_PAGES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "the segment directory needs {} pages; the meta page lists at most {MAX_DIR_PAGES}",
+                dir_pages.len()
+            ),
+        ));
+    }
+    let mut out = Vec::with_capacity(PAGE_SIZE);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
-    put_u64(&mut out, m.epoch);
-    put_u64(&mut out, m.dir_first);
-    put_u64(&mut out, m.dir_bytes);
-    put_u64(&mut out, m.dir_checksum);
-    out
+    put_u64(&mut out, epoch);
+    put_u64(&mut out, dir_bytes);
+    put_u32(&mut out, dir_pages.len() as u32);
+    put_page_refs(&mut out, dir_pages);
+    out.resize(PAGE_SIZE - 8, 0);
+    let sum = checksum(&out);
+    put_u64(&mut out, sum);
+    Ok(out)
 }
 
 fn decode_meta(page: &[u8]) -> io::Result<Meta> {
     let mut cur = Cur::new(page);
     if cur.take(8)? != MAGIC {
-        return Err(corrupt("not a colorist page file (bad magic)"));
+        return Err(PageFileError::BadMagic.into());
     }
     let version = cur.u32()?;
     if version != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported page format version {version}")));
+        return Err(PageFileError::UnsupportedVersion(version).into());
     }
-    Ok(Meta {
-        epoch: cur.u64()?,
-        dir_first: cur.u64()?,
-        dir_bytes: cur.u64()?,
-        dir_checksum: cur.u64()?,
-    })
+    let (body, sum) = page.split_at(PAGE_SIZE - 8);
+    if checksum(body) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+        return Err(PageFileError::Checksum { segment: "meta".into(), page: 0 }.into());
+    }
+    let (epoch, dir_bytes) = (cur.u64()?, cur.u64()?);
+    let n = cur.u32()? as usize;
+    if n > MAX_DIR_PAGES {
+        return Err(corrupt(format!("the meta page lists {n} directory pages")));
+    }
+    let dir_pages = page_refs(&mut cur, n as u64)?;
+    Ok(Meta { epoch, dir_bytes, dir_pages })
+}
+
+/// Cut `bytes` into pages (zero-padding it in place), hash each, and keep
+/// the id of every page whose checksum equals the one `old` recorded at
+/// the same index. Returns the new page list — a changed page gets id 0
+/// for now — and the indices of the changed pages.
+fn diff_pages(bytes: &mut Vec<u8>, old: &[PageRef]) -> (Vec<PageRef>, Vec<usize>) {
+    bytes.resize(bytes.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+    let mut changed = Vec::new();
+    let pages = bytes
+        .chunks_exact(PAGE_SIZE)
+        .enumerate()
+        .map(|(i, page)| {
+            let checksum = checksum(page);
+            match old.get(i) {
+                Some(&p) if p.checksum == checksum => p,
+                _ => {
+                    changed.push(i);
+                    PageRef { id: 0, checksum }
+                }
+            }
+        })
+        .collect();
+    (pages, changed)
+}
+
+/// Write each `(page id, page bytes)`, one backend call per run of
+/// consecutive ids.
+fn write_runs(backend: &dyn StorageBackend, mut pages: Vec<(PageId, &[u8])>) -> io::Result<()> {
+    pages.sort_unstable_by_key(|&(id, _)| id);
+    let mut run_bytes = Vec::new();
+    for run in pages.chunk_by(|a, b| b.0 == a.0 + 1) {
+        let data = match run {
+            [(_, page)] => page,
+            _ => {
+                run_bytes.clear();
+                run.iter().for_each(|(_, page)| run_bytes.extend_from_slice(page));
+                &run_bytes[..]
+            }
+        };
+        backend.write_pages(run[0].0, data)?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -638,12 +800,8 @@ impl Database {
         for c in 0..self.colors.len() {
             dirty.insert(SegId::Tree(c as u16));
         }
-        self.storage = Backing::Paged(PagedState {
-            backend,
-            dir: Arc::new(SegmentDirectory::default()),
-            dirty,
-            pool,
-        });
+        let empty = DirVersion { backend, dir: SegmentDirectory::default(), dir_pages: vec![] };
+        self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), dirty, pool });
         self.flush_storage()
     }
 
@@ -653,82 +811,105 @@ impl Database {
     }
 
     /// Write every dirty segment back to the backend — the commit/
-    /// write-back protocol of DESIGN.md §14. All dirty segments and the
-    /// new directory go down in **one** reserved page range (one backend
-    /// transaction), then the meta page is repointed and the backend
-    /// synced. Returns the pages written for `page_writes` accounting;
-    /// zero (and no I/O) when nothing is dirty or the database is
-    /// heap-backed.
+    /// write-back protocol of DESIGN.md §14. Each dirty segment is
+    /// re-encoded and hashed page by page; only the pages whose checksum
+    /// changed are written, each to a page no live version names, and the
+    /// directory is diffed and written the same way. Then the meta page is
+    /// repointed and the backend synced once. Returns the pages written
+    /// for `page_writes` accounting; zero (and no I/O) when nothing is
+    /// dirty or the database is heap-backed. On `Err` the database, its
+    /// directory and the backend's free list are as before the call.
     pub fn flush_storage(&mut self) -> io::Result<FlushReport> {
-        let (backend, old_dir, dirty) = match &self.storage {
-            Backing::Paged(s) if !s.dirty.is_empty() => {
-                (s.backend.clone(), s.dir.clone(), s.dirty.clone())
-            }
+        let (old, dirty) = match &self.storage {
+            Backing::Paged(s) if !s.dirty.is_empty() => (s.dir.clone(), s.dirty.clone()),
             _ => return Ok(FlushReport::default()),
         };
-        let mut new_dir = (*old_dir).clone();
-        let mut chunks: Vec<(SegId, Vec<u8>, u64)> = Vec::with_capacity(dirty.len());
-        for &seg in &dirty {
-            let (bytes, rows) = match seg {
+        let table = old.backend.pages();
+        let mut taken = Vec::new();
+        let written = self.write_version(&old, &dirty, &mut taken);
+        let (version, meta, pages_written) = match written {
+            Ok(written) => written,
+            Err(e) => {
+                table.give_back(&taken);
+                return Err(e);
+            }
+        };
+        // from here the version's pins own the taken pages: if the publish
+        // fails, dropping the version frees them
+        table.publish(&*old.backend, meta, version.page_ids().collect())?;
+        if let Backing::Paged(s) = &mut self.storage {
+            s.dir = version;
+            s.dirty.clear();
+        }
+        Ok(FlushReport { pages_written })
+    }
+
+    /// The write half of [`Database::flush_storage`]: encode, diff and
+    /// write the dirty segments' changed pages and the directory's, taking
+    /// pages into `taken`. Returns the pinned new version, its meta page
+    /// and the pages written (the meta page included).
+    fn write_version(
+        &self,
+        old: &DirVersion,
+        dirty: &BTreeSet<SegId>,
+        taken: &mut Vec<PageId>,
+    ) -> io::Result<(Arc<DirVersion>, Vec<u8>, u64)> {
+        let backend = &*old.backend;
+        let mut take = |n: usize| -> io::Result<Vec<PageId>> {
+            let ids = backend.pages().take(backend, n)?;
+            taken.extend(&ids);
+            Ok(ids)
+        };
+        let mut dir = old.dir.clone();
+        let mut encoded = Vec::with_capacity(dirty.len());
+        // (segment, its buffer in `encoded`, page index) per changed page
+        let mut changed = Vec::new();
+        for &seg in dirty {
+            let (mut bytes, rows) = match seg {
                 SegId::Elements => encode_elements(&self.elements, &self.interner),
                 SegId::Ordinals => {
                     let (b, bases, rows) = encode_slots(&self.by_ordinal);
-                    new_dir.ordinal_bases = bases;
+                    dir.ordinal_bases = bases;
                     (b, rows)
                 }
                 SegId::Postings => encode_postings(&self.value_index),
                 SegId::Links => {
                     let (b, bases, rows) = encode_slots(&self.links);
-                    new_dir.link_bases = bases;
+                    dir.link_bases = bases;
                     (b, rows)
                 }
                 SegId::RevLinks => encode_rev_links(&self.rev_links),
                 SegId::Symbols => encode_symbols(&self.interner),
                 SegId::Tree(c) => encode_tree(self.colors[c as usize].occs()),
             };
-            chunks.push((seg, bytes, rows));
+            let len = bytes.len() as u64;
+            let old_pages = old.dir.entry(seg).map_or(&[][..], |e| &e.pages);
+            let (pages, seg_changed) = diff_pages(&mut bytes, old_pages);
+            changed.extend(seg_changed.into_iter().map(|i| (seg, encoded.len(), i)));
+            dir.segs.insert(seg, SegEntry { bytes: len, rows, pages });
+            encoded.push(bytes);
         }
-        for (seg, bytes, rows) in &chunks {
-            new_dir.segs.insert(
-                *seg,
-                SegEntry {
-                    first_page: 0, // assigned after the reservation below
-                    bytes: bytes.len() as u64,
-                    rows: *rows,
-                    checksum: fnv1a64(bytes),
-                },
-            );
+        let mut writes = Vec::with_capacity(changed.len());
+        for (&(seg, buf, i), id) in changed.iter().zip(take(changed.len())?) {
+            dir.segs.get_mut(&seg).expect("inserted above").pages[i].id = id;
+            writes.push((id, &encoded[buf][i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
         }
-        let seg_pages: u64 = chunks.iter().map(|(_, b, _)| pages_for(b.len() as u64)).sum();
-        let dir_len = encode_dir(&new_dir).len() as u64; // layout-independent length
-        let total = seg_pages + pages_for(dir_len);
-        let first = backend.reserve(total)?;
-        let mut next = first;
-        let mut buf = Vec::with_capacity(total as usize * PAGE_SIZE);
-        for (seg, bytes, _) in &chunks {
-            new_dir.segs.get_mut(seg).expect("entry inserted above").first_page = next;
-            next += pages_for(bytes.len() as u64);
-            buf.extend_from_slice(bytes);
-            buf.resize(buf.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+        let data_pages = writes.len() as u64;
+        write_runs(backend, writes)?;
+
+        let mut dir_buf = encode_dir(&dir);
+        let dir_bytes = dir_buf.len() as u64;
+        let (mut dir_pages, dir_changed) = diff_pages(&mut dir_buf, &old.dir_pages);
+        let mut writes = Vec::with_capacity(dir_changed.len());
+        for (&i, id) in dir_changed.iter().zip(take(dir_changed.len())?) {
+            dir_pages[i].id = id;
+            writes.push((id, &dir_buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
         }
-        let dir_first = next;
-        let dir_bytes = encode_dir(&new_dir);
-        debug_assert_eq!(dir_bytes.len() as u64, dir_len);
-        buf.extend_from_slice(&dir_bytes);
-        buf.resize(buf.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
-        backend.write_pages(first, &buf)?;
-        backend.write_meta(&encode_meta(&Meta {
-            epoch: self.epoch(),
-            dir_first,
-            dir_bytes: dir_bytes.len() as u64,
-            dir_checksum: fnv1a64(&dir_bytes),
-        }))?;
-        backend.sync()?;
-        if let Backing::Paged(s) = &mut self.storage {
-            s.dir = Arc::new(new_dir);
-            s.dirty.clear();
-        }
-        Ok(FlushReport { pages_written: total + 1 })
+        write_runs(backend, writes)?;
+        let meta = encode_meta(self.epoch(), dir_bytes, &dir_pages)?;
+        let version = DirVersion::pinned(old.backend.clone(), dir, dir_pages);
+        taken.clear();
+        Ok((version, meta, data_pages + dir_changed.len() as u64 + 1))
     }
 
     /// Save this database durably to a page file at `path` (kept on
@@ -748,10 +929,12 @@ impl Database {
     /// [`Database::save_paged`]. The page file stores the data, not the
     /// schema — callers supply the schema the file was saved under (the
     /// way TIMBER kept the DTD out of band). Verifies the meta page and
-    /// every segment checksum, decodes the stored segments, and rebuilds
-    /// the derived structures; the result satisfies
-    /// `same_state(original, true)` for a database whose dispatch mode is
-    /// the default.
+    /// every page's checksum — a torn or stale page is a typed
+    /// [`PageFileError`] naming its segment and page index — decodes the
+    /// stored segments, and rebuilds the derived structures; the result
+    /// satisfies `same_state(original, true)` for a database whose
+    /// dispatch mode is the default. Every page of the file the meta
+    /// page's version does not name is free for the next commit to reuse.
     pub fn load_paged(
         path: impl AsRef<Path>,
         schema: MctSchema,
@@ -771,22 +954,36 @@ impl Database {
         let mut meta_page = vec![0u8; PAGE_SIZE];
         backend.read_meta(&mut meta_page)?;
         let meta = decode_meta(&meta_page)?;
-        let mut raw = Vec::new();
-        backend.scan_pages(meta.dir_first, pages_for(meta.dir_bytes), &mut raw)?;
-        raw.truncate(meta.dir_bytes as usize);
-        if fnv1a64(&raw) != meta.dir_checksum {
-            return Err(corrupt("segment directory checksum mismatch"));
-        }
-        let dir = decode_dir(&raw)?;
+        let page_count = backend.page_count();
+        // the `bytes` of a segment, read from its pages under checksum
+        let read = |segment: &str, bytes: u64, pages: &[PageRef]| -> io::Result<Vec<u8>> {
+            if pages.len() as u64 != pages_for(bytes) {
+                return Err(corrupt(format!("segment {segment} lists the wrong page count")));
+            }
+            // grown page by page: the page count comes from the file
+            let mut raw = Vec::new();
+            for (i, p) in pages.iter().enumerate() {
+                if p.id == 0 || p.id >= page_count {
+                    return Err(corrupt(format!(
+                        "segment {segment} names page {} past the end",
+                        p.id
+                    )));
+                }
+                raw.resize(raw.len() + PAGE_SIZE, 0);
+                let buf = &mut raw[i * PAGE_SIZE..];
+                backend.read_page(p.id, buf)?;
+                if checksum(buf) != p.checksum {
+                    let segment = segment.to_string();
+                    return Err(PageFileError::Checksum { segment, page: i as u64 }.into());
+                }
+            }
+            raw.truncate(bytes as usize);
+            Ok(raw)
+        };
+        let dir = decode_dir(&read("directory", meta.dir_bytes, &meta.dir_pages)?)?;
         let read_seg = |seg: SegId| -> io::Result<(Vec<u8>, u64)> {
             let Some(e) = dir.entry(seg) else { return Ok((Vec::new(), 0)) };
-            let mut raw = Vec::new();
-            backend.scan_pages(e.first_page, pages_for(e.bytes), &mut raw)?;
-            raw.truncate(e.bytes as usize);
-            if fnv1a64(&raw) != e.checksum {
-                return Err(corrupt(format!("checksum mismatch in segment {seg:?}")));
-            }
-            Ok((raw, e.rows))
+            Ok((read(&format!("{seg:?}"), e.bytes, &e.pages)?, e.rows))
         };
         let (b, rows) = read_seg(SegId::Symbols)?;
         let interner = decode_symbols(&b, rows)?;
@@ -834,6 +1031,9 @@ impl Database {
             &value_index,
             &interner,
         );
+        let named = dir.segs.values().flat_map(|e| &e.pages).chain(&meta.dir_pages);
+        backend.pages().adopt(page_count, &meta_page, named.map(|p| p.id).collect());
+        let version = DirVersion::pinned(backend, dir, meta.dir_pages);
         Ok(Database {
             schema,
             elements,
@@ -848,13 +1048,19 @@ impl Database {
             stale_columns: BTreeSet::new(),
             dispatch: Default::default(),
             epoch: meta.epoch,
-            storage: Backing::Paged(PagedState {
-                backend,
-                dir: Arc::new(dir),
-                dirty: BTreeSet::new(),
-                pool,
-            }),
+            storage: Backing::Paged(PagedState { dir: version, dirty: BTreeSet::new(), pool }),
         })
+    }
+
+    /// The pages this database's directory version names: per segment,
+    /// under the name [`PageFileError::Checksum`] uses, its page ids in
+    /// page-index order, then the directory's own under `"directory"`.
+    /// Empty on the heap.
+    pub fn page_map(&self) -> Vec<(String, Vec<PageId>)> {
+        let Backing::Paged(s) = &self.storage else { return Vec::new() };
+        let ids = |pages: &[PageRef]| pages.iter().map(|p| p.id).collect();
+        let segs = s.dir.dir.segs.iter().map(|(seg, e)| (format!("{seg:?}"), ids(&e.pages)));
+        segs.chain([("directory".to_string(), ids(&s.dir.dir_pages))]).collect()
     }
 
     /// The storage context queries against this database run with: a
@@ -866,11 +1072,7 @@ impl Database {
         match &self.storage {
             Backing::Heap => StorageCtx { inner: None },
             Backing::Paged(s) => StorageCtx {
-                inner: Some(PagedCtx {
-                    backend: s.backend.clone(),
-                    dir: s.dir.clone(),
-                    pool: BufferPool::new(s.pool),
-                }),
+                inner: Some(PagedCtx { version: s.dir.clone(), pool: BufferPool::new(s.pool) }),
             },
         }
     }
@@ -895,8 +1097,8 @@ pub struct StorageCtx {
 
 #[derive(Debug)]
 struct PagedCtx {
-    backend: Arc<dyn StorageBackend>,
-    dir: Arc<SegmentDirectory>,
+    /// Held for the whole query, so no page it reads is reused under it.
+    version: Arc<DirVersion>,
     pool: BufferPool,
 }
 
@@ -922,17 +1124,18 @@ impl StorageCtx {
         m: &mut Metrics,
     ) {
         let Some(ctx) = &mut self.inner else { return };
-        let Some(e) = ctx.dir.entry(seg) else { return };
+        let Some(e) = ctx.version.dir.entry(seg) else { return };
         let mut last = PageId::MAX;
         for row in rows {
             let off = row * rec;
             if off >= e.bytes {
                 continue; // newer than the flushed segment: heap-only
             }
-            let page = e.first_page + off / PAGE_SIZE as u64;
+            let page = e.pages[(off / PAGE_SIZE as u64) as usize].id;
             if page != last {
                 last = page;
-                ctx.pool.access(page, &*ctx.backend, m).expect("paged backend read failed");
+                let backend = &*ctx.version.backend;
+                ctx.pool.access(page, backend, m).expect("paged backend read failed");
             }
         }
     }
@@ -964,13 +1167,13 @@ impl StorageCtx {
     /// Touch one element record.
     pub fn touch_element(&mut self, e: ElementId, m: &mut Metrics) {
         let Some(ctx) = &mut self.inner else { return };
-        let Some(entry) = ctx.dir.entry(SegId::Elements) else { return };
+        let Some(entry) = ctx.version.dir.entry(SegId::Elements) else { return };
         if entry.rows == 0 || e.idx() as u64 >= entry.rows {
             return;
         }
         let off = (e.idx() as u128 * entry.bytes as u128 / entry.rows as u128) as u64;
-        let page = entry.first_page + off / PAGE_SIZE as u64;
-        ctx.pool.access(page, &*ctx.backend, m).expect("paged backend read failed");
+        let page = entry.pages[(off / PAGE_SIZE as u64) as usize].id;
+        ctx.pool.access(page, &*ctx.version.backend, m).expect("paged backend read failed");
     }
 
     /// Touch a probed or scanned range of value-index postings. `slice`
@@ -988,14 +1191,14 @@ impl StorageCtx {
     /// Touch one ordinal-index slot (an id→element probe).
     pub fn touch_ordinal(&mut self, node: NodeId, ordinal: u32, m: &mut Metrics) {
         let Some(ctx) = &self.inner else { return };
-        let Some(&base) = ctx.dir.ordinal_bases.get(node.idx()) else { return };
+        let Some(&base) = ctx.version.dir.ordinal_bases.get(node.idx()) else { return };
         self.touch_rows(SegId::Ordinals, REC_SLOT, std::iter::once(base + ordinal as u64), m);
     }
 
     /// Touch one link-table slot (a parent-child adjacency probe).
     pub fn touch_link(&mut self, edge: colorist_er::EdgeId, rel_ordinal: u32, m: &mut Metrics) {
         let Some(ctx) = &self.inner else { return };
-        let Some(&base) = ctx.dir.link_bases.get(edge.idx()) else { return };
+        let Some(&base) = ctx.version.dir.link_bases.get(edge.idx()) else { return };
         self.touch_rows(SegId::Links, REC_SLOT, std::iter::once(base + rel_ordinal as u64), m);
     }
 }
@@ -1118,10 +1321,22 @@ mod tests {
 
         let b = g.node_by_name("b").unwrap();
         let eb0 = db.extent(b)[0];
+        let before = db.page_map();
         db.write_attr(eb0, 1, Value::Text("rewritten".into()));
         let report = db.flush_storage().unwrap();
-        assert!(report.pages_written > 0);
-        assert!(backend.page_count() > full, "flush appends, never overwrites");
+        // a new symbol: the one page each of Elements, Postings and
+        // Symbols changed, and the directory's one page; plus the meta page
+        assert_eq!(report.pages_written, 5);
+        let after = db.page_map();
+        for ((seg, old), (_, new)) in before.iter().zip(&after) {
+            let moved = ["Elements", "Postings", "Symbols", "directory"].contains(&seg.as_str());
+            assert_eq!(old != new, moved, "{seg}: only changed pages move");
+        }
+        assert_eq!(backend.page_count(), full + 4, "nothing free yet: the file grows once");
+        assert_eq!(backend.pages().free_pages().len(), 4, "the replaced pages are free");
+        db.write_attr(eb0, 1, Value::Text("again".into()));
+        db.flush_storage().unwrap();
+        assert_eq!(backend.page_count(), full + 4, "the next commit reuses them");
         // an immediate second flush has nothing dirty
         assert_eq!(db.flush_storage().unwrap(), FlushReport::default());
 
