@@ -167,6 +167,18 @@ for pool in 16777216 65536; do
     rm -f results/bench_summary_paged_ci.json
 done
 
+echo "==> table1 bench, file-backed paged backend (scale 300, 64 KiB pool)"
+# The starved run again on a real page file (FilePages), so every query's
+# misses fault through the shared page cache from disk, each page read
+# checked against its directory checksum. `paged` and `paged-mem` are one
+# comparability class in the perfgate: the page counters must equal the
+# committed in-memory baseline exactly.
+colorist table1 --scale 300 --seed 42 --backend paged --pool-bytes 65536 \
+    --out results/bench_summary_paged_file_ci.json >/dev/null
+colorist gate --baseline results/bench_baseline_paged_65536.json \
+    --current results/bench_summary_paged_file_ci.json --q-error-budget 8.0
+rm -f results/bench_summary_paged_file_ci.json
+
 echo "==> server smoke: colorist scale (scale-300-sized point, traced + gated)"
 # Small concurrent run of the multi-client query service (DESIGN.md §15):
 # 2 workers, 2 client threads, round-structured read-heavy mix at the

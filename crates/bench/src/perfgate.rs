@@ -5,7 +5,8 @@
 //!
 //! * **meta mismatches** (schema version, bench name, scale, seed, storage
 //!   backend, pool budget) are usage errors — the two documents do not
-//!   describe comparable runs;
+//!   describe comparable runs. The `paged` and `paged-mem` backends are
+//!   one class: they count pages identically;
 //! * **operation-count drift** (structural/value joins, crossings,
 //!   dup-eliminations, group-bys, scans, probes, bytes, result counts) is a
 //!   **failure** when the current count grew, and a **warning** when it
@@ -140,6 +141,14 @@ fn index<'a>(
     Ok(out)
 }
 
+/// The comparability class of a document's `backend`: `paged` and
+/// `paged-mem` lay out, name and count pages identically — only where the
+/// pages live differs — so their page counters compare exactly across the
+/// two.
+fn backend_class(backend: Option<&Json>) -> Option<&str> {
+    backend.and_then(Json::as_str).map(|b| if b == "paged-mem" { "paged" } else { b })
+}
+
 /// Diff `current` against `baseline` under `cfg`.
 ///
 /// `Err` means the documents are not comparable (wrong schema version,
@@ -158,7 +167,7 @@ pub fn compare(baseline: &Json, current: &Json, cfg: &GateConfig) -> Result<Gate
     for key in ["bench", "scale", "seed", "backend", "pool_bytes"] {
         let b = baseline.get(key);
         let c = current.get(key);
-        if b != c {
+        if b != c && !(key == "backend" && backend_class(b) == backend_class(c)) {
             return Err(format!(
                 "meta mismatch on `{key}`: baseline {b:?} vs current {c:?} — \
                  the runs are not comparable"
@@ -597,27 +606,36 @@ mod tests {
 
     #[test]
     fn meta_mismatch_is_a_usage_error() {
-        let j = small_summary();
-        let base = Json::parse(&j).expect("parses");
-        let mut cur = base.clone();
-        if let Json::Obj(m) = &mut cur {
-            for (k, v) in m.iter_mut() {
-                if k == "seed" {
-                    *v = Json::Num(999.0);
-                }
-            }
-        }
+        let base = Json::parse(&small_summary()).expect("parses");
+        let cur = with_meta(&base, "seed", Json::Num(999.0));
         assert!(compare(&base, &cur, &GateConfig::default()).is_err());
         // wrong schema version too
-        let mut old = base.clone();
-        if let Json::Obj(m) = &mut old {
-            for (k, v) in m.iter_mut() {
-                if k == "schema_version" {
-                    *v = Json::Num(1.0);
-                }
-            }
-        }
+        let old = with_meta(&base, "schema_version", Json::Num(1.0));
         assert!(compare(&old, &base, &GateConfig::default()).is_err());
+    }
+
+    /// `doc` with its top-level `key` set to `value`.
+    fn with_meta(doc: &Json, key: &str, value: Json) -> Json {
+        let mut doc = doc.clone();
+        if let Json::Obj(m) = &mut doc {
+            m.iter_mut().filter(|(k, _)| k == key).for_each(|(_, v)| *v = value.clone());
+        }
+        doc
+    }
+
+    #[test]
+    fn the_file_and_memory_page_stores_are_one_comparability_class() {
+        let base = Json::parse(&small_summary()).expect("parses");
+        let backend = |b: &str| Json::Str(b.to_string());
+        let paged_mem = with_meta(&base, "backend", backend("paged-mem"));
+        let paged = with_meta(&base, "backend", backend("paged"));
+        let report = compare(&paged_mem, &paged, &GateConfig::default()).expect("comparable");
+        assert!(report.failures.is_empty() && report.warnings.is_empty());
+        assert!(compare(&paged, &paged_mem, &GateConfig::default()).is_ok());
+        // the heap is another class, and the pool budget still has to match
+        assert!(compare(&base, &paged, &GateConfig::default()).is_err());
+        let starved = with_meta(&paged, "pool_bytes", Json::Num(65536.0));
+        assert!(compare(&paged_mem, &starved, &GateConfig::default()).is_err());
     }
 
     fn small_scale_doc() -> Json {

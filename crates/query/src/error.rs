@@ -47,6 +47,11 @@ pub enum QueryError {
     /// update (an I/O error from the page file). The in-memory database is
     /// already updated; the backend may be behind by one transaction.
     Storage(String),
+    /// A page a query read could not be served: the backend read failed,
+    /// or the bytes read do not match the checksum the segment directory
+    /// records for them (a torn or corrupted page). The message names the
+    /// segment and the page's index within it.
+    PageRead(String),
     /// An internal invariant of the compiler or executor failed — a schema
     /// or plan lookup that every verified plan satisfies came up empty.
     /// Carries the static-verifier diagnostic code (`P0xx`, see
@@ -78,6 +83,7 @@ impl fmt::Display for QueryError {
                 write!(f, "ER edge `{edge}` is not idref-encoded in the schema")
             }
             QueryError::Storage(m) => write!(f, "storage backend commit failed: {m}"),
+            QueryError::PageRead(m) => write!(f, "paged read failed: {m}"),
             QueryError::Internal { diag } => {
                 write!(f, "internal invariant violated [{diag}]")
             }
@@ -86,3 +92,11 @@ impl fmt::Display for QueryError {
 }
 
 impl std::error::Error for QueryError {}
+
+/// The executor's storage touches fail only on a page read, so an I/O
+/// error inside execution is a [`QueryError::PageRead`].
+impl From<std::io::Error> for QueryError {
+    fn from(e: std::io::Error) -> Self {
+        QueryError::PageRead(e.to_string())
+    }
+}

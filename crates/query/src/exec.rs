@@ -223,9 +223,10 @@ fn run(
         colorist_trace::span("query", format_args!("execute:{}:{}", plan.name, plan.strategy));
     let start = Instant::now();
     let mut metrics = Metrics::default();
-    // page accounting: a per-query cold buffer pool over the attached
-    // backend's segment directory (a free no-op on the heap backend).
-    // Per-query pools keep the page counters deterministic regardless of
+    // paged reads: a per-query cold accounting clock over the attached
+    // backend's segment directory, faulting its misses through the
+    // attachment's shared page cache (a free no-op on the heap backend).
+    // Per-query clocks keep the page counters deterministic regardless of
     // how many suite workers share the database.
     let mut storage = db.storage_ctx();
     let mut regs: Vec<Option<SetVal>> = vec![None; plan.reg_count];
@@ -320,7 +321,7 @@ fn eval<'d>(
                     // the stored document-order list IS the answer: borrow
                     metrics.elements_scanned += all.len() as u64;
                     metrics.bytes_touched += std::mem::size_of_val(all) as u64;
-                    storage.touch_occs(*color, all, metrics);
+                    storage.touch_occs(*color, all, metrics)?;
                     Cow::Borrowed(all)
                 }
                 Some(p) if !db.reference_kernels() => {
@@ -348,7 +349,7 @@ fn eval<'d>(
                             metrics.index_lookups += 1;
                             if let Some(k) = db.try_join_key(&p.value) {
                                 let slice = index.matching(*node, p.attr, k);
-                                storage.touch_postings(index, slice, metrics);
+                                storage.touch_postings(index, slice, metrics)?;
                                 elems.extend(slice.iter().map(|en| en.element));
                             } // never-interned text matches nothing
                         }
@@ -356,7 +357,7 @@ fn eval<'d>(
                             // a range predicate walks the attribute's whole
                             // posting run (group by group), so it reads
                             // every posting page of the column
-                            storage.touch_postings(index, index.of_attr(*node, p.attr), metrics);
+                            storage.touch_postings(index, index.of_attr(*node, p.attr), metrics)?;
                             // one key comparison per distinct stored value,
                             // taking whole groups — never per element
                             let want = match p.op {
@@ -379,17 +380,17 @@ fn eval<'d>(
                     metrics.elements_scanned += v.len() as u64;
                     metrics.elements_skipped += (all.len() as u64).saturating_sub(v.len() as u64);
                     metrics.bytes_touched += std::mem::size_of_val(v.as_slice()) as u64;
-                    storage.touch_occs(*color, &v, metrics);
+                    storage.touch_occs(*color, &v, metrics)?;
                     Cow::Owned(v)
                 }
                 Some(p) => {
                     // reference path: linear walk of the node's extent
                     metrics.elements_scanned += all.len() as u64;
                     metrics.bytes_touched += std::mem::size_of_val(all) as u64;
-                    storage.touch_occs(*color, all, metrics);
+                    storage.touch_occs(*color, all, metrics)?;
                     let mut v = Vec::new();
                     for &o in all {
-                        storage.touch_element(tree.occ(o).element, metrics);
+                        storage.touch_element(tree.occ(o).element, metrics)?;
                         let el = db.element(tree.occ(o).element);
                         let Some(av) = el.attrs.get(p.attr) else {
                             return Err(QueryError::Exec(format!(
@@ -419,7 +420,7 @@ fn eval<'d>(
             // node-normal schemas.
             let src_val = expand_to_logical_occs(db, *color, src_val);
             let tree = color_tree(db, *color, "StructSemi")?;
-            storage.touch_occs(*color, &src_val, metrics);
+            storage.touch_occs(*color, &src_val, metrics)?;
             let k = via.len() as u16;
             match dir {
                 VDir::Down => {
@@ -437,7 +438,7 @@ fn eval<'d>(
                         // the union materialized: charge the ids it moved
                         metrics.bytes_touched += std::mem::size_of_val(targets.as_ref()) as u64;
                     }
-                    storage.touch_occs(*color, &targets, metrics);
+                    storage.touch_occs(*color, &targets, metrics)?;
                     let out = structural_semi_join(
                         db,
                         *color,
@@ -451,7 +452,7 @@ fn eval<'d>(
                 }
                 VDir::Up => {
                     // ancestors exactly k above, along the matching chain
-                    storage.touch_occs(*color, tree.of_node(*node), metrics);
+                    storage.touch_occs(*color, tree.of_node(*node), metrics)?;
                     let valid = valid_desc_placement_set(db, *color, *node, via, &src_val, tree);
                     let desc: Vec<OccId> = src_val
                         .iter()
@@ -478,13 +479,13 @@ fn eval<'d>(
             let idref_idx = db
                 .idref_attr_index(graph, *edge)
                 .ok_or_else(|| QueryError::NotIdrefEncoded { edge: edge_label(graph, *edge) })?;
-            storage.touch_elements(&src_elems, metrics);
+            storage.touch_elements(&src_elems, metrics)?;
             let matched: Vec<ElementId> = if db.reference_kernels() {
                 // reference path: per-op hash join against the full extent
                 if *src_is_rel {
                     // src holds relationship elements; probe participant ids
                     let extent = db.extent(e.participant);
-                    storage.touch_elements(extent, metrics);
+                    storage.touch_elements(extent, metrics)?;
                     value_join(
                         db,
                         &src_elems,
@@ -498,7 +499,7 @@ fn eval<'d>(
                     .collect()
                 } else {
                     let extent = db.extent(e.rel);
-                    storage.touch_elements(extent, metrics);
+                    storage.touch_elements(extent, metrics)?;
                     value_join(
                         db,
                         extent,
@@ -525,7 +526,7 @@ fn eval<'d>(
                 for &w in src_elems.iter() {
                     if let ValueKey::Num(k) = attr_key(db, w, AttrRef::Attr(idref_idx)) {
                         if let Ok(i) = u32::try_from(k) {
-                            storage.touch_ordinal(e.participant, i, metrics);
+                            storage.touch_ordinal(e.participant, i, metrics)?;
                             if let Some(p) = db.canonical_by_ordinal(e.participant, i) {
                                 out.push(p);
                             }
@@ -549,7 +550,7 @@ fn eval<'d>(
                 for &x in src_elems.iter() {
                     let key = ValueKey::Num(db.element(x).ordinal as i64);
                     let slice = index.matching(e.rel, idref_idx, key);
-                    storage.touch_postings(index, slice, metrics);
+                    storage.touch_postings(index, slice, metrics)?;
                     out.extend(slice.iter().map(|en| en.element));
                 }
                 metrics.elements_scanned += (src_elems.len() + out.len()) as u64;
@@ -571,37 +572,29 @@ fn eval<'d>(
             metrics.join_probes += src_elems.len() as u64;
             metrics.bytes_touched += (src_elems.len() * std::mem::size_of::<ElementId>()) as u64;
             let e = check_edge(graph, *edge, "LinkSemi")?;
-            storage.touch_elements(&src_elems, metrics);
-            let mut out: Vec<ElementId> = if *src_is_rel {
-                src_elems
-                    .iter()
-                    .filter_map(|&w| {
-                        let ro = db.element(w).ordinal;
-                        storage.touch_link(*edge, ro, metrics);
-                        db.link(*edge, ro).and_then(|po| {
-                            storage.touch_ordinal(e.participant, po, metrics);
-                            db.canonical_by_ordinal(e.participant, po)
-                        })
-                    })
-                    .collect()
+            storage.touch_elements(&src_elems, metrics)?;
+            let mut out: Vec<ElementId> = Vec::new();
+            if *src_is_rel {
+                for &w in src_elems.iter() {
+                    let ro = db.element(w).ordinal;
+                    storage.touch_link(*edge, ro, metrics)?;
+                    if let Some(po) = db.link(*edge, ro) {
+                        storage.touch_ordinal(e.participant, po, metrics)?;
+                        out.extend(db.canonical_by_ordinal(e.participant, po));
+                    }
+                }
             } else {
-                src_elems
-                    .iter()
-                    .flat_map(|&x| {
-                        let po = db.element(x).ordinal;
-                        db.linked_rels(*edge, po)
-                            .into_iter()
-                            .filter_map(|ro| {
-                                // the filter inside linked_rels re-read the
-                                // link slot of every candidate relationship
-                                storage.touch_link(*edge, ro, metrics);
-                                storage.touch_ordinal(e.rel, ro, metrics);
-                                db.canonical_by_ordinal(e.rel, ro)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            };
+                for &x in src_elems.iter() {
+                    let po = db.element(x).ordinal;
+                    for ro in db.linked_rels(*edge, po) {
+                        // the filter inside linked_rels re-read the link
+                        // slot of every candidate relationship
+                        storage.touch_link(*edge, ro, metrics)?;
+                        storage.touch_ordinal(e.rel, ro, metrics)?;
+                        out.extend(db.canonical_by_ordinal(e.rel, ro));
+                    }
+                }
+            }
             out.sort_unstable();
             out.dedup();
             reenter(db, *enter, out, "LinkSemi")
@@ -614,7 +607,7 @@ fn eval<'d>(
             metrics.bytes_touched += (elems.len() * std::mem::size_of::<ElementId>()) as u64;
             color_tree(db, *color, "Cross")?;
             let occs = elems_to_occs(db, *color, &elems);
-            storage.touch_occs(*color, &occs, metrics);
+            storage.touch_occs(*color, &occs, metrics)?;
             Ok(SetVal::Occs { color: *color, occs: Cow::Owned(occs) })
         }
 
@@ -656,7 +649,7 @@ fn eval<'d>(
         Op::GroupBy { src, attr, .. } => {
             metrics.group_bys += 1;
             let elems = to_elems(db, regs, *src, "GroupBy")?;
-            storage.touch_elements(&elems, metrics);
+            storage.touch_elements(&elems, metrics)?;
             metrics.elements_scanned += elems.len() as u64;
             metrics.bytes_touched += (elems.len() * std::mem::size_of::<ValueKey>()) as u64;
             // Copy keys + sort/dedup: no hashing, no per-element String

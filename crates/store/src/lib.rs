@@ -40,7 +40,8 @@
 //! * [`page`], [`pool`], [`storage`] — the pluggable paged storage layer
 //!   (DESIGN.md §14): the 8 KB-page [`page::StorageBackend`] trait with
 //!   in-memory and on-disk implementations, the clock/second-chance
-//!   [`pool::BufferPool`] with pin/unpin discipline, and the segment
+//!   policy behind both the per-query page accounting and the shared,
+//!   byte-budgeted page cache every attachment reads through, and the segment
 //!   serialization + dirty-tracking + commit/write-back protocol that
 //!   attaches a [`database::Database`] to a backend
 //!   ([`database::Database::attach_paged`]) and accounts page traffic in
@@ -79,7 +80,7 @@ pub use join::{
 };
 pub use metrics::Metrics;
 pub use page::{FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
-pub use pool::{BufferPool, PoolConfig, DEFAULT_POOL_BYTES};
+pub use pool::{PoolConfig, DEFAULT_POOL_BYTES};
 pub use statistics::{
     gallop_cost_wins, key_order, Bucket, Cardinality, CmpKind, ColumnStats, Selectivity, StatKey,
     Statistics, HISTOGRAM_BUCKETS,

@@ -124,23 +124,24 @@ metrics! {
     /// binary search. The complement of `elements_scanned` relative to the
     /// reference kernels' full walks; deterministic.
     elements_skipped,
-    /// Pages fetched from the storage backend because the buffer pool did
-    /// not hold them (pool misses). Zero on the in-memory heap backend —
-    /// only the paged backend (DESIGN.md §14) maintains a pool. One per
-    /// distinct page faulted in, deterministic for a given plan, database
-    /// and pool budget.
+    /// Misses of the query's own cold accounting clock: pages the query
+    /// needed that the clock did not hold, each made resident in the
+    /// attachment's shared page cache (which reads from the backend only
+    /// the pages it does not hold itself). Zero on the in-memory heap
+    /// backend — only the paged backend (DESIGN.md §14.4) counts pages.
+    /// Deterministic for a given plan, database and pool budget.
     page_reads,
     /// Pages written back to the storage backend at a commit point: dirty
     /// segment pages, the segment directory, and the meta page. Charged to
     /// the flushing update/batch, zero for pure reads and for the heap
     /// backend.
     page_writes,
-    /// Page requests answered by the buffer pool without touching the
-    /// backend. `pool_hits / (pool_hits + page_reads)` is the hit rate
+    /// Page requests the query's accounting clock already held.
+    /// `pool_hits / (pool_hits + page_reads)` is the hit rate
     /// EXPERIMENTS.md's pool-size narrative plots.
     pool_hits,
-    /// Unpinned pages evicted by the clock sweep to make room under the
-    /// pool byte budget. Exact-matched by the perfgate like every other
+    /// Pages the accounting clock's sweep evicted to stay under the pool
+    /// byte budget. Exact-matched by the perfgate like every other
     /// deterministic counter.
     pool_evictions,
     /// Prepared-plan cache hits: the query's plan was served from the

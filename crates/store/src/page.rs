@@ -26,7 +26,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -362,17 +363,18 @@ impl StorageBackend for MemPages {
 /// when the backend is dropped — the page file is a cache/commit target,
 /// not a user artifact, unless created at an explicit path via
 /// [`FilePages::create_at`] (the durability save/load path).
+///
+/// Pages move with positioned I/O (`pread`/`pwrite`), so reads and writes
+/// share no file cursor and take no lock: a page read never queues behind
+/// a flush. Only [`reserve`](StorageBackend::reserve) serializes, on the
+/// page count.
 pub struct FilePages {
-    inner: Mutex<FileInner>,
+    file: File,
+    /// Next unreserved page id (page 0 = meta always exists).
+    next_page: Mutex<u64>,
     table: PageTable,
     path: PathBuf,
     delete_on_drop: bool,
-}
-
-struct FileInner {
-    file: File,
-    /// Next unreserved page id (page 0 = meta always exists).
-    next_page: u64,
 }
 
 impl fmt::Debug for FilePages {
@@ -408,7 +410,8 @@ impl FilePages {
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
         file.set_len(PAGE_SIZE as u64)?; // meta page
         Ok(FilePages {
-            inner: Mutex::new(FileInner { file, next_page: 1 }),
+            file,
+            next_page: Mutex::new(1),
             table: PageTable::default(),
             path,
             delete_on_drop: false,
@@ -426,9 +429,9 @@ impl FilePages {
                 format!("{} is not a whole number of {PAGE_SIZE}-byte pages", path.display()),
             ));
         }
-        let next_page = len / PAGE_SIZE as u64;
         Ok(FilePages {
-            inner: Mutex::new(FileInner { file, next_page }),
+            file,
+            next_page: Mutex::new(len / PAGE_SIZE as u64),
             table: PageTable::default(),
             path,
             delete_on_drop: false,
@@ -449,38 +452,31 @@ impl Drop for FilePages {
     }
 }
 
-impl FileInner {
-    fn read_at(&mut self, page: PageId, buf: &mut [u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(page * PAGE_SIZE as u64))?;
-        self.file.read_exact(buf)
-    }
-
-    fn write_at(&mut self, page: PageId, data: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(page * PAGE_SIZE as u64))?;
-        self.file.write_all(data)
+impl FilePages {
+    fn write_at(&self, page: PageId, data: &[u8]) -> io::Result<()> {
+        self.file.write_all_at(data, page * PAGE_SIZE as u64)
     }
 }
 
 impl StorageBackend for FilePages {
     fn reserve(&self, pages: u64) -> io::Result<PageId> {
-        let mut inner = self.inner.lock().unwrap();
-        let first = inner.next_page;
-        inner.file.set_len((first + pages) * PAGE_SIZE as u64)?;
-        inner.next_page += pages;
+        let mut next = self.next_page.lock().unwrap();
+        let first = *next;
+        self.file.set_len((first + pages) * PAGE_SIZE as u64)?;
+        *next += pages;
         Ok(first)
     }
 
     fn write_pages(&self, first: PageId, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        if first == 0 || first + pages_for(data.len() as u64) > inner.next_page {
+        if first == 0 || first + pages_for(data.len() as u64) > self.page_count() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "write past reservation"));
         }
         if data.len().is_multiple_of(PAGE_SIZE) {
-            inner.write_at(first, data)
+            self.write_at(first, data)
         } else {
             let mut padded = data.to_vec();
             padded.resize(pages_for(data.len() as u64) as usize * PAGE_SIZE, 0);
-            inner.write_at(first, &padded)
+            self.write_at(first, &padded)
         }
     }
 
@@ -488,7 +484,7 @@ impl StorageBackend for FilePages {
         if page == 0 {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "page 0 is the meta page"));
         }
-        self.inner.lock().unwrap().read_at(page, buf)
+        self.file.read_exact_at(buf, page * PAGE_SIZE as u64)
     }
 
     fn write_meta(&self, data: &[u8]) -> io::Result<()> {
@@ -497,19 +493,19 @@ impl StorageBackend for FilePages {
         }
         let mut padded = data.to_vec();
         padded.resize(PAGE_SIZE, 0);
-        self.inner.lock().unwrap().write_at(0, &padded)
+        self.write_at(0, &padded)
     }
 
     fn read_meta(&self, buf: &mut [u8]) -> io::Result<()> {
-        self.inner.lock().unwrap().read_at(0, buf)
+        self.file.read_exact_at(buf, 0)
     }
 
     fn page_count(&self) -> u64 {
-        self.inner.lock().unwrap().next_page
+        *self.next_page.lock().unwrap()
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.inner.lock().unwrap().file.sync_data()
+        self.file.sync_data()
     }
 
     fn pages(&self) -> &PageTable {

@@ -16,12 +16,14 @@
 //!   writes only the pages whose checksum changed (and the directory
 //!   pages that changed with them) to free pages, and repoints the meta
 //!   page at the new directory; `page_writes` counts the pages laid down;
-//! * **page accounting for reads**: each query runs with a
-//!   [`StorageCtx`] holding its own cold [`BufferPool`], and the executor
-//!   reports every record it reads to the context, which resolves the
-//!   record's row to a page and charges `page_reads`/`pool_hits`/
-//!   `pool_evictions` through the pool — deterministically, because the
-//!   directory is immutable for the duration of a query;
+//! * **paged reads**: each query runs with a [`StorageCtx`] holding its
+//!   own cold accounting clock, and the executor reports every record it
+//!   reads to the context, which resolves the record's row to a page and
+//!   charges `page_reads`/`pool_hits`/`pool_evictions` through the clock —
+//!   deterministically, because the directory is immutable for the
+//!   duration of a query. Each accounting miss makes the page resident in
+//!   the attachment's shared page cache, which reads a page it does not
+//!   hold from the backend and checks it against the directory's checksum;
 //! * **durability**: [`Database::save_paged`] flushes everything to a
 //!   named page file and [`Database::load_paged`] reconstructs a database
 //!   from one, rebuilding the derived structures (per-tree indexes,
@@ -43,7 +45,7 @@ use crate::database::{
 use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
 use crate::page::{checksum, pages_for, FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
-use crate::pool::{BufferPool, PoolConfig};
+use crate::pool::{Clock, Fault, PageCache, PoolConfig};
 use crate::statistics::Statistics;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
@@ -190,6 +192,9 @@ pub(crate) struct PagedState {
     dir: Arc<DirVersion>,
     dirty: BTreeSet<SegId>,
     pool: PoolConfig,
+    /// The attachment's page cache, shared with every clone, snapshot and
+    /// query of it.
+    cache: Arc<PageCache>,
 }
 
 impl Backing {
@@ -748,9 +753,16 @@ fn diff_pages(bytes: &mut Vec<u8>, old: &[PageRef]) -> (Vec<PageRef>, Vec<usize>
 }
 
 /// Write each `(page id, page bytes)`, one backend call per run of
-/// consecutive ids.
-fn write_runs(backend: &dyn StorageBackend, mut pages: Vec<(PageId, &[u8])>) -> io::Result<()> {
+/// consecutive ids, dropping every id from `cache` first: a page is only
+/// written once no live version names it, so the cache may still hold its
+/// bytes from an older version.
+fn write_runs(
+    backend: &dyn StorageBackend,
+    cache: &PageCache,
+    mut pages: Vec<(PageId, &[u8])>,
+) -> io::Result<()> {
     pages.sort_unstable_by_key(|&(id, _)| id);
+    cache.forget(pages.iter().map(|&(id, _)| id));
     let mut run_bytes = Vec::new();
     for run in pages.chunk_by(|a, b| b.0 == a.0 + 1) {
         let data = match run {
@@ -780,8 +792,9 @@ impl Database {
     /// the full database), and from here on every commit point writes
     /// dirty segments back through the backend. Queries executed against
     /// an attached database charge the `page_reads`/`pool_hits`/
-    /// `pool_evictions` counters through a per-query buffer pool of
-    /// `pool.pool_bytes` bytes.
+    /// `pool_evictions` counters through a per-query accounting clock of
+    /// `pool.pool_bytes` bytes, and read pages through one page cache of
+    /// the same budget, shared by this database's clones and snapshots.
     pub fn attach_paged(
         &mut self,
         backend: Arc<dyn StorageBackend>,
@@ -801,7 +814,8 @@ impl Database {
             dirty.insert(SegId::Tree(c as u16));
         }
         let empty = DirVersion { backend, dir: SegmentDirectory::default(), dir_pages: vec![] };
-        self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), dirty, pool });
+        let cache = Arc::new(PageCache::new(pool));
+        self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), dirty, pool, cache });
         self.flush_storage()
     }
 
@@ -820,13 +834,15 @@ impl Database {
     /// dirty or the database is heap-backed. On `Err` the database, its
     /// directory and the backend's free list are as before the call.
     pub fn flush_storage(&mut self) -> io::Result<FlushReport> {
-        let (old, dirty) = match &self.storage {
-            Backing::Paged(s) if !s.dirty.is_empty() => (s.dir.clone(), s.dirty.clone()),
+        let (old, dirty, cache) = match &self.storage {
+            Backing::Paged(s) if !s.dirty.is_empty() => {
+                (s.dir.clone(), s.dirty.clone(), s.cache.clone())
+            }
             _ => return Ok(FlushReport::default()),
         };
         let table = old.backend.pages();
         let mut taken = Vec::new();
-        let written = self.write_version(&old, &dirty, &mut taken);
+        let written = self.write_version(&old, &dirty, &cache, &mut taken);
         let (version, meta, pages_written) = match written {
             Ok(written) => written,
             Err(e) => {
@@ -846,12 +862,14 @@ impl Database {
 
     /// The write half of [`Database::flush_storage`]: encode, diff and
     /// write the dirty segments' changed pages and the directory's, taking
-    /// pages into `taken`. Returns the pinned new version, its meta page
-    /// and the pages written (the meta page included).
+    /// pages into `taken` and dropping them from `cache`. Returns the
+    /// pinned new version, its meta page and the pages written (the meta
+    /// page included).
     fn write_version(
         &self,
         old: &DirVersion,
         dirty: &BTreeSet<SegId>,
+        cache: &PageCache,
         taken: &mut Vec<PageId>,
     ) -> io::Result<(Arc<DirVersion>, Vec<u8>, u64)> {
         let backend = &*old.backend;
@@ -895,7 +913,7 @@ impl Database {
             writes.push((id, &encoded[buf][i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
         }
         let data_pages = writes.len() as u64;
-        write_runs(backend, writes)?;
+        write_runs(backend, cache, writes)?;
 
         let mut dir_buf = encode_dir(&dir);
         let dir_bytes = dir_buf.len() as u64;
@@ -905,7 +923,7 @@ impl Database {
             dir_pages[i].id = id;
             writes.push((id, &dir_buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
         }
-        write_runs(backend, writes)?;
+        write_runs(backend, cache, writes)?;
         let meta = encode_meta(self.epoch(), dir_bytes, &dir_pages)?;
         let version = DirVersion::pinned(old.backend.clone(), dir, dir_pages);
         taken.clear();
@@ -1048,7 +1066,12 @@ impl Database {
             stale_columns: BTreeSet::new(),
             dispatch: Default::default(),
             epoch: meta.epoch,
-            storage: Backing::Paged(PagedState { dir: version, dirty: BTreeSet::new(), pool }),
+            storage: Backing::Paged(PagedState {
+                dir: version,
+                dirty: BTreeSet::new(),
+                pool,
+                cache: Arc::new(PageCache::new(pool)),
+            }),
         })
     }
 
@@ -1063,16 +1086,31 @@ impl Database {
         segs.chain([("directory".to_string(), ids(&s.dir.dir_pages))]).collect()
     }
 
+    /// Pages the attachment's shared page cache has read from the backend
+    /// since the attach or load — the physical reads behind every query's
+    /// `page_reads`, which count misses of a cold per-query clock. Zero on
+    /// the heap.
+    pub fn physical_page_reads(&self) -> u64 {
+        match &self.storage {
+            Backing::Heap => 0,
+            Backing::Paged(s) => s.cache.reads(),
+        }
+    }
+
     /// The storage context queries against this database run with: a
     /// heap-backed database gets the free no-op context; a paged database
-    /// gets the directory plus a fresh, cold buffer pool at the attached
-    /// byte budget. Per-query pools keep the page counters deterministic
-    /// under any worker count.
+    /// gets the directory, a fresh, cold accounting clock at the attached
+    /// byte budget, and the attachment's shared page cache. Per-query
+    /// clocks keep the page counters deterministic under any worker count.
     pub fn storage_ctx(&self) -> StorageCtx {
         match &self.storage {
             Backing::Heap => StorageCtx { inner: None },
             Backing::Paged(s) => StorageCtx {
-                inner: Some(PagedCtx { version: s.dir.clone(), pool: BufferPool::new(s.pool) }),
+                inner: Some(PagedCtx {
+                    version: s.dir.clone(),
+                    clock: Clock::new(s.pool),
+                    cache: s.cache.clone(),
+                }),
             },
         }
     }
@@ -1081,10 +1119,16 @@ impl Database {
 // ---------------------------------------------------------------------------
 // per-query storage context
 
-/// Per-query page accounting: resolves the records the executor reads to
-/// pages of the attached backend and charges them through a private
-/// buffer pool. For a heap-backed database every method is a no-op, so
-/// the executor calls them unconditionally.
+/// Per-query paged reads: resolves the records the executor reads to
+/// pages of the attached backend, charges them through a private
+/// accounting clock, and makes each page the clock misses resident in the
+/// attachment's shared page cache. For a heap-backed database every method
+/// is a no-op, so the executor calls them unconditionally.
+///
+/// A touch fails only when a page the cache must read cannot be read, or
+/// its bytes do not hash to the checksum the directory records for it:
+/// the error names the segment and the page's index within it (a
+/// checksum mismatch is a [`PageFileError::Checksum`]).
 ///
 /// Records mutated (or created) since the last flush live past the end of
 /// their flushed segment; touches beyond a segment's flushed length are
@@ -1099,7 +1143,34 @@ pub struct StorageCtx {
 struct PagedCtx {
     /// Held for the whole query, so no page it reads is reused under it.
     version: Arc<DirVersion>,
-    pool: BufferPool,
+    clock: Clock,
+    cache: Arc<PageCache>,
+}
+
+/// Count one access to page `index` of `seg` on the query's clock and, on
+/// a miss, make it resident in the shared cache.
+fn access(
+    clock: &mut Clock,
+    cache: &PageCache,
+    backend: &dyn StorageBackend,
+    seg: SegId,
+    index: usize,
+    page: PageRef,
+    m: &mut Metrics,
+) -> io::Result<()> {
+    if clock.access(page.id, m) {
+        return Ok(());
+    }
+    let at = |what: String| format!("segment {seg:?}, page {index}: {what}");
+    cache.fault(page.id, page.checksum, |buf| backend.read_page(page.id, buf)).map_err(
+        |f| match f {
+            Fault::Read(e) => io::Error::new(e.kind(), at(e.to_string())),
+            Fault::Checksum => {
+                PageFileError::Checksum { segment: format!("{seg:?}"), page: index as u64 }.into()
+            }
+            Fault::Stale => io::Error::other(at("the cached page is stale".into())),
+        },
+    )
 }
 
 impl StorageCtx {
@@ -1115,91 +1186,99 @@ impl StorageCtx {
 
     /// Touch a run of fixed-size rows of `seg`. Consecutive rows landing
     /// on the page just accessed are absorbed (a scan reads each page
-    /// once); every page transition is one pool access.
+    /// once); every page transition is one clock access.
     fn touch_rows(
         &mut self,
         seg: SegId,
         rec: u64,
         rows: impl IntoIterator<Item = u64>,
         m: &mut Metrics,
-    ) {
-        let Some(ctx) = &mut self.inner else { return };
-        let Some(e) = ctx.version.dir.entry(seg) else { return };
-        let mut last = PageId::MAX;
+    ) -> io::Result<()> {
+        let Some(PagedCtx { version, clock, cache }) = &mut self.inner else { return Ok(()) };
+        let Some(e) = version.dir.entry(seg) else { return Ok(()) };
+        let mut last = usize::MAX;
         for row in rows {
             let off = row * rec;
             if off >= e.bytes {
                 continue; // newer than the flushed segment: heap-only
             }
-            let page = e.pages[(off / PAGE_SIZE as u64) as usize].id;
-            if page != last {
-                last = page;
-                let backend = &*ctx.version.backend;
-                ctx.pool.access(page, backend, m).expect("paged backend read failed");
+            let index = (off / PAGE_SIZE as u64) as usize;
+            if index != last {
+                last = index;
+                access(clock, cache, &*version.backend, seg, index, e.pages[index], m)?;
             }
         }
+        Ok(())
     }
 
     /// Touch the occurrence records behind `occs` in color `c`.
-    pub fn touch_occs(&mut self, c: ColorId, occs: &[OccId], m: &mut Metrics) {
-        if self.inner.is_some() {
-            self.touch_rows(SegId::Tree(c.0), REC_OCC, occs.iter().map(|o| o.idx() as u64), m);
+    pub fn touch_occs(&mut self, c: ColorId, occs: &[OccId], m: &mut Metrics) -> io::Result<()> {
+        if self.inner.is_none() {
+            return Ok(());
         }
-    }
-
-    /// Touch one occurrence record.
-    pub fn touch_occ(&mut self, c: ColorId, o: OccId, m: &mut Metrics) {
-        self.touch_rows(SegId::Tree(c.0), REC_OCC, std::iter::once(o.idx() as u64), m);
+        self.touch_rows(SegId::Tree(c.0), REC_OCC, occs.iter().map(|o| o.idx() as u64), m)
     }
 
     /// Touch the element records behind `elems` (attribute reads).
     /// Element records are variable-size; rows map to byte offsets at the
     /// segment's mean record size, which keeps the mapping deterministic
     /// without a per-row offset table.
-    pub fn touch_elements(&mut self, elems: &[ElementId], m: &mut Metrics) {
+    pub fn touch_elements(&mut self, elems: &[ElementId], m: &mut Metrics) -> io::Result<()> {
         if self.inner.is_some() {
             for &e in elems {
-                self.touch_element(e, m);
+                self.touch_element(e, m)?;
             }
         }
+        Ok(())
     }
 
     /// Touch one element record.
-    pub fn touch_element(&mut self, e: ElementId, m: &mut Metrics) {
-        let Some(ctx) = &mut self.inner else { return };
-        let Some(entry) = ctx.version.dir.entry(SegId::Elements) else { return };
+    pub fn touch_element(&mut self, e: ElementId, m: &mut Metrics) -> io::Result<()> {
+        let Some(PagedCtx { version, clock, cache }) = &mut self.inner else { return Ok(()) };
+        let Some(entry) = version.dir.entry(SegId::Elements) else { return Ok(()) };
         if entry.rows == 0 || e.idx() as u64 >= entry.rows {
-            return;
+            return Ok(());
         }
         let off = (e.idx() as u128 * entry.bytes as u128 / entry.rows as u128) as u64;
-        let page = entry.pages[(off / PAGE_SIZE as u64) as usize].id;
-        ctx.pool.access(page, &*ctx.version.backend, m).expect("paged backend read failed");
+        let index = (off / PAGE_SIZE as u64) as usize;
+        let page = entry.pages[index];
+        access(clock, cache, &*version.backend, SegId::Elements, index, page, m)
     }
 
     /// Touch a probed or scanned range of value-index postings. `slice`
     /// must be a sub-slice of one column's run (as returned by
     /// `matching`/`of_attr`); its position in the index's global posting
     /// order is its row range in the postings segment.
-    pub fn touch_postings(&mut self, index: &ValueIndex, slice: &[IndexEntry], m: &mut Metrics) {
+    pub fn touch_postings(
+        &mut self,
+        index: &ValueIndex,
+        slice: &[IndexEntry],
+        m: &mut Metrics,
+    ) -> io::Result<()> {
         if self.inner.is_none() {
-            return;
+            return Ok(());
         }
-        let Some(row0) = index.row_of(slice) else { return };
-        self.touch_rows(SegId::Postings, REC_POSTING, row0..row0 + slice.len() as u64, m);
+        let Some(row0) = index.row_of(slice) else { return Ok(()) };
+        self.touch_rows(SegId::Postings, REC_POSTING, row0..row0 + slice.len() as u64, m)
     }
 
     /// Touch one ordinal-index slot (an id→element probe).
-    pub fn touch_ordinal(&mut self, node: NodeId, ordinal: u32, m: &mut Metrics) {
-        let Some(ctx) = &self.inner else { return };
-        let Some(&base) = ctx.version.dir.ordinal_bases.get(node.idx()) else { return };
-        self.touch_rows(SegId::Ordinals, REC_SLOT, std::iter::once(base + ordinal as u64), m);
+    pub fn touch_ordinal(&mut self, node: NodeId, ordinal: u32, m: &mut Metrics) -> io::Result<()> {
+        let Some(ctx) = &self.inner else { return Ok(()) };
+        let Some(&base) = ctx.version.dir.ordinal_bases.get(node.idx()) else { return Ok(()) };
+        self.touch_rows(SegId::Ordinals, REC_SLOT, std::iter::once(base + ordinal as u64), m)
     }
 
     /// Touch one link-table slot (a parent-child adjacency probe).
-    pub fn touch_link(&mut self, edge: colorist_er::EdgeId, rel_ordinal: u32, m: &mut Metrics) {
-        let Some(ctx) = &self.inner else { return };
-        let Some(&base) = ctx.version.dir.link_bases.get(edge.idx()) else { return };
-        self.touch_rows(SegId::Links, REC_SLOT, std::iter::once(base + rel_ordinal as u64), m);
+    pub fn touch_link(
+        &mut self,
+        edge: colorist_er::EdgeId,
+        rel_ordinal: u32,
+        m: &mut Metrics,
+    ) -> io::Result<()> {
+        let Some(ctx) = &self.inner else { return Ok(()) };
+        let Some(&base) = ctx.version.dir.link_bases.get(edge.idx()) else { return Ok(()) };
+        self.touch_rows(SegId::Links, REC_SLOT, std::iter::once(base + rel_ordinal as u64), m)
     }
 }
 
@@ -1373,7 +1452,7 @@ mod tests {
         // heap context: all no-ops
         let mut ctx = db.storage_ctx();
         let mut m = Metrics::default();
-        ctx.touch_element(ElementId(0), &mut m);
+        ctx.touch_element(ElementId(0), &mut m).unwrap();
         assert_eq!(m, Metrics::default());
 
         db.attach_paged(Arc::new(MemPages::new()), PoolConfig::default()).unwrap();
@@ -1381,12 +1460,12 @@ mod tests {
         assert!(ctx.is_paged());
         let c = ColorId(0);
         let occs: Vec<OccId> = (0..db.color(c).occs().len() as u32).map(OccId).collect();
-        ctx.touch_occs(c, &occs, &mut m);
-        ctx.touch_elements(&[ElementId(0), ElementId(1)], &mut m);
+        ctx.touch_occs(c, &occs, &mut m).unwrap();
+        ctx.touch_elements(&[ElementId(0), ElementId(1)], &mut m).unwrap();
         let b = g.node_by_name("b").unwrap();
         let key = db.join_key(&Value::Int(0));
-        ctx.touch_postings(db.value_index(), db.value_index().matching(b, 0, key), &mut m);
-        ctx.touch_ordinal(b, 0, &mut m);
+        ctx.touch_postings(db.value_index(), db.value_index().matching(b, 0, key), &mut m).unwrap();
+        ctx.touch_ordinal(b, 0, &mut m).unwrap();
         assert!(m.page_reads > 0, "cold pool faults pages in");
         assert!(m.pool_hits > 0, "tiny database: later touches hit");
         let pristine =
@@ -1397,7 +1476,7 @@ mod tests {
         let fresh = db.insert_element(b, vec![Value::Int(9), Value::Text("w".into())]);
         let mut ctx = db.storage_ctx();
         let before = m;
-        ctx.touch_element(fresh, &mut m);
+        ctx.touch_element(fresh, &mut m).unwrap();
         assert_eq!(m, before, "unflushed rows live only in the heap");
     }
 

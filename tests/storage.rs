@@ -10,6 +10,12 @@
 //! and on disk and loses no free page; torn pages are typed errors; the
 //! file stays bounded under a long run of commits; and forked clones
 //! flushing to one backend never overwrite each other's pages.
+//!
+//! The last part holds the shared page cache to its contract: concurrent
+//! queries fault through it and still count like a serial run, a page a
+//! commit rewrites is never served stale, and a page that fails its
+//! checksum fails the query that reads it — not the process, and not the
+//! server worker serving it.
 
 use std::collections::BTreeSet;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -20,7 +26,8 @@ use std::sync::{Arc, Mutex};
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
-use colorist::query::{execute, optimize};
+use colorist::query::{execute, optimize, QueryError};
+use colorist::server::{Server, ServerConfig, ServerError};
 use colorist::store::page::PageTable;
 use colorist::store::storage::PageFileError;
 use colorist::store::{
@@ -581,4 +588,136 @@ fn forked_clones_never_overwrite_each_others_pages() {
         assert_eq!(loaded.same_state(me, true), Ok(()), "round {k}: reload");
     }
     assert!(a.same_state(&b, false).is_err(), "the clones diverged");
+}
+
+// ---------------------------------------------------------------------------
+// the shared page cache: concurrency, stale pages, corrupt pages
+
+/// A query's answer and every counter but the wall clock.
+fn outcome(db: &Database, g: &ErGraph, q: &colorist::query::Pattern) -> (Vec<ElementId>, Metrics) {
+    let plan = optimize(db, g, q).expect("plans");
+    let r = execute(db, g, &plan).unwrap_or_else(|e| panic!("{}: {e}", q.name));
+    (r.elements, Metrics { elapsed: Default::default(), ..r.metrics })
+}
+
+/// Four threads run the thirteen reads, each from its own starting query,
+/// against one file-backed database whose 8-frame page cache they share:
+/// every answer and every counter — page counters included — equals the
+/// serial run's, and the cache reads fewer pages than the queries miss.
+#[test]
+fn four_threads_share_one_page_cache_and_count_like_a_serial_run() {
+    let (g, mut db) = tpcw_db(Strategy::Dr, 200);
+    let backend = Arc::new(FilePages::create_temp().expect("create the page file"));
+    db.attach_paged(backend, PoolConfig { pool_bytes: 64 * 1024 }).expect("attach");
+    let reads = tpcw::workload(&g).reads;
+    let serial: Vec<_> = reads.iter().map(|q| outcome(&db, &g, q)).collect();
+    let misses: u64 = serial.iter().map(|(_, m)| m.page_reads).sum();
+    let pages = named_pages(&db).len();
+    assert!(pages > 4 * 8, "{pages} pages must outgrow the 8-frame cache");
+
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (db, g, reads, serial) = (&db, &g, &reads, &serial);
+            scope.spawn(move || {
+                for round in 0..3 {
+                    for i in (0..reads.len()).map(|i| (i + 3 * t + round) % reads.len()) {
+                        let got = outcome(db, g, &reads[i]);
+                        assert_eq!(got, serial[i], "thread {t}: {} differs", reads[i].name);
+                    }
+                }
+            });
+        }
+    });
+    let physical = db.physical_page_reads();
+    assert!(physical > 0, "the queries must reach the file");
+    assert!(physical < 13 * misses, "13 passes missed {misses} pages each; {physical} were read");
+}
+
+/// Two hundred rounds of two four-write group commits, then the thirteen
+/// reads from a rotating first query, at an 8-frame budget. The second
+/// commit of a round takes the pages the first one freed, which the
+/// previous round's last reads may have left in the cache holding the
+/// bytes of the version that freed them. Every read must still be served,
+/// with the answer and counters of the same reads on a heap database given
+/// the same writes — a cached page that no longer matches its directory
+/// checksum fails the read.
+#[test]
+fn two_hundred_rounds_of_commits_reusing_pages_never_serve_a_stale_page() {
+    let (g, mut heap) = tpcw_db(Strategy::Dr, 30);
+    let mut db = heap.clone();
+    let backend = FaultyBackend::new(Arc::new(FilePages::create_temp().expect("page file")));
+    db.attach_paged(backend.clone(), PoolConfig { pool_bytes: 8 * PAGE_SIZE as u64 })
+        .expect("attach");
+    let reads = tpcw::workload(&g).reads;
+    let mut ever_named = named_pages(&db);
+    let mut reused = 0;
+    for round in 0..200 {
+        for k in [2 * round, 2 * round + 1] {
+            backend.arm(0);
+            commit(&g, &mut db, k).expect("the group commits");
+            let verdicts = group(&g, &heap, k, 4).commit(&mut heap, &g).expect("heap commits");
+            assert!(verdicts.iter().all(Result::is_ok));
+            reused += backend.written().iter().any(|p| ever_named.contains(p)) as u32;
+            ever_named.extend(named_pages(&db));
+        }
+        for q in (0..reads.len()).map(|i| &reads[(round + i) % reads.len()]) {
+            let (want, want_m) = outcome(&heap, &g, q);
+            let (got, got_m) = outcome(&db, &g, q);
+            assert_eq!(got, want, "round {round}: {} answers differ", q.name);
+            assert_eq!(non_storage(&got_m), non_storage(&want_m), "round {round}: {}", q.name);
+        }
+    }
+    assert!(reused >= 390, "only {reused} of 400 commits reused a freed page");
+}
+
+/// One flipped byte in a page no query has read yet: every query that
+/// reads the page fails with an error naming its segment and page index,
+/// and so does a served read — whose worker then goes on serving. Once
+/// the byte is restored, the same reads succeed with the heap's answers.
+#[test]
+fn a_corrupt_page_fails_the_reads_of_it_and_the_server_keeps_serving() {
+    let (g, heap) = tpcw_db(Strategy::Dr, 30);
+    let mut db = heap.clone();
+    let path = page_file("corrupt-read");
+    let backend = Arc::new(FilePages::create_at(&path).expect("create the page file"));
+    db.attach_paged(backend, PoolConfig { pool_bytes: 64 * 1024 }).expect("attach");
+    let server = Server::start(db.clone(), &g, &ServerConfig::default().with_workers(1));
+    let client = server.client();
+    let map = db.page_map();
+    let tree = &map.iter().find(|(seg, _)| seg == "Tree(0)").expect("colour 0's tree").1;
+    flip(&path, tree[0]);
+
+    let reads = tpcw::workload(&g).reads;
+    let want = "paged read failed: checksum mismatch in segment Tree(0), page 0";
+    let mut failing = Vec::new();
+    for q in &reads {
+        let plan = optimize(&db, &g, q).expect("plans");
+        match execute(&db, &g, &plan) {
+            Ok(r) => assert_eq!(r.elements, outcome(&heap, &g, q).0, "{}", q.name),
+            Err(e) => {
+                assert_eq!(e.to_string(), want, "{}", q.name);
+                failing.push(q);
+            }
+        }
+    }
+    assert!(!failing.is_empty(), "some read must touch the first page of colour 0's tree");
+    for q in &failing {
+        match client.read(q).wait() {
+            Err(ServerError::Query(e @ QueryError::PageRead(_))) => {
+                assert_eq!(e.to_string(), want, "served {}", q.name)
+            }
+            other => panic!("served {}: expected a page-read error, got {other:?}", q.name),
+        }
+    }
+
+    flip(&path, tree[0]);
+    for q in &failing {
+        let want = outcome(&heap, &g, q).0;
+        assert_eq!(outcome(&db, &g, q).0, want, "{} after the repair", q.name);
+        let served = client.read(q).wait().expect("the worker still serves");
+        assert_eq!(served.elements, want, "served {} after the repair", q.name);
+    }
+    drop(server.shutdown());
+    drop(db);
+    let _ = std::fs::remove_file(&path);
 }
