@@ -116,6 +116,12 @@ echo "==> server torture (release): admission groups, plan cache, reader under a
 # orders of magnitude faster, which is the regime the race is about.
 cargo test -q --release --test server
 
+echo "==> explain smoke (scale 300, TPC-W, all seven strategies)"
+# EXPLAIN ANALYZE is the interactive caller of the cost annotation
+# (DESIGN.md §11): every read on every strategy is compiled, annotated
+# from exact index counts, executed and printed. Fails on a non-zero exit.
+colorist explain --scale 300 >/dev/null
+
 echo "==> table1 bench (scale 300, traced)"
 # Full-scale run with span collection: the summary feeds the perf gate, the
 # chrome-trace JSON is validated for shape (hierarchy, ids, thread nesting).
@@ -131,9 +137,10 @@ echo "==> perfgate: diff against committed baseline + optimizer-quality gate"
 # (any growth hard-fails); wall-clock is not gated here at all — CI
 # hardware is shared and noisy, and BENCHMARK.json is the authority for
 # time. The same diff enforces the optimizer-quality gate on both
-# documents: no query's cost-based gate sum may exceed its heuristic
-# twin's, and estimate-vs-measured drift must stay within the committed
-# q-error budget.
+# documents: no query's gate sum may exceed its ratio-dispatch twin's,
+# and estimate-vs-measured drift must stay within the committed q-error
+# budget. Predicate estimates are exact counts read from the value index,
+# so the 8.0 budget now bounds the join estimates only.
 colorist gate --baseline results/bench_baseline.json \
     --current results/bench_summary_ci.json --q-error-budget 8.0
 rm -f results/bench_summary_ci.json results/trace_ci.json

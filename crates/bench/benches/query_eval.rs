@@ -1,35 +1,15 @@
 //! End-to-end query evaluation per schema: the cheap chain (Q1), the
 //! multi-association star (Q8), and the longest chain (Q9) — the queries
-//! whose Table 1 rows separate the strategies most. Plus two optimizer
-//! micro-benches: the cost of a histogram selectivity probe vs computing
-//! the true selectivity by executing the selection, and a structural star
-//! run under the worst child order vs the cost-based order.
+//! whose Table 1 rows separate the strategies most. Plus the cost of
+//! annotating a range-predicate plan with exact index counts, next to
+//! executing it.
 
 use colorist_bench::micro;
 use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, ScaleProfile};
 use colorist_er::{catalog, ErGraph};
-use colorist_query::{compile, compile_with, execute, optimize, CmpOp, Pattern};
-use colorist_store::{CmpKind, Database};
+use colorist_query::{annotate_costs, compile, execute};
 use colorist_workload::tpcw;
-
-/// Estimated rows behind one pattern node: histogram estimate when a
-/// predicate is present, plain extent cardinality otherwise — the same
-/// quantity the optimizer's greedy child ordering minimizes.
-fn node_est(db: &Database, q: &Pattern, c: usize) -> f64 {
-    let pn = &q.nodes[c];
-    match &pn.predicate {
-        None => db.statistics().extent_rows(pn.node) as f64,
-        Some(p) => {
-            let kind = match p.op {
-                CmpOp::Eq => CmpKind::Eq,
-                CmpOp::Lt => CmpKind::Lt,
-                CmpOp::Gt => CmpKind::Gt,
-            };
-            db.estimate_predicate_matches(pn.node, p.attr, kind, &p.value).0
-        }
-    }
-}
 
 fn main() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
@@ -47,33 +27,14 @@ fn main() {
         }
     }
 
+    // Cost annotation reads exact counts from the index: an equality is
+    // one posting-run lookup, a range walks the column's key groups. Q3's
+    // range predicate is the costliest case EXPLAIN and the suite pay.
     let schema = design(&g, Strategy::Deep).unwrap();
     let db = materialize(&g, &schema, &inst);
-
-    // (a) Histogram selectivity probe vs the true selectivity, obtained by
-    // executing the selection — what the histogram saves the planner.
-    println!("selectivity — histogram probe vs true scan (Q3: item.cost < 500, deep)");
+    println!("cost annotation — exact index counts (Q3: item.cost < 500, deep)");
     let q3 = w.reads.iter().find(|q| q.name == "Q3").unwrap();
-    let pn = &q3.nodes[0];
-    let pred = pn.predicate.as_ref().expect("Q3 carries a range predicate");
-    micro::case("selectivity/histogram-probe", || {
-        db.estimate_predicate_matches(pn.node, pred.attr, CmpKind::Lt, &pred.value)
-    });
-    let sel_plan = compile(&g, &db.schema, q3).unwrap();
-    micro::case("selectivity/true-scan", || execute(&db, &g, &sel_plan).unwrap());
-
-    // (b) The Q8 star under the worst child order (descending estimated
-    // rows — the exact inverse of the optimizer's greedy rule) vs the
-    // cost-based order.
-    println!("star ordering — worst vs cost-based child order (Q8, deep)");
-    let q8 = w.reads.iter().find(|q| q.name == "Q8").unwrap();
-    let worst = |_v: usize, children: &[usize]| -> Vec<usize> {
-        let mut ch = children.to_vec();
-        ch.sort_by(|&a, &b| node_est(&db, q8, b).total_cmp(&node_est(&db, q8, a)));
-        ch
-    };
-    let worst_plan = compile_with(&g, &db.schema, q8, Some(&worst)).unwrap();
-    let opt_plan = optimize(&db, &g, q8).unwrap();
-    micro::case("Q8/worst-child-order", || execute(&db, &g, &worst_plan).unwrap());
-    micro::case("Q8/optimized-child-order", || execute(&db, &g, &opt_plan).unwrap());
+    let plan = compile(&g, &db.schema, q3).unwrap();
+    micro::case("annotate/Q3", || annotate_costs(&db, &g, &plan));
+    micro::case("execute/Q3", || execute(&db, &g, &plan).unwrap());
 }

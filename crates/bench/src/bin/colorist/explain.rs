@@ -25,8 +25,8 @@ use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, ScaleProfile};
 use colorist_er::{catalog, ErGraph};
 use colorist_query::{
-    compile, execute, execute_profiled, execute_update, explain, explain_analyze, optimize,
-    UpdateAction,
+    annotate_costs, compile, execute, execute_profiled, execute_update, explain, explain_analyze,
+    optimize, UpdateAction,
 };
 use colorist_store::UpdateBatch;
 use colorist_workload::{derby, tpcw, xmark};
@@ -115,20 +115,20 @@ pub fn run(args: &Args, run: &RunConfig) {
             db
         });
         for q in &reads {
-            // executed plans come from the cost-based optimizer so the
-            // estimate-vs-measured drift columns are populated; the
-            // --static sketch keeps the heuristic compiler (no database,
-            // hence no statistics, to estimate from)
-            let plan =
-                match db.as_ref().map_or_else(|| compile(&g, &schema, q), |db| optimize(db, &g, q))
-                {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("colorist explain: {}/{s}: {e}", q.name);
-                        std::process::exit(1);
-                    }
-                };
+            // a plan depends on the pattern and the schema alone, so the
+            // --static sketch prints the very plan an executed run gets;
+            // only an executed run annotates it with cost estimates, read
+            // from the database's exact extent and value-index counts, so
+            // the estimate-vs-measured drift columns are populated
+            let mut plan = match compile(&g, &schema, q) {
+                Ok(p) => p,
+                Err(e) => {
+                    eprintln!("colorist explain: {}/{s}: {e}", q.name);
+                    std::process::exit(1);
+                }
+            };
             if let Some(db) = &db {
+                plan.costs = annotate_costs(db, &g, &plan);
                 let (result, prof) = match execute_profiled(db, &g, &plan) {
                     Ok(r) => r,
                     Err(e) => {

@@ -200,9 +200,9 @@ fn run_cell(
             writes += 1;
         }
         bursts.push(burst_start.elapsed());
-        // re-warm: one serial read per pattern. The round's plan-cache
-        // misses all fall here: first touch in round 0, afterwards only
-        // the plans the burst moved an optimizer input of.
+        // re-warm: one serial read per pattern. The run's plan-cache
+        // misses all fall here, on first touch in round 0: no write moves
+        // a plan.
         for q in patterns {
             let r = main.read(q).wait().expect("warm read serves");
             checksum = digest(checksum, r.results, r.distinct, &r.elements);

@@ -39,9 +39,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct GateConfig {
     /// Largest tolerated q-error (`max(est+1, meas+1) / min(est+1, meas+1)`)
-    /// between a query's estimated and measured gate sums. Histograms are
-    /// equi-depth with 16 buckets, so single-predicate estimates land well
-    /// inside this; the budget mainly bounds drift on multi-join chains.
+    /// between a query's estimated and measured gate sums. Predicate
+    /// estimates are exact index counts, so the budget bounds drift on the
+    /// join estimates only.
     pub q_error_budget: f64,
 }
 

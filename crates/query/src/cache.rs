@@ -1,36 +1,25 @@
-//! Sharded prepared-plan cache (DESIGN.md §15.4).
+//! Sharded prepared-plan cache (DESIGN.md §15.3).
 //!
-//! The query service compiles and cost-optimizes each distinct read
-//! pattern **once** per `(pattern, strategy)` and serves the cached
-//! [`Plan`] for as long as the statistics it was costed from stand still.
-//! An entry stores, next to the plan, the [`StatKey`] of every summary the
-//! optimizer read for it — taken from the plan's read footprint
-//! ([`plan_read_footprint`]): the columns its predicates and idref probes
-//! name, the extents of the nodes it visits, the colors it navigates —
-//! with the version each had at build time and what the optimizer *read*
-//! from it (an extent's cardinality; a column's counts and the histogram
-//! estimate of each predicate the pattern puts on it). A lookup **hits
-//! iff those versions are current** in the database it is made against
-//! or, for the ones that moved, what the optimizer would read is what it
-//! read then — the plan is a function of those inputs, so it is the plan
-//! a fresh `optimize` would return. Otherwise the entry is re-optimized
-//! in place and the lookup charges a miss. So a write to a column no plan
-//! reads makes no plan stale, a write to one column can only make stale
-//! the plans costed from it — and does so exactly when it moves one of
-//! their estimates — and *zero stale serves* holds by construction (the
-//! tests in `tests/server.rs` pin it). Nothing is ever orphaned: a key
-//! has one entry, whatever the epoch.
+//! The query service compiles each distinct read pattern **once** per
+//! `(pattern, strategy)` and serves the cached [`Plan`] from then on. A
+//! plan is a pure function of that key — [`optimize`](crate::optimize())
+//! reads the schema and the pattern, never the data — so no write can make
+//! an entry stale and there is nothing to validate on a lookup: *zero
+//! stale serves* holds by construction, and after a key's first touch
+//! every lookup hits, however many epochs have committed since.
 //!
 //! Concurrency: the map is split into [`SHARDS`] independently locked
 //! shards selected by key hash. A miss **builds the plan while holding
 //! its shard lock**, so concurrent first requests for one key serialize:
 //! exactly one charges a miss, every other requester charges a hit. That
 //! makes the `plan_cache_hits`/`plan_cache_misses` counter family a pure
-//! function of the request multiset and the commit schedule (first touch
-//! per key misses, as does the first touch after a dependency moved; the
-//! rest hit) for any worker count, as long as capacity is not exceeded —
-//! the determinism the perfgate exact-matches. Distinct keys hashing to
-//! different shards never contend.
+//! function of the request multiset (first touch per key misses, the rest
+//! hit) for any worker count, as long as capacity is not exceeded — the
+//! determinism the perfgate exact-matches. Distinct keys hashing to
+//! different shards never contend. A `build` that panics poisons its
+//! shard's lock; since every entry is a pure function of its key and an
+//! insert is the last step of a miss, the shard is still consistent, so
+//! later lookups recover it and carry on.
 //!
 //! Eviction: per-shard FIFO over first-insertion order, triggered when a
 //! shard exceeds its slice of the configured capacity. FIFO (not LRU)
@@ -39,12 +28,10 @@
 
 use crate::pattern::Pattern;
 use crate::plan::Plan;
-use crate::verify::plan_read_footprint;
 use crate::QueryError;
-use colorist_store::{StatKey, Statistics};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independently locked shards. A power of two so the shard
 /// index is a cheap mask of the key hash.
@@ -63,24 +50,9 @@ struct Key {
     strategy: String,
 }
 
-/// One summary a cached plan was costed from: its version at build time
-/// (or at the last lookup that found its inputs unchanged) and a digest of
-/// what the optimizer read from it.
-struct Dep {
-    key: StatKey,
-    version: u64,
-    inputs: u64,
-}
-
-/// A cached plan and the statistics it was costed from.
-struct Entry {
-    plan: Arc<Plan>,
-    costed_from: Vec<Dep>,
-}
-
 #[derive(Default)]
 struct Shard {
-    map: HashMap<Key, Entry>,
+    map: HashMap<Key, Arc<Plan>>,
     fifo: VecDeque<Key>,
 }
 
@@ -89,7 +61,7 @@ struct Shard {
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that compiled + optimized and inserted or replaced.
+    /// Lookups that compiled and inserted.
     pub misses: u64,
     /// Entries removed by the capacity sweep.
     pub evictions: u64,
@@ -150,63 +122,46 @@ impl PlanCache {
         }
     }
 
-    /// Look up the plan for `(pattern, strategy)`. It is a hit iff an
-    /// entry exists and every summary it was costed from either still has,
-    /// in `stats`, the version recorded with it, or still yields the
-    /// optimizer `inputs` (a digest of what `optimize` reads from that
-    /// summary for this pattern) recorded with it. Otherwise run `build`
-    /// (under the shard lock — see the module docs for why), which returns
-    /// the plan and the summaries it was costed from, and insert it over
-    /// whatever the key held. A failing `build` changes nothing and
-    /// charges a miss.
+    /// One shard, locked. A panic in some earlier `build` poisons the
+    /// lock, but a shard only changes after `build` returned, so it is
+    /// consistent and safe to keep using.
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Look up the plan for `(pattern, strategy)`: a hit iff an entry
+    /// exists. Otherwise run `build` (under the shard lock — see the
+    /// module docs for why) and insert its plan. A failing `build` changes
+    /// nothing and charges a miss.
     pub fn get_or_build(
         &self,
         pattern: &Pattern,
         strategy: &str,
-        stats: &Statistics,
-        inputs: impl Fn(StatKey) -> u64,
-        build: impl FnOnce() -> Result<(Plan, Vec<StatKey>), QueryError>,
+        build: impl FnOnce() -> Result<Plan, QueryError>,
     ) -> Result<Lookup, QueryError> {
         let key = Key { fingerprint: format!("{pattern:?}"), strategy: strategy.to_string() };
-        let shard = &self.shards[fnv1a(&key) as usize % SHARDS];
-        let mut s = shard.lock().expect("plan-cache shard lock");
-        if let Some(entry) = s.map.get_mut(&key) {
-            let current = entry.costed_from.iter_mut().all(|dep| {
-                let version = stats.version(dep.key);
-                let stands = dep.version == version || dep.inputs == inputs(dep.key);
-                dep.version = version;
-                stands
-            });
-            if current {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Lookup { plan: Arc::clone(&entry.plan), hit: true, evicted: 0 });
-            }
+        let mut s = self.shard(fnv1a(&key) as usize % SHARDS);
+        if let Some(plan) = s.map.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Lookup { plan: Arc::clone(plan), hit: true, evicted: 0 });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (plan, deps) = build()?;
-        let plan = Arc::new(plan);
-        let costed_from = deps
-            .into_iter()
-            .map(|key| Dep { key, version: stats.version(key), inputs: inputs(key) })
-            .collect();
-        let entry = Entry { plan: Arc::clone(&plan), costed_from };
+        let plan = Arc::new(build()?);
+        s.map.insert(key.clone(), Arc::clone(&plan));
+        s.fifo.push_back(key);
         let mut evicted = 0;
-        if s.map.insert(key.clone(), entry).is_none() {
-            s.fifo.push_back(key);
-            while s.map.len() > self.cap_per_shard {
-                let victim = s.fifo.pop_front().expect("fifo tracks map");
-                s.map.remove(&victim);
-                evicted += 1;
-            }
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        while s.map.len() > self.cap_per_shard {
+            let victim = s.fifo.pop_front().expect("fifo tracks map");
+            s.map.remove(&victim);
+            evicted += 1;
         }
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         Ok(Lookup { plan, hit: false, evicted })
     }
 
     /// Current counter totals and resident-entry count.
     pub fn stats(&self) -> CacheStats {
-        let entries =
-            self.shards.iter().map(|s| s.lock().expect("shard lock").map.len() as u64).sum();
+        let entries = (0..SHARDS).map(|i| self.shard(i).map.len() as u64).sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -217,8 +172,8 @@ impl PlanCache {
 
     /// Drop every entry (counters keep accumulating).
     pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.lock().expect("shard lock");
+        for i in 0..SHARDS {
+            let mut s = self.shard(i);
             s.map.clear();
             s.fifo.clear();
         }
@@ -235,24 +190,15 @@ impl std::fmt::Debug for PlanCache {
 }
 
 /// Optimize-through-cache: the query service's prepare step. Serves the
-/// cached plan while what it was costed from is current in `db`;
-/// re-optimizes in place once the optimizer would read something else.
+/// cached plan of `(pattern, db.schema.strategy)`, optimizing it on the
+/// key's first touch.
 pub fn optimize_cached(
     cache: &PlanCache,
     db: &colorist_store::Database,
     graph: &colorist_er::ErGraph,
     pattern: &Pattern,
 ) -> Result<Lookup, QueryError> {
-    let inputs = |key| crate::optimize::statistics_inputs(db, pattern, key);
-    cache.get_or_build(pattern, &db.schema.strategy, db.statistics(), inputs, || {
-        let plan = crate::optimize(db, graph, pattern)?;
-        let reads = plan_read_footprint(graph, &db.schema, &plan);
-        let deps = (reads.attrs.iter().map(|&(n, a)| StatKey::Column(n, a)))
-            .chain(reads.nodes.iter().map(|&n| StatKey::Extent(n)))
-            .chain(reads.colors.iter().map(|&c| StatKey::Color(c)))
-            .collect();
-        Ok((plan, deps))
-    })
+    cache.get_or_build(pattern, &db.schema.strategy, || crate::optimize(db, graph, pattern))
 }
 
 /// FNV-1a over the key's two components — stable, allocation-free, and
@@ -275,8 +221,6 @@ fn fnv1a(key: &Key) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colorist_er::NodeId;
-    use colorist_store::{Interner, ValueIndex};
 
     fn pattern(name: &str) -> Pattern {
         Pattern {
@@ -289,28 +233,17 @@ mod tests {
         }
     }
 
-    fn plan() -> Plan {
-        Plan::new("q".into(), "DR".into(), Vec::new(), 0, 1, Vec::new())
-    }
-
-    /// A plan costed from column (0, 0) and the extent of node 0.
-    fn costed() -> Result<(Plan, Vec<StatKey>), QueryError> {
-        Ok((plan(), vec![StatKey::Column(NodeId(0), 0), StatKey::Extent(NodeId(0))]))
-    }
-
-    /// Optimizer inputs that move whenever the summary's version does.
-    fn versions(stats: &Statistics) -> impl Fn(StatKey) -> u64 + '_ {
-        |key| stats.version(key)
+    fn plan() -> Result<Plan, QueryError> {
+        Ok(Plan::new("q".into(), "DR".into(), Vec::new(), 0, 1, Vec::new()))
     }
 
     #[test]
     fn first_touch_misses_then_hits() {
         let cache = PlanCache::new(64);
-        let (p, stats) = (pattern("q1"), Statistics::default());
-        let lk = cache.get_or_build(&p, "DR", &stats, versions(&stats), costed).unwrap();
+        let p = pattern("q1");
+        let lk = cache.get_or_build(&p, "DR", plan).unwrap();
         assert!(!lk.hit);
-        let lk =
-            cache.get_or_build(&p, "DR", &stats, versions(&stats), || panic!("cached")).unwrap();
+        let lk = cache.get_or_build(&p, "DR", || panic!("cached")).unwrap();
         assert!(lk.hit && lk.evicted == 0);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -320,51 +253,20 @@ mod tests {
     #[test]
     fn strategies_partition_the_keyspace() {
         let cache = PlanCache::new(64);
-        let (p, stats) = (pattern("q1"), Statistics::default());
+        let p = pattern("q1");
         for strategy in ["DR", "DEEP"] {
-            let lk = cache.get_or_build(&p, strategy, &stats, versions(&stats), costed).unwrap();
+            let lk = cache.get_or_build(&p, strategy, plan).unwrap();
             assert!(!lk.hit, "{strategy} must be a distinct key");
         }
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
-    fn only_a_moved_dependency_misses_and_the_entry_is_replaced_in_place() {
-        let cache = PlanCache::new(64);
-        let p = pattern("q1");
-        let mut stats = Statistics::default();
-        cache.get_or_build(&p, "AF", &stats, versions(&stats), costed).unwrap();
-        let cached = || panic!("still valid");
-        // summaries the plan was not costed from may move freely
-        stats.note_insert(NodeId(1));
-        stats.refresh_column(NodeId(0), 1, &ValueIndex::default(), &Interner::default());
-        assert!(cache.get_or_build(&p, "AF", &stats, versions(&stats), cached).unwrap().hit);
-        // one it was costed from is rebuilt, but to the same optimizer
-        // inputs: the plan stands, and the new version is remembered
-        stats.refresh_column(NodeId(0), 0, &ValueIndex::default(), &Interner::default());
-        assert!(cache.get_or_build(&p, "AF", &stats, |_| 0, cached).unwrap().hit);
-        assert!(
-            cache.get_or_build(&p, "AF", &stats, |_| 1, cached).unwrap().hit,
-            "version current"
-        );
-        // its inputs move with it: exactly one rebuild, then hits again
-        stats.refresh_column(NodeId(0), 0, &ValueIndex::default(), &Interner::default());
-        let lk = cache.get_or_build(&p, "AF", &stats, versions(&stats), costed).unwrap();
-        assert!(!lk.hit, "a moved dependency must re-optimize, not serve the stale plan");
-        assert!(cache.get_or_build(&p, "AF", &stats, versions(&stats), cached).unwrap().hit);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.evictions), (4, 2, 1, 0), "nothing orphaned");
-    }
-
-    #[test]
     fn capacity_sweep_evicts_fifo() {
         // capacity 16 → one entry per shard; same-shard collisions evict
         let cache = PlanCache::new(16);
-        let stats = Statistics::default();
         for i in 0..64 {
-            cache
-                .get_or_build(&pattern(&format!("q{i}")), "EN", &stats, versions(&stats), costed)
-                .unwrap();
+            cache.get_or_build(&pattern(&format!("q{i}")), "EN", plan).unwrap();
         }
         let s = cache.stats();
         assert_eq!(s.misses, 64);
@@ -375,17 +277,31 @@ mod tests {
     #[test]
     fn build_errors_cache_nothing() {
         let cache = PlanCache::new(64);
-        let (p, stats) = (pattern("q1"), Statistics::default());
-        let err = cache.get_or_build(
-            &p,
-            "EN",
-            &stats,
-            |_| 0,
-            || Err(QueryError::UnknownNode("q1".into())),
-        );
+        let p = pattern("q1");
+        let err = cache.get_or_build(&p, "EN", || Err(QueryError::UnknownNode("q1".into())));
         assert!(err.is_err());
-        let lk = cache.get_or_build(&p, "EN", &stats, |_| 0, costed).unwrap();
+        let lk = cache.get_or_build(&p, "EN", plan).unwrap();
         assert!(!lk.hit, "failed build must not poison the key");
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    /// A `build` that panics poisons its shard's lock; the shard stays
+    /// usable: the same key then misses and builds, and then hits, and
+    /// the counters and `clear` still work.
+    #[test]
+    fn a_panicking_build_leaves_its_shard_usable() {
+        let cache = PlanCache::new(64);
+        let p = pattern("q1");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(&p, "DR", || panic!("build panics"))
+        }));
+        assert!(panicked.is_err());
+        let lk = cache.get_or_build(&p, "DR", plan).unwrap();
+        assert!(!lk.hit, "nothing was cached by the panicking build");
+        assert!(cache.get_or_build(&p, "DR", || panic!("cached")).unwrap().hit);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
+        cache.clear();
+        assert_eq!(cache.stats().entries, 0);
     }
 }

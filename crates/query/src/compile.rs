@@ -33,17 +33,6 @@ use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::{MctSchema, PlacementId};
 use std::collections::{BinaryHeap, HashMap};
 
-/// A child-ordering hook for [`compile_with`]: given a pattern node index
-/// and its child pattern-edge indices (in syntactic order), returns the
-/// order in which the compiler should emit and intersect the child
-/// reductions. Must return a permutation of its input; anything else falls
-/// back to syntactic order. Reordering is always answer- and
-/// counter-neutral — `Intersect` charges no runtime counters and each child
-/// block's ops are self-contained — but it changes which intermediate set
-/// the next `Intersect` narrows first, which the cost-based optimizer uses
-/// to keep intermediate registers small.
-pub type ChildOrder<'o> = &'o dyn Fn(usize, &[usize]) -> Vec<usize>;
-
 /// Lexicographic plan cost: (incomplete runs, value joins, crossings,
 /// structural joins). The leading component penalizes structural runs whose
 /// anchor placement is not statically guaranteed to hold the full logical
@@ -89,25 +78,12 @@ struct State {
     mode: Mode,
 }
 
-/// Compile `pattern` against `schema` in syntactic child order.
+/// Compile `pattern` against `schema`, emitting each pattern node's child
+/// reductions in syntactic order.
 pub fn compile(graph: &ErGraph, schema: &MctSchema, pattern: &Pattern) -> Result<Plan, QueryError> {
-    compile_with(graph, schema, pattern, None)
-}
-
-/// Compile `pattern` against `schema`, letting `order` (when given) pick
-/// the emission order of each pattern node's child reductions. The
-/// placement DP, kernel selection, charge siting, and static metrics are
-/// identical either way — only the sequence of per-child op blocks (and
-/// hence register numbering) moves.
-pub fn compile_with(
-    graph: &ErGraph,
-    schema: &MctSchema,
-    pattern: &Pattern,
-    order: Option<ChildOrder<'_>>,
-) -> Result<Plan, QueryError> {
     let _span = colorist_trace::span("compile", format_args!("compile:{}", pattern.name));
     let full = completeness(graph, schema);
-    Compiler { graph, schema, full, order }.run(pattern)
+    Compiler { graph, schema, full }.run(pattern)
 }
 
 struct Compiler<'a> {
@@ -116,8 +92,6 @@ struct Compiler<'a> {
     /// Per placement: is its occurrence set statically the full extent of
     /// its node type?
     full: Vec<bool>,
-    /// Optional child-ordering hook (the cost-based optimizer's handle).
-    order: Option<ChildOrder<'a>>,
 }
 
 /// Static completeness analysis. A placement holds the full extent when:
@@ -295,8 +269,7 @@ impl<'a> Compiler<'a> {
             node: pattern.nodes[v].node,
             pred: pattern.nodes[v].predicate.clone(),
         });
-        let child_order = self.child_order(v, &children[v]);
-        for &ei in &child_order {
+        for &ei in &children[v] {
             let e = &pattern.edges[ei];
             let child = if e.from == v { e.to } else { e.from };
             let (child_placement, steps) =
@@ -448,22 +421,6 @@ impl<'a> Compiler<'a> {
             }
         }
         Ok(reg)
-    }
-
-    /// The emission order of `v`'s child edges: the hook's answer when it
-    /// is a permutation of the syntactic list, else the syntactic list.
-    fn child_order(&self, v: usize, edges: &[usize]) -> Vec<usize> {
-        if let Some(f) = self.order {
-            let picked = f(v, edges);
-            let mut sorted = picked.clone();
-            sorted.sort_unstable();
-            let mut syntactic = edges.to_vec();
-            syntactic.sort_unstable();
-            if sorted == syntactic {
-                return picked;
-            }
-        }
-        edges.to_vec()
     }
 
     fn schema_has_copies(&self) -> bool {

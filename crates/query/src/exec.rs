@@ -137,7 +137,7 @@ pub fn execute(db: &Database, graph: &ErGraph, plan: &Plan) -> Result<QueryResul
 /// Execute a compiled plan against a consistent [`Snapshot`].
 ///
 /// A snapshot pins the copy-on-write version of every structure a kernel
-/// reads (extents, color trees, value index, statistics catalog), so the
+/// reads (extents, color trees, value index), so the
 /// answer equals what [`execute`] returned against the database at
 /// snapshot time — byte for byte — no matter what batches have committed
 /// since. Emits a `snapshot` span carrying the deterministic

@@ -221,8 +221,8 @@ pub fn explain_analyze(
         }
         let _ = write!(line, " {:.1}µs", p.elapsed.as_secs_f64() * 1e6);
         if let Some(c) = plan.costs.get(p.op).filter(|c| c.op == p.op) {
-            // the optimizer's prediction for this operator, in the same
-            // units as the measured counters above
+            // the cost annotation's prediction for this operator, in the
+            // same units as the measured counters above
             let _ = write!(
                 line,
                 "  ~est rows {:.0} scanned {:.0} probes {:.0} bytes {:.0} idx {:.0} ({:?}, q={:.2})",
@@ -377,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_shows_estimates_for_optimized_plans() {
+    fn explain_analyze_shows_estimates_for_annotated_plans() {
         let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
         let inst = generate(&g, &ScaleProfile::tpcw(&g, 40), 42);
         let schema = design(&g, Strategy::Af).unwrap();
@@ -391,8 +391,8 @@ mod tests {
             .output(1)
             .build()
             .unwrap();
-        let plan = crate::optimize::optimize(&db, &g, &q1).unwrap();
-        assert!(!plan.costs.is_empty());
+        let mut plan = crate::optimize::optimize(&db, &g, &q1).unwrap();
+        plan.costs = crate::optimize::annotate_costs(&db, &g, &plan);
         let (result, profile) = execute_profiled(&db, &g, &plan).unwrap();
         let text = explain_analyze(&g, &plan, &result, &profile);
         assert!(text.contains("~est rows"), "{text}");

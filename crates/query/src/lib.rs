@@ -19,13 +19,14 @@
 //!   counts (exactly the Figures 8–10 metrics);
 //! * [`exec`] — the interpreter: structural joins / value joins / crossings
 //!   against a [`colorist_store::Database`], with measured [`Metrics`];
-//! * [`mod@optimize`] — the cost-based optimizer: statistics-driven child
-//!   ordering plus per-operator cost estimates in counter units, checked
-//!   against measurement by `explain_analyze` and the perfgate;
-//! * [`cache`] — the sharded prepared-plan cache: compile + optimize once
-//!   per `(pattern, strategy)`, hit for as long as the statistics the plan
-//!   was costed from stand still, re-optimize in place once one has moved
-//!   (DESIGN.md §15.3);
+//! * [`mod@optimize`] — the optimizer entry point (a plan is a pure
+//!   function of the pattern and the schema) plus per-operator cost
+//!   estimates in counter units, read from exact extent and value-index
+//!   counts and checked against measurement by `explain_analyze` and the
+//!   perfgate;
+//! * [`cache`] — the sharded prepared-plan cache: compile once per
+//!   `(pattern, strategy)` and serve that plan for good, since no write
+//!   can change it (DESIGN.md §15.3);
 //! * [`update`] — update execution: locate targets, mutate every color
 //!   (ICIC maintenance), propagate to physical copies (duplicate updates),
 //!   cascade inserts through un-normalized placements;
@@ -45,7 +46,7 @@ pub mod update;
 pub mod verify;
 
 pub use cache::{optimize_cached, CacheStats, PlanCache};
-pub use compile::{compile, compile_with, ChildOrder};
+pub use compile::compile;
 pub use error::QueryError;
 pub use exec::{execute, execute_profiled, execute_snapshot, op_kind, OpProfile, QueryResult};
 pub use explain::{explain, explain_analyze, q_error};
@@ -56,6 +57,6 @@ pub use pattern::{
 };
 pub use plan::{Charge, CostEst, KernelChoice, Op, Plan, VDir};
 pub use update::{execute_update, UpdateOutcome};
-pub use verify::{explain_abstract, plan_read_footprint, verify_plan, PlanDiag};
+pub use verify::{explain_abstract, verify_plan, PlanDiag};
 
 pub use colorist_store::Metrics;

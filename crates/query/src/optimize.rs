@@ -1,40 +1,32 @@
-//! The cost-based optimizer: statistics-driven child ordering and
-//! per-operator cost annotation.
+//! The optimizer entry point and per-operator cost annotation.
 //!
-//! [`optimize`] is a drop-in alternative entry point to
-//! [`compile`](crate::compile()). Under
-//! [`KernelDispatch::CostModel`](colorist_store::KernelDispatch) it
+//! A plan is a pure function of `(pattern, schema)`. The compiler's
+//! placement search already orders realizations by what the paper says a
+//! query costs — value joins, then colour crossings, then structural joins
+//! (Figure 9) — and all three are fixed by the schema and the pattern, not
+//! by the data. So [`optimize`] returns exactly [`compile`]'s plan, under
+//! every kernel-dispatch mode, and a cached plan never goes stale.
 //!
-//! 1. orders each pattern node's child reductions by **estimated subtree
-//!    cardinality** (most selective subtree first), using the statistics
-//!    catalog's histograms — so every `Intersect` narrows against the
-//!    smallest available set first. Reordering sibling reductions is
-//!    answer- and counter-neutral (`Intersect` charges nothing and each
-//!    child block is self-contained), so this can only help;
-//! 2. annotates every emitted operator with a [`CostEst`]: predicted
-//!    output cardinality and predicted `elements_scanned` / `join_probes`
-//!    / `bytes_touched` / `index_lookups` charges, computed by a forward
-//!    abstract interpretation of the plan that mirrors the executor's
-//!    charging formulas term by term — including which kernel the
-//!    database's dispatch mode will pick (index probe vs linear scan,
-//!    merge vs gallop, ordinal vs reverse probe).
+//! [`annotate_costs`] predicts, per emitted operator, a [`CostEst`]:
+//! output cardinality and the `elements_scanned` / `join_probes` /
+//! `bytes_touched` / `index_lookups` charges, computed by a forward
+//! abstract interpretation of the plan that mirrors the executor's
+//! charging formulas term by term — including which kernel the default
+//! dispatch will pick (index probe, merge vs gallop, ordinal vs reverse
+//! probe). It runs only where estimates are printed or gated: EXPLAIN and
+//! the suite that records `est_*` for the perfgate's q-error budget.
 //!
-//! The estimates are written in the *same units* as the deterministic
-//! runtime counters, so `explain_analyze` can print estimate-vs-measured
-//! drift per operator and the perfgate can hold the optimizer to a
-//! committed q-error budget. Under the heuristic dispatch modes
-//! (`Ratio`, `Reference`) `optimize` degrades to plain `compile` — the
-//! one-variable-at-a-time differential partner.
-//!
-//! Estimation errors are bounded where the catalog is exact (extent and
-//! occurrence cardinalities, distinct counts) and bounded by the
-//! equi-depth bucket depth where it is approximate (predicate
-//! selectivities); join output estimates use the standard
-//! containment-of-value-sets assumption and carry no hard bound — which
-//! is exactly why every estimate is checked against measurement instead
-//! of trusted.
+//! Its inputs are exact counts read from the stored data: extent lengths,
+//! occurrence lists, and the value index — an equality predicate's
+//! matching posting run, a range predicate's walk over the column's key
+//! groups, and the number of groups as a column's distinct count. A
+//! predicated scan's row estimate is therefore exact: it counts the
+//! occurrences of exactly the elements the index probe returns. Join
+//! output estimates use the standard containment-of-value-sets assumption
+//! and carry no hard bound, which is why every estimate is checked against
+//! measurement instead of trusted.
 
-use crate::compile::{compile, compile_with};
+use crate::compile::compile;
 use crate::error::QueryError;
 use crate::exec::valid_desc_placements;
 use crate::pattern::{CmpOp, Pattern, Predicate};
@@ -42,22 +34,15 @@ use crate::plan::{CostEst, KernelChoice, Op, Plan, VDir};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::ColorId;
 use colorist_store::{
-    gallop_cost_wins, CmpKind, Database, ElementId, KernelDispatch, OccId, Occurrence, StatKey,
-    ValueKey,
+    gallop_cost_wins, Database, ElementId, IndexEntry, OccId, Occurrence, ValueKey,
 };
+use std::cmp::Ordering;
 
-/// Compile `pattern` with cost-based child ordering and cost annotations
-/// when the database runs the cost-model dispatch; fall back to the plain
-/// heuristic compiler under `Ratio`/`Reference` so differential runs
-/// compare exactly one variable at a time.
+/// The plan `pattern` runs with on `db`: exactly [`compile`]'s, since a
+/// plan depends on the pattern and the schema alone. Debug builds also
+/// run the static verifier over it.
 pub fn optimize(db: &Database, graph: &ErGraph, pattern: &Pattern) -> Result<Plan, QueryError> {
-    if db.kernel_dispatch() != KernelDispatch::CostModel {
-        return compile(graph, &db.schema, pattern);
-    }
-    let _span = colorist_trace::span("optimize", format_args!("optimize:{}", pattern.name));
-    let order = |v: usize, edges: &[usize]| order_children(db, pattern, v, edges);
-    let mut plan = compile_with(graph, &db.schema, pattern, Some(&order))?;
-    plan.costs = annotate_costs(db, graph, &plan);
+    let plan = compile(graph, &db.schema, pattern)?;
     debug_assert!(
         {
             let diags = crate::verify::verify_plan(graph, &db.schema, &plan);
@@ -74,92 +59,36 @@ pub fn optimize(db: &Database, graph: &ErGraph, pattern: &Pattern) -> Result<Pla
     Ok(plan)
 }
 
-/// Estimated element-level row count of one pattern node: its predicate's
-/// histogram estimate, or the full extent when unpredicated.
-fn node_rows(db: &Database, pattern: &Pattern, v: usize) -> f64 {
-    let node = pattern.nodes[v].node;
-    let extent = db.statistics().extent_rows(node) as f64;
-    match &pattern.nodes[v].predicate {
-        None => extent,
-        Some(p) => pred_rows(db, node, p).min(extent),
-    }
+/// Live canonical elements of `node`.
+fn extent_rows(db: &Database, node: NodeId) -> f64 {
+    db.extent(node).len() as f64
 }
 
-/// A digest of everything this module reads from the summary behind
-/// `key` when it optimizes `pattern`: an extent's cardinality; a column's
-/// row and distinct counts and the estimate of each predicate the pattern
-/// puts on it; a color's version (its occurrence lists are read whole).
-/// Two databases that agree on this digest for every summary in the
-/// plan's read footprint optimize `pattern` to the same plan — the plan
-/// cache's licence to keep serving one across commits that rebuilt a
-/// summary without moving it. Keep it in step with [`node_rows`],
-/// [`pred_rows`] and [`annotate_costs`].
-pub(crate) fn statistics_inputs(db: &Database, pattern: &Pattern, key: StatKey) -> u64 {
-    let stats = db.statistics();
-    match key {
-        StatKey::Extent(node) => stats.extent_rows(node),
-        StatKey::Color(_) => stats.version(key),
-        StatKey::Column(node, attr) => {
-            let (rows, distinct) =
-                stats.column(node, attr).map_or((0, 0), |c| (c.rows, c.distinct));
-            let estimates = pattern
-                .nodes
-                .iter()
-                .filter(|n| n.node == node)
-                .filter_map(|n| n.predicate.as_ref().filter(|p| p.attr == attr))
-                .map(|p| pred_rows(db, node, p).to_bits());
-            [rows, distinct]
-                .into_iter()
-                .chain(estimates)
-                .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3))
-        }
-    }
-}
-
-/// Histogram estimate for one predicate, in canonical elements.
-fn pred_rows(db: &Database, node: NodeId, p: &Predicate) -> f64 {
-    let kind = match p.op {
-        CmpOp::Eq => CmpKind::Eq,
-        CmpOp::Lt => CmpKind::Lt,
-        CmpOp::Gt => CmpKind::Gt,
+/// Occurrences in `color` of the `node` elements satisfying one predicate,
+/// counted exactly the way the executor's index probe finds and expands
+/// them: the matching posting run for an equality, whole key groups for a
+/// range, then each matched element's occurrences.
+fn pred_occs(db: &Database, color: ColorId, node: NodeId, p: &Predicate) -> f64 {
+    let index = db.value_index();
+    let occs = |postings: &[IndexEntry]| -> usize {
+        postings.iter().map(|en| db.occurrences_of_logical(color, en.element).len()).sum()
     };
-    db.estimate_predicate_matches(node, p.attr, kind, &p.value).0
-}
-
-/// Greedy child ordering: ascending estimated subtree cardinality, where a
-/// child subtree's cardinality is the *minimum* estimated row count over
-/// its pattern nodes — the bound a chain of semi-joins propagates up to
-/// the parent's `Intersect`. Ties keep syntactic order (stable sort), so
-/// the ordering — like everything downstream of it — is deterministic.
-fn order_children(db: &Database, pattern: &Pattern, v: usize, edges: &[usize]) -> Vec<usize> {
-    let mut keyed: Vec<(f64, usize)> = edges
-        .iter()
-        .map(|&ei| {
-            let e = &pattern.edges[ei];
-            let child = if e.from == v { e.to } else { e.from };
-            (subtree_min_rows(db, pattern, child, v), ei)
-        })
-        .collect();
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-    keyed.into_iter().map(|(_, ei)| ei).collect()
-}
-
-/// Minimum estimated row count over the pattern subtree rooted at `v`
-/// when the edge back to `parent` is removed.
-fn subtree_min_rows(db: &Database, pattern: &Pattern, v: usize, parent: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut stack = vec![(v, parent)];
-    while let Some((u, from)) = stack.pop() {
-        best = best.min(node_rows(db, pattern, u));
-        for e in &pattern.edges {
-            for (a, b) in [(e.from, e.to), (e.to, e.from)] {
-                if a == u && b != from {
-                    stack.push((b, u));
-                }
-            }
+    let rows = match p.op {
+        CmpOp::Eq => db.try_join_key(&p.value).map_or(0, |k| occs(index.matching(node, p.attr, k))),
+        CmpOp::Lt | CmpOp::Gt => {
+            let want = if p.op == CmpOp::Lt { Ordering::Less } else { Ordering::Greater };
+            (index.groups(node, p.attr))
+                .filter(|(key, _)| db.interner().key_value_cmp(*key, &p.value) == want)
+                .map(|(_, group)| occs(group))
+                .sum()
         }
-    }
-    best
+    };
+    rows as f64
+}
+
+/// Distinct stored keys of the `(node, attr)` column.
+fn distinct(db: &Database, node: NodeId, attr: usize) -> f64 {
+    db.value_index().groups(node, attr).count() as f64
 }
 
 /// What the abstract interpreter knows about a register's contents.
@@ -198,7 +127,7 @@ fn occs_of(db: &Database, color: ColorId, node: NodeId) -> f64 {
 /// Occurrence-expansion factor of `node` in `color`: occurrences per
 /// canonical element (1 on node-normal schemas, >1 where copies exist).
 fn expansion(db: &Database, color: ColorId, node: NodeId) -> f64 {
-    let extent = db.statistics().extent_rows(node) as f64;
+    let extent = extent_rows(db, node);
     if extent <= 0.0 {
         0.0
     } else {
@@ -210,7 +139,7 @@ fn expansion(db: &Database, color: ColorId, node: NodeId) -> f64 {
 /// occurrence sets to element sets (`to_elems` dedups).
 fn elems_behind(db: &Database, r: RegEst) -> f64 {
     match r.node {
-        Some(n) => r.rows.min(db.statistics().extent_rows(n) as f64),
+        Some(n) => r.rows.min(extent_rows(db, n)),
         None => r.rows,
     }
 }
@@ -243,10 +172,8 @@ fn struct_semi_cost(anc: f64, desc: f64) -> (CostEst, KernelChoice) {
 
 /// Annotate `plan` with per-operator cost estimates by forward abstract
 /// interpretation, mirroring the executor's charging formulas under the
-/// cost-model dispatch. Public so tests and benches can annotate plans
-/// compiled elsewhere.
+/// cost-model dispatch.
 pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEst> {
-    let stats = db.statistics();
     let mut regs: Vec<RegEst> = vec![RegEst { rows: 0.0, node: None }; plan.reg_count];
     let mut out = Vec::with_capacity(plan.ops.len());
     for (i, op) in plan.ops.iter().enumerate() {
@@ -270,14 +197,11 @@ pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEs
                     }
                     Some(p) => {
                         est.kernel = KernelChoice::IndexProbe;
-                        let matched = pred_rows(db, *node, p).min(stats.extent_rows(*node) as f64)
-                            * expansion(db, *color, *node);
+                        let matched = pred_occs(db, *color, *node, p);
                         est.index_lookups = match p.op {
                             CmpOp::Eq => 1.0,
                             // one comparison per distinct stored value
-                            CmpOp::Lt | CmpOp::Gt => {
-                                stats.column(*node, p.attr).map_or(0.0, |c| c.distinct as f64)
-                            }
+                            CmpOp::Lt | CmpOp::Gt => distinct(db, *node, p.attr),
                         };
                         est.rows = matched;
                         est.scanned = matched;
@@ -352,18 +276,18 @@ pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEs
                 let (target, matched) = if *src_is_rel {
                     // ordinal-dense extent probe: ≤ one hit per source
                     est.kernel = KernelChoice::OrdinalProbe;
-                    let part = stats.extent_rows(e.participant) as f64;
+                    let part = extent_rows(db, e.participant);
                     (e.participant, src_elems.min(part))
                 } else {
                     // sorted-index probe per source ordinal: fanout hits
                     est.kernel = KernelChoice::ReverseProbe;
-                    let rel = stats.extent_rows(e.rel) as f64;
-                    let part = stats.extent_rows(e.participant) as f64;
+                    let rel = extent_rows(db, e.rel);
+                    let part = extent_rows(db, e.participant);
                     let fanout = if part > 0.0 { rel / part } else { 0.0 };
                     (e.rel, (src_elems * fanout).min(rel))
                 };
                 est.scanned = src_elems + matched;
-                let rows = matched.min(stats.extent_rows(target) as f64);
+                let rows = matched.min(extent_rows(db, target));
                 est.rows = match enter {
                     Some(c) => rows * expansion(db, *c, target),
                     None => rows,
@@ -377,15 +301,15 @@ pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEs
                 est.probes = src_elems;
                 est.bytes = src_elems * SZ_ELEM;
                 let (target, matched) = if *src_is_rel {
-                    let part = stats.extent_rows(e.participant) as f64;
+                    let part = extent_rows(db, e.participant);
                     (e.participant, src_elems.min(part))
                 } else {
-                    let rel = stats.extent_rows(e.rel) as f64;
-                    let part = stats.extent_rows(e.participant) as f64;
+                    let rel = extent_rows(db, e.rel);
+                    let part = extent_rows(db, e.participant);
                     let fanout = if part > 0.0 { rel / part } else { 0.0 };
                     (e.rel, (src_elems * fanout).min(rel))
                 };
-                let rows = matched.min(stats.extent_rows(target) as f64);
+                let rows = matched.min(extent_rows(db, target));
                 est.rows = match enter {
                     Some(c) => rows * expansion(db, *c, target),
                     None => rows,
@@ -414,8 +338,8 @@ pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEs
                 let elems = elems_behind(db, regs[*src]);
                 est.scanned = elems;
                 est.bytes = elems * SZ_KEY;
-                est.rows = match regs[*src].node.and_then(|n| stats.column(n, *attr)) {
-                    Some(c) => elems.min(c.distinct as f64),
+                est.rows = match regs[*src].node {
+                    Some(n) => elems.min(distinct(db, n, *attr)),
                     None => elems,
                 };
                 regs[*dst] = RegEst { rows: est.rows, node: regs[*src].node };
@@ -434,7 +358,7 @@ mod tests {
     use colorist_core::{design, Strategy};
     use colorist_datagen::{generate, materialize, ScaleProfile};
     use colorist_er::catalog;
-    use colorist_store::Value;
+    use colorist_store::{KernelDispatch, Value};
 
     fn setup(strategy: Strategy) -> (ErGraph, Database) {
         let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
@@ -458,11 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn optimized_plans_carry_one_estimate_per_op() {
+    fn annotations_carry_one_estimate_per_op() {
         let (g, db) = setup(Strategy::Af);
         let plan = optimize(&db, &g, &q1(&g)).unwrap();
-        assert_eq!(plan.costs.len(), plan.ops.len());
-        for (i, c) in plan.costs.iter().enumerate() {
+        let costs = annotate_costs(&db, &g, &plan);
+        assert_eq!(costs.len(), plan.ops.len());
+        for (i, c) in costs.iter().enumerate() {
             assert_eq!(c.op, i);
             assert!(c.rows.is_finite() && c.rows >= 0.0);
             assert!(c.gate_sum().is_finite() && c.gate_sum() >= 0.0);
@@ -470,30 +395,19 @@ mod tests {
     }
 
     #[test]
-    fn heuristic_dispatch_pins_the_heuristic_planner() {
+    fn every_dispatch_mode_gets_the_compiled_plan() {
         let (g, mut db) = setup(Strategy::Af);
-        db.set_reference_kernels(true);
-        let plan = optimize(&db, &g, &q1(&g)).unwrap();
-        assert!(plan.costs.is_empty(), "reference mode compiles heuristically");
-        db.set_kernel_dispatch(KernelDispatch::Ratio);
-        let plan = optimize(&db, &g, &q1(&g)).unwrap();
-        assert!(plan.costs.is_empty(), "ratio mode compiles heuristically");
-        db.set_kernel_dispatch(KernelDispatch::CostModel);
-        let plan = optimize(&db, &g, &q1(&g)).unwrap();
-        assert!(!plan.costs.is_empty(), "cost-model mode annotates");
-    }
-
-    #[test]
-    fn optimized_and_heuristic_plans_answer_identically() {
-        for strategy in [Strategy::Deep, Strategy::Af, Strategy::Undr] {
-            let (g, db) = setup(strategy);
-            let pattern = q1(&g);
-            let optimized = optimize(&db, &g, &pattern).unwrap();
-            let heuristic = compile(&g, &db.schema, &pattern).unwrap();
-            let a = execute(&db, &g, &optimized).unwrap();
-            let b = execute(&db, &g, &heuristic).unwrap();
-            assert_eq!(a.elements, b.elements, "same answers under both planners");
-            assert!(!optimized.costs.is_empty() && heuristic.costs.is_empty());
+        let compiled = compile(&g, &db.schema, &q1(&g)).unwrap();
+        for dispatch in
+            [KernelDispatch::Reference, KernelDispatch::Ratio, KernelDispatch::CostModel]
+        {
+            db.set_kernel_dispatch(dispatch);
+            let plan = optimize(&db, &g, &q1(&g)).unwrap();
+            assert_eq!(plan.ops, compiled.ops, "{dispatch:?}");
+            assert!(plan.costs.is_empty(), "{dispatch:?}: optimize does not annotate");
+            let a = execute(&db, &g, &plan).unwrap();
+            let b = execute(&db, &g, &compiled).unwrap();
+            assert_eq!(a.elements, b.elements, "{dispatch:?}");
         }
     }
 }

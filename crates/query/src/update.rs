@@ -46,8 +46,7 @@ pub fn execute_update(
 ) -> Result<UpdateOutcome, QueryError> {
     let _span = colorist_trace::span("update", format_args!("update:{}", spec.name));
     let started = std::time::Instant::now();
-    // 1. locate targets (cost-based when the database runs the
-    // cost-model dispatch; plain compile under the heuristic modes)
+    // 1. locate targets
     let plan = crate::optimize::optimize(db, graph, &spec.pattern)?;
     let located = execute(db, graph, &plan)?;
     let mut metrics = located.metrics;
@@ -58,10 +57,10 @@ pub fn execute_update(
         UpdateAction::Modify { attr, value } => {
             let mut physical = 0u64;
             for &t in &targets {
-                db.stage_write_attr(t, *attr, value.clone());
+                db.write_attr(t, *attr, value.clone());
                 physical += 1;
                 for c in db.copies_of(t) {
-                    db.stage_write_attr(c, *attr, value.clone());
+                    db.write_attr(c, *attr, value.clone());
                     physical += 1;
                     metrics.duplicate_updates += 1;
                 }
@@ -76,13 +75,13 @@ pub fn execute_update(
             let mut physical = 0u64;
             for (&t, copies) in targets.iter().zip(&copies) {
                 db.kill_links_of(graph, t);
-                physical += db.stage_remove_element_occurrences(t) as u64;
+                physical += db.remove_element_occurrences(t) as u64;
                 // the canonical delete already removed every copy's
                 // occurrences; these per-copy calls are now no-ops kept for
                 // the duplicate-maintenance accounting (one duplicate write
                 // per physical copy, exactly as on the write path)
                 for &c in copies {
-                    physical += db.stage_remove_element_occurrences(c) as u64;
+                    physical += db.remove_element_occurrences(c) as u64;
                     metrics.duplicate_updates += 1;
                 }
             }
@@ -98,11 +97,9 @@ pub fn execute_update(
         }
     };
 
-    // 3. commit: rebuild each statistics column the update wrote once,
-    // then write dirty segments through the paged backend (one
+    // 3. commit: write dirty segments through the paged backend (one
     // transaction) so durability matches the in-memory state. The flush is
     // a no-op on the heap backend and when nothing was written.
-    db.refresh_statistics();
     let report = db.flush_storage().map_err(|e| QueryError::Storage(e.to_string()))?;
     if report.pages_written > 0 {
         metrics.page_writes += report.pages_written;
@@ -189,7 +186,7 @@ impl<'a> Inserter<'a> {
         // create entity elements
         for inst in &ins.instances {
             me.new_nodes.push(inst.node);
-            me.new_elems.push(db.stage_insert_element(inst.node, inst.attrs.clone()));
+            me.new_elems.push(db.insert_element(inst.node, inst.attrs.clone()));
             me.physical += 1;
         }
         // create relationship elements + link tables
@@ -228,7 +225,7 @@ impl<'a> Inserter<'a> {
                     attrs.push(Value::Int(ordinal as i64));
                 }
                 me.new_nodes.push(l.rel);
-                let rel_elem = db.stage_insert_element(l.rel, attrs);
+                let rel_elem = db.insert_element(l.rel, attrs);
                 me.new_elems.push(rel_elem);
                 me.physical += 1;
                 // persist the adjacency so link joins and future cascades

@@ -167,89 +167,6 @@ pub fn explain_abstract(graph: &ErGraph, schema: &MctSchema, plan: &Plan) -> Str
     s
 }
 
-/// Compute what a compiled plan **reads**, at the granularity the write
-/// side's effect [`Footprint`](colorist_store::Footprint)s expose: node
-/// extents, `(node, attr)` columns, color label surfaces, and link/idref
-/// edges. Reuses the verifier's per-register abstract interpretation, so a
-/// register's node type contributes even when the op does not name it
-/// directly. The prepared-plan cache takes a plan's statistics
-/// dependencies from it (DESIGN.md §15.3).
-pub fn plan_read_footprint(
-    graph: &ErGraph,
-    schema: &MctSchema,
-    plan: &Plan,
-) -> colorist_store::ReadFootprint {
-    let (_, trace) = Verifier {
-        graph,
-        schema,
-        full: completeness(graph, schema),
-        diags: Vec::new(),
-        anchors: BTreeMap::new(),
-    }
-    .run(plan);
-    let mut fp = colorist_store::ReadFootprint::default();
-    for (op, val) in plan.ops.iter().zip(&trace) {
-        if let Some(n) = val.node() {
-            fp.nodes.insert(n);
-        }
-        match op {
-            Op::Scan { color, node, pred, .. } => {
-                fp.colors.insert(*color);
-                fp.nodes.insert(*node);
-                if let Some(p) = pred {
-                    fp.attrs.insert((*node, p.attr));
-                }
-            }
-            Op::StructSemi { color, node, .. } | Op::Cross { color, node, .. } => {
-                fp.colors.insert(*color);
-                fp.nodes.insert(*node);
-            }
-            Op::ValueSemi { edge, enter, .. } => {
-                if edge.idx() < graph.edge_count() {
-                    fp.edges.insert(*edge);
-                    let e = graph.edge(*edge);
-                    fp.nodes.insert(e.rel);
-                    fp.nodes.insert(e.participant);
-                    // the idref value sits in the relationship element's
-                    // stored attribute vector after the declared
-                    // attributes, in schema idref order (the layout
-                    // `Database::idref_attr_index` resolves at run time)
-                    let declared = graph.node(e.rel).attributes.len();
-                    if let Some(pos) = schema
-                        .idrefs()
-                        .iter()
-                        .filter(|l| graph.edge(l.edge).rel == e.rel)
-                        .position(|l| l.edge == *edge)
-                    {
-                        fp.attrs.insert((e.rel, declared + pos));
-                    }
-                }
-                if let Some(c) = enter {
-                    fp.colors.insert(*c);
-                }
-            }
-            Op::LinkSemi { edge, enter, .. } => {
-                if edge.idx() < graph.edge_count() {
-                    fp.edges.insert(*edge);
-                    let e = graph.edge(*edge);
-                    fp.nodes.insert(e.rel);
-                    fp.nodes.insert(e.participant);
-                }
-                if let Some(c) = enter {
-                    fp.colors.insert(*c);
-                }
-            }
-            Op::Intersect { .. } | Op::Distinct { .. } => {}
-            Op::GroupBy { attr, .. } => {
-                if let Some(n) = val.node() {
-                    fp.attrs.insert((n, *attr));
-                }
-            }
-        }
-    }
-    fp
-}
-
 struct Verifier<'a> {
     graph: &'a ErGraph,
     schema: &'a MctSchema,
@@ -347,7 +264,8 @@ impl<'a> Verifier<'a> {
     /// `P010`: a cost-annotated plan (the optimizer's output) must carry
     /// exactly one estimate per operator, in op order, each finite,
     /// non-negative, and predicting a kernel the annotated operator can
-    /// actually dispatch to. Heuristic plans (empty `costs`) pass vacuously.
+    /// actually dispatch to. Unannotated plans (empty `costs`, which is
+    /// what the compiler emits) pass vacuously.
     fn audit_costs(&mut self, plan: &Plan) {
         use crate::plan::KernelChoice;
         if plan.costs.is_empty() {
@@ -967,25 +885,6 @@ mod tests {
             let plan = compile(&g, &schema, &q1(&g)).unwrap();
             let diags = verify_plan(&g, &schema, &plan);
             assert!(diags.is_empty(), "{s}: {:?}\n{plan}", diags);
-        }
-    }
-
-    #[test]
-    fn read_footprints_cover_the_chain_and_stay_off_unrelated_nodes() {
-        for s in Strategy::ALL {
-            let (g, schema) = setup(s);
-            let plan = compile(&g, &schema, &q1(&g)).unwrap();
-            let fp = plan_read_footprint(&g, &schema, &plan);
-            let by_name = |name: &str| g.node_ids().find(|&n| g.node(n).name == name).unwrap();
-            let country = by_name("country");
-            assert!(fp.nodes.contains(&country), "{s}: {fp:?}");
-            assert!(fp.nodes.contains(&by_name("order")), "{s}: {fp:?}");
-            assert!(!fp.colors.is_empty(), "{s}: {fp:?}");
-            // the country id predicate reads a (node, attr) column
-            assert!(fp.attrs.iter().any(|&(n, _)| n == country), "{s}: {fp:?}");
-            // Q1 never visits the catalog side of TPC-W, so a batch whose
-            // footprint stays on author/item columns cannot invalidate it
-            assert!(!fp.nodes.contains(&by_name("author")), "{s}: {fp:?}");
         }
     }
 

@@ -12,14 +12,14 @@
 //! point fails. A reader holding a
 //! [`Snapshot`](crate::database::Snapshot) taken before
 //! [`UpdateBatch::apply`] keeps the pre-batch version of every structure
-//! (extents, color trees, value index, statistics catalog) and never
+//! (extents, color trees, value index) and never
 //! observes a half-applied batch — the shape GroveDB's `batch.rs` gives
 //! its merkle subtrees, transplanted onto MCT color forests.
 //!
 //! Duplicate maintenance is included: an attribute write fans out to every
 //! physical copy of the instance, and a delete removes the occurrences of
 //! the canonical element *and* of all its copies, retracting the extent
-//! entry, value-index postings and statistics contribution through the
+//! entry and value-index postings through the
 //! audited [`Database::remove_element_occurrences`] path.
 
 use std::collections::{BTreeSet, HashSet};
@@ -73,7 +73,7 @@ pub enum BatchOp {
     },
     /// Delete a logical instance everywhere: every occurrence of its
     /// canonical element and of every copy leaves every color, and the
-    /// extent / value-index / statistics contributions retract.
+    /// extent and value-index contributions retract.
     Delete {
         /// Canonical element or any copy of the doomed instance.
         element: ElementId,
@@ -216,13 +216,11 @@ pub struct BatchReceipt {
     pub pages_written: u64,
 }
 
-/// The commit point a single batch and a commit group share: rebuild each
-/// stale statistics column once, then write the dirty segments through the
-/// paged backend as one transaction. Returns the pages written (0 on the
+/// The commit point a single batch and a commit group share: write the
+/// dirty segments through the paged backend as one transaction. Returns the pages written (0 on the
 /// heap backend). Runs *before* the staged state is published, so on
 /// `Err` the caller still holds its savepoint.
 pub(crate) fn commit_staged(db: &mut Database) -> Result<u64, BatchError> {
-    db.refresh_statistics();
     let flush = db.flush_storage().map_err(|e| BatchError::Storage(e.to_string()))?;
     if flush.pages_written > 0 {
         let mut sspan = span("storage", "flush:batch");
@@ -431,7 +429,7 @@ impl UpdateBatch {
     }
 
     /// Validate against `db`, then write every op through it — no
-    /// savepoint, no statistics rebuild, no flush: the caller owns the
+    /// savepoint, no flush: the caller owns the
     /// savepoint and owes [`commit_staged`] before publishing. A validation
     /// failure returns before anything is written. Debug builds check B002
     /// on every staged batch.
@@ -477,9 +475,9 @@ impl UpdateBatch {
         for op in &self.ops {
             if let BatchOp::WriteAttr { element, attr, value } = op {
                 let canon = db.element(*element).canonical;
-                db.stage_write_attr(canon, *attr, value.clone());
+                db.write_attr(canon, *attr, value.clone());
                 for c in db.copies_of(canon) {
-                    db.stage_write_attr(c, *attr, value.clone());
+                    db.write_attr(c, *attr, value.clone());
                     receipt.duplicate_writes += 1;
                 }
             }
@@ -490,7 +488,7 @@ impl UpdateBatch {
         for op in &self.ops {
             match op {
                 BatchOp::Insert { node, attrs, positions, links } => {
-                    let id = db.stage_insert_element(*node, attrs.clone());
+                    let id = db.insert_element(*node, attrs.clone());
                     receipt.inserted.push(id);
                     let ordinal = db.element(id).ordinal;
                     for l in links {
@@ -540,7 +538,7 @@ impl UpdateBatch {
         for op in &self.ops {
             if let BatchOp::Delete { element } = op {
                 db.kill_links_of(graph, *element);
-                receipt.occurrences_removed += db.stage_remove_element_occurrences(*element) as u64;
+                receipt.occurrences_removed += db.remove_element_occurrences(*element) as u64;
             }
         }
 

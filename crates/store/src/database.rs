@@ -21,7 +21,6 @@
 use crate::columns::{Cell, ColumnSharing, ElementRef, Elements, Staged};
 use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
-use crate::statistics::{Cardinality, CmpKind, Statistics};
 use crate::storage::{Backing, SegId};
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::{ErGraph, NodeId};
@@ -42,24 +41,26 @@ pub(crate) const TOMBSTONE: ElementId = ElementId(u32::MAX);
 /// the planner must never vary independently of the kernels in a
 /// differential run — which planner the query layer uses.
 ///
-/// * [`CostModel`](KernelDispatch::CostModel) (the default): index/gallop
-///   fast paths chosen by the statistics cost model
-///   ([`crate::statistics::gallop_cost_wins`]), cost-based planning.
-/// * [`Ratio`](KernelDispatch::Ratio): fast paths chosen by the fixed
-///   [`crate::join::GALLOP_RATIO`] side-size ratio — the statistics-free
-///   fallback — heuristic planning. The "one variable at a time" partner
-///   for optimizer differentials.
+/// * [`CostModel`](KernelDispatch::CostModel) (the default): index probes,
+///   and gallop where the side sizes favour it by the `⌈log₂ large⌉`
+///   crossover ([`crate::join::gallop_cost_wins`]).
+/// * [`Ratio`](KernelDispatch::Ratio): index probes, and gallop where the
+///   fixed [`crate::join::GALLOP_RATIO`] side-size ratio favours it. The
+///   "one variable at a time" partner for the gallop crossover.
 /// * [`Reference`](KernelDispatch::Reference): linear extent walks,
-///   stack-merge joins, per-op hash builds, heuristic planning. The partner
-///   for kernel differentials.
+///   stack-merge joins, per-op hash builds. The partner for kernel
+///   differentials.
+///
+/// The planner does not read the mode: a plan is a function of the
+/// pattern and the schema alone, so every mode runs the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelDispatch {
-    /// Statistics cost-model dispatch + cost-based planning.
+    /// Index probes + cost-model gallop crossover.
     #[default]
     CostModel,
-    /// Fixed-ratio dispatch + heuristic planning.
+    /// Index probes + fixed-ratio gallop crossover.
     Ratio,
-    /// Reference kernels + heuristic planning.
+    /// Reference kernels.
     Reference,
 }
 
@@ -101,7 +102,7 @@ impl fmt::Display for ElementId {
 /// (copy-on-write) — one chunk of one attribute column, one value-index
 /// run, one color's tree or one slot table (DESIGN.md §12.4) — so every outstanding
 /// snapshot keeps reading the exact pre-write version of the extents,
-/// color trees, value index and statistics catalog it was taken over. The
+/// color trees and value index it was taken over. The
 /// [`Database::epoch`] counter stamps committed mutations so versions are
 /// distinguishable.
 #[derive(Debug, Clone)]
@@ -144,19 +145,7 @@ pub struct Database {
     /// [`Database::remove_element_occurrences`]; invariant under relabels
     /// because it is keyed by element, not occurrence.
     pub(crate) value_index: Arc<ValueIndex>,
-    /// Statistics catalog: column histograms/distinct counts, extent
-    /// cardinalities, per-placement occurrence counts (DESIGN.md §11).
-    /// Built at `finish`, maintained by the same choke points as the value
-    /// index; the placement counts move by delta in
-    /// [`Database::push_occurrence`] and [`Database::remove_occurrences`].
-    pub(crate) statistics: Arc<Statistics>,
-    /// Columns whose postings changed since their statistics were last
-    /// rebuilt. The staged mutators only mark; every commit point — and
-    /// each public single-step mutator — drains the set through
-    /// [`Database::refresh_statistics`], so a batch or a commit group
-    /// rebuilds a column once however many of its cells it wrote.
-    pub(crate) stale_columns: BTreeSet<(NodeId, usize)>,
-    /// Kernel-dispatch and planner mode; see [`KernelDispatch`]. The
+    /// Kernel-dispatch mode; see [`KernelDispatch`]. The
     /// differential property tests and the oracle sweep flip this to pin
     /// fast ≡ reference on the same database.
     pub(crate) dispatch: KernelDispatch,
@@ -271,7 +260,7 @@ impl Database {
     /// Run `f` on this database and, if it fails, put back the handle
     /// taken on entry: a savepoint costs refcount bumps, the writes `f`
     /// makes copy only what they touch, and on `Err` the database is
-    /// byte-identical — epoch, statistics and storage state included — to
+    /// byte-identical — epoch and storage state included — to
     /// before the call.
     pub(crate) fn or_roll_back<T, E>(
         &mut self,
@@ -301,35 +290,12 @@ impl Database {
         Cell::Sym(sym)
     }
 
-    /// Rebuild the statistics of every column marked stale since the last
-    /// call, each once, from the value index — so the catalog equals a
-    /// from-scratch build again. The commit points call this; so does each
-    /// public single-step mutator.
-    pub fn refresh_statistics(&mut self) {
-        if self.stale_columns.is_empty() {
-            return;
-        }
-        let statistics = Arc::make_mut(&mut self.statistics);
-        for (node, attr) in std::mem::take(&mut self.stale_columns) {
-            statistics.refresh_column(node, attr, &self.value_index, &self.interner);
-        }
-    }
-
     /// Write one attribute value, interning text so the value stays
     /// joinable through the `Copy` key path, and (for canonical elements)
     /// moving the value-index posting from the old key to the new one.
     /// This is the **only** attribute write path — there is deliberately no
     /// raw mutable element access, so the index cannot go stale.
     pub fn write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
-        self.stage_write_attr(e, attr, v);
-        self.refresh_statistics();
-    }
-
-    /// [`Database::write_attr`] with the column's statistics marked stale
-    /// instead of rebuilt: the caller owes a [`Database::refresh_statistics`]
-    /// before the write is published, so a multi-write update rebuilds
-    /// each column it wrote once.
-    pub fn stage_write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
         let cell = self.cell(v);
         self.storage.mark(SegId::Elements);
         let new_key = cell.key(&self.interner);
@@ -340,7 +306,6 @@ impl Database {
             t.writes.insert((e, attr));
             if is_canonical {
                 t.postings.insert((node, attr, e));
-                t.stat_columns.insert((node, attr));
             }
         });
         if is_canonical {
@@ -356,32 +321,8 @@ impl Database {
                     element: e,
                 });
             }
-            // the statistics catalog rides the same choke point: the
-            // changed column is recomputed from the index at the commit
-            // point, so the catalog never drifts from a from-scratch build
-            self.stale_columns.insert((node, attr));
         }
         self.epoch += 1;
-    }
-
-    /// The statistics catalog (DESIGN.md §11): column histograms, distinct
-    /// counts, extent cardinalities, per-placement occurrence counts.
-    pub fn statistics(&self) -> &Statistics {
-        &self.statistics
-    }
-
-    /// Estimated number of canonical `node` elements whose attribute `attr`
-    /// satisfies `<op> value`, from the column histogram. The absolute
-    /// error is bounded by `statistics().max_bucket_rows(node, attr)`.
-    pub fn estimate_predicate_matches(
-        &self,
-        node: NodeId,
-        attr: usize,
-        kind: CmpKind,
-        value: &Value,
-    ) -> Cardinality {
-        self.statistics
-            .estimate_matches(node, attr, kind, |k| self.interner.key_value_cmp(k, value))
     }
 
     /// The persistent attribute/id value index.
@@ -397,24 +338,22 @@ impl Database {
         self.dispatch == KernelDispatch::Reference
     }
 
-    /// Pin (or unpin) execution to the reference kernels. Pinning **also
-    /// pins the planner to heuristic mode** (the query layer's `optimize`
-    /// consults [`Database::kernel_dispatch`]), so a reference differential
-    /// compares exactly one variable — the kernels — never kernels and plan
-    /// shape at once. Unpinning restores the cost-model default.
+    /// Pin (or unpin) execution to the reference kernels. Plans do not
+    /// depend on the mode, so a reference differential compares exactly
+    /// one variable — the kernels. Unpinning restores the cost-model
+    /// default.
     pub fn set_reference_kernels(&mut self, on: bool) {
         self.dispatch = if on { KernelDispatch::Reference } else { KernelDispatch::CostModel };
     }
 
-    /// The kernel-dispatch / planner mode.
+    /// The kernel-dispatch mode.
     pub fn kernel_dispatch(&self) -> KernelDispatch {
         self.dispatch
     }
 
-    /// Set the kernel-dispatch / planner mode directly — e.g.
-    /// [`KernelDispatch::Ratio`] for an optimizer differential (heuristic
-    /// planning, fixed-ratio gallop dispatch) against the cost-model
-    /// default.
+    /// Set the kernel-dispatch mode directly — e.g.
+    /// [`KernelDispatch::Ratio`] for a fixed-ratio gallop differential
+    /// against the cost-model default.
     pub fn set_kernel_dispatch(&mut self, dispatch: KernelDispatch) {
         self.dispatch = dispatch;
     }
@@ -626,11 +565,9 @@ impl Database {
     pub fn relabel_color(&mut self, c: ColorId) {
         shadow::note(|t| {
             t.colors.insert(c);
-            t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
         self.colors[c.idx()].integrate(&self.elements);
-        Arc::make_mut(&mut self.statistics).note_relabel(c);
         self.epoch += 1;
     }
 
@@ -640,14 +577,6 @@ impl Database {
     /// the append-only ordinal index, **not** from the extent length — the
     /// two diverge once anything has been deleted.
     pub fn insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
-        let id = self.stage_insert_element(node, attrs);
-        self.refresh_statistics();
-        id
-    }
-
-    /// [`Database::insert_element`] with the new postings' columns marked
-    /// stale instead of rebuilt (see [`Database::stage_write_attr`]).
-    pub fn stage_insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
         let cells: Vec<Cell> = attrs.into_iter().map(|v| self.cell(v)).collect();
         let arity = cells.len();
         let id = ElementId(self.elements.len() as u32);
@@ -656,9 +585,7 @@ impl Database {
             t.allocated.insert(id);
             t.ordinals.insert((node, ordinal));
             t.extent_nodes.insert(node);
-            t.stat_nodes.insert(node);
             t.postings.extend((0..arity).map(|a| (node, a, id)));
-            t.stat_columns.extend((0..arity).map(|a| (node, a)));
         });
         self.storage.mark(SegId::Elements);
         self.storage.mark(SegId::Ordinals);
@@ -674,11 +601,9 @@ impl Database {
                 });
             }
         }
-        self.stale_columns.extend((0..arity).map(|a| (node, a)));
         self.elements.push(node, ordinal, id, cells, &self.interner);
         Arc::make_mut(&mut self.extents)[node.idx()].push(id);
         Arc::make_mut(&mut self.by_ordinal)[node.idx()].push(id);
-        Arc::make_mut(&mut self.statistics).note_insert(node);
         self.epoch += 1;
         id
     }
@@ -686,8 +611,8 @@ impl Database {
     /// Insert a copy of an existing element (un-normalized maintenance).
     ///
     /// Copies are **occurrence-only**: they are reachable exclusively
-    /// through the color trees. The extent, the ordinal index, the value
-    /// index and the statistics catalog all track canonical elements only
+    /// through the color trees. The extent, the ordinal index and the value
+    /// index all track canonical elements only
     /// — the same invariant [`DatabaseBuilder::add_copy`] maintains and
     /// [`Database::check_integrity`] audits (S008) — so a copy registers
     /// in none of them; its attribute values mirror the canonical's
@@ -706,8 +631,7 @@ impl Database {
 
     /// Append an occurrence to a color's pending tail: unlabelled and
     /// unindexed until [`Database::relabel_color`], which lands it as the
-    /// last child of `parent` (a root after every other). Counts it in its
-    /// placement's statistics.
+    /// last child of `parent` (a root after every other).
     pub fn push_occurrence(
         &mut self,
         c: ColorId,
@@ -719,10 +643,8 @@ impl Database {
         shadow::note(|t| {
             t.colors.insert(c);
             t.occ_added.insert(canon);
-            t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
-        Arc::make_mut(&mut self.statistics).note_occurrence(placement, true);
         let id = self.colors[c.idx()].push(element, placement, parent);
         self.epoch += 1;
         id
@@ -730,27 +652,23 @@ impl Database {
 
     /// Remove occurrences (by id) from a color, with their descendants.
     /// Each labelled subtree is drained as the contiguous id range it is:
-    /// what follows moves back, labels and indexes stay exact, and the
-    /// placement statistics drop by what left. Pending occurrences keep
-    /// their order with parents remapped. Returns the number removed.
+    /// what follows moves back and labels and indexes stay exact. Pending
+    /// occurrences keep their order with parents remapped. Returns the
+    /// number removed.
     pub fn remove_occurrences(&mut self, c: ColorId, remove: &[OccId]) -> usize {
         shadow::note(|t| {
             t.colors.insert(c);
-            t.placement_stats = true;
         });
         self.storage.mark(SegId::Tree(c.0));
         self.epoch += 1;
-        let statistics = &mut self.statistics;
-        self.colors[c.idx()]
-            .remove(remove, |o| Arc::make_mut(statistics).note_occurrence(o.placement, false))
+        self.colors[c.idx()].remove(remove)
     }
 
     /// Delete the logical instance behind `e` (canonical or copy): every
     /// occurrence of its canonical element **and of every physical copy**
     /// leaves every color (subtrees included), and the derived structures
-    /// retract with it — the extent entry, the per-attribute value-index
-    /// postings, and the statistics contribution (`note_delete` plus a
-    /// `refresh_column` per attribute) — mirroring
+    /// retract with it — the extent entry and the per-attribute value-index
+    /// postings — mirroring
     /// [`Database::insert_element`]'s maintenance so deletes go through
     /// one audited path just like [`Database::write_attr`]. The ordinal
     /// slot is tombstoned, never reused: stale links and idref values
@@ -760,15 +678,6 @@ impl Database {
     /// copies) removes nothing and retracts nothing. Relabels every
     /// affected color. Returns the number of occurrences removed.
     pub fn remove_element_occurrences(&mut self, e: ElementId) -> usize {
-        let removed = self.stage_remove_element_occurrences(e);
-        self.refresh_statistics();
-        removed
-    }
-
-    /// [`Database::remove_element_occurrences`] with the retracted
-    /// postings' columns marked stale instead of rebuilt (see
-    /// [`Database::stage_write_attr`]).
-    pub fn stage_remove_element_occurrences(&mut self, e: ElementId) -> usize {
         let canon = self.element(e).canonical;
         let (node, ordinal) = {
             let el = self.element(canon);
@@ -800,9 +709,7 @@ impl Database {
                 t.deleted.insert(canon);
                 t.ordinals.insert((node, ordinal));
                 t.extent_nodes.insert(node);
-                t.stat_nodes.insert(node);
                 t.postings.extend((0..arity).map(|a| (node, a, canon)));
-                t.stat_columns.extend((0..arity).map(|a| (node, a)));
             });
             self.storage.mark(SegId::Ordinals);
             self.storage.mark(SegId::Postings);
@@ -821,8 +728,6 @@ impl Database {
                     }
                 }
             }
-            self.stale_columns.extend((0..arity).map(|a| (node, a)));
-            Arc::make_mut(&mut self.statistics).note_delete(node);
             self.epoch += 1;
         }
         total
@@ -834,14 +739,13 @@ impl Database {
     /// ordinal slot round-trips through its element; copies are
     /// unreachable from extents, the ordinal index, and the value index;
     /// no color tree holds an occurrence of a deleted instance; value-index
-    /// postings cover live canonicals exactly once per attribute; and the
-    /// statistics catalog's extent cardinalities match the extents.
+    /// postings cover live canonicals exactly once per attribute.
     ///
     /// S009 — the tree audit behind in-place structural maintenance: in
     /// every color, labels are the exact DFS numbering of the parent
     /// pointers with document order equal to id order, every per-placement,
-    /// per-node and logical-index entry matches its occurrence, and the
-    /// catalog's placement counts equal a recount. Linear, with one stack
+    /// per-node and logical-index entry matches its occurrence. Linear,
+    /// with one stack
     /// of open ancestors as its only per-tree allocation.
     ///
     /// S010 — the column audit: every attribute column of a node holds one
@@ -876,13 +780,6 @@ impl Database {
                         el.ordinal
                     ));
                 }
-            }
-            if self.statistics.extent_rows(node) != extent.len() as u64 {
-                return fail(format!(
-                    "statistics extent_rows of node {n} is {} but the extent holds {}",
-                    self.statistics.extent_rows(node),
-                    extent.len()
-                ));
             }
             for a in 0..self.elements.arity(node) {
                 let postings = self.value_index.of_attr(node, a).len();
@@ -970,19 +867,8 @@ impl Database {
                 self.value_index.len() - postings
             ));
         }
-        let mut placement_occs = vec![0; self.schema.placements().len()];
         for (ci, tree) in self.colors.iter().enumerate() {
-            tree.audit(&self.elements, &mut placement_occs)
-                .map_err(|msg| format!("S009: color {ci}: {msg}"))?;
-        }
-        for (p, &counted) in placement_occs.iter().enumerate() {
-            let noted = self.statistics.placement_occs(PlacementId(p as u32));
-            if noted != counted {
-                return Err(format!(
-                    "S009: statistics count {noted} occurrences of placement {p}, the trees \
-                     hold {counted}"
-                ));
-            }
+            tree.audit(&self.elements).map_err(|msg| format!("S009: color {ci}: {msg}"))?;
         }
         Ok(())
     }
@@ -1004,7 +890,7 @@ impl Database {
     /// Deep structural equality of two databases over the same schema:
     /// elements, color trees (with their per-placement, per-node and
     /// logical-occurrence indexes), extents, ordinal index, link tables,
-    /// symbol table, value index, statistics catalog,
+    /// symbol table, value index,
     /// dispatch mode — and, when `include_epoch`, the version counter.
     /// Returns the first mismatching structure by name. This is the
     /// oracles' "byte-identical final state" assertion (the schema itself
@@ -1027,7 +913,6 @@ impl Database {
         check(self.links == other.links, "link tables")?;
         check(self.rev_links == other.rev_links, "reverse link tables")?;
         check(self.value_index == other.value_index, "value index")?;
-        check(self.statistics == other.statistics, "statistics catalog")?;
         check(self.dispatch == other.dispatch, "kernel dispatch")?;
         if include_epoch {
             check(self.epoch == other.epoch, "epoch")?;
@@ -1144,15 +1029,6 @@ impl DatabaseBuilder {
             }
             rev_links.push(rv);
         }
-        let extent_rows = self.extents.iter().map(|e| e.len() as u64).collect();
-        let statistics = Statistics::build(
-            self.extents.len(),
-            |n| elements.arity(NodeId(n as u32)),
-            extent_rows,
-            placement_occ_counts(&self.schema, &self.colors),
-            &value_index,
-            &interner,
-        );
         // at build time every ordinal is live, so the ordinal index starts
         // as a copy of the extents and only ever diverges through deletes
         let by_ordinal = self.extents.clone();
@@ -1166,26 +1042,11 @@ impl DatabaseBuilder {
             rev_links: Arc::new(rev_links),
             interner: Arc::new(interner),
             value_index: Arc::new(value_index),
-            statistics: Arc::new(statistics),
-            stale_columns: BTreeSet::new(),
             dispatch: KernelDispatch::default(),
             epoch: 0,
             storage: Backing::default(),
         }
     }
-}
-
-/// Occurrence count per schema placement, over every color tree — the raw
-/// material of the catalog's parent-fanout summaries. Counted once at build
-/// and load; structural writes move the counts by delta.
-pub(crate) fn placement_occ_counts(schema: &MctSchema, colors: &[ColorTree]) -> Vec<u64> {
-    let mut counts = vec![0u64; schema.placements().len()];
-    for tree in colors {
-        for o in tree.occs() {
-            counts[o.placement.idx()] += 1;
-        }
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -1334,7 +1195,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_retracts_extent_index_and_statistics() {
+    fn delete_retracts_extent_and_index() {
         let (g, s) = tiny();
         let mut db = build(&g, &s);
         let b = g.node_by_name("b").unwrap();
@@ -1342,13 +1203,12 @@ mod tests {
         let key = db.join_key(&Value::Int(0));
         assert_eq!(db.value_index().matching(b, 0, key).len(), 1);
         db.remove_element_occurrences(eb0);
-        // extent, ordinal resolution, postings and cardinality all retract
+        // extent, ordinal resolution and postings all retract
         assert_eq!(db.extent(b).len(), 1);
         assert!(!db.extent(b).contains(&eb0));
         assert_eq!(db.canonical_by_ordinal(b, 0), None);
         assert!(!db.is_live(eb0));
         assert!(db.value_index().matching(b, 0, key).is_empty());
-        assert_eq!(db.statistics().extent_rows(b), 1);
         assert_eq!(db.check_integrity(), Ok(()));
         // ordinals are never reused: a later insert gets a fresh one
         let fresh = db.insert_element(b, vec![Value::Int(9), Value::Text("w".into())]);
@@ -1366,7 +1226,7 @@ mod tests {
         let epoch = db.epoch();
         assert_eq!(db.remove_element_occurrences(eb0), 0);
         assert_eq!(db.epoch(), epoch, "repeat delete must be a no-op");
-        assert_eq!(db.statistics().extent_rows(b), 1);
+        assert_eq!(db.extent(b).len(), 1);
         assert_eq!(db.check_integrity(), Ok(()));
     }
 
@@ -1404,12 +1264,12 @@ mod tests {
         db.write_attr(eb0, 1, Value::Text("changed".into()));
         db.remove_element_occurrences(db.extent(b)[1]);
         assert!(db.epoch() > epoch0);
-        // the snapshot still sees both instances, the old value, the old
-        // postings, and the old statistics
+        // the snapshot still sees both instances, the old value and the
+        // old postings
         assert_eq!(snap.epoch(), epoch0);
         assert_eq!(snap.extent(b).len(), 2);
         assert_eq!(snap.element(eb0).attrs[1], Value::Text("u".into()));
-        assert_eq!(snap.statistics().extent_rows(b), 2);
+        assert_eq!(snap.value_index().of_attr(b, 0).len(), 2);
         assert_eq!(snap.color(ColorId(0)).occs().len(), 6);
         assert_eq!(snap.check_integrity(), Ok(()));
         // and the live database moved on
@@ -1547,13 +1407,6 @@ mod tests {
             let err = broken.check_integrity().unwrap_err();
             assert!(err.contains("value index holds"), "{err}");
         }
-        // 4. a drifted statistics row
-        {
-            let mut broken = db.clone();
-            Arc::make_mut(&mut broken.statistics).note_delete(b);
-            let err = broken.check_integrity().unwrap_err();
-            assert!(err.contains("statistics extent_rows"), "{err}");
-        }
     }
 
     #[test]
@@ -1563,10 +1416,10 @@ mod tests {
         assert_eq!(db.check_integrity(), Ok(()));
         let b = g.node_by_name("b").unwrap();
         // manufacture each desync class the S008 audit exists for
-        // 1. statistics retraction without a matching extent retraction
+        // 1. an extent retraction without the matching posting retraction
         {
             let mut broken = db.clone();
-            Arc::make_mut(&mut broken.statistics).note_delete(b);
+            Arc::make_mut(&mut broken.extents)[b.idx()].pop();
             let err = broken.check_integrity().unwrap_err();
             assert!(err.starts_with("S008"), "{err}");
         }

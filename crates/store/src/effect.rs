@@ -5,8 +5,8 @@
 //! executing anything it computes the batch's [`Footprint`] — every
 //! `(element, attr)` write cell, every deleted logical instance, and
 //! every derived structure the commit will touch (extent slots,
-//! ordinal-index entries, value-index postings, statistics columns,
-//! color label surfaces, link-table cells). The phase order of
+//! ordinal-index entries, value-index postings, color label surfaces,
+//! link-table cells). The phase order of
 //! `UpdateBatch::apply` is fixed (writes → inserts/occurrence appends →
 //! occurrence removals → relabels → deletes), so the element ids and
 //! ordinals of *future* inserts are statically predictable and the
@@ -25,8 +25,8 @@
 //! [`CommitScheduler`] group-commits batches as **one staged version**:
 //! each batch writes through the caller's database in stage order — the
 //! serial order, so the final state needs no commutativity argument — and
-//! gets its own verdict; the group then rebuilds each stale statistics
-//! column once, flushes once, and advances the epoch by one.
+//! gets its own verdict; the group then flushes once and advances the
+//! epoch by one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -58,10 +58,6 @@ pub struct Footprint {
     pub ordinals: BTreeSet<(NodeId, u32)>,
     /// Value-index postings inserted, moved, or retracted.
     pub postings: BTreeSet<(NodeId, usize, ElementId)>,
-    /// Statistics columns refreshed (their stored content changes).
-    pub stat_columns: BTreeSet<(NodeId, usize)>,
-    /// Nodes whose statistics row (extent cardinality) changes.
-    pub stat_nodes: BTreeSet<NodeId>,
     /// Colors structurally edited — the whole color's label surface,
     /// since any edit relabels and remaps every `OccId`.
     pub colors: BTreeSet<ColorId>,
@@ -72,9 +68,6 @@ pub struct Footprint {
     pub allocated: BTreeSet<ElementId>,
     /// Text values interned that the pre-batch symbol table does not hold.
     pub new_symbols: BTreeSet<String>,
-    /// Whether the per-placement occurrence summaries are recomputed
-    /// (anything is relabelled).
-    pub placement_stats: bool,
 }
 
 impl Footprint {
@@ -87,7 +80,6 @@ impl Footprint {
             self.extent_nodes.len(),
             self.ordinals.len(),
             self.postings.len(),
-            self.stat_columns.len(),
             self.colors.len(),
             self.links.len(),
         ];
@@ -115,38 +107,11 @@ impl Footprint {
         within("the extent of", &touched.extent_nodes, &self.extent_nodes)?;
         within("ordinal slot", &touched.ordinals, &self.ordinals)?;
         within("posting", &touched.postings, &self.postings)?;
-        within("statistics column", &touched.stat_columns, &self.stat_columns)?;
-        within("the statistics row of", &touched.stat_nodes, &self.stat_nodes)?;
         within("color", &touched.colors, &self.colors)?;
         within("link cell", &touched.links, &self.links)?;
         within("an allocation of", &touched.allocated, &self.allocated)?;
-        within("new symbol", &touched.new_symbols, &self.new_symbols)?;
-        if touched.placement_stats && !self.placement_stats {
-            return Err("B002: execution touched placement-occurrence statistics outside the \
-                        static footprint"
-                .into());
-        }
-        Ok(())
+        within("new symbol", &touched.new_symbols, &self.new_symbols)
     }
-}
-
-/// What a query plan reads, at the granularity the write-side
-/// [`Footprint`] exposes: node extents/ordinal slots, attribute
-/// columns, color label surfaces, link tables. Computed by the query
-/// layer (`colorist_query::plan_read_footprint`) from the verifier's
-/// per-register abstract values; the prepared-plan cache takes a plan's
-/// statistics dependencies from it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReadFootprint {
-    /// Nodes whose extent / ordinal index / element population is read.
-    pub nodes: BTreeSet<NodeId>,
-    /// `(node, attr)` columns read by predicates, idref probes, and
-    /// group-bys.
-    pub attrs: BTreeSet<(NodeId, usize)>,
-    /// Colors navigated (scans, structural joins, crossings).
-    pub colors: BTreeSet<ColorId>,
-    /// ER edges whose link tables or idref columns are probed.
-    pub edges: BTreeSet<EdgeId>,
 }
 
 /// The thread-local shadow tracker behind B002. Inactive (and nearly
@@ -218,11 +183,7 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
         let (node, ordinal) = (el.node, el.ordinal);
         fp.ordinals.insert((node, ordinal));
         fp.extent_nodes.insert(node);
-        fp.stat_nodes.insert(node);
-        for a in 0..el.attrs.len() {
-            fp.postings.insert((node, a, canon));
-            fp.stat_columns.insert((node, a));
-        }
+        fp.postings.extend((0..el.attrs.len()).map(|a| (node, a, canon)));
         fp.colors.extend(
             (0..db.color_count() as u16)
                 .map(ColorId)
@@ -260,7 +221,6 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
         // write fan-out, resolved exactly as the apply phase does
         fp.writes.extend(db.copies_of(canon).into_iter().map(|c| (c, *attr)));
         fp.postings.insert((el.node, *attr, canon));
-        fp.stat_columns.insert((el.node, *attr));
     }
 
     // phase 2 — inserts and occurrence appends, in op order: the fixed
@@ -284,11 +244,9 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
                 *slot += 1;
                 fp.ordinals.insert((*node, ordinal));
                 fp.extent_nodes.insert(*node);
-                fp.stat_nodes.insert(*node);
                 for (a, v) in attrs.iter().enumerate() {
                     record_symbol(&mut fp, v);
                     fp.postings.insert((*node, a, id));
-                    fp.stat_columns.insert((*node, a));
                 }
                 fp.links.extend(links.iter().map(|l| (l.edge, ordinal)));
                 // the first position binds the canonical, later ones copies
@@ -320,7 +278,6 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
         }
     }
 
-    fp.placement_stats = !fp.colors.is_empty();
     fp
 }
 
@@ -330,11 +287,10 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
 /// order *is* serial order, so the group lands exactly where applying
 /// the batches one by one does — and gets its own verdict: a rejected
 /// batch was refused before it wrote anything, so it leaves no trace and
-/// the next batch stages as if it had never been there. Then each stale
-/// statistics column is rebuilt once and dirty segments flush once, and
-/// the epoch advances by **one** if any batch committed: every receipt
-/// carries that epoch, and the last committed batch carries the group's
-/// `pages_written`.
+/// the next batch stages as if it had never been there. Then dirty
+/// segments flush once, and the epoch advances by **one** if any batch
+/// committed: every receipt carries that epoch, and the last committed
+/// batch carries the group's `pages_written`.
 #[derive(Debug, Clone, Default)]
 pub struct CommitScheduler {
     batches: Vec<UpdateBatch>,
@@ -481,7 +437,6 @@ mod tests {
         assert_eq!(db.epoch(), epoch + 1, "one epoch step for the group");
         assert_eq!(db.element(eb0).attrs[0], Value::Int(7), "stage order wins");
         assert_eq!(db.same_state(&serial, false), Ok(()));
-        assert!(db.stale_columns.is_empty());
         assert_eq!(db.check_integrity(), Ok(()));
     }
 

@@ -19,9 +19,8 @@
 //! maintenance points are attribute writes, element inserts, and logical
 //! deletes, all of which funnel through `Database::write_attr` /
 //! `insert_element` / `remove_element_occurrences` — a delete retracts the
-//! instance's postings along with its extent entry and statistics
-//! contribution, so index probes never see ghost elements that scans no
-//! longer return.
+//! instance's postings along with its extent entry, so index probes never
+//! see ghost elements that scans no longer return.
 //!
 //! Lookups are two `partition_point` binary searches within the column
 //! (equality probes) or a bounded group walk (range predicates, which must

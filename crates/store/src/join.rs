@@ -73,7 +73,7 @@ pub enum Axis {
     Descendant,
 }
 
-/// Statistics-free fallback for the merge-vs-gallop dispatch: under
+/// Fixed-ratio fallback for the merge-vs-gallop dispatch: under
 /// [`KernelDispatch::Ratio`](crate::database::KernelDispatch::Ratio),
 /// gallop runs when `min(|anc|, |desc|) * GALLOP_RATIO < max(|anc|,
 /// |desc|)`. The merge costs `O(|anc| + |desc|)` regardless of asymmetry
@@ -82,10 +82,20 @@ pub enum Axis {
 /// large side; 16 approximates the `log`-factor with a wide safety margin.
 /// The default dispatch
 /// ([`CostModel`](crate::database::KernelDispatch::CostModel)) replaces
-/// the fixed ratio with the estimator's crossover,
-/// [`gallop_cost_wins`](crate::statistics::gallop_cost_wins), which tracks
-/// the actual `⌈log₂ large⌉` instead of a constant.
+/// the fixed ratio with the cost model's crossover, [`gallop_cost_wins`],
+/// which tracks the actual `⌈log₂ large⌉` instead of a constant.
 pub const GALLOP_RATIO: usize = 16;
+
+/// Cost-model crossover between the stack-merge and gallop structural
+/// kernels: gallop wins when the driving (small) side's binary searches —
+/// about `⌈log₂ large⌉` probes each — are estimated below walking the large
+/// side end to end, i.e. `small · ⌈log₂ large⌉ < large`. The default
+/// dispatch uses it in place of the fixed [`GALLOP_RATIO`], and the query
+/// layer's cost annotations predict the kernel with it.
+pub fn gallop_cost_wins(small: usize, large: usize) -> bool {
+    let log2_ceil = (usize::BITS - large.saturating_sub(1).leading_zeros()) as usize;
+    small.saturating_mul(log2_ceil) < large
+}
 
 /// Deterministic, size-only gallop dispatch decision, per the database's
 /// [`KernelDispatch`](crate::database::KernelDispatch) mode.
@@ -95,7 +105,7 @@ fn gallop_applies(db: &Database, anc: usize, desc: usize) -> bool {
     match db.kernel_dispatch() {
         KernelDispatch::Reference => false,
         KernelDispatch::Ratio => small.saturating_mul(GALLOP_RATIO) < large,
-        KernelDispatch::CostModel => crate::statistics::gallop_cost_wins(small, large),
+        KernelDispatch::CostModel => gallop_cost_wins(small, large),
     }
 }
 
@@ -653,6 +663,17 @@ mod tests {
             }
         }
         (g, bd.finish())
+    }
+
+    #[test]
+    fn gallop_crossover_tracks_the_log_model() {
+        // the kernels-test sizes: 1:160 gallops, 40:160 merges
+        assert!(gallop_cost_wins(1, 160));
+        assert!(!gallop_cost_wins(40, 160));
+        // more aggressive than the fixed ratio where the log is small
+        assert!(gallop_cost_wins(19, 160)); // 19·16 ≥ 160 but 19·8 < 160
+        assert!(!gallop_cost_wins(0, 0));
+        assert!(gallop_cost_wins(0, 1));
     }
 
     #[test]

@@ -19,16 +19,15 @@
 //!   much smaller;
 //! * [`index`] — the persistent attribute/id value index over canonical
 //!   elements, which turns selective predicate scans and idref probes into
-//!   index lookups (TIMBER never scans a document linearly);
+//!   index lookups (TIMBER never scans a document linearly); its runs and
+//!   key groups are also where the query layer's cost annotations read
+//!   exact predicate cardinalities, so the store keeps no separate
+//!   statistics catalog to maintain on every commit;
 //! * [`metrics`] — the operation counters the paper reports in Figures 8–10
 //!   (structural joins, value joins, color crossings, duplicate
 //!   eliminations, …) plus wall-clock time;
 //! * [`stats`] — the storage statistics of Table 1 (elements, attributes,
 //!   content nodes, data bytes, colors);
-//! * [`statistics`] — the optimizer's statistics catalog: per-(node, attr)
-//!   distinct counts and equi-depth histograms built from the value index,
-//!   extent cardinalities, and per-placement occurrence counts, feeding
-//!   cardinality/selectivity estimation and the cost-model kernel dispatch;
 //! * [`batch`] — atomic update batches: cross-op validation up front, one
 //!   copy-on-write commit point, so readers holding a
 //!   [`database::Snapshot`] never observe a half-applied batch;
@@ -59,7 +58,6 @@ pub mod join;
 pub mod metrics;
 pub mod page;
 pub mod pool;
-pub mod statistics;
 pub mod stats;
 pub mod storage;
 mod tree;
@@ -71,20 +69,16 @@ pub use columns::{Attrs, ColumnSharing, ElementRef};
 pub use database::{
     ColorTree, Database, DatabaseBuilder, ElementId, KernelDispatch, OccId, Occurrence, Snapshot,
 };
-pub use effect::{analyze_batch, CommitScheduler, Footprint, ReadFootprint};
+pub use effect::{analyze_batch, CommitScheduler, Footprint};
 pub use index::{IndexEntry, ValueIndex};
 pub use join::{
-    attr_key, attr_value, kmerge_sorted, structural_join, structural_join_merge,
+    attr_key, attr_value, gallop_cost_wins, kmerge_sorted, structural_join, structural_join_merge,
     structural_semi_join, structural_semi_join_merge, value_join, AttrRef, Axis, SemiSide,
     GALLOP_RATIO,
 };
 pub use metrics::Metrics;
 pub use page::{FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 pub use pool::{PoolConfig, DEFAULT_POOL_BYTES};
-pub use statistics::{
-    gallop_cost_wins, key_order, Bucket, Cardinality, CmpKind, ColumnStats, Selectivity, StatKey,
-    Statistics, HISTOGRAM_BUCKETS,
-};
 pub use stats::Stats;
 pub use storage::{FlushReport, Storage, StorageCtx};
 pub use value::{Interner, Value, ValueKey};

@@ -147,8 +147,7 @@ metrics! {
     /// Prepared-plan cache hits: the query's plan was served from the
     /// sharded plan cache (DESIGN.md §15) without recompiling or
     /// re-optimizing. Deterministic for a given request schedule (a query
-    /// either is or is not the first of its `(pattern, strategy,
-    /// statistics-epoch)` key).
+    /// either is or is not the first of its `(pattern, strategy)` key).
     plan_cache_hits,
     /// Prepared-plan cache misses: the plan was compiled + optimized and
     /// inserted. Every request charges exactly one of

@@ -1,10 +1,9 @@
 //! Storage statistics — the top half of Table 1.
 //!
-//! Not to be confused with [`crate::statistics`]: **this** module is the
-//! paper-facing *storage accounting* (element/attribute/content-node/byte
-//! counts reported per schema in Table 1), while `statistics` is the
-//! *optimizer's catalog* (histograms, distinct counts, extent
-//! cardinalities) feeding cardinality estimation and kernel dispatch.
+//! This is paper-facing *storage accounting* (element/attribute/content-node/
+//! byte counts reported per schema in Table 1), computed once for
+//! reporting. The optimizer keeps no statistics of its own: its cost
+//! annotations read exact counts from the extents and the value index.
 //!
 //! Node decomposition (documented substitution for TIMBER's internal node
 //! accounting):

@@ -26,10 +26,8 @@
 //!   hold from the backend and checks it against the directory's checksum;
 //! * **durability**: [`Database::save_paged`] flushes everything to a
 //!   named page file and [`Database::load_paged`] reconstructs a database
-//!   from one, rebuilding the derived structures (per-tree indexes,
-//!   extents, reverse links are stored; statistics are rebuilt — the
-//!   maintenance invariant says a from-scratch build equals the
-//!   maintained catalog).
+//!   from one, rebuilding the derived structures (per-tree indexes and
+//!   extents are rebuilt; reverse links are stored).
 //!
 //! Copy-on-write paging is what keeps cloning sound: a flush never
 //! overwrites a page a live directory version names, and swaps only the
@@ -39,14 +37,11 @@
 //! more goes back to the backend's [`crate::page::PageTable`] free list.
 
 use crate::columns::{Cell, Elements, Staged};
-use crate::database::{
-    placement_occ_counts, ColorTree, Database, ElementId, OccId, Occurrence, TOMBSTONE,
-};
+use crate::database::{ColorTree, Database, ElementId, OccId, Occurrence, TOMBSTONE};
 use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
 use crate::page::{checksum, pages_for, FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 use crate::pool::{Clock, Fault, PageCache, PoolConfig};
-use crate::statistics::Statistics;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
 use colorist_mct::{ColorId, MctSchema, PlacementId};
@@ -1038,17 +1033,6 @@ impl Database {
                 live
             })
             .collect();
-        // statistics are rebuilt, not stored: the maintenance choke points
-        // guarantee the catalog never drifts from a from-scratch build
-        let extent_rows = extents.iter().map(|e| e.len() as u64).collect();
-        let statistics = Statistics::build(
-            extents.len(),
-            |n| elements.arity(NodeId(n as u32)),
-            extent_rows,
-            placement_occ_counts(&schema, &colors),
-            &value_index,
-            &interner,
-        );
         let named = dir.segs.values().flat_map(|e| &e.pages).chain(&meta.dir_pages);
         backend.pages().adopt(page_count, &meta_page, named.map(|p| p.id).collect());
         let version = DirVersion::pinned(backend, dir, meta.dir_pages);
@@ -1062,8 +1046,6 @@ impl Database {
             rev_links: Arc::new(rev_links),
             interner: Arc::new(interner),
             value_index: Arc::new(value_index),
-            statistics: Arc::new(statistics),
-            stale_columns: BTreeSet::new(),
             dispatch: Default::default(),
             epoch: meta.epoch,
             storage: Backing::Paged(PagedState {

@@ -534,15 +534,11 @@ impl ColorTree {
     }
 
     /// Remove the given occurrences and, transitively, every descendant —
-    /// labelled or pending — calling `on_removed` on each. A labelled
-    /// subtree is a contiguous range of ids and of labels: the new labelled
-    /// version leaves it out and moves what follows back. Pending survivors
-    /// keep their order, parents remapped. Returns the number removed.
-    pub(crate) fn remove(
-        &mut self,
-        doomed: &[OccId],
-        mut on_removed: impl FnMut(&Occurrence),
-    ) -> usize {
+    /// labelled or pending. A labelled subtree is a contiguous range of ids
+    /// and of labels: the new labelled version leaves it out and moves what
+    /// follows back. Pending survivors keep their order, parents remapped.
+    /// Returns the number removed.
+    pub(crate) fn remove(&mut self, doomed: &[OccId]) -> usize {
         let old = &*self.labelled;
         let n0 = old.occs.len();
         let subtree_end = |o: OccId| {
@@ -585,12 +581,6 @@ impl ColorTree {
         if removed == 0 {
             return 0;
         }
-        for &(lo, hi) in &spans {
-            old.occs[lo as usize..hi as usize].iter().for_each(&mut on_removed);
-        }
-        for (o, _) in self.pending.iter().zip(&fate).filter(|(_, &f)| f == DEAD) {
-            on_removed(o);
-        }
         if let Some(&(lo, _)) = spans.first() {
             let first_parent = old.occs[lo as usize].parent;
             self.labelled = Arc::new(old.edit(&ids, &labels, first_parent, &[], &[]));
@@ -613,14 +603,9 @@ impl ColorTree {
     /// The S009 tree audit: nothing pending; labels are the exact DFS
     /// counter numbering of the parent pointers, with document order equal
     /// to id order; and every index lists each occurrence exactly once,
-    /// under its own key, in ascending order. Adds each occurrence to
-    /// `placement_occs` for the caller's recount. Linear; allocates one
-    /// stack of open ancestors.
-    pub(crate) fn audit(
-        &self,
-        elements: &Elements,
-        placement_occs: &mut [u64],
-    ) -> Result<(), String> {
+    /// under its own key, in ascending order. Linear; allocates one stack
+    /// of open ancestors.
+    pub(crate) fn audit(&self, elements: &Elements) -> Result<(), String> {
         if !self.pending.is_empty() {
             return Err(format!(
                 "{} occurrences were pushed but never relabelled",
@@ -658,7 +643,6 @@ impl ColorTree {
                 ));
             }
             open.push(i as u32);
-            placement_occs[o.placement.idx()] += 1;
         }
         while let Some(a) = open.pop() {
             close(a, &mut counter)?;

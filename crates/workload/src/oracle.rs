@@ -25,12 +25,7 @@
 //!    ([`Database::set_reference_kernels`]) and asserts the
 //!    index-accelerated and gallop-skipping paths return identical
 //!    answers, so every CI seed differentially tests both kernel
-//!    families, and
-//! 7. re-plans every query with the cost-based optimizer
-//!    ([`colorist_query::optimize()`]), statically verifies the optimized
-//!    plan (including its `P010` cost annotations), executes it, and
-//!    asserts answer equality with the heuristic plan — every CI seed
-//!    differentially tests both planners too.
+//!    families.
 //!
 //! Because [`execute`] is panic-free, the oracle
 //! can distinguish "engine refused" (an `Err`, reported as a divergence of
@@ -47,8 +42,8 @@ use colorist_er::{
 };
 use colorist_mct::{ColorId, MctSchema};
 use colorist_query::{
-    compile, execute, execute_snapshot, optimize, verify_plan, CmpOp, Pattern, PatternBuilder,
-    Plan, QueryResult,
+    compile, execute, execute_snapshot, verify_plan, CmpOp, Pattern, PatternBuilder, Plan,
+    QueryResult,
 };
 use colorist_store::{Database, Storage, UpdateBatch, Value};
 use std::collections::BTreeSet;
@@ -533,54 +528,6 @@ pub fn run_seed(seed: u64, cfg: &OracleConfig) -> SeedReport {
                     detail: format!("kernel divergence: reference kernels refused: {e}"),
                 }),
             }
-            // Planner sweep: the cost-based optimizer must plan every query
-            // the heuristic compiler can plan, pass the static verifier
-            // (including the P010 cost-annotation audit), and return the
-            // same logical answer — so each CI seed also differentially
-            // tests both planners.
-            match optimize(db, g, q) {
-                Ok(opt_plan) => {
-                    for d in verify_plan(g, &db.schema, &opt_plan) {
-                        divergences.push(Divergence {
-                            seed,
-                            query: q.name.clone(),
-                            strategy: s.label().into(),
-                            detail: format!("optimizer static verifier: {d}"),
-                        });
-                    }
-                    match execute(db, g, &opt_plan) {
-                        Ok(or) => {
-                            if or.elements != r.elements
-                                || or.results != r.results
-                                || or.distinct != r.distinct
-                            {
-                                divergences.push(Divergence {
-                                    seed,
-                                    query: q.name.clone(),
-                                    strategy: s.label().into(),
-                                    detail: format!(
-                                        "planner divergence: optimized plan gave {}/{} \
-                                         (physical/logical), heuristic plan gave {}/{}",
-                                        or.results, or.distinct, r.results, r.distinct
-                                    ),
-                                });
-                            }
-                        }
-                        Err(e) => divergences.push(Divergence {
-                            seed,
-                            query: q.name.clone(),
-                            strategy: s.label().into(),
-                            detail: format!("planner divergence: optimized plan refused: {e}"),
-                        }),
-                    }
-                }
-                Err(e) => divergences.push(Divergence {
-                    seed,
-                    query: q.name.clone(),
-                    strategy: s.label().into(),
-                    detail: format!("planner divergence: optimizer refused: {e}"),
-                }),
-            }
             match &reference {
                 None => reference = Some((*s, r)),
                 Some((ref_s, ref_r)) => {
@@ -880,8 +827,7 @@ fn delete_closure(
     }
 }
 
-/// Execute every query of the seed's workload on one database (compiling
-/// fresh, so post-update statistics drive the kernel dispatch), returning
+/// Execute every query of the seed's workload on one database, returning
 /// per-query outcomes comparable across strategies: canonical element
 /// ids are allocated identically by every materialization, so equal
 /// answers are `Vec`-equal.
@@ -1191,8 +1137,8 @@ mod tests {
     }
 
     /// Random delete-closed batches written through one staging object
-    /// land exactly where applying them one by one does — every structure,
-    /// the statistics catalog included — with the same per-batch verdicts,
+    /// land exactly where applying them one by one does — every structure —
+    /// with the same per-batch verdicts,
     /// one epoch step, a clean S008 audit, and a snapshot pinned before the
     /// group untouched. Each group stages both halves of a batch-oracle
     /// seed, then the first half again: its deletes are already done, so

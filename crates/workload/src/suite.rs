@@ -4,7 +4,9 @@
 use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist_er::ErGraph;
-use colorist_query::{execute, execute_update, optimize, Pattern, Plan, QueryError, UpdateSpec};
+use colorist_query::{
+    annotate_costs, execute, execute_update, optimize, CostEst, Pattern, QueryError, UpdateSpec,
+};
 use colorist_store::{stats::stats, KernelDispatch, Metrics, Stats, Storage};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,8 +47,9 @@ impl Workload {
     }
 }
 
-/// The optimizer's estimated counter totals for one query's plan, summed
-/// over the per-operator [`CostEst`](colorist_query::CostEst) annotations
+/// The estimated counter totals for one query's plan, summed over the
+/// per-operator [`CostEst`] annotations of
+/// [`annotate_costs`]
 /// and rounded — the numbers the perfgate's q-error budget compares
 /// against measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,19 +65,16 @@ pub struct EstTotals {
 }
 
 impl EstTotals {
-    /// Sum a plan's cost annotations; `None` for un-annotated plans.
-    pub fn of_plan(plan: &Plan) -> Option<EstTotals> {
-        if plan.costs.is_empty() {
-            return None;
-        }
+    /// Sum a plan's cost annotations.
+    pub fn of_costs(costs: &[CostEst]) -> EstTotals {
         let mut t = EstTotals::default();
-        for c in &plan.costs {
+        for c in costs {
             t.scanned += c.scanned.max(0.0).round() as u64;
             t.probes += c.probes.max(0.0).round() as u64;
             t.bytes += c.bytes.max(0.0).round() as u64;
             t.index_lookups += c.index_lookups.max(0.0).round() as u64;
         }
-        Some(t)
+        t
     }
 
     /// The perfgate domination sum (`scanned + probes + bytes`).
@@ -91,18 +91,17 @@ pub struct QueryRun {
     /// Read or update.
     pub kind: QueryKind,
     /// Measured metrics (plan ops, volumes, wall time) under the default
-    /// cost-model planning and dispatch.
+    /// cost-model dispatch.
     pub metrics: Metrics,
     /// Logical results / elements updated.
     pub logical: u64,
     /// Physical results incl. duplicates (the parenthesized numbers).
     pub physical: u64,
-    /// The optimizer's estimated counter totals for this query's plan
-    /// (`None` for updates' apply phase and un-annotated plans).
+    /// The estimated counter totals for this query's plan (`None` for
+    /// updates).
     pub est: Option<EstTotals>,
-    /// Measured metrics of the same query under heuristic planning and
-    /// ratio dispatch — the optimizer's differential partner, used by the
-    /// perfgate's counter-domination check.
+    /// Measured metrics of the same plan under ratio dispatch — the
+    /// differential partner of the perfgate's counter-domination check.
     pub heuristic: Option<Metrics>,
 }
 
@@ -198,9 +197,8 @@ pub fn run_suite_on(
 
     // phase A: design + materialize every strategy — independent, so each
     // strategy is one task. Each task also prepares the strategy's
-    // heuristic twin: the same database pinned to ratio dispatch, whose
-    // plans come from the plain compiler — the optimizer's differential
-    // partner for the perfgate's counter-domination check.
+    // heuristic twin: the same database pinned to ratio dispatch — the
+    // differential partner for the perfgate's counter-domination check.
     let dbs = par_map(strategies.len(), threads, |i| {
         let _span = colorist_trace::span("suite", format_args!("setup:{}", strategies[i]));
         let schema = design(graph, strategies[i]).expect("strategy designs the diagram");
@@ -234,13 +232,12 @@ pub fn run_suite_on(
                 let q = &workload.reads[qi];
                 let plan = optimize(db, graph, q)?;
                 let r = execute(db, graph, &plan)?;
-                let hplan = optimize(heur, graph, q)?;
-                let h = execute(heur, graph, &hplan)?;
+                let h = execute(heur, graph, &plan)?;
                 if (h.distinct, h.results) != (r.distinct, r.results) {
                     return Err(QueryError::Internal {
                         diag: format!(
-                            "optimizer differential: `{}` on {} answers {}/{} optimized \
-                             vs {}/{} heuristic",
+                            "dispatch differential: `{}` on {} answers {}/{} under the cost \
+                             model vs {}/{} under the ratio",
                             q.name, strategies[si], r.distinct, r.results, h.distinct, h.results
                         ),
                     });
@@ -251,7 +248,7 @@ pub fn run_suite_on(
                     metrics: r.metrics,
                     logical: r.distinct,
                     physical: r.results,
-                    est: EstTotals::of_plan(&plan),
+                    est: Some(EstTotals::of_costs(&annotate_costs(db, graph, &plan))),
                     heuristic: Some(h.metrics),
                 })
             } else {
@@ -263,8 +260,8 @@ pub fn run_suite_on(
                 if (oh.logical, oh.physical) != (o.logical, o.physical) {
                     return Err(QueryError::Internal {
                         diag: format!(
-                            "optimizer differential: `{}` on {} touches {}/{} optimized \
-                             vs {}/{} heuristic",
+                            "dispatch differential: `{}` on {} touches {}/{} under the cost \
+                             model vs {}/{} under the ratio",
                             u.name, strategies[si], o.logical, o.physical, oh.logical, oh.physical
                         ),
                     });

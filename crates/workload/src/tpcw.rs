@@ -102,7 +102,10 @@ pub fn workload(g: &ErGraph) -> Workload {
             .build()
             .unwrap(),
     );
-    // Q8: customers who ordered an item on a subject, shipped to a country
+    // Q8: customers who ordered an item on a subject, shipped to a country.
+    // A plan reduces a node's arms in the order they are declared; the
+    // country arm comes first, the order the committed baselines' page
+    // counters were recorded in.
     reads.push(
         b("Q8")
             .node("customer")
@@ -113,9 +116,9 @@ pub fn workload(g: &ErGraph) -> Workload {
             .pred_eq("name", t("country_name_1"))
             .chain(1, 0, &["make"])
             .unwrap()
-            .chain(1, 2, &["order_line"])
-            .unwrap()
             .chain(1, 3, &["shipping", "address", "in"])
+            .unwrap()
+            .chain(1, 2, &["order_line"])
             .unwrap()
             .output(0)
             .distinct()
