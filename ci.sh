@@ -91,13 +91,17 @@ echo "==> delete/batch torture (release): snapshot isolation under concurrent co
 # the release rerun exercises the race without debug_assert pacing.
 cargo test -q --release --test deletes
 
-echo "==> structural maintenance (release): incremental splice ≡ a from-scratch relabel"
+echo "==> structural maintenance (release): incremental splice ≡ a from-scratch relabel, B002 over U1-U3"
 # tests/incremental.rs: U1/U3, deletes and a mixed structural batch on all
 # seven strategies under both kernel families, each step checked against
 # the full DFS relabel and hash index rebuild it replaced, a paged save/load
-# round trip, a pinned pre-write snapshot and per-color sharing. The debug
-# suite above runs it too; release runs the same sequence at the speed the
-# benchmark sees, with debug assertions off.
+# round trip, a pinned pre-write snapshot and per-color sharing. Then B002
+# over the Table 1 updates: U1-U3 and a customer delete, each lowered to
+# its one batch and committed through `apply_verified`, must touch only
+# keys inside the batch's static footprint and land on the state
+# `execute_update` leaves. The debug suite above runs both too (every debug
+# commit checks B002); release runs them at the speed the benchmark sees,
+# with debug assertions off, so here `apply_verified` is the only B002 check.
 cargo test -q --release --test incremental
 
 echo "==> columnar element store (release): columns ≡ a row store"

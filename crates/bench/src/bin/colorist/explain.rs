@@ -9,15 +9,16 @@
 //! as for every report subcommand. `--static` prints the colored-XPath
 //! sketch instead of executing.
 //!
-//! `--updates` switches to the workload's updates (U1–U3): modify/delete
-//! specs are located, converted to an [`UpdateBatch`], and applied
-//! atomically, printing the batch receipt — op count, duplicate
-//! writes, occurrences removed, commit epoch, and `pages_written` (the
-//! paged backend's commit-transaction cost) — plus the locate phase's
-//! buffer-pool hit rate. Insert specs go through the inserter (their
-//! position/link resolution is not a batch op) and report the same
-//! storage costs from their metrics. `--backend paged-mem` (or `paged`)
-//! populates the page numbers; the heap backend reports them as zero.
+//! `--updates` switches to the workload's updates (U1–U3): each spec is
+//! located and lowered to its one [`UpdateBatch`] (`lower_update`, the
+//! first half of `execute_update`) and applied atomically, printing the
+//! batch receipt — op count, duplicate writes, occurrences removed,
+//! commit epoch, and `pages_written` (the paged backend's
+//! commit-transaction cost) — plus the locate phase's buffer-pool hit
+//! rate. `--backend paged-mem` (or `paged`) populates the page numbers;
+//! the heap backend reports them as zero.
+//!
+//! [`UpdateBatch`]: colorist_store::UpdateBatch
 
 use crate::cli::{unknown, Argv};
 use colorist_bench::RunConfig;
@@ -25,10 +26,8 @@ use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, ScaleProfile};
 use colorist_er::{catalog, ErGraph};
 use colorist_query::{
-    annotate_costs, compile, execute, execute_profiled, execute_update, explain, explain_analyze,
-    optimize, UpdateAction,
+    annotate_costs, compile, execute_profiled, explain, explain_analyze, lower_update, UpdateAction,
 };
-use colorist_store::UpdateBatch;
 use colorist_workload::{derby, tpcw, xmark};
 
 /// What to explain: a catalog diagram, optionally one query and one
@@ -161,8 +160,7 @@ fn pool_rate(m: &colorist_store::Metrics) -> String {
 }
 
 /// `--updates`: apply each selected update spec on a fresh materialization
-/// and print its storage cost — the batch receipt's `pages_written` for
-/// modify/delete specs, the metrics' page counters for insert specs.
+/// as its one batch and print the batch receipt.
 fn explain_updates(
     g: &ErGraph,
     w: &colorist_workload::Workload,
@@ -193,61 +191,28 @@ fn explain_updates(
                 eprintln!("colorist explain: {}/{s}: {e}", u.name);
                 std::process::exit(1);
             };
-            if let UpdateAction::Insert(_) = &u.action {
-                // inserts resolve positions/links through the inserter, not
-                // the batch layer; their flush cost lands in page_writes
-                let out = match execute_update(&mut db, g, u) {
-                    Ok(o) => o,
-                    Err(e) => fail(&e),
-                };
-                let m = &out.metrics;
-                println!(
-                    "{} [{s}]  insert: {} logical ({} physical), {} duplicate update(s); \
-                     pages written {}; pool hit rate {}",
-                    u.name,
-                    out.logical,
-                    out.physical,
-                    m.duplicate_updates,
-                    m.page_writes,
-                    pool_rate(m),
-                );
-                continue;
-            }
-            let plan = match optimize(&db, g, &u.pattern) {
-                Ok(p) => p,
+            let lowered = match lower_update(&db, g, u) {
+                Ok(l) => l,
                 Err(e) => fail(&e),
             };
-            let located = match execute(&db, g, &plan) {
+            let receipt = match lowered.batch.apply(&mut db, g) {
                 Ok(r) => r,
                 Err(e) => fail(&e),
             };
-            let mut batch = UpdateBatch::new();
             let action = match &u.action {
-                UpdateAction::Modify { attr, value } => {
-                    for &t in &located.elements {
-                        batch.write_attr(t, *attr, value.clone());
-                    }
-                    "modify"
-                }
-                UpdateAction::Delete => {
-                    for &t in &located.elements {
-                        batch.delete(t);
-                    }
-                    "delete"
-                }
-                UpdateAction::Insert(_) => unreachable!("handled above"),
+                UpdateAction::Modify { .. } => "modify",
+                UpdateAction::Delete => "delete",
+                UpdateAction::Insert(_) => "insert",
             };
-            let receipt = match batch.apply(&mut db, g) {
-                Ok(r) => r,
-                Err(e) => fail(&e),
-            };
+            let m = &lowered.metrics;
             println!(
-                "{} [{s}]  {action}: {} target(s) located (scanned {}, probes {}, pool hit rate {})",
+                "{} [{s}]  {action}: {} logical element(s) (locate scanned {}, probes {}, pool \
+                 hit rate {})",
                 u.name,
-                located.elements.len(),
-                located.metrics.elements_scanned,
-                located.metrics.join_probes,
-                pool_rate(&located.metrics),
+                lowered.logical,
+                m.elements_scanned,
+                m.join_probes,
+                pool_rate(m),
             );
             println!(
                 "  batch receipt: {} op(s), {} duplicate write(s), {} occurrence(s) removed, \

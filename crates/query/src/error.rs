@@ -43,9 +43,9 @@ pub enum QueryError {
         /// Human-readable edge label (`relationship[participant]`).
         edge: String,
     },
-    /// The paged storage backend failed to commit dirty segments after an
-    /// update (an I/O error from the page file). The in-memory database is
-    /// already updated; the backend may be behind by one transaction.
+    /// The paged storage backend failed to commit an update's dirty
+    /// segments (an I/O error from the page file). The update is rolled
+    /// back: the database, in memory and on the backend, is unchanged.
     Storage(String),
     /// A page a query read could not be served: the backend read failed,
     /// or the bytes read do not match the checksum the segment directory

@@ -56,7 +56,7 @@ pub use pattern::{
     PatternNode, Predicate, UpdateAction, UpdateSpec,
 };
 pub use plan::{Charge, CostEst, KernelChoice, Op, Plan, VDir};
-pub use update::{execute_update, UpdateOutcome};
+pub use update::{execute_update, lower_update, LoweredUpdate, UpdateOutcome};
 pub use verify::{explain_abstract, verify_plan, PlanDiag};
 
 pub use colorist_store::Metrics;

@@ -17,14 +17,22 @@
 //!   copies, cascading through duplicated subtrees exactly like the
 //!   materializer (this is why U1 writes 67 physical elements on DEEP for
 //!   10 logical ones in Table 1).
+//!
+//! An update does not write the store itself. [`lower_update`] locates the
+//! targets and lowers the action to one [`UpdateBatch`] against the
+//! pre-update database; [`execute_update`] commits it through
+//! [`UpdateBatch::apply`], the store's one write path — validated, atomic,
+//! flushed once, and B002-checked in debug builds (DESIGN.md §12.3, §13).
 
 use crate::error::QueryError;
 use crate::exec::execute;
-use crate::pattern::{Partner, UpdateAction, UpdateSpec};
+use crate::pattern::{InsertSpec, Partner, UpdateAction, UpdateSpec};
 use colorist_er::{EdgeId, ErGraph, NodeId};
-use colorist_mct::{ColorId, MctSchema, PlacementId};
-use colorist_store::{Database, ElementId, Metrics, OccId, Value};
-use std::collections::HashMap;
+use colorist_mct::{ColorId, PlacementId};
+use colorist_store::{
+    BatchError, BatchLink, BatchPosition, Database, ElementId, Metrics, OccId, UpdateBatch, Value,
+};
+use std::collections::{HashMap, HashSet};
 
 /// The outcome of one update.
 #[derive(Debug, Clone)]
@@ -38,7 +46,21 @@ pub struct UpdateOutcome {
     pub metrics: Metrics,
 }
 
-/// Execute an update against a database.
+/// An update lowered to the one batch that commits it.
+#[derive(Debug, Clone)]
+pub struct LoweredUpdate {
+    /// The ops, in the order they mutate the store.
+    pub batch: UpdateBatch,
+    /// Logical elements the update affects.
+    pub logical: u64,
+    /// The locate query's metrics, plus the maintenance counters known
+    /// before the commit: ICIC maintenance of an insert, and the copies a
+    /// delete takes with its targets.
+    pub metrics: Metrics,
+}
+
+/// Execute an update against a database: [`lower_update`], then one
+/// [`UpdateBatch::apply`]. On `Err` the database is unchanged.
 pub fn execute_update(
     db: &mut Database,
     graph: &ErGraph,
@@ -46,71 +68,65 @@ pub fn execute_update(
 ) -> Result<UpdateOutcome, QueryError> {
     let _span = colorist_trace::span("update", format_args!("update:{}", spec.name));
     let started = std::time::Instant::now();
-    // 1. locate targets
-    let plan = crate::optimize::optimize(db, graph, &spec.pattern)?;
-    let located = execute(db, graph, &plan)?;
-    let mut metrics = located.metrics;
-    let targets = located.elements;
-
-    // 2. apply
-    let (logical, physical) = match &spec.action {
-        UpdateAction::Modify { attr, value } => {
-            let mut physical = 0u64;
-            for &t in &targets {
-                db.write_attr(t, *attr, value.clone());
-                physical += 1;
-                for c in db.copies_of(t) {
-                    db.write_attr(c, *attr, value.clone());
-                    physical += 1;
-                    metrics.duplicate_updates += 1;
-                }
-            }
-            (targets.len() as u64, physical)
-        }
-
-        UpdateAction::Delete => {
-            // resolved up front: a delete takes the subtrees below it, and
-            // with them copies of targets still to come
-            let copies: Vec<Vec<ElementId>> = targets.iter().map(|&t| db.copies_of(t)).collect();
-            let mut physical = 0u64;
-            for (&t, copies) in targets.iter().zip(&copies) {
-                db.kill_links_of(graph, t);
-                physical += db.remove_element_occurrences(t) as u64;
-                // the canonical delete already removed every copy's
-                // occurrences; these per-copy calls are now no-ops kept for
-                // the duplicate-maintenance accounting (one duplicate write
-                // per physical copy, exactly as on the write path)
-                for &c in copies {
-                    physical += db.remove_element_occurrences(c) as u64;
-                    metrics.duplicate_updates += 1;
-                }
-            }
-            (targets.len() as u64, physical)
-        }
-
-        UpdateAction::Insert(ins) => {
-            let anchors = anchor_elements(db, graph, spec)?;
-            let physical = Inserter::run(db, graph, ins, &anchors, &mut metrics)?;
-            let logical = ins.instances.len() as u64
-                + ins.instances.iter().map(|i| i.links.len() as u64).sum::<u64>();
-            (logical, physical)
-        }
+    let LoweredUpdate { batch, logical, mut metrics } = lower_update(db, graph, spec)?;
+    let receipt = batch.apply(db, graph).map_err(|e| match e {
+        BatchError::Storage(msg) => QueryError::Storage(msg),
+        e => QueryError::Malformed(format!("update {} rejected: {e}", spec.name)),
+    })?;
+    // an attribute write writes its cell and one per copy; an Insert or
+    // AddOccurrence writes one element, canonical or copy; a delete writes
+    // what it removes. Copies count as duplicate updates.
+    let physical = match spec.action {
+        UpdateAction::Modify { .. } => batch.len() as u64 + receipt.duplicate_writes,
+        UpdateAction::Insert(_) => batch.len() as u64,
+        UpdateAction::Delete => receipt.occurrences_removed,
     };
-
-    // 3. commit: write dirty segments through the paged backend (one
-    // transaction) so durability matches the in-memory state. The flush is
-    // a no-op on the heap backend and when nothing was written.
-    let report = db.flush_storage().map_err(|e| QueryError::Storage(e.to_string()))?;
-    if report.pages_written > 0 {
-        metrics.page_writes += report.pages_written;
-        let mut span = colorist_trace::span("storage", format_args!("flush:{}", spec.name));
-        span.counter("page_writes", report.pages_written);
-    }
-
+    metrics.duplicate_updates += receipt.duplicate_writes;
+    metrics.page_writes += receipt.pages_written;
     metrics.results = logical;
     metrics.distinct_results = logical;
     metrics.elapsed = started.elapsed();
     Ok(UpdateOutcome { logical, physical, metrics })
+}
+
+/// Locate an update's targets and lower its action to one batch against
+/// `db`, the pre-update state. Ops come in the order the store applies
+/// them, so element ids, occurrence ids and link order follow from it.
+pub fn lower_update(
+    db: &Database,
+    graph: &ErGraph,
+    spec: &UpdateSpec,
+) -> Result<LoweredUpdate, QueryError> {
+    let plan = crate::optimize::optimize(db, graph, &spec.pattern)?;
+    let located = execute(db, graph, &plan)?;
+    let mut metrics = located.metrics;
+    let targets = located.elements;
+    let mut batch = UpdateBatch::new();
+    let logical = match &spec.action {
+        UpdateAction::Modify { attr, value } => {
+            for &t in &targets {
+                batch.write_attr(t, *attr, value.clone());
+            }
+            targets.len() as u64
+        }
+        UpdateAction::Delete => {
+            for &t in &targets {
+                batch.delete(t);
+                // one duplicate update per physical copy, resolved up
+                // front: a delete takes the subtrees below it, and with
+                // them copies of targets still to come
+                metrics.duplicate_updates += db.copies_of(t).len() as u64;
+            }
+            targets.len() as u64
+        }
+        UpdateAction::Insert(ins) => {
+            let anchors = anchor_elements(db, graph, spec)?;
+            batch = Planner::plan(db, graph, ins, &anchors, &mut metrics)?;
+            ins.instances.len() as u64
+                + ins.instances.iter().map(|i| i.links.len() as u64).sum::<u64>()
+        }
+    };
+    Ok(LoweredUpdate { batch, logical, metrics })
 }
 
 /// First matched element per pattern node of the locating pattern.
@@ -132,272 +148,215 @@ fn anchor_elements(
     Ok(anchors)
 }
 
-/// An instance being threaded into the trees: either one of the freshly
-/// inserted instances (by index into `Inserter::new_nodes`) or an existing
-/// logical instance (its canonical element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Who {
-    New(usize),
-    Existing(ElementId),
-}
-
-struct Inserter<'a> {
+/// Plans an insert as batch ops. Every new element is inserted first —
+/// entities in spec order, then each one's relationship instances with
+/// their links — so new instance `i` is element `base + i`, and every
+/// instance, new or existing, is named by its canonical element. Then,
+/// color by color, every new instance gets an occurrence at every matching
+/// placement, and each occurrence cascades its subtree through new and
+/// existing links; the store decides which occurrences bind canonicals
+/// and which store copies.
+struct Planner<'a> {
+    db: &'a Database,
     graph: &'a ErGraph,
-    /// All new instances: entities first (spec order), then relationships.
-    new_nodes: Vec<NodeId>,
-    new_elems: Vec<ElementId>,
-    /// (new rel index, edge) -> partner on that edge.
-    rel_links: HashMap<(usize, EdgeId), Who>,
-    /// (participant, edge) -> new rel indexes.
-    rev_links: HashMap<(Who, EdgeId), Vec<usize>>,
-    /// per edge: the relationship-ordinal watermark before this insert
-    /// (links at or above it belong to the instances being inserted).
-    watermarks: HashMap<EdgeId, u32>,
-    physical: u64,
+    batch: UpdateBatch,
+    /// Node and ordinal of each new instance, in element order.
+    new: Vec<(NodeId, u32)>,
+    /// The element id of new instance 0.
+    base: u32,
+    /// (new relationship, edge) -> its participant on that edge.
+    rel_links: HashMap<(ElementId, EdgeId), ElementId>,
+    /// (participant, edge) -> the new relationships linking it.
+    rev_links: HashMap<(ElementId, EdgeId), Vec<ElementId>>,
+    /// The id the next occurrence appended to the current color takes.
+    next_occ: u32,
+    /// New instances placed in the current color.
+    placed: HashSet<ElementId>,
 }
 
-impl<'a> Inserter<'a> {
-    fn run(
-        db: &mut Database,
+impl<'a> Planner<'a> {
+    fn plan(
+        db: &'a Database,
         graph: &'a ErGraph,
-        ins: &crate::pattern::InsertSpec,
+        ins: &InsertSpec,
         anchors: &[Option<ElementId>],
         metrics: &mut Metrics,
-    ) -> Result<u64, QueryError> {
-        let mut me = Inserter {
+    ) -> Result<UpdateBatch, QueryError> {
+        let base = db.element_count() as u32;
+        let mut me = Planner {
+            db,
             graph,
-            new_nodes: Vec::new(),
-            new_elems: Vec::new(),
+            batch: UpdateBatch::new(),
+            new: Vec::new(),
+            base,
             rel_links: HashMap::new(),
             rev_links: HashMap::new(),
-            watermarks: HashMap::new(),
-            physical: 0,
+            next_occ: 0,
+            placed: HashSet::new(),
         };
-        // watermark every edge before any link is pushed
-        for (ii, inst) in ins.instances.iter().enumerate() {
-            let _ = ii;
-            for l in &inst.links {
-                for e in [l.self_edge, l.partner_edge] {
-                    me.watermarks.entry(e).or_insert_with(|| db.ordinal_count(graph.edge(e).rel));
-                }
-            }
-        }
+        let mut next_ordinal: HashMap<NodeId, u32> = HashMap::new();
+        let mut push_new = |new: &mut Vec<(NodeId, u32)>, node: NodeId| {
+            let slot = next_ordinal.entry(node).or_insert_with(|| db.ordinal_count(node));
+            new.push((node, *slot));
+            *slot += 1;
+            ElementId(base + new.len() as u32 - 1)
+        };
 
-        // create entity elements
+        // entity elements
         for inst in &ins.instances {
-            me.new_nodes.push(inst.node);
-            me.new_elems.push(db.insert_element(inst.node, inst.attrs.clone()));
-            me.physical += 1;
+            push_new(&mut me.new, inst.node);
+            me.batch.insert(inst.node, inst.attrs.clone(), vec![]);
         }
-        // create relationship elements + link tables
+        // relationship elements + link tables
         for (ii, inst) in ins.instances.iter().enumerate() {
+            let this = ElementId(base + ii as u32);
             for l in &inst.links {
                 let partner = match l.partner {
                     Partner::Matched(p) => {
-                        Who::Existing(anchors.get(p).copied().flatten().ok_or_else(|| {
+                        anchors.get(p).copied().flatten().ok_or_else(|| {
                             QueryError::Malformed("insert anchor unmatched".into())
-                        })?)
+                        })?
                     }
-                    Partner::New(j) => Who::New(j),
+                    Partner::New(j) if j < ins.instances.len() => ElementId(base + j as u32),
+                    Partner::New(j) => {
+                        return Err(QueryError::Malformed(format!(
+                            "insert partner New({j}) names no instance of {}",
+                            ins.instances.len()
+                        )));
+                    }
                     Partner::ByOrdinal(node, ordinal) => {
-                        Who::Existing(db.canonical_by_ordinal(node, ordinal).ok_or_else(|| {
+                        db.canonical_by_ordinal(node, ordinal).ok_or_else(|| {
                             QueryError::Malformed("insert partner ordinal out of range".into())
-                        })?)
+                        })?
                     }
                 };
-                let idx = me.new_nodes.len();
                 // idref slots in schema order for this relationship
                 let mut attrs: Vec<Value> =
                     graph.node(l.rel).attributes.iter().map(default_value).collect();
-                let idref_edges: Vec<EdgeId> = db
-                    .schema
-                    .idrefs()
-                    .iter()
-                    .filter(|x| graph.edge(x.edge).rel == l.rel)
-                    .map(|x| x.edge)
-                    .collect();
-                for &ie in &idref_edges {
-                    let who = if ie == l.partner_edge { partner } else { Who::New(ii) };
-                    let ordinal = match who {
-                        Who::New(j) => db.element(me.new_elems[j]).ordinal,
-                        Who::Existing(e) => db.element(e).ordinal,
-                    };
-                    attrs.push(Value::Int(ordinal as i64));
+                for x in db.schema.idrefs().iter().filter(|x| graph.edge(x.edge).rel == l.rel) {
+                    let who = if x.edge == l.partner_edge { partner } else { this };
+                    attrs.push(Value::Int(me.ordinal(who) as i64));
                 }
-                me.new_nodes.push(l.rel);
-                let rel_elem = db.insert_element(l.rel, attrs);
-                me.new_elems.push(rel_elem);
-                me.physical += 1;
+                let rel = push_new(&mut me.new, l.rel);
                 // persist the adjacency so link joins and future cascades
                 // see the new relationship instance
-                let rel_ordinal = db.element(rel_elem).ordinal;
-                let self_ordinal = db.element(me.new_elems[ii]).ordinal;
-                let partner_ordinal = match partner {
-                    Who::New(j) => db.element(me.new_elems[j]).ordinal,
-                    Who::Existing(pe) => db.element(pe).ordinal,
-                };
-                db.push_link(l.self_edge, rel_ordinal, self_ordinal);
-                db.push_link(l.partner_edge, rel_ordinal, partner_ordinal);
-                me.rel_links.insert((idx, l.self_edge), Who::New(ii));
-                me.rel_links.insert((idx, l.partner_edge), partner);
-                me.rev_links.entry((Who::New(ii), l.self_edge)).or_default().push(idx);
-                me.rev_links.entry((partner, l.partner_edge)).or_default().push(idx);
-                for e in [l.self_edge, l.partner_edge] {
+                let links = [(l.self_edge, this), (l.partner_edge, partner)];
+                me.batch.insert(
+                    l.rel,
+                    attrs,
+                    links.map(|(edge, participant)| BatchLink { edge, participant }).to_vec(),
+                );
+                for (edge, participant) in links {
+                    me.rel_links.insert((rel, edge), participant);
+                    me.rev_links.entry((participant, edge)).or_default().push(rel);
                     metrics.icic_maintenance +=
-                        db.schema.edge_colors(e).len().saturating_sub(1) as u64;
+                        db.schema.edge_colors(edge).len().saturating_sub(1) as u64;
                 }
             }
         }
 
         // thread occurrences through every color
-        let schema = db.schema.clone();
+        let schema = &db.schema;
+        let news: Vec<(ElementId, NodeId)> = (me.new.iter().enumerate())
+            .map(|(i, &(n, _))| (ElementId(base + i as u32), n))
+            .collect();
         for color in schema.colors() {
-            let mut bound: HashMap<Who, ()> = HashMap::new();
+            me.next_occ = db.color(color).occs().len() as u32;
+            me.placed.clear();
             let mut placements = Vec::new();
             for &r in schema.roots(color) {
                 placements.extend(schema.subtree(r));
             }
             for &p in &placements {
                 let node = schema.placement(p).node;
-                let whos: Vec<usize> =
-                    (0..me.new_nodes.len()).filter(|&i| me.new_nodes[i] == node).collect();
-                if whos.is_empty() {
-                    continue;
-                }
-                match schema.placement(p).parent {
-                    None => {
-                        for i in whos {
-                            me.add_recursive(
-                                db,
-                                &schema,
-                                color,
-                                p,
-                                Who::New(i),
-                                None,
-                                &mut bound,
-                                metrics,
-                            );
+                for &(el, _) in news.iter().filter(|&&(_, n)| n == node) {
+                    let Some((pp, e)) = schema.placement(p).parent else {
+                        me.add_recursive(color, p, el, None);
+                        continue;
+                    };
+                    for parent in me.neighbors(el, e, node) {
+                        if me.is_new(parent) {
+                            continue;
                         }
-                    }
-                    Some((pp, e)) => {
-                        for i in whos {
-                            for parent in me.neighbors(db, Who::New(i), e, node) {
-                                let Who::Existing(pe) = parent else { continue };
-                                let parent_occs: Vec<OccId> = db
-                                    .occurrences_of_logical(color, pe)
-                                    .iter()
-                                    .copied()
-                                    .filter(|&o| db.color(color).occ(o).placement == pp)
-                                    .collect();
-                                for po in parent_occs {
-                                    me.add_recursive(
-                                        db,
-                                        &schema,
-                                        color,
-                                        p,
-                                        Who::New(i),
-                                        Some(po),
-                                        &mut bound,
-                                        metrics,
-                                    );
-                                }
+                        let tree = db.color(color);
+                        for &po in db.occurrences_of_logical(color, parent) {
+                            if tree.occ(po).placement == pp {
+                                me.add_recursive(color, p, el, Some(po));
                             }
                         }
                     }
                 }
             }
-            // heterogeneous fallback (§4.2): unbound new instances become
+            // heterogeneous fallback (§4.2): unplaced new instances become
             // parentless roots at their first placement in the color
-            for i in 0..me.new_nodes.len() {
-                if bound.contains_key(&Who::New(i)) {
+            for &(el, node) in &news {
+                if me.placed.contains(&el) {
                     continue;
                 }
-                if let Some(&p) =
-                    placements.iter().find(|&&p| schema.placement(p).node == me.new_nodes[i])
-                {
-                    me.add_recursive(db, &schema, color, p, Who::New(i), None, &mut bound, metrics);
+                if let Some(&p) = placements.iter().find(|&&p| schema.placement(p).node == node) {
+                    me.add_recursive(color, p, el, None);
                 }
             }
-            db.relabel_color(color);
         }
 
-        Ok(me.physical)
+        Ok(me.batch)
     }
 
-    fn first_new_ordinal(&self, e: EdgeId) -> u32 {
-        self.watermarks.get(&e).copied().unwrap_or(u32::MAX)
+    fn is_new(&self, e: ElementId) -> bool {
+        e.0 >= self.base
+    }
+
+    fn ordinal(&self, e: ElementId) -> u32 {
+        if self.is_new(e) {
+            self.new[(e.0 - self.base) as usize].1
+        } else {
+            self.db.element(e).ordinal
+        }
     }
 
     /// Instances adjacent to `who` via ER edge `e`, on the side *opposite*
-    /// to `who_node`.
-    fn neighbors(&self, db: &Database, who: Who, e: EdgeId, who_node: NodeId) -> Vec<Who> {
+    /// to `who_node`: the new links, then the pre-update ones.
+    fn neighbors(&self, who: ElementId, e: EdgeId, who_node: NodeId) -> Vec<ElementId> {
+        let db = self.db;
         let edge = self.graph.edge(e);
         if edge.rel == who_node {
             // who is the relationship: exactly one participant
-            match who {
-                Who::New(i) => self.rel_links.get(&(i, e)).copied().into_iter().collect(),
-                Who::Existing(el) => {
-                    let ordinal = db.element(el).ordinal;
-                    db.link(e, ordinal)
-                        .and_then(|p| db.canonical_by_ordinal(edge.participant, p))
-                        .map(Who::Existing)
-                        .into_iter()
-                        .collect()
-                }
+            match self.rel_links.get(&(who, e)) {
+                Some(&participant) => vec![participant],
+                None if self.is_new(who) => Vec::new(),
+                None => (db.link(e, db.element(who).ordinal))
+                    .and_then(|p| db.canonical_by_ordinal(edge.participant, p))
+                    .into_iter()
+                    .collect(),
             }
         } else {
             // who is the participant: relationship instances
-            let mut out: Vec<Who> = self
-                .rev_links
-                .get(&(who, e))
-                .map(|v| v.iter().map(|&i| Who::New(i)).collect())
-                .unwrap_or_default();
-            if let Who::Existing(el) = who {
-                let ordinal = db.element(el).ordinal;
-                let new_floor = self.first_new_ordinal(e);
-                for r in db.linked_rels(e, ordinal) {
-                    // skip the links we just pushed (handled as New above)
-                    if r >= new_floor {
-                        continue;
-                    }
-                    if let Some(rel) = db.canonical_by_ordinal(edge.rel, r) {
-                        out.push(Who::Existing(rel));
-                    }
-                }
+            let mut out = self.rev_links.get(&(who, e)).cloned().unwrap_or_default();
+            if !self.is_new(who) {
+                let rels = db.linked_rels(e, db.element(who).ordinal);
+                out.extend(rels.into_iter().filter_map(|r| db.canonical_by_ordinal(edge.rel, r)));
             }
             out
         }
     }
 
-    /// Add an occurrence of `who` at placement `p` under `parent`, and
-    /// cascade its subtree (new links and, through [`LinkSource`], existing
-    /// ones — the duplicated-subtree maintenance of un-normalized schemas).
-    #[allow(clippy::too_many_arguments)]
+    /// Append an occurrence of `who` at placement `p` under `parent`, and
+    /// cascade its subtree (new links and existing ones — the
+    /// duplicated-subtree maintenance of un-normalized schemas).
     fn add_recursive(
         &mut self,
-        db: &mut Database,
-        schema: &MctSchema,
         color: ColorId,
         p: PlacementId,
-        who: Who,
+        who: ElementId,
         parent: Option<OccId>,
-        bound: &mut HashMap<Who, ()>,
-        metrics: &mut Metrics,
     ) {
-        let element = match who {
-            Who::New(i) if bound.insert(who, ()).is_none() => self.new_elems[i],
-            Who::New(i) => {
-                metrics.duplicate_updates += 1;
-                db.insert_copy(self.new_elems[i])
-            }
-            Who::Existing(el) => {
-                bound.entry(who).or_insert(());
-                metrics.duplicate_updates += 1;
-                db.insert_copy(el)
-            }
-        };
-        self.physical += 1;
-        let occ = db.push_occurrence(color, element, p, parent);
+        if self.is_new(who) {
+            self.placed.insert(who);
+        }
+        self.batch.add_occurrence(who, BatchPosition { color, placement: p, parent });
+        let occ = OccId(self.next_occ);
+        self.next_occ += 1;
+        let schema = &self.db.schema;
         let node = schema.placement(p).node;
         for &cp in schema.children(p) {
             // every placement in a children index has a parent by schema
@@ -406,8 +365,8 @@ impl<'a> Inserter<'a> {
                 debug_assert!(false, "S001 child placement {cp} has no parent");
                 continue;
             };
-            for child in self.neighbors(db, who, e, node) {
-                self.add_recursive(db, schema, color, cp, child, Some(occ), bound, metrics);
+            for child in self.neighbors(who, e, node) {
+                self.add_recursive(color, cp, child, Some(occ));
             }
         }
     }
@@ -610,6 +569,72 @@ mod tests {
                 r.elements.contains(&new_order),
                 "{s}: inserted order must be queryable\n{plan}"
             );
+        }
+    }
+
+    /// A malformed update is refused whole: each case returns `Err` and
+    /// leaves the database as it was, epoch included, on every strategy.
+    #[test]
+    fn malformed_updates_are_refused_and_leave_no_trace() {
+        let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
+        let inst = generate(&g, &ScaleProfile::tpcw(&g, 20), 9);
+        let [order, make, customer] =
+            ["order", "make", "customer"].map(|n| g.node_by_name(n).unwrap());
+        let e = |part: NodeId| {
+            g.edge_ids().find(|&e| g.edge(e).rel == make && g.edge(e).participant == part).unwrap()
+        };
+        let locate = |id: i64| {
+            PatternBuilder::new(&g, "loc")
+                .node("customer")
+                .pred_eq("id", Value::Int(id))
+                .output(0)
+                .build()
+                .unwrap()
+        };
+        let insert = |customer_id: i64, attrs: Vec<Value>, partner: Partner| UpdateSpec {
+            name: "ins".into(),
+            pattern: locate(customer_id),
+            action: UpdateAction::Insert(InsertSpec {
+                instances: vec![NewInstance {
+                    node: order,
+                    attrs,
+                    links: vec![InsertLink {
+                        rel: make,
+                        self_edge: e(order),
+                        partner_edge: e(customer),
+                        partner,
+                    }],
+                }],
+            }),
+        };
+        let row = vec![
+            Value::Int(1_000_000),
+            Value::Text("2026-01-01".into()),
+            Value::Float(1.0),
+            Value::Float(0.1),
+            Value::Float(1.1),
+            Value::Text("new".into()),
+        ];
+        let cases = [
+            ("an unmatched anchor", insert(-1, row.clone(), Partner::Matched(0))),
+            ("a partner past the instances", insert(7, row, Partner::New(3))),
+            ("a 1-value order", insert(7, vec![Value::Int(1)], Partner::Matched(0))),
+            (
+                "attribute 99",
+                UpdateSpec {
+                    name: "mod".into(),
+                    pattern: locate(7),
+                    action: UpdateAction::Modify { attr: 99, value: Value::Int(0) },
+                },
+            ),
+        ];
+        for s in Strategy::ALL {
+            let mut db = materialize(&g, &design(&g, s).unwrap(), &inst);
+            let before = db.clone();
+            for (what, spec) in &cases {
+                assert!(execute_update(&mut db, &g, spec).is_err(), "{s}: {what}");
+                assert_eq!(db.same_state(&before, true), Ok(()), "{s}: {what}");
+            }
         }
     }
 

@@ -17,12 +17,14 @@
 //! its merkle subtrees, transplanted onto MCT color forests.
 //!
 //! Duplicate maintenance is included: an attribute write fans out to every
-//! physical copy of the instance, and a delete removes the occurrences of
-//! the canonical element *and* of all its copies, retracting the extent
-//! entry and value-index postings through the
-//! audited [`Database::remove_element_occurrences`] path.
+//! physical copy of the instance, an occurrence append stores a copy when
+//! the canonical element already occurs in that color, and a delete
+//! removes the occurrences of the canonical element *and* of all its
+//! copies, retracting the extent entry and value-index postings with
+//! them. A batch is the store's one write front end: the structural
+//! mutators it drives are crate-private.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 
 use colorist_er::{EdgeId, ErGraph, NodeId};
@@ -33,16 +35,18 @@ use crate::effect::{self, shadow, Footprint};
 use crate::value::Value;
 use colorist_trace::span;
 
-/// Where a newly inserted element (or a new occurrence of an existing one)
-/// goes in one color's forest.
+/// Where a new occurrence goes in one color's forest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPosition {
     /// The color receiving the occurrence.
     pub color: ColorId,
     /// The schema placement instantiated by the occurrence.
     pub placement: PlacementId,
-    /// Parent occurrence in that color's tree (pre-batch id); `None` for
-    /// roots of the color's forest.
+    /// Parent occurrence in that color's tree: a pre-batch id, or the one
+    /// the k-th `AddOccurrence` of this batch to the color placed (the
+    /// color's pre-batch occurrence count plus k). `None` at a root
+    /// placement, and at a heterogeneous root (§4.2): an inserted
+    /// instance's first occurrence in the color.
     pub parent: Option<OccId>,
 }
 
@@ -53,8 +57,9 @@ pub struct BatchPosition {
 pub struct BatchLink {
     /// The ER edge being linked (its `rel` must be the inserted node).
     pub edge: EdgeId,
-    /// Ordinal of the participant instance on the edge's participant node.
-    pub participant_ordinal: u32,
+    /// The participant instance: a pre-batch element (canonical or copy),
+    /// or one an earlier `Insert` of this batch allocated.
+    pub participant: ElementId,
 }
 
 /// One logical operation inside an [`UpdateBatch`].
@@ -78,26 +83,25 @@ pub enum BatchOp {
         /// Canonical element or any copy of the doomed instance.
         element: ElementId,
     },
-    /// Insert a new canonical element with occurrences at the given
-    /// positions (the first position binds the canonical element, later
-    /// positions bind fresh physical copies, mirroring the materializer)
-    /// and link-table entries for its relationship edges.
+    /// Insert a new canonical element and push its link-table entries;
+    /// `AddOccurrence` ops place it, in every color whose forest places
+    /// `node` (the coverage half of the ICIC obligations). Later ops name
+    /// it by its id: `element_count()` plus the elements allocated before.
     Insert {
         /// The ER node type of the new instance.
         node: NodeId,
         /// Full stored attribute vector: declared attributes followed by
         /// one idref slot per idref edge on this node, in schema order.
         attrs: Vec<Value>,
-        /// Occurrence positions; must cover every color whose forest
-        /// places `node` (the coverage half of the ICIC obligations).
-        positions: Vec<BatchPosition>,
         /// Link-table entries (for relationship nodes).
         links: Vec<BatchLink>,
     },
-    /// Add one more occurrence of an existing instance (a physical copy if
-    /// the canonical element is already placed somewhere).
+    /// Add one occurrence of an instance, pre-batch or inserted earlier in
+    /// the batch. It binds the canonical element iff the canonical has no
+    /// occurrence in that color yet, before the batch or earlier in it;
+    /// otherwise it stores a fresh physical copy.
     AddOccurrence {
-        /// Canonical element or any copy of the instance.
+        /// Canonical element or any pre-batch copy of the instance.
         element: ElementId,
         /// Where the new occurrence goes.
         position: BatchPosition,
@@ -156,8 +160,8 @@ pub enum BatchError {
         /// The out-of-range occurrence id.
         occ: OccId,
     },
-    /// An insert's link entry is inconsistent (wrong edge, or a
-    /// participant ordinal that resolves to no live instance).
+    /// An insert's link entry is inconsistent (an edge of another
+    /// relationship, or a participant of the wrong node).
     BadLink(String),
     /// Two ops in the batch contend for the same target (double write of
     /// one attribute, delete of a written instance, …).
@@ -196,14 +200,15 @@ impl fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// What a committed batch did, for callers and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchReceipt {
     /// Number of ops applied.
     pub ops: usize,
     /// Canonical element ids created by `Insert` ops, in op order.
     pub inserted: Vec<ElementId>,
-    /// Physical duplicate writes performed by attribute fan-out (one per
-    /// copy written beyond the canonical element).
+    /// Physical duplicate writes: one per copy an attribute write fans out
+    /// to beyond the canonical element, and one per copy an occurrence
+    /// append stores.
     pub duplicate_writes: u64,
     /// Occurrences removed by deletes and occurrence edits (subtrees
     /// included).
@@ -279,36 +284,41 @@ impl UpdateBatch {
         self.push(BatchOp::Delete { element })
     }
 
-    /// Queue an element insert.
-    pub fn insert(
-        &mut self,
-        node: NodeId,
-        attrs: Vec<Value>,
-        positions: Vec<BatchPosition>,
-        links: Vec<BatchLink>,
-    ) -> &mut Self {
-        self.push(BatchOp::Insert { node, attrs, positions, links })
+    /// Queue an element insert (place it with [`UpdateBatch::add_occurrence`]).
+    pub fn insert(&mut self, node: NodeId, attrs: Vec<Value>, links: Vec<BatchLink>) -> &mut Self {
+        self.push(BatchOp::Insert { node, attrs, links })
+    }
+
+    /// Queue an occurrence append.
+    pub fn add_occurrence(&mut self, element: ElementId, position: BatchPosition) -> &mut Self {
+        self.push(BatchOp::AddOccurrence { element, position })
     }
 
     /// Validate every op against `db` without mutating anything.
     pub fn validate(&self, db: &Database, graph: &ErGraph) -> Result<(), BatchError> {
+        self.replay(db, graph).map(drop)
+    }
+
+    /// [`UpdateBatch::validate`], returning phase 2 as replayed.
+    fn replay<'a>(&self, db: &'a Database, graph: &ErGraph) -> Result<Replay<'a>, BatchError> {
         let schema = &db.schema;
         // canonical instances doomed by Delete ops, for conflict checks
         let mut doomed: HashSet<ElementId> = HashSet::new();
         for op in &self.ops {
             if let BatchOp::Delete { element } = op {
-                let canon = self.resolve_live(db, *element)?;
+                let canon = resolve_live(db, *element)?;
                 if !doomed.insert(canon) {
                     return Err(BatchError::Conflict(format!("instance {canon} deleted twice")));
                 }
             }
         }
         let mut written: HashSet<(ElementId, usize)> = HashSet::new();
+        let mut replay = Replay::new(db);
         for op in &self.ops {
             match op {
                 BatchOp::Delete { .. } => {}
                 BatchOp::WriteAttr { element, attr, .. } => {
-                    let canon = self.resolve_live(db, *element)?;
+                    let canon = resolve_live(db, *element)?;
                     if db.element(canon).attrs.len() <= *attr {
                         return Err(BatchError::BadAttr { element: canon, attr: *attr });
                     }
@@ -323,7 +333,7 @@ impl UpdateBatch {
                         )));
                     }
                 }
-                BatchOp::Insert { node, attrs, positions, links } => {
+                BatchOp::Insert { node, attrs, links } => {
                     let expected = graph.node(*node).attributes.len()
                         + schema
                             .idrefs()
@@ -333,16 +343,7 @@ impl UpdateBatch {
                     if attrs.len() != expected {
                         return Err(BatchError::Arity { node: *node, expected, got: attrs.len() });
                     }
-                    for c in schema.colors() {
-                        if !schema.placements_of_in_color(*node, c).is_empty()
-                            && !positions.iter().any(|p| p.color == c)
-                        {
-                            return Err(BatchError::IcicIncomplete { node: *node, color: c });
-                        }
-                    }
-                    for p in positions {
-                        self.check_position(db, &doomed, *node, p)?;
-                    }
+                    replay.insert(*node);
                     for l in links {
                         let edge = graph.edge(l.edge);
                         if edge.rel != *node {
@@ -351,15 +352,13 @@ impl UpdateBatch {
                                 l.edge, node.0
                             )));
                         }
-                        let target = db
-                            .canonical_by_ordinal(edge.participant, l.participant_ordinal)
-                            .ok_or_else(|| {
-                                BatchError::BadLink(format!(
-                                    "participant ordinal {} of node {} resolves to no live \
-                                     instance",
-                                    l.participant_ordinal, edge.participant.0
-                                ))
-                            })?;
+                        let target = replay.resolve(l.participant)?;
+                        if replay.node(target) != edge.participant {
+                            return Err(BatchError::BadLink(format!(
+                                "participant {target} is not of node {}",
+                                edge.participant.0
+                            )));
+                        }
                         if doomed.contains(&target) {
                             return Err(BatchError::Conflict(format!(
                                 "insert links to instance {target} deleted in the same batch"
@@ -368,13 +367,14 @@ impl UpdateBatch {
                     }
                 }
                 BatchOp::AddOccurrence { element, position } => {
-                    let canon = self.resolve_live(db, *element)?;
+                    let canon = replay.resolve(*element)?;
                     if doomed.contains(&canon) {
                         return Err(BatchError::Conflict(format!(
                             "occurrence added for instance {canon} deleted in the same batch"
                         )));
                     }
-                    self.check_position(db, &doomed, db.element(canon).node, position)?;
+                    check_position(db, &replay, &doomed, canon, position)?;
+                    replay.append(position.color, position.placement, canon);
                 }
                 BatchOp::RemoveOccurrences { color, occs } => {
                     if color.idx() >= db.color_count() {
@@ -392,7 +392,17 @@ impl UpdateBatch {
                 }
             }
         }
-        Ok(())
+        // ICIC coverage: every inserted instance occurs in every color
+        // whose forest places its node
+        for (&id, &node) in &replay.inserted {
+            let places = |c: ColorId| !schema.placements_of_in_color(node, c).is_empty();
+            if let Some(color) =
+                schema.colors().find(|&c| places(c) && !replay.bound.contains(&(c, id)))
+            {
+                return Err(BatchError::IcicIncomplete { node, color });
+            }
+        }
+        Ok(replay)
     }
 
     /// Validate, then apply atomically. On `Ok` the database has advanced
@@ -403,7 +413,7 @@ impl UpdateBatch {
     /// [`Snapshot`]: crate::database::Snapshot
     pub fn apply(&self, db: &mut Database, graph: &ErGraph) -> Result<BatchReceipt, BatchError> {
         db.or_roll_back(|db| {
-            let mut receipt = self.stage(db, graph)?;
+            let (mut receipt, _) = self.stage(db, graph, cfg!(debug_assertions))?;
             receipt.pages_written = commit_staged(db)?;
             Ok(receipt)
         })
@@ -421,7 +431,7 @@ impl UpdateBatch {
         graph: &ErGraph,
     ) -> Result<(BatchReceipt, Footprint, Footprint), BatchError> {
         db.or_roll_back(|db| {
-            let (mut receipt, verified) = self.stage_with(db, graph, true)?;
+            let (mut receipt, verified) = self.stage(db, graph, true)?;
             receipt.pages_written = commit_staged(db)?;
             let (footprint, touched) = verified.unwrap_or_default();
             Ok((receipt, footprint, touched))
@@ -429,23 +439,13 @@ impl UpdateBatch {
     }
 
     /// Validate against `db`, then write every op through it — no
-    /// savepoint, no flush: the caller owns the
-    /// savepoint and owes [`commit_staged`] before publishing. A validation
-    /// failure returns before anything is written. Debug builds check B002
-    /// on every staged batch.
+    /// savepoint, no flush: the caller owns the savepoint and owes
+    /// [`commit_staged`] before publishing. A validation failure returns
+    /// before anything is written. With `verify` (every debug build) the
+    /// batch is analysed against the state it meets and the shadow tracker
+    /// runs, and the static footprint is returned with the keys the
+    /// mutators touched (B002, asserted here in debug builds).
     pub(crate) fn stage(
-        &self,
-        db: &mut Database,
-        graph: &ErGraph,
-    ) -> Result<BatchReceipt, BatchError> {
-        self.stage_with(db, graph, cfg!(debug_assertions)).map(|(receipt, _)| receipt)
-    }
-
-    /// [`UpdateBatch::stage`]; with `verify` the batch is analysed against
-    /// the state it meets and the shadow tracker runs, and the static
-    /// footprint is returned with the keys the mutators touched (B002,
-    /// asserted here in debug builds).
-    fn stage_with(
         &self,
         db: &mut Database,
         graph: &ErGraph,
@@ -453,22 +453,14 @@ impl UpdateBatch {
     ) -> Result<(BatchReceipt, Option<(Footprint, Footprint)>), BatchError> {
         let mut bspan = span("batch", "apply");
         bspan.counter("batch_ops", self.ops.len() as u64);
-        self.validate(db, graph)?;
+        let mut copies = self.replay(db, graph)?.copies.into_iter();
         let footprint = verify.then(|| {
             let footprint = effect::analyze_traced(self, db, graph);
             shadow::start();
             footprint
         });
-        let mut receipt = BatchReceipt {
-            ops: self.ops.len(),
-            inserted: Vec::new(),
-            duplicate_writes: 0,
-            occurrences_removed: 0,
-            epoch: 0,
-            pages_written: 0,
-        };
+        let mut receipt = BatchReceipt { ops: self.ops.len(), ..BatchReceipt::default() };
         let mut touched_colors: BTreeSet<ColorId> = BTreeSet::new();
-        let mut placed: BTreeSet<ElementId> = BTreeSet::new();
 
         // 1. attribute writes (fan out to copies; the trees still carry
         // the pre-batch labels here, which is what `copies_of` reads)
@@ -483,35 +475,26 @@ impl UpdateBatch {
             }
         }
 
-        // 2. inserts, then extra occurrences — both only append to the
-        // color trees, so pre-batch occurrence ids stay valid throughout
+        // 2. inserts and occurrence appends, in op order — both only
+        // append, so pre-batch occurrence ids stay valid throughout
         for op in &self.ops {
             match op {
-                BatchOp::Insert { node, attrs, positions, links } => {
+                BatchOp::Insert { node, attrs, links } => {
                     let id = db.insert_element(*node, attrs.clone());
                     receipt.inserted.push(id);
                     let ordinal = db.element(id).ordinal;
                     for l in links {
-                        db.push_link(l.edge, ordinal, l.participant_ordinal);
-                    }
-                    for (i, p) in positions.iter().enumerate() {
-                        // first occurrence binds the canonical element,
-                        // later ones bind fresh copies (materializer rule)
-                        let el = if i == 0 { id } else { db.insert_copy(id) };
-                        db.push_occurrence(p.color, el, p.placement, p.parent);
-                        touched_colors.insert(p.color);
+                        let participant = db.element(l.participant).ordinal;
+                        db.push_link(l.edge, ordinal, participant);
                     }
                 }
                 BatchOp::AddOccurrence { element, position } => {
+                    // bind or copy as the validation replay decided
                     let canon = db.element(*element).canonical;
-                    // the first occurrence binds the canonical, later ones
-                    // fresh copies; until the phase-4 relabel the
-                    // logical-occurrence index knows only pre-batch
-                    // placements, so this batch's own are in `placed`
-                    let el = if db.canonical_placed(canon, &placed) {
+                    let el = if copies.next() == Some(true) {
+                        receipt.duplicate_writes += 1;
                         db.insert_copy(canon)
                     } else {
-                        placed.insert(canon);
                         canon
                     };
                     db.push_occurrence(position.color, el, position.placement, position.parent);
@@ -552,73 +535,161 @@ impl UpdateBatch {
         receipt.epoch = db.epoch();
         Ok((receipt, verified))
     }
+}
 
-    /// Resolve `e` to its live canonical instance.
-    fn resolve_live(&self, db: &Database, e: ElementId) -> Result<ElementId, BatchError> {
-        if e.idx() >= db.element_count() {
-            return Err(BatchError::UnknownElement(e));
+/// Resolve pre-batch element `e` to its live canonical instance.
+pub(crate) fn resolve_live(db: &Database, e: ElementId) -> Result<ElementId, BatchError> {
+    if e.idx() >= db.element_count() {
+        return Err(BatchError::UnknownElement(e));
+    }
+    let canon = db.element(e).canonical;
+    if !db.is_live(canon) {
+        return Err(BatchError::Deleted(canon));
+    }
+    Ok(canon)
+}
+
+/// Placement/color/parent consistency for one occurrence of `canon`.
+fn check_position(
+    db: &Database,
+    replay: &Replay<'_>,
+    doomed: &HashSet<ElementId>,
+    canon: ElementId,
+    p: &BatchPosition,
+) -> Result<(), BatchError> {
+    let node = replay.node(canon);
+    let pl = (db.schema.placements().get(p.placement.idx()))
+        .filter(|pl| pl.node == node && pl.color == p.color)
+        .ok_or_else(|| {
+            BatchError::BadPosition(format!(
+                "placement {} is no placement of node {} in color {}",
+                p.placement, node.0, p.color.0
+            ))
+        })?;
+    // a root placement, or a heterogeneous root (§4.2): an instance this
+    // batch inserted, at its first occurrence in the color
+    let may_be_root = pl.parent.is_none()
+        || (replay.inserted.contains_key(&canon) && !replay.bound.contains(&(p.color, canon)));
+    match (pl.parent, p.parent) {
+        (_, None) if may_be_root => Ok(()),
+        (None, Some(_)) => Err(BatchError::BadPosition(format!(
+            "placement {} is a root but a parent occurrence was given",
+            p.placement
+        ))),
+        (_, None) => Err(BatchError::BadPosition(format!(
+            "placement {} requires a parent occurrence",
+            p.placement
+        ))),
+        (Some((pp, _)), Some(occ)) => {
+            let (placement, parent_canon) = replay
+                .occurrence(p.color, occ)
+                .ok_or(BatchError::UnknownOccurrence { color: p.color, occ })?;
+            if placement != pp {
+                return Err(BatchError::BadPosition(format!(
+                    "parent occurrence sits at {placement}, placement {} requires parent {pp}",
+                    p.placement
+                )));
+            }
+            if doomed.contains(&parent_canon) {
+                return Err(BatchError::Conflict(format!(
+                    "parent instance {parent_canon} is deleted in the same batch"
+                )));
+            }
+            Ok(())
         }
-        let canon = db.element(e).canonical;
-        if !db.is_live(canon) {
-            return Err(BatchError::Deleted(canon));
+    }
+}
+
+/// Phase 2 of a batch — inserts and occurrence appends — replayed in op
+/// order against the pre-batch database, writing nothing. Validation walks
+/// it, `stage` follows its binding decisions and [`effect::analyze_batch`]
+/// walks it too, so all three name the same ids.
+pub(crate) struct Replay<'a> {
+    db: &'a Database,
+    next_id: u32,
+    /// The canonicals inserted so far, with their node.
+    inserted: BTreeMap<ElementId, NodeId>,
+    next_ordinal: BTreeMap<NodeId, u32>,
+    /// Per color, the placement and canonical of each occurrence appended.
+    appended: BTreeMap<ColorId, Vec<(PlacementId, ElementId)>>,
+    /// `(color, canonical)` pairs an append has met: from then on the
+    /// canonical occurs in the color.
+    bound: BTreeSet<(ColorId, ElementId)>,
+    /// Per append, in op order: whether it stores a copy.
+    copies: Vec<bool>,
+}
+
+impl<'a> Replay<'a> {
+    pub(crate) fn new(db: &'a Database) -> Self {
+        Replay {
+            db,
+            next_id: db.element_count() as u32,
+            inserted: BTreeMap::new(),
+            next_ordinal: BTreeMap::new(),
+            appended: BTreeMap::new(),
+            bound: BTreeSet::new(),
+            copies: Vec::new(),
         }
-        Ok(canon)
     }
 
-    /// Placement/color/parent consistency for one position.
-    fn check_position(
-        &self,
-        db: &Database,
-        doomed: &HashSet<ElementId>,
-        node: NodeId,
-        p: &BatchPosition,
-    ) -> Result<(), BatchError> {
-        let schema = &db.schema;
-        if p.placement.idx() >= schema.placements().len() {
-            return Err(BatchError::BadPosition(format!("placement {} unknown", p.placement)));
+    fn allocate(&mut self) -> ElementId {
+        self.next_id += 1;
+        ElementId(self.next_id - 1)
+    }
+
+    /// Allocate an inserted canonical of `node`: its id and ordinal.
+    pub(crate) fn insert(&mut self, node: NodeId) -> (ElementId, u32) {
+        let id = self.allocate();
+        let slot = self.next_ordinal.entry(node).or_insert_with(|| self.db.ordinal_count(node));
+        let ordinal = *slot;
+        *slot += 1;
+        self.inserted.insert(id, node);
+        (id, ordinal)
+    }
+
+    /// The live canonical `e` names: a pre-batch element, or a canonical
+    /// inserted earlier in the batch.
+    pub(crate) fn resolve(&self, e: ElementId) -> Result<ElementId, BatchError> {
+        if self.inserted.contains_key(&e) {
+            return Ok(e);
         }
-        let pl = schema.placement(p.placement);
-        if pl.node != node {
-            return Err(BatchError::BadPosition(format!(
-                "placement {} is of node {}, not {}",
-                p.placement, pl.node.0, node.0
-            )));
-        }
-        if pl.color != p.color {
-            return Err(BatchError::BadPosition(format!(
-                "placement {} belongs to color {}, not {}",
-                p.placement, pl.color.0, p.color.0
-            )));
-        }
-        match (pl.parent, p.parent) {
-            (None, None) => Ok(()),
-            (None, Some(_)) => Err(BatchError::BadPosition(format!(
-                "placement {} is a root but a parent occurrence was given",
-                p.placement
-            ))),
-            (Some(_), None) => Err(BatchError::BadPosition(format!(
-                "placement {} requires a parent occurrence",
-                p.placement
-            ))),
-            (Some((pp, _)), Some(occ)) => {
-                if occ.idx() >= db.color(p.color).occs().len() {
-                    return Err(BatchError::UnknownOccurrence { color: p.color, occ });
-                }
-                let parent = db.color(p.color).occ(occ);
-                if parent.placement != pp {
-                    return Err(BatchError::BadPosition(format!(
-                        "parent occurrence sits at {}, placement {} requires parent {}",
-                        parent.placement, p.placement, pp
-                    )));
-                }
-                let parent_canon = db.element(parent.element).canonical;
-                if doomed.contains(&parent_canon) {
-                    return Err(BatchError::Conflict(format!(
-                        "parent instance {parent_canon} is deleted in the same batch"
-                    )));
-                }
-                Ok(())
+        resolve_live(self.db, e)
+    }
+
+    fn node(&self, canon: ElementId) -> NodeId {
+        self.inserted.get(&canon).copied().unwrap_or_else(|| self.db.element(canon).node)
+    }
+
+    /// Append one occurrence of `canon`; returns the copy it allocates.
+    /// The store's one binding rule: an occurrence binds the canonical
+    /// element iff the canonical itself occurs in the color neither before
+    /// the batch nor earlier in it, and stores a fresh copy otherwise.
+    pub(crate) fn append(
+        &mut self,
+        color: ColorId,
+        placement: PlacementId,
+        canon: ElementId,
+    ) -> Option<ElementId> {
+        self.appended.entry(color).or_default().push((placement, canon));
+        let db = self.db;
+        let placed = !self.bound.insert((color, canon))
+            || (!self.inserted.contains_key(&canon)
+                && (db.occurrences_of_logical(color, canon).iter())
+                    .any(|&o| db.color(color).occ(o).element == canon));
+        self.copies.push(placed);
+        placed.then(|| self.allocate())
+    }
+
+    /// The placement and canonical of occurrence `occ` in `color`, pre-batch
+    /// or appended so far.
+    fn occurrence(&self, color: ColorId, occ: OccId) -> Option<(PlacementId, ElementId)> {
+        let tree = self.db.color(color);
+        match occ.idx().checked_sub(tree.occs().len()) {
+            None => {
+                let o = tree.occ(occ);
+                Some((o.placement, self.db.element(o.element).canonical))
             }
+            Some(k) => self.appended.get(&color)?.get(k).copied(),
         }
     }
 }
@@ -630,7 +701,7 @@ mod tests {
     use colorist_er::{Attribute, ErDiagram};
     use colorist_mct::ColorId;
 
-    fn tiny() -> (ErGraph, crate::database::Database) {
+    fn tiny() -> (ErGraph, Database) {
         let mut d = ErDiagram::new("t");
         d.add_entity("a", vec![Attribute::key("id")]).unwrap();
         d.add_entity("b", vec![Attribute::key("id"), Attribute::text("x")]).unwrap();
@@ -733,44 +804,68 @@ mod tests {
     fn insert_validates_arity_coverage_and_positions() {
         let (g, mut db) = tiny();
         let b = g.node_by_name("b").unwrap();
+        let r = g.node_by_name("r").unwrap();
         let c = ColorId(0);
         let pb = db.schema.placements_of_in_color(b, c)[0];
+        let pr = db.schema.placements_of_in_color(r, c)[0];
+        let at = |parent| BatchPosition { color: c, placement: pb, parent };
+        let row = || vec![Value::Int(9), Value::Text("w".into())];
+        let new = ElementId(db.element_count() as u32);
+        let rejects = |batch: &mut UpdateBatch, db: &mut Database| {
+            let before = db.clone();
+            let err = batch.apply(db, &g).expect_err("must reject");
+            assert_eq!(db.same_state(&before, true), Ok(()));
+            err
+        };
         // wrong arity
         let mut batch = UpdateBatch::new();
-        batch.insert(b, vec![Value::Int(9)], vec![], vec![]);
+        batch.insert(b, vec![Value::Int(9)], vec![]);
         assert_eq!(
-            batch.apply(&mut db, &g),
-            Err(BatchError::Arity { node: b, expected: 2, got: 1 })
+            rejects(&mut batch, &mut db),
+            BatchError::Arity { node: b, expected: 2, got: 1 }
         );
-        // no position for the only color
+        // no occurrence in the only color
         let mut batch = UpdateBatch::new();
-        batch.insert(b, vec![Value::Int(9), Value::Text("w".into())], vec![], vec![]);
-        assert_eq!(batch.apply(&mut db, &g), Err(BatchError::IcicIncomplete { node: b, color: c }));
-        // a non-root placement needs a parent occurrence
+        batch.insert(b, row(), vec![]);
+        assert_eq!(rejects(&mut batch, &mut db), BatchError::IcicIncomplete { node: b, color: c });
+        // an op may name only an element an earlier insert allocated
         let mut batch = UpdateBatch::new();
-        batch.insert(
-            b,
-            vec![Value::Int(9), Value::Text("w".into())],
-            vec![BatchPosition { color: c, placement: pb, parent: None }],
-            vec![],
-        );
-        assert!(matches!(batch.apply(&mut db, &g), Err(BatchError::BadPosition(_))));
-        // and with a correct parent the insert lands everywhere
-        let r = g.node_by_name("r").unwrap();
-        let pr = db.schema.placements_of_in_color(r, c)[0];
-        let parent = db.color(c).of_placement(pr)[0];
+        batch.add_occurrence(new, at(None)).insert(b, row(), vec![]);
+        assert_eq!(rejects(&mut batch, &mut db), BatchError::UnknownElement(new));
+        // a parentless occurrence at a non-root placement is a
+        // heterogeneous root: only an inserted instance's first in the color
+        let eb0 = db.extent(b)[0];
+        for batch in [
+            UpdateBatch::new().add_occurrence(eb0, at(None)),
+            UpdateBatch::new()
+                .insert(b, row(), vec![])
+                .add_occurrence(new, at(None))
+                .add_occurrence(new, at(None)),
+        ] {
+            assert!(matches!(rejects(batch, &mut db), BatchError::BadPosition(_)));
+        }
+        let receipt = UpdateBatch::new()
+            .insert(b, row(), vec![])
+            .add_occurrence(new, at(None))
+            .apply(&mut db, &g);
+        assert_eq!(receipt.map(|r| r.inserted), Ok(vec![new]));
+        assert_eq!(db.color(c).occ(db.occurrences_of_logical(c, new)[0]).parent, None);
+        // a parent may be an occurrence placed earlier in the same batch:
+        // a new `r` under a0, and a new `b` under it
+        let a0 = db
+            .color(c)
+            .of_placement(db.schema.placements_of_in_color(g.node_by_name("a").unwrap(), c)[0])[0];
+        let (new_r, new_b) = (ElementId(new.0 + 1), ElementId(new.0 + 2));
+        let under_new_r = OccId(db.color(c).occs().len() as u32);
         let mut batch = UpdateBatch::new();
-        batch.insert(
-            b,
-            vec![Value::Int(9), Value::Text("w".into())],
-            vec![BatchPosition { color: c, placement: pb, parent: Some(parent) }],
-            vec![],
-        );
+        batch.insert(r, vec![], vec![]).insert(b, row(), vec![]);
+        batch.add_occurrence(new_r, BatchPosition { color: c, placement: pr, parent: Some(a0) });
+        batch.add_occurrence(new_b, at(Some(under_new_r)));
         let receipt = batch.apply(&mut db, &g).expect("valid insert");
-        let id = receipt.inserted[0];
-        assert!(db.is_live(id));
-        assert_eq!(db.extent(b).len(), 3);
-        assert_eq!(db.occurrences_of_logical(c, id).len(), 1);
+        assert_eq!(receipt.inserted, [new_r, new_b]);
+        let [occ_r, occ_b] = [new_r, new_b].map(|e| db.occurrences_of_logical(c, e)[0]);
+        assert_eq!(db.color(c).occ(occ_b).parent, Some(occ_r));
+        assert_eq!(db.extent(b).len(), 4);
         assert_eq!(db.check_integrity(), Ok(()));
     }
 

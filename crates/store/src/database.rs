@@ -23,9 +23,8 @@ use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
 use crate::storage::{Backing, SegId};
 use crate::value::{Interner, Value, ValueKey};
-use colorist_er::{ErGraph, NodeId};
+use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::{ColorId, MctSchema, PlacementId};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -240,23 +239,6 @@ impl Database {
         copies
     }
 
-    /// Whether canonical element `canon` itself — not a copy — occurs in
-    /// some color: in the logical-occurrence index of the last relabel, or
-    /// in `placed_since`, the canonicals a batch has placed after it. An
-    /// occurrence append binds the canonical when it is not placed and
-    /// allocates a copy when it is.
-    pub(crate) fn canonical_placed(
-        &self,
-        canon: ElementId,
-        placed_since: &BTreeSet<ElementId>,
-    ) -> bool {
-        placed_since.contains(&canon)
-            || (0..self.colors.len() as u16).map(ColorId).any(|c| {
-                let tree = self.color(c);
-                self.occurrences_of_logical(c, canon).iter().any(|&o| tree.occ(o).element == canon)
-            })
-    }
-
     /// Run `f` on this database and, if it fails, put back the handle
     /// taken on entry: a savepoint costs refcount bumps, the writes `f`
     /// makes copy only what they touch, and on `Err` the database is
@@ -404,8 +386,7 @@ impl Database {
     }
 
     /// Number of ordinals ever assigned for `node` — the ordinal the next
-    /// insert receives, and the watermark insert cascades compare link
-    /// ordinals against. Unlike `extent(node).len()`, this never
+    /// insert receives. Unlike `extent(node).len()`, this never
     /// decreases.
     pub fn ordinal_count(&self, node: NodeId) -> u32 {
         self.by_ordinal.get(node.idx()).map_or(0, |v| v.len() as u32)
@@ -453,7 +434,7 @@ impl Database {
     /// vector) of the idref value for a value-encoded ER edge: idref values
     /// are appended after the declared attributes, in the order the schema
     /// lists its idref links for that relationship.
-    pub fn idref_attr_index(&self, graph: &ErGraph, edge: colorist_er::EdgeId) -> Option<usize> {
+    pub fn idref_attr_index(&self, graph: &ErGraph, edge: EdgeId) -> Option<usize> {
         let rel = graph.edge(edge).rel;
         let declared = graph.node(rel).attributes.len();
         self.schema
@@ -471,14 +452,14 @@ impl Database {
 
     /// The participant ordinal linked to relationship instance
     /// `rel_ordinal` via `edge` (`None` if the link was deleted).
-    pub fn link(&self, edge: colorist_er::EdgeId, rel_ordinal: u32) -> Option<u32> {
+    pub fn link(&self, edge: EdgeId, rel_ordinal: u32) -> Option<u32> {
         let v = self.links.get(edge.idx())?.get(rel_ordinal as usize).copied()?;
         (v != u32::MAX).then_some(v)
     }
 
     /// Relationship ordinals linked to participant instance
     /// `participant_ordinal` via `edge` (deleted links excluded).
-    pub fn linked_rels(&self, edge: colorist_er::EdgeId, participant_ordinal: u32) -> Vec<u32> {
+    pub fn linked_rels(&self, edge: EdgeId, participant_ordinal: u32) -> Vec<u32> {
         let rels = match self
             .rev_links
             .get(edge.idx())
@@ -492,7 +473,7 @@ impl Database {
 
     /// Record a new relationship instance's link (insert maintenance).
     /// `rel_ordinal` must be the next dense ordinal for the edge.
-    pub fn push_link(&mut self, edge: colorist_er::EdgeId, rel_ordinal: u32, participant: u32) {
+    pub(crate) fn push_link(&mut self, edge: EdgeId, rel_ordinal: u32, participant: u32) {
         shadow::note(|t| {
             t.links.insert((edge, rel_ordinal));
         });
@@ -516,7 +497,7 @@ impl Database {
     }
 
     /// Invalidate a relationship instance's link (delete maintenance).
-    pub fn kill_link(&mut self, edge: colorist_er::EdgeId, rel_ordinal: u32) {
+    pub(crate) fn kill_link(&mut self, edge: EdgeId, rel_ordinal: u32) {
         if let Some(v) = Arc::make_mut(&mut self.links)
             .get_mut(edge.idx())
             .and_then(|l| l.get_mut(rel_ordinal as usize))
@@ -535,7 +516,7 @@ impl Database {
     /// every relationship instance referencing it (those relationship
     /// elements are about to lose their occurrences as well, structurally
     /// or through their own delete op).
-    pub fn kill_links_of(&mut self, graph: &ErGraph, t: ElementId) {
+    pub(crate) fn kill_links_of(&mut self, graph: &ErGraph, t: ElementId) {
         let el = self.element(t);
         let (node, ordinal) = (el.node, el.ordinal);
         for &(e, _) in graph.incident(node) {
@@ -562,7 +543,7 @@ impl Database {
     /// and no allocation per occurrence; an unedited color is not copied.
     /// The engine relabels eagerly after each update batch, charged to
     /// update cost like TIMBER's index maintenance.
-    pub fn relabel_color(&mut self, c: ColorId) {
+    pub(crate) fn relabel_color(&mut self, c: ColorId) {
         shadow::note(|t| {
             t.colors.insert(c);
         });
@@ -576,7 +557,7 @@ impl Database {
     /// index posting per attribute. The new instance's ordinal comes from
     /// the append-only ordinal index, **not** from the extent length — the
     /// two diverge once anything has been deleted.
-    pub fn insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
+    pub(crate) fn insert_element(&mut self, node: NodeId, attrs: Vec<Value>) -> ElementId {
         let cells: Vec<Cell> = attrs.into_iter().map(|v| self.cell(v)).collect();
         let arity = cells.len();
         let id = ElementId(self.elements.len() as u32);
@@ -617,7 +598,7 @@ impl Database {
     /// [`Database::check_integrity`] audits (S008) — so a copy registers
     /// in none of them; its attribute values mirror the canonical's
     /// postings.
-    pub fn insert_copy(&mut self, of: ElementId) -> ElementId {
+    pub(crate) fn insert_copy(&mut self, of: ElementId) -> ElementId {
         let canon = self.element(of).canonical;
         debug_assert!(self.is_live(canon), "insert_copy of a deleted instance");
         let id = self.elements.push_copy(canon);
@@ -632,7 +613,7 @@ impl Database {
     /// Append an occurrence to a color's pending tail: unlabelled and
     /// unindexed until [`Database::relabel_color`], which lands it as the
     /// last child of `parent` (a root after every other).
-    pub fn push_occurrence(
+    pub(crate) fn push_occurrence(
         &mut self,
         c: ColorId,
         element: ElementId,
@@ -655,7 +636,7 @@ impl Database {
     /// what follows moves back and labels and indexes stay exact. Pending
     /// occurrences keep their order with parents remapped. Returns the
     /// number removed.
-    pub fn remove_occurrences(&mut self, c: ColorId, remove: &[OccId]) -> usize {
+    pub(crate) fn remove_occurrences(&mut self, c: ColorId, remove: &[OccId]) -> usize {
         shadow::note(|t| {
             t.colors.insert(c);
         });
@@ -677,7 +658,7 @@ impl Database {
     /// Idempotent: a second call for the same instance (or for one of its
     /// copies) removes nothing and retracts nothing. Relabels every
     /// affected color. Returns the number of occurrences removed.
-    pub fn remove_element_occurrences(&mut self, e: ElementId) -> usize {
+    pub(crate) fn remove_element_occurrences(&mut self, e: ElementId) -> usize {
         let canon = self.element(e).canonical;
         let (node, ordinal) = {
             let el = self.element(canon);
@@ -883,7 +864,7 @@ impl Database {
     /// live **or** already killed. The static effect analysis needs this
     /// distinction ([`Database::link`] conflates dead and absent):
     /// [`Database::kill_link`] touches a dead cell but not an absent one.
-    pub(crate) fn link_slot_exists(&self, edge: colorist_er::EdgeId, rel_ordinal: u32) -> bool {
+    pub(crate) fn link_slot_exists(&self, edge: EdgeId, rel_ordinal: u32) -> bool {
         self.links.get(edge.idx()).is_some_and(|l| (rel_ordinal as usize) < l.len())
     }
 
@@ -1227,6 +1208,26 @@ mod tests {
         assert_eq!(db.remove_element_occurrences(eb0), 0);
         assert_eq!(db.epoch(), epoch, "repeat delete must be a no-op");
         assert_eq!(db.extent(b).len(), 1);
+        assert_eq!(db.check_integrity(), Ok(()));
+    }
+
+    #[test]
+    fn delete_through_a_copy_then_the_canonical_is_idempotent() {
+        let (g, s) = tiny();
+        let mut db = build(&g, &s);
+        let b = g.node_by_name("b").unwrap();
+        let r = g.node_by_name("r").unwrap();
+        let c = ColorId(0);
+        let eb0 = db.extent(b)[0];
+        let copy = db.insert_copy(eb0);
+        let pb = db.schema.placements_of_in_color(b, c)[0];
+        let parent = db.color(c).of_placement(db.schema.placements_of_in_color(r, c)[0])[1];
+        db.push_occurrence(c, copy, pb, Some(parent));
+        db.relabel_color(c);
+        assert_eq!(db.remove_element_occurrences(copy), 2);
+        let epoch = db.epoch();
+        assert_eq!(db.remove_element_occurrences(eb0), 0, "second delete removes nothing");
+        assert_eq!(db.epoch(), epoch, "repeat delete must be a no-op");
         assert_eq!(db.check_integrity(), Ok(()));
     }
 

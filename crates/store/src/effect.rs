@@ -10,7 +10,9 @@
 //! `UpdateBatch::apply` is fixed (writes → inserts/occurrence appends →
 //! occurrence removals → relabels → deletes), so the element ids and
 //! ordinals of *future* inserts are statically predictable and the
-//! footprint can name them exactly.
+//! footprint can name them exactly: phase 2 is replayed by the same
+//! `Replay` validation walks, so analysis and validation agree on every
+//! id, ordinal and binding.
 //!
 //! The footprint is the mutators' soundness oracle, diagnostic **B002**:
 //! a shadow tracker instruments the `Arc::make_mut` mutators in
@@ -28,13 +30,15 @@
 //! gets its own verdict; the group then flushes once and advances the
 //! epoch by one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::ColorId;
 
-use crate::batch::{commit_staged, BatchError, BatchOp, BatchReceipt, UpdateBatch};
+use crate::batch::{
+    commit_staged, resolve_live, BatchError, BatchOp, BatchReceipt, Replay, UpdateBatch,
+};
 use crate::database::{Database, ElementId};
 use crate::value::Value;
 
@@ -163,9 +167,7 @@ pub(crate) fn analyze_traced(batch: &UpdateBatch, db: &Database, graph: &ErGraph
 /// rejects them before any commit).
 pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Footprint {
     let mut fp = Footprint::default();
-    let resolve = |e: ElementId| -> Option<ElementId> {
-        (e.idx() < db.element_count()).then(|| db.element(e).canonical).filter(|&c| db.is_live(c))
-    };
+    let resolve = |e: ElementId| resolve_live(db, e).ok();
     let record_symbol = |fp: &mut Footprint, v: &Value| {
         if let Value::Text(s) = v {
             if db.interner().get(s).is_none() {
@@ -223,25 +225,15 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
         fp.postings.insert((el.node, *attr, canon));
     }
 
-    // phase 2 — inserts and occurrence appends, in op order: the fixed
-    // phase order makes allocated ids and ordinals statically exact
-    let mut next_id = db.element_count() as u32;
-    let mut allocate = |fp: &mut Footprint| {
-        let id = ElementId(next_id);
-        next_id += 1;
-        fp.allocated.insert(id);
-        id
-    };
-    let mut next_ordinal: BTreeMap<NodeId, u32> = BTreeMap::new();
-    let mut placed: BTreeSet<ElementId> = BTreeSet::new();
+    // phase 2 — inserts and occurrence appends, replayed in op order as
+    // validation walks them: the fixed phase order makes allocated ids and
+    // ordinals statically exact
+    let mut replay = Replay::new(db);
     for op in batch.ops() {
         match op {
-            BatchOp::Insert { node, attrs, positions, links } => {
-                let id = allocate(&mut fp);
-                fp.occ_added.insert(id);
-                let slot = next_ordinal.entry(*node).or_insert_with(|| db.ordinal_count(*node));
-                let ordinal = *slot;
-                *slot += 1;
+            BatchOp::Insert { node, attrs, links } => {
+                let (id, ordinal) = replay.insert(*node);
+                fp.allocated.insert(id);
                 fp.ordinals.insert((*node, ordinal));
                 fp.extent_nodes.insert(*node);
                 for (a, v) in attrs.iter().enumerate() {
@@ -249,19 +241,10 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
                     fp.postings.insert((*node, a, id));
                 }
                 fp.links.extend(links.iter().map(|l| (l.edge, ordinal)));
-                // the first position binds the canonical, later ones copies
-                for _ in positions.iter().skip(1) {
-                    allocate(&mut fp);
-                }
-                fp.colors.extend(positions.iter().map(|p| p.color));
             }
             BatchOp::AddOccurrence { element, position } => {
-                let Some(canon) = resolve(*element) else { continue };
-                if db.canonical_placed(canon, &placed) {
-                    allocate(&mut fp);
-                } else {
-                    placed.insert(canon);
-                }
+                let Ok(canon) = replay.resolve(*element) else { continue };
+                fp.allocated.extend(replay.append(position.color, position.placement, canon));
                 fp.occ_added.insert(canon);
                 fp.colors.insert(position.color);
             }
@@ -327,7 +310,9 @@ impl CommitScheduler {
     ) -> Result<Vec<Result<BatchReceipt, BatchError>>, BatchError> {
         db.or_roll_back(|db| {
             let epoch = db.epoch() + 1;
-            let mut verdicts: Vec<_> = self.batches.iter().map(|b| b.stage(db, graph)).collect();
+            let mut verdicts: Vec<_> = (self.batches.iter())
+                .map(|b| b.stage(db, graph, cfg!(debug_assertions)).map(|(receipt, _)| receipt))
+                .collect();
             if verdicts.iter().any(Result::is_ok) {
                 db.set_epoch(epoch);
             }
@@ -392,12 +377,9 @@ mod tests {
         let parent = db.color(c).of_placement(pr)[0];
         let mut batch = UpdateBatch::new();
         batch.write_attr(eb0, 0, Value::Int(42));
-        batch.insert(
-            b,
-            vec![Value::Int(9), Value::Text("w".into())],
-            vec![BatchPosition { color: c, placement: pb, parent: Some(parent) }],
-            vec![],
-        );
+        let new = ElementId(db.element_count() as u32);
+        batch.insert(b, vec![Value::Int(9), Value::Text("w".into())], vec![]);
+        batch.add_occurrence(new, BatchPosition { color: c, placement: pb, parent: Some(parent) });
         batch.delete(eb1);
         let predicted = analyze_batch(&batch, &db, &g);
         let (receipt, footprint, touched) = batch.apply_verified(&mut db, &g).expect("valid");

@@ -11,7 +11,8 @@
 //! page); the paged layer adds
 //!
 //! * a **commit protocol**: mutators mark the segments they touch dirty,
-//!   and every commit point (`execute_update`, `UpdateBatch::apply`,
+//!   and every commit point (`UpdateBatch::apply` — which
+//!   `query::execute_update` commits through — a `CommitScheduler` group,
 //!   attach) re-serializes exactly the dirty segments, hashes every page,
 //!   writes only the pages whose checksum changed (and the directory
 //!   pages that changed with them) to free pages, and repoints the meta

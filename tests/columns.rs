@@ -214,9 +214,13 @@ fn mixed_batch(
     for (e, a, v) in &writes {
         batch.write_attr(*e, *a, v.clone());
     }
-    batch.insert(item, attrs.clone(), positions.clone(), vec![]);
+    let new = ElementId(db.element_count() as u32);
+    batch.insert(item, attrs.clone(), vec![]);
+    for &position in &positions {
+        batch.add_occurrence(new, position);
+    }
     let added = positions[positions.len() - 1];
-    batch.push(BatchOp::AddOccurrence { element: db.extent(item)[2], position: added });
+    batch.add_occurrence(db.extent(item)[2], added);
     if let Some(parent) = added.parent {
         batch.push(BatchOp::RemoveOccurrences { color: added.color, occs: vec![parent] });
     }

@@ -163,8 +163,11 @@ fn copy_occurrences_die_with_their_canonical_on_deep_and_undr() {
         // delete through the copy's id — the whole instance dies; the
         // removal count includes cascaded subtree occurrences of other
         // instances nested below, so it is at least the instance's own
+        let mut batch = UpdateBatch::new();
+        batch.delete(copy);
+        let receipt = batch.apply(&mut db, &g).unwrap_or_else(|e| panic!("{s}: {e}"));
         assert!(
-            db.remove_element_occurrences(copy) >= before,
+            receipt.occurrences_removed >= before as u64,
             "{s}: every occurrence of the instance leaves"
         );
         assert_eq!(occs_of(&db), 0, "{s}: no copy occurrence survives");
@@ -172,8 +175,6 @@ fn copy_occurrences_die_with_their_canonical_on_deep_and_undr() {
         let node = db.element(canon).node;
         assert!(!db.extent(node).contains(&canon), "{s}: extent retracted");
         db.check_integrity().unwrap_or_else(|e| panic!("{s}: post-delete audit: {e}"));
-        // idempotent: deleting again (through the canonical) is a no-op
-        assert_eq!(db.remove_element_occurrences(canon), 0, "{s}: second delete removes nothing");
     }
 }
 

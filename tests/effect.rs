@@ -11,7 +11,7 @@ use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph, NodeId};
 use colorist::store::{
-    BatchError, BatchOp, BatchPosition, CommitScheduler, Database, ElementId, UpdateBatch, Value,
+    BatchError, BatchPosition, CommitScheduler, Database, ElementId, UpdateBatch, Value,
 };
 
 fn build(strategy: Strategy) -> (ErGraph, Database) {
@@ -47,34 +47,42 @@ fn position_of(db: &Database, node: NodeId) -> BatchPosition {
 }
 
 /// `AddOccurrence` binds the canonical of an instance that has no
-/// occurrence yet and allocates a copy for one that has — including an
-/// instance this batch placed itself, so two appends to one unplaced
-/// instance give the canonical, then a copy. The static footprint covers
-/// every key the commit touches (new symbols from a text write included)
-/// and predicts exactly the copies allocated; S008 stays clean.
+/// occurrence in the color yet and allocates a copy for one that has —
+/// including an instance this batch inserted and placed itself, so two
+/// appends of one new instance to one color give the canonical, then a
+/// copy. The static footprint covers every key the commit touches (new
+/// symbols from a text write included) and predicts exactly the elements
+/// allocated; S008 stays clean.
 #[test]
 fn occurrence_appends_bind_then_copy_inside_the_footprint_on_every_strategy() {
     for s in Strategy::ALL {
         let (g, mut db) = build(s);
         let item = by_name(&g, "item");
         let placed = instance(&db, item, 0);
-        // a live instance with no occurrence yet: the next append binds it
-        let unplaced = db.insert_element(item, db.element(placed).attrs.to_vec());
         let at = position_of(&db, item);
-        let append = |element| BatchOp::AddOccurrence { element, position: at };
+        let next = db.element_count() as u32;
+        // a live instance with no occurrence yet: the next append binds it
+        let unplaced = ElementId(next);
         let mut batch = UpdateBatch::new();
-        batch.push(append(placed)).push(append(unplaced)).push(append(unplaced));
+        batch.insert(item, db.element(placed).attrs.to_vec(), vec![]);
+        batch.add_occurrence(placed, at).add_occurrence(unplaced, at).add_occurrence(unplaced, at);
+        // ICIC coverage: every other color placing items gets the new one
+        // as a heterogeneous root
+        for color in db.schema.colors().filter(|&c| c != at.color) {
+            if let Some(&placement) = db.schema.placements_of_in_color(item, color).first() {
+                batch.add_occurrence(unplaced, BatchPosition { color, placement, parent: None });
+            }
+        }
         let customer = instance(&db, by_name(&g, "customer"), 0);
         batch.write_attr(customer, 1, Value::Text("a symbol no one interned".into()));
-        let next = db.element_count() as u32;
         let (_, footprint, touched) =
             batch.apply_verified(&mut db, &g).unwrap_or_else(|e| panic!("{s}: {e}"));
         assert_eq!(footprint.covers(&touched), Ok(()), "{s}");
         assert_eq!(footprint.new_symbols.len(), 1, "{s}");
-        // op order: the placed instance's copy, then the unplaced one's
-        let (placed_copy, unplaced_copy) = (ElementId(next), ElementId(next + 1));
-        assert_eq!(footprint.allocated, [placed_copy, unplaced_copy].into(), "{s}");
-        assert_eq!(db.element_count() as u32, next + 2, "{s}");
+        // op order: the insert, the placed instance's copy, the new one's
+        let (placed_copy, unplaced_copy) = (ElementId(next + 1), ElementId(next + 2));
+        assert_eq!(footprint.allocated, [unplaced, placed_copy, unplaced_copy].into(), "{s}");
+        assert_eq!(db.element_count() as u32, next + 3, "{s}");
         assert!(db.copies_of(placed).contains(&placed_copy), "{s}");
         assert_eq!(db.copies_of(unplaced), [unplaced_copy], "{s}");
         let holders: Vec<ElementId> = db
@@ -84,6 +92,41 @@ fn occurrence_appends_bind_then_copy_inside_the_footprint_on_every_strategy() {
             .collect();
         assert!(holders.contains(&unplaced), "{s}: the first append binds the canonical");
         assert!(holders.contains(&unplaced_copy), "{s}: the second allocates a copy");
+        assert_eq!(db.check_integrity(), Ok(()), "{s}");
+    }
+}
+
+/// One binding rule, per color: a batch that inserts an `item` and places
+/// it at every placement of its node binds the canonical once in each color
+/// and stores a copy only for a second placement in the same color. So the
+/// strategies that place items once per color (EN, MCMR, DR, UNDR, and
+/// AF and SHALLOW with their single placement) store no copy at all, and
+/// only DEEP, which repeats items inside a color, stores the rest.
+#[test]
+fn a_batch_insert_binds_its_canonical_once_per_color() {
+    for s in Strategy::ALL {
+        let (g, mut db) = build(s);
+        let item = by_name(&g, "item");
+        let new = ElementId(db.element_count() as u32);
+        let mut batch = UpdateBatch::new();
+        batch.insert(item, db.element(instance(&db, item, 0)).attrs.to_vec(), vec![]);
+        let placements = db.schema.placements_of(item).to_vec();
+        for &placement in &placements {
+            let color = db.schema.placement(placement).color;
+            let parent = (db.schema.placement(placement).parent)
+                .map(|(pp, _)| *db.color(color).of_placement(pp).first().expect("a parent"));
+            batch.add_occurrence(new, BatchPosition { color, placement, parent });
+        }
+        let colors: std::collections::BTreeSet<_> =
+            placements.iter().map(|&p| db.schema.placement(p).color).collect();
+        batch.apply(&mut db, &g).unwrap_or_else(|e| panic!("{s}: {e}"));
+        let copies = db.copies_of(new).len();
+        assert_eq!(copies, placements.len() - colors.len(), "{s}");
+        match s {
+            Strategy::Deep => assert!(copies > 0, "DEEP repeats items inside a color"),
+            Strategy::Af | Strategy::Shallow => assert_eq!(colors.len(), 1, "{s}"),
+            _ => assert!(colors.len() > 1 && copies == 0, "{s}: {copies} copies"),
+        }
         assert_eq!(db.check_integrity(), Ok(()), "{s}");
     }
 }

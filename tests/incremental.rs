@@ -13,6 +13,10 @@
 //! 2. delete the inserted orders, then an existing customer;
 //! 3. one batch with `Insert`, `AddOccurrence` and `RemoveOccurrences`.
 //!
+//! Every update commits as one lowered batch; a second test holds B002 on
+//! the Table 1 updates (U1–U3) and a customer delete through
+//! `apply_verified`, so it runs in release builds too.
+//!
 //! After each step the database must also equal its own paged save/load
 //! round trip and answer the 13 TPC-W reads as that round trip does; a
 //! snapshot taken before the first write must keep its pre-write trees,
@@ -27,7 +31,8 @@ use colorist::datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist::er::{catalog, Domain, ErGraph, NodeId};
 use colorist::mct::{ColorId, PlacementId};
 use colorist::query::{
-    execute, execute_update, optimize, Pattern, PatternBuilder, UpdateAction, UpdateSpec,
+    execute, execute_update, lower_update, optimize, Pattern, PatternBuilder, UpdateAction,
+    UpdateSpec,
 };
 use colorist::store::{
     BatchOp, BatchPosition, ColorTree, Database, ElementId, KernelDispatch, MemPages, OccId,
@@ -309,17 +314,16 @@ fn mixed_batch(g: &ErGraph, db: &Database) -> (UpdateBatch, HashMap<ColorId, Has
             .collect()
     };
     let mut batch = UpdateBatch::new();
-    for tag in [7_000_001, 7_000_002] {
-        batch.insert(
-            item,
-            attrs(tag),
-            colors.iter().map(|&c| position(c, false)).collect(),
-            vec![],
-        );
+    let first = db.element_count() as u32;
+    for (k, tag) in [7_000_001, 7_000_002].into_iter().enumerate() {
+        batch.insert(item, attrs(tag), vec![]);
+        for &c in &colors {
+            batch.add_occurrence(ElementId(first + k as u32), position(c, false));
+        }
     }
     let c0 = colors[0];
     let added = position(c0, true);
-    batch.push(BatchOp::AddOccurrence { element: db.extent(item)[1], position: added });
+    batch.add_occurrence(db.extent(item)[1], added);
     let doomed =
         added.parent.unwrap_or_else(|| *db.color(c0).of_placement(added.placement).last().unwrap());
     batch.push(BatchOp::RemoveOccurrences { color: c0, occs: vec![doomed] });
@@ -408,5 +412,35 @@ fn structural_writes_match_a_full_relabel_on_every_strategy_and_kernel_family() 
         cost.set_kernel_dispatch(KernelDispatch::Reference);
         cost.same_state(&reference, true)
             .unwrap_or_else(|e| panic!("{strategy}: kernel families end apart: {e}"));
+    }
+}
+
+/// B002 on the Table 1 updates in any build: U1–U3 and a customer delete,
+/// each lowered to its one batch and committed through `apply_verified`,
+/// touch only keys inside the batch's static footprint, and land on the
+/// state `execute_update` leaves, epoch included.
+#[test]
+fn lowered_table1_updates_stay_inside_their_footprint_on_every_strategy() {
+    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
+    let inst = generate(&g, &ScaleProfile::tpcw(&g, 20), 42);
+    let w = tpcw::workload(&g);
+    let mut updates: Vec<UpdateSpec> = ["U1", "U2", "U3"]
+        .map(|name| w.updates.iter().find(|u| u.name == name).expect("tpcw update").clone())
+        .into();
+    updates.push(delete_spec(&g, "customer", 5));
+    for strategy in Strategy::ALL {
+        let schema = design(&g, strategy).expect("designs tpcw");
+        let mut verified = materialize(&g, &schema, &inst);
+        let mut executed = verified.clone();
+        for u in &updates {
+            let ctx = format!("{strategy}, {}", u.name);
+            let lowered = lower_update(&verified, &g, u).expect("lowers");
+            let (_, footprint, touched) = (lowered.batch.apply_verified(&mut verified, &g))
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(footprint.covers(&touched), Ok(()), "{ctx}");
+            assert!(!touched.colors.is_empty() || !touched.writes.is_empty(), "{ctx}: no-op");
+            execute_update(&mut executed, &g, u).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            verified.same_state(&executed, true).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        }
     }
 }

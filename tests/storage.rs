@@ -176,12 +176,12 @@ fn clone_of_paged_database_stays_queryable() {
     let q = &w.reads[0];
     let plan = optimize(&frozen, &g, q).expect("plans");
     let before = execute(&frozen, &g, &plan).expect("clone runs");
-    // mutate + reflush the original through the shared backend
+    // delete + reflush the original through the shared backend
     let item = g.node_by_name("item").expect("tpcw has items");
-    let victim = db.extent(item)[0];
-    db.kill_links_of(&g, victim);
-    db.remove_element_occurrences(victim);
-    db.flush_storage().expect("reflush after delete");
+    let mut delete = UpdateBatch::new();
+    delete.delete(db.extent(item)[0]);
+    let receipt = delete.apply(&mut db, &g).expect("the delete commits");
+    assert!(receipt.pages_written > 0, "the delete reflushes");
     // the pre-write clone still answers identically
     let after = execute(&frozen, &g, &plan).expect("clone still runs");
     assert_eq!(before.elements, after.elements);
