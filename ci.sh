@@ -14,6 +14,18 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "==> store read boundary: no store internals outside crates/store"
+# Queries read through the store's read interface (`colorist_store::read`:
+# `Reader`, `OccSet` and the cost estimators); the trees, postings, join
+# kernels, the kernel-dispatch pin and the page accounting stay
+# crate-private (DESIGN.md §10a). Any production mention of them outside
+# the store fails the step, so the boundary cannot erode silently.
+internals='\b(ColorTree|Occurrence|IndexEntry|ValueIndex|kmerge_sorted|value_join|attr_key|attr_value|AttrRef|Axis|SemiSide|gallop_cost_wins|GALLOP_RATIO|structural_(semi_)?join(_merge|_gallop)?)\b|\breference_kernels\(|\.touch_'
+if grep -rnE "$internals" crates/{query,datagen,server,workload}/src crates/bench/src src examples; then
+    echo "store internals named outside crates/store (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo doc (warning-free)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

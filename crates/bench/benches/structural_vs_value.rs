@@ -1,22 +1,19 @@
-//! The cost asymmetry the whole paper rests on: structural joins (interval
-//! stack-merge) versus value joins (hash build + probe over id/idref
-//! values), at growing extents — "structural joins … have been shown to be
-//! much more efficient than value-based joins". Also times the semi-join
-//! variant, which returns one side with no pair materialization, the
-//! gallop-skipping kernels against the merge reference at growing side
-//! asymmetry, and index-accelerated predicated scans against the linear
-//! reference path.
+//! The cost asymmetry the whole paper rests on: structural steps (interval
+//! semi-joins) versus value joins (id/idref resolution), at growing
+//! extents — "structural joins … have been shown to be much more efficient
+//! than value-based joins". Every case runs through the store's read
+//! interface, as the executor does: a path-exact descent against an idref
+//! semi-join (indexed, and the hash-join reference), the gallop-skipping
+//! kernel against the merge reference at growing side asymmetry, and
+//! index-accelerated predicated scans against the linear reference path.
 
 use colorist_bench::micro;
 use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, ScaleProfile};
-use colorist_er::{catalog, ErGraph};
+use colorist_er::{catalog, EdgeId, ErGraph, NodeId};
 use colorist_mct::ColorId;
 use colorist_query::{compile, execute, CmpOp, PatternBuilder};
-use colorist_store::{
-    structural_join, structural_join_merge, structural_semi_join, structural_semi_join_merge,
-    value_join, AttrRef, Axis, Database, Metrics, SemiSide, Value,
-};
+use colorist_store::{Database, KernelDispatch, Predicate, Value};
 
 fn setup(customers: u32, strategy: Strategy) -> (ErGraph, Database) {
     let g = ErGraph::from_diagram(&catalog::tpcw()).unwrap();
@@ -27,66 +24,75 @@ fn setup(customers: u32, strategy: Strategy) -> (ErGraph, Database) {
     (g, db)
 }
 
+/// The ER edges from `anc`'s placement down to `desc`'s in `color`,
+/// ancestor side first — the `via` of a descent between them.
+fn via(db: &Database, color: ColorId, anc: NodeId, desc: NodeId) -> Vec<EdgeId> {
+    let mut cur = db.schema.placements_of_in_color(desc, color)[0];
+    let mut edges = Vec::new();
+    while db.schema.placement(cur).node != anc {
+        let (parent, edge) = db.schema.placement(cur).parent.expect("anc is an ancestor");
+        edges.push(edge);
+        cur = parent;
+    }
+    edges.reverse();
+    edges
+}
+
 fn main() {
-    println!("structural_vs_value — join primitive cost at growing extents");
+    println!("structural_vs_value — descent vs idref semi-join at growing extents");
     for &customers in &[100u32, 400, 1600] {
-        // structural: country ancestors of orders in AF's single color
+        // structural: the orders below every country in AF's single color
         let (g, db) = setup(customers, Strategy::Af);
         let color = ColorId(0);
-        let anc = db.color(color).of_node(g.node_by_name("country").unwrap()).to_vec();
-        let desc = db.color(color).of_node(g.node_by_name("order").unwrap()).to_vec();
-        micro::case(&format!("structural_join/{customers}"), || {
-            let mut m = Metrics::default();
-            structural_join(&db, color, &anc, &desc, Axis::Descendant, &mut m)
-        });
-        micro::case(&format!("structural_semi_join/{customers}"), || {
-            let mut m = Metrics::default();
-            structural_semi_join(&db, color, &anc, &desc, SemiSide::Descendant, None, &mut m)
+        let (country, order) =
+            (g.node_by_name("country").unwrap(), g.node_by_name("order").unwrap());
+        let path = via(&db, color, country, order);
+        micro::case(&format!("descend/{customers}"), || {
+            let mut rd = db.reader();
+            let countries = rd.scan(color, country, None).unwrap();
+            rd.descend(&countries, order, &path).unwrap().len()
         });
 
-        // value: SHALLOW's order_line.item_idref = item.id
-        let (g, db) = setup(customers, Strategy::Shallow);
+        // value: SHALLOW's order_line.item_idref = item.id, from every
+        // order line, on the ordinal probe and on the reference hash join
+        let (g, mut db) = setup(customers, Strategy::Shallow);
         let ol = g.node_by_name("order_line").unwrap();
         let item = g.node_by_name("item").unwrap();
         let edge =
             g.edge_ids().find(|&e| g.edge(e).rel == ol && g.edge(e).participant == item).unwrap();
-        let idref = db.idref_attr_index(&g, edge).expect("shallow idref");
-        let left = db.extent(ol).to_vec();
-        let right = db.extent(item).to_vec();
-        micro::case(&format!("value_join/{customers}"), || {
-            let mut m = Metrics::default();
-            value_join(&db, &left, AttrRef::Attr(idref), &right, AttrRef::Id, &mut m)
+        let lines = db.extent(ol).to_vec();
+        micro::case(&format!("idref_semi/{customers}"), || {
+            db.reader().idref_semi(&g, edge, true, &lines).unwrap()
+        });
+        db.set_reference_kernels(true);
+        micro::case(&format!("idref_semi_hash/{customers}"), || {
+            db.reader().idref_semi(&g, edge, true, &lines).unwrap()
         });
     }
 
-    // merge vs gallop at growing side asymmetry: ancestor (customer)
-    // prefixes of |desc| / ratio occurrences against the full order list.
-    // At 4x the dispatcher stays on merge (parity row); past GALLOP_RATIO
-    // the few ancestors cover few orders, and gallop binary-searches past
-    // the non-joining runs the merge walk must scan one by one.
-    println!("merge vs gallop — |anc| = |desc| / ratio (1600 customers)");
+    // merge vs gallop at growing side asymmetry: the customers with an id
+    // below |orders| / ratio descend to the full order list. At 4x the
+    // dispatcher stays on merge (parity row); further out the few
+    // customers cover few orders, and gallop binary-searches past the
+    // non-joining runs the merge walk must scan one by one.
+    println!("merge vs gallop — |customers| = |orders| / ratio (1600 customers)");
     let (g, db) = setup(1600, Strategy::Af);
+    let mut merge_db = db.clone();
+    merge_db.set_kernel_dispatch(KernelDispatch::Reference);
     let color = ColorId(0);
-    let anc_all = db.color(color).of_node(g.node_by_name("customer").unwrap()).to_vec();
-    let desc = db.color(color).of_node(g.node_by_name("order").unwrap()).to_vec();
+    let (customer, order) = (g.node_by_name("customer").unwrap(), g.node_by_name("order").unwrap());
+    let id = db.attr_index(&g, customer, "id").unwrap();
+    let path = via(&db, color, customer, order);
+    let orders = db.occ_count(color, order);
     for &ratio in &[4usize, 64, 512] {
-        let anc = &anc_all[..anc_all.len().min((desc.len() / ratio).max(1))];
-        micro::case(&format!("join_merge/x{ratio}"), || {
-            let mut m = Metrics::default();
-            structural_join_merge(&db, color, anc, &desc, Axis::Descendant, &mut m)
-        });
-        micro::case(&format!("join_auto/x{ratio}"), || {
-            let mut m = Metrics::default();
-            structural_join(&db, color, anc, &desc, Axis::Descendant, &mut m)
-        });
-        micro::case(&format!("semi_merge/x{ratio}"), || {
-            let mut m = Metrics::default();
-            structural_semi_join_merge(&db, color, anc, &desc, SemiSide::Descendant, None, &mut m)
-        });
-        micro::case(&format!("semi_auto/x{ratio}"), || {
-            let mut m = Metrics::default();
-            structural_semi_join(&db, color, anc, &desc, SemiSide::Descendant, None, &mut m)
-        });
+        let few = Predicate { attr: id, op: CmpOp::Lt, value: Value::Int((orders / ratio) as i64) };
+        for (kernel, db) in [("merge", &merge_db), ("auto", &db)] {
+            let mut rd = db.reader();
+            let anc = rd.scan(color, customer, Some(&few)).unwrap();
+            micro::case(&format!("descend_{kernel}/x{ratio}"), || {
+                db.reader().descend(&anc, order, &path).unwrap().len()
+            });
+        }
     }
 
     // indexed vs linear predicated scan: the same compiled plan run with

@@ -16,10 +16,12 @@
 //!   exactly. Wall-clock fields are never compared: `BENCHMARK.json` is the
 //!   authority for time;
 //! * **optimizer quality** (schema v4): on every query of *both*
-//!   documents, the cost-based planner's measured gate sum
-//!   (`elements_scanned + join_probes + bytes_touched`) must not exceed
-//!   the heuristic twin's (`heur_*`) — the optimizer never loses to the
-//!   planner it replaced — and where estimates are recorded, the q-error
+//!   documents, the measured gate sum (`elements_scanned + join_probes +
+//!   bytes_touched`) under the default cost-model kernel dispatch must not
+//!   exceed the twin's (`heur_*`): the same plan run on the same database
+//!   under fixed-ratio dispatch, so the cost model's merge-vs-gallop
+//!   crossover never loses to the fixed ratio — and where estimates are
+//!   recorded, the q-error
 //!   between estimated and measured gate sums must stay within
 //!   [`GateConfig::q_error_budget`].
 //!
@@ -71,7 +73,7 @@ impl GateReport {
 /// The deterministic per-query fields the gate compares exactly: the
 /// suite's result counts, every [`Metrics`] counter a summary record
 /// carries except the wall-clock derived `queue_wait_ns`, and the gate
-/// counters of the heuristic-planner twin run.
+/// counters of the ratio-dispatch twin run.
 fn op_fields() -> impl Iterator<Item = &'static str> {
     let counters = record_counters(&Metrics::default()).map(|(key, _)| key);
     ["logical", "physical"]
@@ -348,8 +350,8 @@ pub fn compare_scale(baseline: &Json, current: &Json) -> Result<GateReport, Stri
 /// Check one document's optimizer-quality invariants (schema v4):
 ///
 /// * **domination** — on every query, the measured gate sum
-///   (`elements_scanned + join_probes + bytes_touched`) under cost-based
-///   planning must not exceed the heuristic twin's `heur_*` sum;
+///   (`elements_scanned + join_probes + bytes_touched`) under cost-model
+///   dispatch must not exceed the ratio-dispatch twin's `heur_*` sum;
 /// * **drift** — where a query records estimates (`est_*`), the q-error
 ///   between estimated and measured gate sums must stay within
 ///   [`GateConfig::q_error_budget`].
@@ -373,7 +375,7 @@ fn optimizer_gate(
             if measured > heuristic {
                 report.failures.push(format!(
                     "{ctx}: optimized gate sum {measured} exceeds heuristic {heuristic} \
-                     — the cost-based plan lost to the heuristic one"
+                     — cost-model dispatch lost to its ratio-dispatch twin"
                 ));
             }
             if q.get("est_scanned").is_some() {

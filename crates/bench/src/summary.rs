@@ -105,9 +105,10 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
                 QueryKind::Update => "update",
             };
             let m = &q.metrics;
-            // The heuristic-planner twin runs every query; a missing twin
-            // (never produced by the suite today) degrades to the measured
-            // counters so the domination gate trivially holds.
+            // The ratio-dispatch twin (the same plan under the fixed gallop
+            // ratio) runs every query; a missing twin (never produced by
+            // the suite today) degrades to the measured counters so the
+            // domination gate trivially holds.
             let (hs, hp, hb) = q
                 .heuristic
                 .as_ref()

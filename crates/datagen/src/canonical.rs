@@ -65,7 +65,7 @@ pub fn generate(graph: &ErGraph, profile: &ScaleProfile, seed: u64) -> Canonical
                 .map(|ordinal| {
                     node.attributes
                         .iter()
-                        .map(|a| attr_value(&mut rng, &node.name, a, ordinal, counts[n.idx()]))
+                        .map(|a| draw_value(&mut rng, &node.name, a, ordinal, counts[n.idx()]))
                         .collect()
                 })
                 .collect()
@@ -151,7 +151,7 @@ pub fn generate(graph: &ErGraph, profile: &ScaleProfile, seed: u64) -> Canonical
 /// Deterministic-ish attribute values: keys are ordinals; text draws from a
 /// bounded vocabulary (`attr_j`) so predicates have realistic selectivity;
 /// numbers are uniform; dates span 2001–2004.
-fn attr_value(
+fn draw_value(
     rng: &mut Rng,
     node_name: &str,
     attr: &colorist_er::Attribute,

@@ -8,19 +8,18 @@
 //! never trips these checks; they exist so adversarial or stale plans —
 //! e.g. replayed against a different schema by the differential-testing
 //! oracle — return `Err` instead of aborting the process.
+//!
+//! The executor walks the plan and keeps its registers; every read an
+//! operator makes — scans, structural steps, crossings, semi-joins and the
+//! counters and pages they charge — goes through one store
+//! [`Reader`].
 
 use crate::error::QueryError;
-use crate::pattern::CmpOp;
 use crate::plan::{Op, Plan, Reg, VDir};
-use colorist_er::{EdgeId, ErEdge, ErGraph, NodeId};
-use colorist_mct::{ColorId, PlacementId};
-use colorist_store::{
-    attr_key, kmerge_sorted, structural_semi_join, value_join, AttrRef, ColorTree, Database,
-    ElementId, Metrics, OccId, SemiSide, Snapshot, StorageCtx, ValueKey,
-};
+use colorist_er::{EdgeId, ErGraph, NodeId};
+use colorist_mct::ColorId;
+use colorist_store::{Database, ElementId, Metrics, OccSet, ReadError, Reader, Snapshot};
 use std::borrow::Cow;
-use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 /// The outcome of executing one query plan.
@@ -99,16 +98,14 @@ pub fn op_kind(op: &Op) -> &'static str {
     }
 }
 
-/// A register value during execution. Sets borrow storage (`'d` is the
-/// database borrow) whenever an operator selects an existing document-order
-/// list wholesale — an unpredicated `Scan` returns the node's occurrence
-/// list without copying it — and own their backing only when an operator
-/// actually computed a new set.
+/// A register value during execution. An occurrence set borrows storage
+/// whenever its operator selected a stored list wholesale (an unpredicated
+/// `Scan` returns the node's occurrence list without copying it).
 #[derive(Debug, Clone)]
 enum SetVal<'d> {
-    Occs { color: ColorId, occs: Cow<'d, [OccId]> },
-    Elems(Cow<'d, [ElementId]>),
-    Groups { count: usize, elems: Cow<'d, [ElementId]> },
+    Occs(OccSet<'d>),
+    Elems(Vec<ElementId>),
+    Groups { count: usize, elems: Vec<ElementId> },
 }
 
 impl SetVal<'_> {
@@ -116,7 +113,7 @@ impl SetVal<'_> {
     /// occurrence sets; groups report their backing elements).
     fn physical_len(&self) -> u64 {
         match self {
-            SetVal::Occs { occs, .. } => occs.len() as u64,
+            SetVal::Occs(s) => s.len() as u64,
             SetVal::Elems(e) => e.len() as u64,
             SetVal::Groups { elems, .. } => elems.len() as u64,
         }
@@ -222,13 +219,7 @@ fn run(
     let mut query_span =
         colorist_trace::span("query", format_args!("execute:{}:{}", plan.name, plan.strategy));
     let start = Instant::now();
-    let mut metrics = Metrics::default();
-    // paged reads: a per-query cold accounting clock over the attached
-    // backend's segment directory, faulting its misses through the
-    // attachment's shared page cache (a free no-op on the heap backend).
-    // Per-query clocks keep the page counters deterministic regardless of
-    // how many suite workers share the database.
-    let mut storage = db.storage_ctx();
+    let mut rd = db.reader();
     let mut regs: Vec<Option<SetVal>> = vec![None; plan.reg_count];
     // physical tuple count per register: Distinct and GroupBy compress
     // logically but inherit their source's physical count, so the output
@@ -240,11 +231,11 @@ fn run(
         // observation is opt-in per call (profiling) or per process
         // (tracing); the plain path pays no clock reads or snapshots
         let observing = profile.is_some() || query_span.is_recording();
-        let before = observing.then(|| (metrics, rows_in(&regs, op), Instant::now()));
+        let before = observing.then(|| (rd.metrics, rows_in(&regs, op), Instant::now()));
         let mut op_span = colorist_trace::span("op", op_kind(op));
 
         let dst = op.dst();
-        let val = eval(db, graph, &mut metrics, &mut storage, &regs, op)?;
+        let val = eval(graph, &mut rd, &regs, op)?;
         if dst >= regs.len() {
             return Err(QueryError::Exec(format!(
                 "destination register r{dst} out of bounds ({} registers)",
@@ -262,7 +253,7 @@ fn run(
         regs[dst] = Some(val);
 
         if let Some((snapshot, rows_in, op_start)) = before {
-            let delta = metrics.since(&snapshot);
+            let delta = rd.metrics.since(&snapshot);
             let elapsed = op_start.elapsed();
             if op_span.is_recording() {
                 let rows = [("rows_in", rows_in), ("rows_out", rows_out)];
@@ -286,11 +277,12 @@ fn run(
     };
     let results = phys[plan.output];
     let (elements, count_groups) = match out {
-        SetVal::Occs { color, occs } => (occs_to_canonical_inner(db, db.color(color), &occs), None),
-        SetVal::Elems(elems) => (elems.into_owned(), None),
-        SetVal::Groups { count, elems } => (elems.into_owned(), Some(count as u64)),
+        SetVal::Occs(s) => (rd.canonical(&s), None),
+        SetVal::Elems(elems) => (elems, None),
+        SetVal::Groups { count, elems } => (elems, Some(count as u64)),
     };
     let distinct = count_groups.unwrap_or(elements.len() as u64);
+    let mut metrics = rd.metrics;
     metrics.results = results;
     metrics.distinct_results = distinct;
     metrics.elapsed = start.elapsed();
@@ -305,403 +297,103 @@ fn run(
 }
 
 fn eval<'d>(
-    db: &'d Database,
     graph: &ErGraph,
-    metrics: &mut Metrics,
-    storage: &mut StorageCtx,
+    rd: &mut Reader<'d>,
     regs: &[Option<SetVal<'d>>],
     op: &Op,
 ) -> Result<SetVal<'d>, QueryError> {
     match op {
         Op::Scan { color, node, pred, .. } => {
-            let tree = color_tree(db, *color, "Scan")?;
-            let all = tree.of_node(*node);
-            let occs: Cow<'d, [OccId]> = match pred {
-                None => {
-                    // the stored document-order list IS the answer: borrow
-                    metrics.elements_scanned += all.len() as u64;
-                    metrics.bytes_touched += std::mem::size_of_val(all) as u64;
-                    storage.touch_occs(*color, all, metrics)?;
-                    Cow::Borrowed(all)
-                }
-                Some(p) if !db.reference_kernels() => {
-                    // index probe: resolve matching canonical elements from
-                    // the sorted value index, then expand to occurrences in
-                    // this color (copies mirror their canonical's
-                    // attributes, so the element-level index is complete)
-                    if let Some(&o) = all.first() {
-                        // attribute arity is uniform per node type, so the
-                        // linear walk's per-element bounds check reduces to
-                        // one representative
-                        let el = db.element(tree.occ(o).element);
-                        if el.attrs.get(p.attr).is_none() {
-                            return Err(QueryError::Exec(format!(
-                                "Scan: predicate attribute #{} out of range for `{}`",
-                                p.attr,
-                                graph.node(el.node).name
-                            )));
-                        }
-                    }
-                    let index = db.value_index();
-                    let mut elems: Vec<ElementId> = Vec::new();
-                    match p.op {
-                        CmpOp::Eq => {
-                            metrics.index_lookups += 1;
-                            if let Some(k) = db.try_join_key(&p.value) {
-                                let slice = index.matching(*node, p.attr, k);
-                                storage.touch_postings(index, slice, metrics)?;
-                                elems.extend(slice.iter().map(|en| en.element));
-                            } // never-interned text matches nothing
-                        }
-                        CmpOp::Lt | CmpOp::Gt => {
-                            // a range predicate walks the attribute's whole
-                            // posting run (group by group), so it reads
-                            // every posting page of the column
-                            storage.touch_postings(index, index.of_attr(*node, p.attr), metrics)?;
-                            // one key comparison per distinct stored value,
-                            // taking whole groups — never per element
-                            let want = match p.op {
-                                CmpOp::Lt => Ordering::Less,
-                                _ => Ordering::Greater,
-                            };
-                            for (key, group) in index.groups(*node, p.attr) {
-                                metrics.index_lookups += 1;
-                                if db.interner().key_value_cmp(key, &p.value) == want {
-                                    elems.extend(group.iter().map(|en| en.element));
-                                }
-                            }
-                        }
-                    }
-                    let mut v: Vec<OccId> = Vec::with_capacity(elems.len());
-                    for e in elems {
-                        v.extend(db.occurrences_of_logical(*color, e).iter().copied());
-                    }
-                    v.sort_unstable();
-                    metrics.elements_scanned += v.len() as u64;
-                    metrics.elements_skipped += (all.len() as u64).saturating_sub(v.len() as u64);
-                    metrics.bytes_touched += std::mem::size_of_val(v.as_slice()) as u64;
-                    storage.touch_occs(*color, &v, metrics)?;
-                    Cow::Owned(v)
-                }
-                Some(p) => {
-                    // reference path: linear walk of the node's extent
-                    metrics.elements_scanned += all.len() as u64;
-                    metrics.bytes_touched += std::mem::size_of_val(all) as u64;
-                    storage.touch_occs(*color, all, metrics)?;
-                    let mut v = Vec::new();
-                    for &o in all {
-                        storage.touch_element(tree.occ(o).element, metrics)?;
-                        let el = db.element(tree.occ(o).element);
-                        let Some(av) = el.attrs.get(p.attr) else {
-                            return Err(QueryError::Exec(format!(
-                                "Scan: predicate attribute #{} out of range for `{}`",
-                                p.attr,
-                                graph.node(el.node).name
-                            )));
-                        };
-                        if p.eval(av) {
-                            v.push(o);
-                        }
-                    }
-                    Cow::Owned(v)
-                }
-            };
-            Ok(SetVal::Occs { color: *color, occs })
+            let set = rd.scan(*color, *node, pred.as_ref()).map_err(read_err(graph, "Scan"))?;
+            Ok(SetVal::Occs(set))
         }
 
         Op::StructSemi { src, color, node, via, dir, .. } => {
             check_node(graph, *node, "StructSemi")?;
-            let src_val = expect_occs(regs, *src, *color, "StructSemi")?;
-            // On schemas with duplicated placements, a logical instance's
-            // occurrences are scattered over several subtrees and no single
-            // one need carry the whole chain (e.g. the turning point of an
-            // ascent-then-descent plan on DEEP). Widen to every occurrence
-            // of the same logical instances before joining; a no-op on
-            // node-normal schemas.
-            let src_val = expand_to_logical_occs(db, *color, src_val);
-            let tree = color_tree(db, *color, "StructSemi")?;
-            storage.touch_occs(*color, &src_val, metrics)?;
-            let k = via.len() as u16;
-            match dir {
-                VDir::Down => {
-                    // descendants at path-valid placements, exactly k below
-                    // — a single semi-join pass, no pair materialization.
-                    // The per-placement lists are already sorted and
-                    // pairwise disjoint: a k-way merge unions them without
-                    // the flat_map + full re-sort (and without copying at
-                    // all when a single placement is valid)
-                    let valid = valid_desc_placements(db, *color, *node, via);
-                    let lists: Vec<&[OccId]> =
-                        valid.iter().map(|&p| tree.of_placement(p)).collect();
-                    let targets = kmerge_sorted(&lists);
-                    if let Cow::Owned(_) = targets {
-                        // the union materialized: charge the ids it moved
-                        metrics.bytes_touched += std::mem::size_of_val(targets.as_ref()) as u64;
-                    }
-                    storage.touch_occs(*color, &targets, metrics)?;
-                    let out = structural_semi_join(
-                        db,
-                        *color,
-                        &src_val,
-                        &targets,
-                        SemiSide::Descendant,
-                        Some(k),
-                        metrics,
-                    );
-                    Ok(SetVal::Occs { color: *color, occs: Cow::Owned(out) })
-                }
-                VDir::Up => {
-                    // ancestors exactly k above, along the matching chain
-                    storage.touch_occs(*color, tree.of_node(*node), metrics)?;
-                    let valid = valid_desc_placement_set(db, *color, *node, via, &src_val, tree);
-                    let desc: Vec<OccId> = src_val
-                        .iter()
-                        .copied()
-                        .filter(|&o| valid.contains(&tree.occ(o).placement))
-                        .collect();
-                    let out = structural_semi_join(
-                        db,
-                        *color,
-                        tree.of_node(*node),
-                        &desc,
-                        SemiSide::Ancestor,
-                        Some(k),
-                        metrics,
-                    );
-                    Ok(SetVal::Occs { color: *color, occs: Cow::Owned(out) })
-                }
-            }
+            let src = expect_occs(regs, *src, *color, "StructSemi")?;
+            let out = match dir {
+                VDir::Down => rd.descend(src, *node, via),
+                VDir::Up => rd.ascend(src, *node, via),
+            };
+            Ok(SetVal::Occs(out.map_err(read_err(graph, "StructSemi"))?))
         }
 
         Op::ValueSemi { src, edge, src_is_rel, enter, .. } => {
-            let src_elems = to_elems(db, regs, *src, "ValueSemi")?;
-            let e = check_edge(graph, *edge, "ValueSemi")?;
-            let idref_idx = db
-                .idref_attr_index(graph, *edge)
-                .ok_or_else(|| QueryError::NotIdrefEncoded { edge: edge_label(graph, *edge) })?;
-            storage.touch_elements(&src_elems, metrics)?;
-            let matched: Vec<ElementId> = if db.reference_kernels() {
-                // reference path: per-op hash join against the full extent
-                if *src_is_rel {
-                    // src holds relationship elements; probe participant ids
-                    let extent = db.extent(e.participant);
-                    storage.touch_elements(extent, metrics)?;
-                    value_join(
-                        db,
-                        &src_elems,
-                        AttrRef::Attr(idref_idx),
-                        extent,
-                        AttrRef::Id,
-                        metrics,
-                    )
-                    .into_iter()
-                    .map(|(_, r)| r)
-                    .collect()
-                } else {
-                    let extent = db.extent(e.rel);
-                    storage.touch_elements(extent, metrics)?;
-                    value_join(
-                        db,
-                        extent,
-                        AttrRef::Attr(idref_idx),
-                        &src_elems,
-                        AttrRef::Id,
-                        metrics,
-                    )
-                    .into_iter()
-                    .map(|(l, _)| l)
-                    .collect()
-                }
-            } else if *src_is_rel {
-                // forward direction: each relationship's idref value names
-                // a participant ordinal, resolved through the persistent
-                // ordinal index (tombstones make deleted targets dangle
-                // safely) — no hash table to build
-                metrics.value_joins += 1;
-                metrics.join_probes += src_elems.len() as u64;
-                metrics.index_lookups += src_elems.len() as u64;
-                metrics.elements_skipped += db.extent(e.participant).len() as u64;
-                metrics.bytes_touched += (src_elems.len() * std::mem::size_of::<ValueKey>()) as u64;
-                let mut out = Vec::with_capacity(src_elems.len());
-                for &w in src_elems.iter() {
-                    if let ValueKey::Num(k) = attr_key(db, w, AttrRef::Attr(idref_idx)) {
-                        if let Ok(i) = u32::try_from(k) {
-                            storage.touch_ordinal(e.participant, i, metrics)?;
-                            if let Some(p) = db.canonical_by_ordinal(e.participant, i) {
-                                out.push(p);
-                            }
-                        }
-                    } // non-numeric idref values reference no id
-                }
-                metrics.elements_scanned += (src_elems.len() + out.len()) as u64;
-                out
-            } else {
-                // reverse direction: which relationship elements reference
-                // these ids? — one sorted-index probe per source ordinal
-                // instead of hashing the whole relationship extent
-                metrics.value_joins += 1;
-                let extent_len = db.extent(e.rel).len();
-                metrics.join_probes += src_elems.len() as u64;
-                metrics.index_lookups += src_elems.len() as u64;
-                metrics.elements_skipped += extent_len as u64;
-                metrics.bytes_touched += (src_elems.len() * std::mem::size_of::<ValueKey>()) as u64;
-                let index = db.value_index();
-                let mut out = Vec::new();
-                for &x in src_elems.iter() {
-                    let key = ValueKey::Num(db.element(x).ordinal as i64);
-                    let slice = index.matching(e.rel, idref_idx, key);
-                    storage.touch_postings(index, slice, metrics)?;
-                    out.extend(slice.iter().map(|en| en.element));
-                }
-                metrics.elements_scanned += (src_elems.len() + out.len()) as u64;
-                out
-            };
-            let mut elems = matched;
-            elems.sort_unstable();
-            elems.dedup();
-            reenter(db, *enter, elems, "ValueSemi")
+            let src = to_elems(rd, regs, *src, "ValueSemi")?;
+            check_edge(graph, *edge, "ValueSemi")?;
+            let out = rd.idref_semi(graph, *edge, *src_is_rel, &src);
+            reenter(graph, rd, *enter, out, "ValueSemi")
         }
 
         Op::LinkSemi { src, edge, src_is_rel, enter, .. } => {
-            // a parent-child step resolved through the stored link
-            // adjacency: exact on any schema
-            metrics.structural_joins += 1;
-            let src_elems = to_elems(db, regs, *src, "LinkSemi")?;
-            metrics.elements_scanned += src_elems.len() as u64;
-            // one adjacency lookup per source element
-            metrics.join_probes += src_elems.len() as u64;
-            metrics.bytes_touched += (src_elems.len() * std::mem::size_of::<ElementId>()) as u64;
-            let e = check_edge(graph, *edge, "LinkSemi")?;
-            storage.touch_elements(&src_elems, metrics)?;
-            let mut out: Vec<ElementId> = Vec::new();
-            if *src_is_rel {
-                for &w in src_elems.iter() {
-                    let ro = db.element(w).ordinal;
-                    storage.touch_link(*edge, ro, metrics)?;
-                    if let Some(po) = db.link(*edge, ro) {
-                        storage.touch_ordinal(e.participant, po, metrics)?;
-                        out.extend(db.canonical_by_ordinal(e.participant, po));
-                    }
-                }
-            } else {
-                for &x in src_elems.iter() {
-                    let po = db.element(x).ordinal;
-                    for ro in db.linked_rels(*edge, po) {
-                        // the filter inside linked_rels re-read the link
-                        // slot of every candidate relationship
-                        storage.touch_link(*edge, ro, metrics)?;
-                        storage.touch_ordinal(e.rel, ro, metrics)?;
-                        out.extend(db.canonical_by_ordinal(e.rel, ro));
-                    }
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            reenter(db, *enter, out, "LinkSemi")
+            let src = to_elems(rd, regs, *src, "LinkSemi")?;
+            check_edge(graph, *edge, "LinkSemi")?;
+            let out = rd.link_semi(graph, *edge, *src_is_rel, &src);
+            reenter(graph, rd, *enter, out, "LinkSemi")
         }
 
         Op::Cross { src, color, .. } => {
-            metrics.color_crossings += 1;
-            let elems = to_elems(db, regs, *src, "Cross")?;
-            metrics.elements_scanned += elems.len() as u64;
-            metrics.bytes_touched += (elems.len() * std::mem::size_of::<ElementId>()) as u64;
-            color_tree(db, *color, "Cross")?;
-            let occs = elems_to_occs(db, *color, &elems);
-            storage.touch_occs(*color, &occs, metrics)?;
-            Ok(SetVal::Occs { color: *color, occs: Cow::Owned(occs) })
+            let elems = to_elems(rd, regs, *src, "Cross")?;
+            let set = rd.cross(*color, &elems).map_err(read_err(graph, "Cross"))?;
+            Ok(SetVal::Occs(set))
         }
 
         Op::Intersect { a, b, .. } => {
-            let (ca, va) = match get_reg(regs, *a, "Intersect")? {
-                SetVal::Occs { color, occs } => (*color, occs),
-                _ => {
-                    return Err(QueryError::Exec(format!(
-                        "Intersect: register r{a} does not hold an occurrence set"
-                    )));
-                }
+            let SetVal::Occs(sa) = get_reg(regs, *a, "Intersect")? else {
+                return Err(QueryError::Exec(format!(
+                    "Intersect: register r{a} does not hold an occurrence set"
+                )));
             };
-            let vb = expect_occs(regs, *b, ca, "Intersect")?;
-            // sorted merge
-            let mut out = Vec::with_capacity(va.len().min(vb.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < va.len() && j < vb.len() {
-                match va[i].cmp(&vb[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(va[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            Ok(SetVal::Occs { color: ca, occs: Cow::Owned(out) })
+            let sb = expect_occs(regs, *b, sa.color(), "Intersect")?;
+            Ok(SetVal::Occs(rd.intersect(sa, sb)))
         }
 
         Op::Distinct { src, .. } => {
-            metrics.dup_eliminations += 1;
-            let elems = to_elems(db, regs, *src, "Distinct")?;
-            metrics.bytes_touched += (elems.len() * std::mem::size_of::<ElementId>()) as u64;
+            let elems = to_elems(rd, regs, *src, "Distinct")?;
             // the result must outlive the source register it may borrow
-            Ok(SetVal::Elems(Cow::Owned(elems.into_owned())))
+            Ok(SetVal::Elems(rd.distinct(elems.into_owned())))
         }
 
         Op::GroupBy { src, attr, .. } => {
-            metrics.group_bys += 1;
-            let elems = to_elems(db, regs, *src, "GroupBy")?;
-            storage.touch_elements(&elems, metrics)?;
-            metrics.elements_scanned += elems.len() as u64;
-            metrics.bytes_touched += (elems.len() * std::mem::size_of::<ValueKey>()) as u64;
-            // Copy keys + sort/dedup: no hashing, no per-element String
-            let mut keys: Vec<ValueKey> = Vec::with_capacity(elems.len());
-            for &e in elems.iter() {
-                let el = db.element(e);
-                let Some(v) = el.attrs.get(*attr) else {
-                    return Err(QueryError::Exec(format!(
-                        "GroupBy: attribute #{attr} out of range for `{}`",
-                        graph.node(el.node).name
-                    )));
-                };
-                let Some(k) = el.attrs.key(*attr) else {
-                    return Err(QueryError::Exec(format!(
-                        "GroupBy: value `{v}` was never interned in this database"
-                    )));
-                };
-                keys.push(k);
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            Ok(SetVal::Groups { count: keys.len(), elems: Cow::Owned(elems.into_owned()) })
+            let elems = to_elems(rd, regs, *src, "GroupBy")?;
+            let count = rd.group_count(&elems, *attr).map_err(read_err(graph, "GroupBy"))?;
+            Ok(SetVal::Groups { count, elems: elems.into_owned() })
         }
+    }
+}
+
+/// Map a store read failure to the executor's error, naming the operator.
+fn read_err<'a>(graph: &'a ErGraph, who: &'a str) -> impl Fn(ReadError) -> QueryError + 'a {
+    move |e| match e {
+        ReadError::NoAttr { node, attr } => QueryError::Exec(format!(
+            "{who}: attribute #{attr} out of range for `{}`",
+            graph.node(node).name
+        )),
+        ReadError::NotIdrefEncoded(edge) => QueryError::NotIdrefEncoded {
+            edge: format!(
+                "{}[{}]",
+                graph.node(graph.edge(edge).rel).name,
+                graph.node(graph.edge(edge).participant).name
+            ),
+        },
+        ReadError::Page(e) => e.into(),
+        e => QueryError::Exec(format!("{who}: {e}")),
     }
 }
 
 /// Wrap a semi-join's element output, re-entering a colored tree when the
 /// plan continues structurally.
 fn reenter<'d>(
-    db: &'d Database,
+    graph: &ErGraph,
+    rd: &Reader<'d>,
     enter: Option<ColorId>,
-    elems: Vec<ElementId>,
+    elems: Result<Vec<ElementId>, ReadError>,
     who: &str,
 ) -> Result<SetVal<'d>, QueryError> {
+    let elems = elems.map_err(read_err(graph, who))?;
     match enter {
-        Some(c) => {
-            color_tree(db, c, who)?;
-            Ok(SetVal::Occs { color: c, occs: Cow::Owned(elems_to_occs(db, c, &elems)) })
-        }
-        None => Ok(SetVal::Elems(Cow::Owned(elems))),
-    }
-}
-
-/// The colored tree, or an error for a color id the database lacks.
-fn color_tree<'d>(db: &'d Database, c: ColorId, who: &str) -> Result<&'d ColorTree, QueryError> {
-    if (c.0 as usize) < db.color_count() {
-        Ok(db.color(c))
-    } else {
-        Err(QueryError::Exec(format!(
-            "{who}: color {c} out of range ({} colors)",
-            db.color_count()
-        )))
+        Some(c) => Ok(SetVal::Occs(rd.enter(c, &elems).map_err(read_err(graph, who))?)),
+        None => Ok(SetVal::Elems(elems)),
     }
 }
 
@@ -715,18 +407,12 @@ fn check_node(graph: &ErGraph, n: NodeId, who: &str) -> Result<(), QueryError> {
 }
 
 /// Validate an ER edge id against the graph.
-fn check_edge<'g>(graph: &'g ErGraph, e: EdgeId, who: &str) -> Result<&'g ErEdge, QueryError> {
+fn check_edge(graph: &ErGraph, e: EdgeId, who: &str) -> Result<(), QueryError> {
     if e.idx() < graph.edge_count() {
-        Ok(graph.edge(e))
+        Ok(())
     } else {
         Err(QueryError::Exec(format!("{who}: ER edge {e:?} out of range")))
     }
-}
-
-/// Human-readable `relationship[participant]` label of an ER edge.
-fn edge_label(graph: &ErGraph, e: EdgeId) -> String {
-    let ed = graph.edge(e);
-    format!("{}[{}]", graph.node(ed.rel).name, graph.node(ed.participant).name)
 }
 
 /// The set value in register `r`, or a typed error when the register is
@@ -752,124 +438,29 @@ fn expect_occs<'v, 'd>(
     r: Reg,
     color: ColorId,
     who: &str,
-) -> Result<&'v [OccId], QueryError> {
+) -> Result<&'v OccSet<'d>, QueryError> {
     match get_reg(regs, r, who)? {
-        SetVal::Occs { color: c, occs } => {
-            if *c != color {
-                return Err(QueryError::Exec(format!(
-                    "{who}: register r{r} holds occurrences of color {c}, expected {color}"
-                )));
-            }
-            Ok(occs)
-        }
+        SetVal::Occs(s) if s.color() != color => Err(QueryError::Exec(format!(
+            "{who}: register r{r} holds occurrences of color {}, expected {color}",
+            s.color()
+        ))),
+        SetVal::Occs(s) => Ok(s),
         _ => Err(QueryError::Exec(format!("{who}: register r{r} does not hold an occurrence set"))),
     }
 }
 
 /// Canonical (logical) elements behind register `r`, sorted distinct.
-/// Borrows the register's slice when it already holds elements.
-fn to_elems<'v, 'd>(
-    db: &Database,
-    regs: &'v [Option<SetVal<'d>>],
+/// Borrows the register's list when it already holds elements.
+fn to_elems<'v>(
+    rd: &Reader<'_>,
+    regs: &'v [Option<SetVal<'_>>],
     r: Reg,
     who: &str,
 ) -> Result<Cow<'v, [ElementId]>, QueryError> {
     Ok(match get_reg(regs, r, who)? {
-        SetVal::Occs { color, occs } => {
-            let tree = color_tree(db, *color, who)?;
-            Cow::Owned(occs_to_canonical_inner(db, tree, occs))
-        }
-        SetVal::Elems(e) => Cow::Borrowed(e.as_ref()),
-        SetVal::Groups { elems, .. } => Cow::Borrowed(elems.as_ref()),
+        SetVal::Occs(s) => Cow::Owned(rd.canonical(s)),
+        SetVal::Elems(e) | SetVal::Groups { elems: e, .. } => Cow::Borrowed(e),
     })
-}
-
-fn occs_to_canonical_inner(
-    db: &Database,
-    tree: &colorist_store::ColorTree,
-    occs: &[OccId],
-) -> Vec<ElementId> {
-    let mut v: Vec<ElementId> =
-        occs.iter().map(|&o| db.element(tree.occ(o).element).canonical).collect();
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-/// All occurrences of the logical instances of `elems` in `color`.
-fn elems_to_occs(db: &Database, color: ColorId, elems: &[ElementId]) -> Vec<OccId> {
-    let mut occs: Vec<OccId> =
-        elems.iter().flat_map(|&e| db.occurrences_of_logical(color, e).iter().copied()).collect();
-    occs.sort_unstable();
-    occs.dedup();
-    occs
-}
-
-/// Widen `occs` to every occurrence (copies included) of the same logical
-/// instances in `color`. Identity (borrowed, zero-copy) when the
-/// occurrences' node has a single placement in the color, so node-normal
-/// schemas pay nothing.
-fn expand_to_logical_occs<'v>(
-    db: &Database,
-    color: ColorId,
-    occs: &'v [OccId],
-) -> Cow<'v, [OccId]> {
-    let tree = db.color(color);
-    if let Some(&o) = occs.first() {
-        let node = db.schema.placement(tree.occ(o).placement).node;
-        if db.schema.placements_of_in_color(node, color).len() <= 1 {
-            return Cow::Borrowed(occs);
-        }
-    }
-    let mut out: Vec<OccId> = occs
-        .iter()
-        .flat_map(|&o| db.occurrences_of_logical(color, tree.occ(o).element).iter().copied())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    Cow::Owned(out)
-}
-
-/// Placements of `node` in `color` whose upward chain realizes exactly
-/// `via` (ancestor-side-first) — the valid landing spots of a path-exact
-/// descent.
-pub(crate) fn valid_desc_placements(
-    db: &Database,
-    color: ColorId,
-    node: colorist_er::NodeId,
-    via: &[colorist_er::EdgeId],
-) -> Vec<PlacementId> {
-    db.schema
-        .placements_of_in_color(node, color)
-        .into_iter()
-        .filter(|&p| chain_matches(db, p, via))
-        .collect()
-}
-
-/// For ascents: the set of source placements whose upward chain matches.
-pub(crate) fn valid_desc_placement_set(
-    db: &Database,
-    _color: ColorId,
-    _node: colorist_er::NodeId,
-    via: &[colorist_er::EdgeId],
-    src: &[OccId],
-    tree: &colorist_store::ColorTree,
-) -> HashSet<PlacementId> {
-    let mut distinct: HashSet<PlacementId> = src.iter().map(|&o| tree.occ(o).placement).collect();
-    distinct.retain(|&p| chain_matches(db, p, via));
-    distinct
-}
-
-/// Does `p`'s upward chain realize `via` (ancestor-side-first)?
-fn chain_matches(db: &Database, p: PlacementId, via: &[colorist_er::EdgeId]) -> bool {
-    let mut cur = p;
-    for &expected in via.iter().rev() {
-        match db.schema.placement(cur).parent {
-            Some((pp, e)) if e == expected => cur = pp,
-            _ => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -1004,7 +595,9 @@ mod tests {
 
     /// Adversarial plans return typed errors instead of aborting: unset
     /// and out-of-bounds registers, kind mismatches, color mismatches, and
-    /// value joins across edges the schema does not idref-encode.
+    /// value joins across edges the schema does not idref-encode. The cost
+    /// annotation, which reads the same operands, estimates every one of
+    /// them without panicking.
     #[test]
     fn malformed_plans_error_instead_of_panicking() {
         let (g, db) = setup(Strategy::Af);
@@ -1020,78 +613,71 @@ mod tests {
             costs: Vec::new(),
         };
         let scan = Op::Scan { dst: 0, color: ColorId(0), node: country, pred: None };
-
-        // unset output register
-        let r = execute(&db, &g, &plan(vec![], 0, 1));
-        assert!(matches!(r, Err(QueryError::Exec(_))), "{r:?}");
-
-        // out-of-bounds output register
-        let r = execute(&db, &g, &plan(vec![scan.clone()], 7, 1));
-        assert!(matches!(r, Err(QueryError::Exec(_))), "{r:?}");
-
-        // Intersect over a non-occurrence register
-        let r = execute(
-            &db,
-            &g,
-            &plan(
-                vec![
-                    scan.clone(),
-                    Op::Distinct { dst: 1, src: 0 },
-                    Op::Intersect { dst: 2, a: 1, b: 0 },
-                ],
-                2,
-                3,
+        let struct_semi = |color| Op::StructSemi {
+            dst: 1,
+            src: 0,
+            color,
+            node: country,
+            via: vec![],
+            dir: VDir::Down,
+        };
+        let value_semi =
+            Op::ValueSemi { dst: 1, src: 0, edge: EdgeId(0), src_is_rel: false, enter: None };
+        let exec_err = |r: &Result<QueryResult, QueryError>| matches!(r, Err(QueryError::Exec(_)));
+        let not_idref = |r: &Result<QueryResult, QueryError>| {
+            matches!(r, Err(QueryError::NotIdrefEncoded { .. }))
+        };
+        type Expect = fn(&Result<QueryResult, QueryError>) -> bool;
+        let cases: Vec<(&str, Plan, Expect)> = vec![
+            ("unset output register", plan(vec![], 0, 1), exec_err),
+            ("out-of-bounds output register", plan(vec![scan.clone()], 7, 1), exec_err),
+            (
+                "Intersect over a non-occurrence register",
+                plan(
+                    vec![
+                        scan.clone(),
+                        Op::Distinct { dst: 1, src: 0 },
+                        Op::Intersect { dst: 2, a: 1, b: 0 },
+                    ],
+                    2,
+                    3,
+                ),
+                exec_err,
             ),
-        );
-        assert!(matches!(r, Err(QueryError::Exec(_))), "{r:?}");
-
-        // Intersect with an unset input
-        let r =
-            execute(&db, &g, &plan(vec![scan.clone(), Op::Intersect { dst: 1, a: 0, b: 2 }], 1, 3));
-        assert!(matches!(r, Err(QueryError::Exec(_))), "{r:?}");
-
-        // StructSemi in a color the register does not hold
-        let r = execute(
-            &db,
-            &g,
-            &plan(
-                vec![
-                    scan.clone(),
-                    Op::StructSemi {
-                        dst: 1,
-                        src: 0,
-                        color: ColorId(9),
-                        node: country,
-                        via: vec![],
-                        dir: VDir::Down,
-                    },
-                ],
-                1,
-                2,
+            (
+                "Intersect with an unset input",
+                plan(vec![scan.clone(), Op::Intersect { dst: 1, a: 0, b: 2 }], 1, 3),
+                exec_err,
             ),
-        );
-        assert!(matches!(r, Err(QueryError::Exec(_))), "{r:?}");
-
-        // ValueSemi across a structurally-realized (non-idref) edge: AF
-        // realizes every edge structurally, so no edge is idref-encoded
-        let r = execute(
-            &db,
-            &g,
-            &plan(
-                vec![
-                    scan,
-                    Op::ValueSemi {
-                        dst: 1,
-                        src: 0,
-                        edge: EdgeId(0),
-                        src_is_rel: false,
-                        enter: None,
-                    },
-                ],
-                1,
-                2,
+            (
+                "StructSemi in a color the register does not hold",
+                plan(vec![scan.clone(), struct_semi(ColorId(9))], 1, 2),
+                exec_err,
             ),
-        );
-        assert!(matches!(r, Err(QueryError::NotIdrefEncoded { .. })), "{r:?}");
+            (
+                "Scan of a color the database lacks",
+                plan(vec![Op::Scan { dst: 0, color: ColorId(9), node: country, pred: None }], 0, 1),
+                exec_err,
+            ),
+            (
+                "an operator writing past the registers",
+                plan(vec![scan.clone(), Op::Distinct { dst: 5, src: 0 }], 0, 2),
+                exec_err,
+            ),
+            // AF realizes every edge structurally, so no edge is
+            // idref-encoded
+            (
+                "ValueSemi across a structurally-realized edge",
+                plan(vec![scan, value_semi], 1, 2),
+                not_idref,
+            ),
+        ];
+        for (what, plan, expect) in &cases {
+            let r = execute(&db, &g, plan);
+            assert!(expect(&r), "{what}: {r:?}");
+            let costs = crate::optimize::annotate_costs(&db, &g, plan);
+            assert_eq!(costs.len(), plan.ops.len(), "{what}");
+            assert!(costs.iter().all(|c| c.rows.is_finite() && c.gate_sum().is_finite()), "{what}");
+        }
     }
 }

@@ -17,19 +17,24 @@
 //!   the cost order the paper's measurements justify;
 //! * [`plan`] — the compiled semi-join program and its static operation
 //!   counts (exactly the Figures 8–10 metrics);
-//! * [`exec`] — the interpreter: structural joins / value joins / crossings
-//!   against a [`colorist_store::Database`], with measured [`Metrics`];
+//! * [`exec`] — the interpreter: walks a plan's registers and runs each
+//!   operator through one [`colorist_store::Reader`], whose structural
+//!   steps, value joins and crossings return opaque occurrence sets and
+//!   charge the measured [`Metrics`];
 //! * [`mod@optimize`] — the optimizer entry point (a plan is a pure
 //!   function of the pattern and the schema) plus per-operator cost
-//!   estimates in counter units, read from exact extent and value-index
-//!   counts and checked against measurement by `explain_analyze` and the
-//!   perfgate;
+//!   estimates in counter units, priced by the store's read estimators
+//!   from exact extent and value-index counts and checked against
+//!   measurement by `explain_analyze` and the perfgate;
 //! * [`cache`] — the sharded prepared-plan cache: compile once per
 //!   `(pattern, strategy)` and serve that plan for good, since no write
 //!   can change it (DESIGN.md §15.3);
-//! * [`update`] — update execution: locate targets, mutate every color
-//!   (ICIC maintenance), propagate to physical copies (duplicate updates),
-//!   cascade inserts through un-normalized placements;
+//! * [`update`] — update execution: locate the targets and lower the
+//!   action against the pre-update state to one
+//!   [`UpdateBatch`](colorist_store::UpdateBatch) — attribute writes to
+//!   every copy, closure-completed deletes, or inserts with their
+//!   occurrences threaded through every color and un-normalized placement —
+//!   committed atomically by `UpdateBatch::apply`;
 //! * [`mod@explain`] — colored-XPath rendering of compiled plans.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,27 +16,24 @@
 //! probe). It runs only where estimates are printed or gated: EXPLAIN and
 //! the suite that records `est_*` for the perfgate's q-error budget.
 //!
-//! Its inputs are exact counts read from the stored data: extent lengths,
-//! occurrence lists, and the value index — an equality predicate's
-//! matching posting run, a range predicate's walk over the column's key
-//! groups, and the number of groups as a column's distinct count. A
-//! predicated scan's row estimate is therefore exact: it counts the
-//! occurrences of exactly the elements the index probe returns. Join
-//! output estimates use the standard containment-of-value-sets assumption
-//! and carry no hard bound, which is why every estimate is checked against
-//! measurement instead of trusted.
+//! Its inputs are exact counts read from the stored data — extent
+//! lengths, occurrence counts, and the value index's matching postings and
+//! key groups — and its charges come from the store's estimators
+//! ([`colorist_store::ReadCost`]), which price each read with the
+//! formulas the store's reader charges it by. A predicated scan's row
+//! estimate is therefore exact: it counts the occurrences of exactly the
+//! elements the index probe returns. Join output estimates use the
+//! standard containment-of-value-sets assumption and carry no hard bound,
+//! which is why every estimate is checked against measurement instead of
+//! trusted.
 
 use crate::compile::compile;
 use crate::error::QueryError;
-use crate::exec::valid_desc_placements;
-use crate::pattern::{CmpOp, Pattern, Predicate};
+use crate::pattern::Pattern;
 use crate::plan::{CostEst, KernelChoice, Op, Plan, VDir};
 use colorist_er::{ErGraph, NodeId};
 use colorist_mct::ColorId;
-use colorist_store::{
-    gallop_cost_wins, Database, ElementId, IndexEntry, OccId, Occurrence, ValueKey,
-};
-use std::cmp::Ordering;
+use colorist_store::{Database, ReadCost};
 
 /// The plan `pattern` runs with on `db`: exactly [`compile`]'s, since a
 /// plan depends on the pattern and the schema alone. Debug builds also
@@ -64,33 +61,6 @@ fn extent_rows(db: &Database, node: NodeId) -> f64 {
     db.extent(node).len() as f64
 }
 
-/// Occurrences in `color` of the `node` elements satisfying one predicate,
-/// counted exactly the way the executor's index probe finds and expands
-/// them: the matching posting run for an equality, whole key groups for a
-/// range, then each matched element's occurrences.
-fn pred_occs(db: &Database, color: ColorId, node: NodeId, p: &Predicate) -> f64 {
-    let index = db.value_index();
-    let occs = |postings: &[IndexEntry]| -> usize {
-        postings.iter().map(|en| db.occurrences_of_logical(color, en.element).len()).sum()
-    };
-    let rows = match p.op {
-        CmpOp::Eq => db.try_join_key(&p.value).map_or(0, |k| occs(index.matching(node, p.attr, k))),
-        CmpOp::Lt | CmpOp::Gt => {
-            let want = if p.op == CmpOp::Lt { Ordering::Less } else { Ordering::Greater };
-            (index.groups(node, p.attr))
-                .filter(|(key, _)| db.interner().key_value_cmp(*key, &p.value) == want)
-                .map(|(_, group)| occs(group))
-                .sum()
-        }
-    };
-    rows as f64
-}
-
-/// Distinct stored keys of the `(node, attr)` column.
-fn distinct(db: &Database, node: NodeId, attr: usize) -> f64 {
-    db.value_index().groups(node, attr).count() as f64
-}
-
 /// What the abstract interpreter knows about a register's contents.
 #[derive(Debug, Clone, Copy)]
 struct RegEst {
@@ -100,38 +70,14 @@ struct RegEst {
     node: Option<NodeId>,
 }
 
-const SZ_OCC_ID: f64 = std::mem::size_of::<OccId>() as f64;
-const SZ_OCC: f64 = std::mem::size_of::<Occurrence>() as f64;
-const SZ_ELEM: f64 = std::mem::size_of::<ElementId>() as f64;
-const SZ_KEY: f64 = std::mem::size_of::<ValueKey>() as f64;
-
-/// `⌈log₂ n⌉` as an estimate term (0 for `n ≤ 1`), mirroring the dispatch
-/// crossover in [`gallop_cost_wins`].
-fn log2_ceil(n: f64) -> f64 {
-    if n <= 1.0 {
-        0.0
-    } else {
-        n.log2().ceil()
-    }
-}
-
-/// Occurrences of `node` in `color` — exact, from the stored tree.
-fn occs_of(db: &Database, color: ColorId, node: NodeId) -> f64 {
-    if (color.0 as usize) < db.color_count() {
-        db.color(color).of_node(node).len() as f64
-    } else {
-        0.0
-    }
-}
-
-/// Occurrence-expansion factor of `node` in `color`: occurrences per
-/// canonical element (1 on node-normal schemas, >1 where copies exist).
+/// Occurrences per canonical element of `node` in `color` (1 on
+/// node-normal schemas, >1 where copies exist).
 fn expansion(db: &Database, color: ColorId, node: NodeId) -> f64 {
     let extent = extent_rows(db, node);
     if extent <= 0.0 {
         0.0
     } else {
-        occs_of(db, color, node) / extent
+        db.occ_count(color, node) as f64 / extent
     }
 }
 
@@ -144,208 +90,159 @@ fn elems_behind(db: &Database, r: RegEst) -> f64 {
     }
 }
 
-/// Estimated charges of one structural semi-join given the two side sizes,
-/// mirroring the merge and gallop kernels' exact accounting; returns the
-/// estimate (with `rows` left at 0) and the predicted kernel.
-fn struct_semi_cost(anc: f64, desc: f64) -> (CostEst, KernelChoice) {
-    let (small, large) = if anc <= desc { (anc, desc) } else { (desc, anc) };
-    let kernel = if gallop_cost_wins(small.round() as usize, large.round() as usize) {
-        KernelChoice::Gallop
-    } else {
-        KernelChoice::Merge
-    };
-    let (scanned, probes, bytes) = match kernel {
-        KernelChoice::Gallop => {
-            // each driving element binary-searches the large side; probes
-            // and the scan charge both track what the search exposes
-            let examined = (small * log2_ceil(large)).min(large);
-            (small + examined, examined, (small + examined) * SZ_OCC)
+/// Whether every register, color, ER node and ER edge `op` names exists —
+/// what the executor checks before it reads.
+fn operands_exist(db: &Database, graph: &ErGraph, regs: usize, op: &Op) -> bool {
+    let reg = |r: usize| r < regs;
+    let color = |c: &ColorId| c.idx() < db.color_count();
+    let node = |n: &NodeId| n.idx() < graph.node_count();
+    let edge = |e: &colorist_er::EdgeId| e.idx() < graph.edge_count();
+    let enters = |c: &Option<ColorId>| c.as_ref().is_none_or(color);
+    reg(op.dst())
+        && match op {
+            Op::Scan { color: c, node: n, .. } => color(c) && node(n),
+            Op::StructSemi { src, color: c, node: n, via, .. } => {
+                reg(*src) && color(c) && node(n) && via.iter().all(edge)
+            }
+            Op::ValueSemi { src, edge: e, enter, .. }
+            | Op::LinkSemi { src, edge: e, enter, .. } => reg(*src) && edge(e) && enters(enter),
+            Op::Cross { src, color: c, node: n, .. } => reg(*src) && color(c) && node(n),
+            Op::Intersect { a, b, .. } => reg(*a) && reg(*b),
+            Op::Distinct { src, .. } | Op::GroupBy { src, .. } => reg(*src),
         }
-        _ => {
-            // the merge walks both sides once and probes the stack per
-            // descendant (estimated depth 1)
-            (anc + desc, desc, (anc + desc) * SZ_OCC)
-        }
-    };
-    (CostEst { op: 0, rows: 0.0, scanned, probes, bytes, index_lookups: 0.0, kernel }, kernel)
 }
 
 /// Annotate `plan` with per-operator cost estimates by forward abstract
-/// interpretation, mirroring the executor's charging formulas under the
-/// cost-model dispatch.
+/// interpretation, mirroring the executor's reads under the cost-model
+/// dispatch. Total: an operator naming a register, color, node or edge
+/// that does not exist — which the executor would reject — is estimated
+/// at zero.
 pub fn annotate_costs(db: &Database, graph: &ErGraph, plan: &Plan) -> Vec<CostEst> {
     let mut regs: Vec<RegEst> = vec![RegEst { rows: 0.0, node: None }; plan.reg_count];
     let mut out = Vec::with_capacity(plan.ops.len());
     for (i, op) in plan.ops.iter().enumerate() {
-        let mut est = CostEst {
-            op: i,
-            rows: 0.0,
-            scanned: 0.0,
-            probes: 0.0,
-            bytes: 0.0,
-            index_lookups: 0.0,
-            kernel: KernelChoice::Default,
-        };
-        match op {
-            Op::Scan { dst, color, node, pred } => {
-                let all = occs_of(db, *color, *node);
-                match pred {
-                    None => {
-                        est.rows = all;
-                        est.scanned = all;
-                        est.bytes = all * SZ_OCC_ID;
-                    }
-                    Some(p) => {
-                        est.kernel = KernelChoice::IndexProbe;
-                        let matched = pred_occs(db, *color, *node, p);
-                        est.index_lookups = match p.op {
-                            CmpOp::Eq => 1.0,
-                            // one comparison per distinct stored value
-                            CmpOp::Lt | CmpOp::Gt => distinct(db, *node, p.attr),
-                        };
-                        est.rows = matched;
-                        est.scanned = matched;
-                        est.bytes = matched * SZ_OCC_ID;
-                    }
+        let zero = ReadCost::default();
+        let (cost, kernel, rows, node) = if !operands_exist(db, graph, regs.len(), op) {
+            (zero, KernelChoice::Default, 0.0, None)
+        } else {
+            match op {
+                Op::Scan { color, node, pred, .. } => {
+                    let (rows, cost) = db.scan_cost(*color, *node, pred.as_ref());
+                    let kernel = if pred.is_some() {
+                        KernelChoice::IndexProbe
+                    } else {
+                        KernelChoice::Default
+                    };
+                    (cost, kernel, rows, Some(*node))
                 }
-                regs[*dst] = RegEst { rows: est.rows, node: Some(*node) };
-            }
-            Op::StructSemi { dst, src, color, node, via, dir } => {
-                let s = regs[*src];
-                // the executor widens the source to every occurrence of
-                // the same logical instances before joining
-                let widened = match s.node {
-                    Some(n) => (s.rows * expansion(db, *color, n)).min(occs_of(db, *color, n)),
-                    None => s.rows,
-                };
-                match dir {
-                    VDir::Down => {
-                        let valid = valid_desc_placements(db, *color, *node, via);
-                        let tree = db.color(*color);
-                        let targets: f64 =
-                            valid.iter().map(|&p| tree.of_placement(p).len() as f64).sum();
-                        let (mut c, kernel) = struct_semi_cost(widened, targets);
-                        if valid.len() > 1 {
-                            // the k-way union materializes
-                            c.bytes += targets * SZ_OCC_ID;
+                Op::StructSemi { src, color, node, via, dir, .. } => {
+                    let s = regs[*src];
+                    // the executor widens the source to every occurrence of
+                    // the same logical instances before joining
+                    let pool = s.node.map(|n| db.occ_count(*color, n) as f64);
+                    let widened = match s.node {
+                        Some(n) => (s.rows * expansion(db, *color, n)).min(pool.unwrap_or(0.0)),
+                        None => s.rows,
+                    };
+                    let share = |part: f64, pool: f64| {
+                        if pool > 0.0 {
+                            (part / pool).min(1.0)
+                        } else {
+                            0.0
                         }
-                        let anc_pool = match s.node {
-                            Some(n) => occs_of(db, *color, n),
-                            None => widened,
-                        };
-                        let sel = if anc_pool > 0.0 { (widened / anc_pool).min(1.0) } else { 0.0 };
-                        est = CostEst { op: i, rows: targets * sel, kernel, ..c };
-                    }
-                    VDir::Up => {
-                        // the source is filtered to chain-valid placements
-                        let valid_share = match s.node {
-                            Some(n) => {
-                                let tree = db.color(*color);
-                                let pool = occs_of(db, *color, n);
-                                if pool > 0.0 {
-                                    let v: f64 = valid_desc_placements(db, *color, n, via)
-                                        .iter()
-                                        .map(|&p| tree.of_placement(p).len() as f64)
-                                        .sum();
-                                    (v / pool).min(1.0)
-                                } else {
-                                    0.0
-                                }
-                            }
-                            None => 1.0,
-                        };
-                        let desc = widened * valid_share;
-                        let anc = occs_of(db, *color, *node);
-                        let (c, kernel) = struct_semi_cost(anc, desc);
-                        let desc_pool = match s.node {
-                            Some(n) => occs_of(db, *color, n),
-                            None => desc,
-                        };
-                        let sel = if desc_pool > 0.0 { (desc / desc_pool).min(1.0) } else { 0.0 };
-                        est = CostEst { op: i, rows: anc * sel, kernel, ..c };
-                    }
+                    };
+                    let (cost, rows) = match dir {
+                        VDir::Down => {
+                            let (targets, cost) = db.descend_cost(*color, *node, via, widened);
+                            (cost, targets * share(widened, pool.unwrap_or(widened)))
+                        }
+                        VDir::Up => {
+                            // the source is filtered to chain-valid placements
+                            let valid_share = match s.node {
+                                Some(n) => share(
+                                    db.path_occ_count(*color, n, via) as f64,
+                                    pool.unwrap_or(0.0),
+                                ),
+                                None => 1.0,
+                            };
+                            let desc = widened * valid_share;
+                            let anc = db.occ_count(*color, *node) as f64;
+                            let cost = ReadCost::semi_join(anc, desc);
+                            (cost, anc * share(desc, pool.unwrap_or(desc)))
+                        }
+                    };
+                    let kernel =
+                        if cost.gallop { KernelChoice::Gallop } else { KernelChoice::Merge };
+                    (cost, kernel, rows, Some(*node))
                 }
-                regs[*dst] = RegEst { rows: est.rows, node: Some(*node) };
+                Op::ValueSemi { src, edge, src_is_rel, enter, .. }
+                | Op::LinkSemi { src, edge, src_is_rel, enter, .. } => {
+                    let e = graph.edge(*edge);
+                    let src_elems = elems_behind(db, regs[*src]);
+                    let (target, matched) = if *src_is_rel {
+                        // ≤ one participant per relationship
+                        (e.participant, src_elems.min(extent_rows(db, e.participant)))
+                    } else {
+                        // fanout relationships per participant
+                        let rel = extent_rows(db, e.rel);
+                        let part = extent_rows(db, e.participant);
+                        let fanout = if part > 0.0 { rel / part } else { 0.0 };
+                        (e.rel, (src_elems * fanout).min(rel))
+                    };
+                    let (cost, kernel) = match (op, src_is_rel) {
+                        (Op::LinkSemi { .. }, _) => {
+                            (ReadCost::link_semi(src_elems), KernelChoice::Default)
+                        }
+                        (_, true) => {
+                            (ReadCost::idref_semi(src_elems, matched), KernelChoice::OrdinalProbe)
+                        }
+                        (_, false) => {
+                            (ReadCost::idref_semi(src_elems, matched), KernelChoice::ReverseProbe)
+                        }
+                    };
+                    let rows = matched.min(extent_rows(db, target));
+                    let rows = match enter {
+                        Some(c) => rows * expansion(db, *c, target),
+                        None => rows,
+                    };
+                    (cost, kernel, rows, Some(target))
+                }
+                Op::Cross { src, color, node, .. } => {
+                    let elems = elems_behind(db, regs[*src]);
+                    let rows = elems * expansion(db, *color, *node);
+                    (ReadCost::cross(elems), KernelChoice::Default, rows, Some(*node))
+                }
+                Op::Intersect { a, b, .. } => {
+                    // uncharged sorted merge; the result can't exceed either side
+                    let rows = regs[*a].rows.min(regs[*b].rows);
+                    (zero, KernelChoice::Default, rows, regs[*a].node)
+                }
+                Op::Distinct { src, .. } => {
+                    let elems = elems_behind(db, regs[*src]);
+                    (ReadCost::distinct(elems), KernelChoice::Default, elems, regs[*src].node)
+                }
+                Op::GroupBy { src, attr, .. } => {
+                    let elems = elems_behind(db, regs[*src]);
+                    let rows = match regs[*src].node {
+                        Some(n) => elems.min(db.distinct_values(n, *attr) as f64),
+                        None => elems,
+                    };
+                    (ReadCost::group(elems), KernelChoice::Default, rows, regs[*src].node)
+                }
             }
-            Op::ValueSemi { dst, src, edge, src_is_rel, enter } => {
-                let e = graph.edge(*edge);
-                let src_elems = elems_behind(db, regs[*src]);
-                est.probes = src_elems;
-                est.index_lookups = src_elems;
-                est.bytes = src_elems * SZ_KEY;
-                let (target, matched) = if *src_is_rel {
-                    // ordinal-dense extent probe: ≤ one hit per source
-                    est.kernel = KernelChoice::OrdinalProbe;
-                    let part = extent_rows(db, e.participant);
-                    (e.participant, src_elems.min(part))
-                } else {
-                    // sorted-index probe per source ordinal: fanout hits
-                    est.kernel = KernelChoice::ReverseProbe;
-                    let rel = extent_rows(db, e.rel);
-                    let part = extent_rows(db, e.participant);
-                    let fanout = if part > 0.0 { rel / part } else { 0.0 };
-                    (e.rel, (src_elems * fanout).min(rel))
-                };
-                est.scanned = src_elems + matched;
-                let rows = matched.min(extent_rows(db, target));
-                est.rows = match enter {
-                    Some(c) => rows * expansion(db, *c, target),
-                    None => rows,
-                };
-                regs[*dst] = RegEst { rows: est.rows, node: Some(target) };
-            }
-            Op::LinkSemi { dst, src, edge, src_is_rel, enter } => {
-                let e = graph.edge(*edge);
-                let src_elems = elems_behind(db, regs[*src]);
-                est.scanned = src_elems;
-                est.probes = src_elems;
-                est.bytes = src_elems * SZ_ELEM;
-                let (target, matched) = if *src_is_rel {
-                    let part = extent_rows(db, e.participant);
-                    (e.participant, src_elems.min(part))
-                } else {
-                    let rel = extent_rows(db, e.rel);
-                    let part = extent_rows(db, e.participant);
-                    let fanout = if part > 0.0 { rel / part } else { 0.0 };
-                    (e.rel, (src_elems * fanout).min(rel))
-                };
-                let rows = matched.min(extent_rows(db, target));
-                est.rows = match enter {
-                    Some(c) => rows * expansion(db, *c, target),
-                    None => rows,
-                };
-                regs[*dst] = RegEst { rows: est.rows, node: Some(target) };
-            }
-            Op::Cross { dst, src, color, node } => {
-                let elems = elems_behind(db, regs[*src]);
-                est.scanned = elems;
-                est.bytes = elems * SZ_ELEM;
-                est.rows = elems * expansion(db, *color, *node);
-                regs[*dst] = RegEst { rows: est.rows, node: Some(*node) };
-            }
-            Op::Intersect { dst, a, b } => {
-                // uncharged sorted merge; the result can't exceed either side
-                est.rows = regs[*a].rows.min(regs[*b].rows);
-                regs[*dst] = RegEst { rows: est.rows, ..regs[*a] };
-            }
-            Op::Distinct { dst, src } => {
-                let elems = elems_behind(db, regs[*src]);
-                est.bytes = elems * SZ_ELEM;
-                est.rows = elems;
-                regs[*dst] = RegEst { rows: elems, node: regs[*src].node };
-            }
-            Op::GroupBy { dst, src, attr } => {
-                let elems = elems_behind(db, regs[*src]);
-                est.scanned = elems;
-                est.bytes = elems * SZ_KEY;
-                est.rows = match regs[*src].node {
-                    Some(n) => elems.min(distinct(db, n, *attr)),
-                    None => elems,
-                };
-                regs[*dst] = RegEst { rows: est.rows, node: regs[*src].node };
-            }
+        };
+        if let Some(r) = regs.get_mut(op.dst()) {
+            *r = RegEst { rows, node };
         }
-        out.push(est);
+        out.push(CostEst {
+            op: i,
+            rows,
+            scanned: cost.scanned,
+            probes: cost.probes,
+            bytes: cost.bytes,
+            index_lookups: cost.index_lookups,
+            kernel,
+        });
     }
     out
 }

@@ -12,39 +12,7 @@ use crate::error::QueryError;
 use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_store::Value;
 
-/// Comparison operators for predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-}
-
-/// An attribute predicate on a pattern node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Predicate {
-    /// Attribute index in the node's declaration.
-    pub attr: usize,
-    /// Operator.
-    pub op: CmpOp,
-    /// Comparison constant.
-    pub value: Value,
-}
-
-impl Predicate {
-    /// Evaluate against a concrete value.
-    pub fn eval(&self, v: &Value) -> bool {
-        let ord = v.total_cmp(&self.value);
-        match self.op {
-            CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-            CmpOp::Lt => ord == std::cmp::Ordering::Less,
-            CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-        }
-    }
-}
+pub use colorist_store::{CmpOp, Predicate};
 
 /// A pattern node: an ER node type plus optional predicate.
 #[derive(Debug, Clone, PartialEq)]

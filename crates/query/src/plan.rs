@@ -109,7 +109,7 @@ pub enum Op {
         /// The node type crossed (labels only; for explain output).
         node: NodeId,
     },
-    /// Occurrence-set intersection (same color) — the merge step of a
+    /// Intersection of two occurrence sets (same color) — the merge step of a
     /// multi-child semi-join; not a counted operation.
     Intersect {
         /// Destination register.

@@ -41,11 +41,11 @@ pub(crate) const TOMBSTONE: ElementId = ElementId(u32::MAX);
 /// differential run — which planner the query layer uses.
 ///
 /// * [`CostModel`](KernelDispatch::CostModel) (the default): index probes,
-///   and gallop where the side sizes favour it by the `⌈log₂ large⌉`
-///   crossover ([`crate::join::gallop_cost_wins`]).
+///   and gallop where the side sizes favour it by the crossover
+///   `small · ⌈log₂ large⌉ < large`.
 /// * [`Ratio`](KernelDispatch::Ratio): index probes, and gallop where the
-///   fixed [`crate::join::GALLOP_RATIO`] side-size ratio favours it. The
-///   "one variable at a time" partner for the gallop crossover.
+///   smaller side is under a fixed 1/16 of the larger. The "one variable
+///   at a time" partner for the gallop crossover.
 /// * [`Reference`](KernelDispatch::Reference): linear extent walks,
 ///   stack-merge joins, per-op hash builds. The partner for kernel
 ///   differentials.
@@ -308,7 +308,8 @@ impl Database {
     }
 
     /// The persistent attribute/id value index.
-    pub fn value_index(&self) -> &ValueIndex {
+    #[inline]
+    pub(crate) fn value_index(&self) -> &ValueIndex {
         &self.value_index
     }
 
@@ -316,7 +317,7 @@ impl Database {
     /// stack-merge joins, per-op hash builds) instead of the index/gallop
     /// fast paths. Answers must be byte-identical either way; the
     /// differential tests and the oracle sweep compare both.
-    pub fn reference_kernels(&self) -> bool {
+    pub(crate) fn reference_kernels(&self) -> bool {
         self.dispatch == KernelDispatch::Reference
     }
 
@@ -341,6 +342,7 @@ impl Database {
     }
 
     /// The text symbol table.
+    #[inline]
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
@@ -420,6 +422,7 @@ impl Database {
     /// un-normalized schemas.
     /// A copy carries its canonical's node and ordinal, so one element
     /// load and two array loads answer it.
+    #[inline]
     pub fn occurrences_of_logical(&self, c: ColorId, e: ElementId) -> &[OccId] {
         let el = self.element(e);
         self.colors[c.idx()].of_logical(el.node, el.ordinal)
@@ -719,7 +722,8 @@ impl Database {
     /// canonical elements of their node in ascending order; every live
     /// ordinal slot round-trips through its element; copies are
     /// unreachable from extents, the ordinal index, and the value index;
-    /// no color tree holds an occurrence of a deleted instance; value-index
+    /// no color tree holds an occurrence of a deleted instance or at a
+    /// placement of another color; value-index
     /// postings cover live canonicals exactly once per attribute.
     ///
     /// S009 — the tree audit behind in-place structural maintenance: in
@@ -801,6 +805,13 @@ impl Database {
                     return fail(format!(
                         "color {ci} holds an occurrence of deleted element {}",
                         o.element
+                    ));
+                }
+                let placement = self.schema.placements().get(o.placement.idx());
+                if placement.is_none_or(|p| p.color.idx() != ci) {
+                    return fail(format!(
+                        "color {ci} holds an occurrence at placement {} of another color",
+                        o.placement
                     ));
                 }
             }
@@ -1084,10 +1095,11 @@ mod tests {
             prev = o.start;
         }
         // parent intervals contain children
-        for (i, o) in t.occs().iter().enumerate() {
+        for o in t.occs() {
             if let Some(p) = o.parent {
-                assert!(t.is_ancestor(p, OccId(i as u32)));
-                assert_eq!(t.occ(p).level + 1, o.level);
+                let parent = t.occ(p);
+                assert!(parent.start < o.start && o.end <= parent.end);
+                assert_eq!(parent.level + 1, o.level);
             }
         }
     }

@@ -29,7 +29,7 @@
 //! interleaves variants differently than `Value::total_cmp`).
 
 use crate::database::ElementId;
-use crate::value::{Interner, Value, ValueKey};
+use crate::value::ValueKey;
 use colorist_er::NodeId;
 use std::sync::Arc;
 
@@ -107,11 +107,6 @@ impl ValueIndex {
         self.runs().map(|r| r.len()).sum()
     }
 
-    /// Whether the index holds no postings.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Every posting run, in `(node, attr)` order.
     pub(crate) fn runs(&self) -> impl Iterator<Item = &Arc<Vec<IndexEntry>>> {
         self.columns.iter().flatten()
@@ -124,12 +119,14 @@ impl ValueIndex {
     }
 
     /// All postings for `(node, attr)`, sorted by key then element.
+    #[inline]
     pub fn of_attr(&self, node: NodeId, attr: usize) -> &[IndexEntry] {
         self.columns.get(node.idx()).and_then(|c| c.get(attr)).map_or(&[], |run| run.as_slice())
     }
 
     /// The postings matching an equality probe, sorted by element (which is
     /// extent order — canonical ids ascend within a node's extent).
+    #[inline]
     pub fn matching(&self, node: NodeId, attr: usize, key: ValueKey) -> &[IndexEntry] {
         let run = self.of_attr(node, attr);
         let lo = run.partition_point(|e| e.key < key);
@@ -142,6 +139,7 @@ impl ValueIndex {
     /// comparison constant (`Interner::key_value_cmp`) and takes whole
     /// groups, paying one comparison per distinct stored value instead of
     /// one per element.
+    #[inline]
     pub fn groups(&self, node: NodeId, attr: usize) -> Groups<'_> {
         Groups { rest: self.of_attr(node, attr) }
     }
@@ -209,22 +207,6 @@ impl ValueIndex {
         self.remove(IndexEntry { node, attr: attr as u32, key: old_key, element });
         self.insert(IndexEntry { node, attr: attr as u32, key: new_key, element });
     }
-
-    /// Linear-scan reference lookup (test oracle for the binary-search
-    /// paths): elements of `node` whose `attr` value keys equal `key(v)`.
-    pub fn matching_linear(
-        &self,
-        interner: &Interner,
-        node: NodeId,
-        attr: usize,
-        v: &Value,
-    ) -> Vec<ElementId> {
-        let key = interner.try_key(v);
-        self.entries()
-            .filter(|e| e.node == node && e.attr == attr as u32 && Some(e.key) == key)
-            .map(|e| e.element)
-            .collect()
-    }
 }
 
 /// Iterator over the distinct-key groups of one `(node, attr)` index range
@@ -237,6 +219,7 @@ pub struct Groups<'a> {
 impl<'a> Iterator for Groups<'a> {
     type Item = (ValueKey, &'a [IndexEntry]);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let first = self.rest.first()?;
         let n = self.rest.iter().take_while(|e| e.key == first.key).count();
@@ -250,8 +233,26 @@ impl<'a> Iterator for Groups<'a> {
 mod tests {
     use super::*;
     use crate::database::{Database, DatabaseBuilder};
+    use crate::value::{Interner, Value};
     use colorist_er::{Attribute, ErDiagram, ErGraph};
     use colorist_mct::ColorId;
+
+    /// Linear-scan reference lookup (test oracle for the binary-search
+    /// paths): elements of `node` whose `attr` value keys equal `key(v)`.
+    fn matching_linear(
+        index: &ValueIndex,
+        interner: &Interner,
+        node: NodeId,
+        attr: usize,
+        v: &Value,
+    ) -> Vec<ElementId> {
+        let key = interner.try_key(v);
+        index
+            .entries()
+            .filter(|e| e.node == node && e.attr == attr as u32 && Some(e.key) == key)
+            .map(|e| e.element)
+            .collect()
+    }
 
     /// Two-entity database with mixed int/text attributes and a copy, so
     /// the canonical-only rule is exercised.
@@ -301,7 +302,7 @@ mod tests {
                 Some(k) => idx.matching(node, attr, k).iter().map(|e| e.element).collect(),
                 None => Vec::new(),
             };
-            assert_eq!(fast, idx.matching_linear(db.interner(), node, attr, &v), "{v}");
+            assert_eq!(fast, matching_linear(idx, db.interner(), node, attr, &v), "{v}");
         }
         // probe results agree with a predicate walk over the extent
         let hits: Vec<ElementId> = idx

@@ -11,18 +11,18 @@
 //!   per-color **occurrence trees** carrying `(start, end, level)` interval
 //!   labels computed by DFS — a node belongs to exactly one rooted tree per
 //!   color, per the MCT model;
-//! * [`join`] — the two join primitives whose cost asymmetry drives the
-//!   paper's entire design space: stack-based interval **structural joins**
-//!   (cheap; Al-Khalifa et al., ICDE 2002) and hash-based **value joins**
-//!   over id/idref attributes (expensive), with gallop-skipping structural
-//!   variants that binary-search past non-joining runs when one side is
-//!   much smaller;
-//! * [`index`] — the persistent attribute/id value index over canonical
-//!   elements, which turns selective predicate scans and idref probes into
-//!   index lookups (TIMBER never scans a document linearly); its runs and
-//!   key groups are also where the query layer's cost annotations read
-//!   exact predicate cardinalities, so the store keeps no separate
-//!   statistics catalog to maintain on every commit;
+//! * [`read`] — the read interface the query executor and the cost
+//!   annotation use: a per-query [`Reader`] whose scans, path-exact
+//!   descents and ascents, color crossings, intersections and value and
+//!   link semi-joins return opaque, document-ordered [`OccSet`]s (or
+//!   canonical element lists), charging every counter and page they read,
+//!   plus estimators that price the same operations from exact stored
+//!   counts. Behind it, crate-private: the stack-merge and gallop
+//!   structural semi-join kernels (the cheap side of the paper's cost
+//!   asymmetry; Al-Khalifa et al., ICDE 2002), the hash value join (the
+//!   expensive side), and the persistent attribute/id value index over
+//!   canonical elements that turns selective predicate scans and idref
+//!   probes into index lookups (TIMBER never scans a document linearly);
 //! * [`metrics`] — the operation counters the paper reports in Figures 8–10
 //!   (structural joins, value joins, color crossings, duplicate
 //!   eliminations, …) plus wall-clock time;
@@ -53,11 +53,12 @@ mod chunked;
 mod columns;
 pub mod database;
 pub mod effect;
-pub mod index;
-pub mod join;
+mod index;
+mod join;
 pub mod metrics;
 pub mod page;
 pub mod pool;
+pub mod read;
 pub mod stats;
 pub mod storage;
 mod tree;
@@ -66,20 +67,13 @@ pub mod xml;
 
 pub use batch::{BatchError, BatchLink, BatchOp, BatchPosition, BatchReceipt, UpdateBatch};
 pub use columns::{Attrs, ColumnSharing, ElementRef};
-pub use database::{
-    ColorTree, Database, DatabaseBuilder, ElementId, KernelDispatch, OccId, Occurrence, Snapshot,
-};
+pub use database::{Database, DatabaseBuilder, ElementId, KernelDispatch, OccId, Snapshot};
 pub use effect::{analyze_batch, CommitScheduler, Footprint};
-pub use index::{IndexEntry, ValueIndex};
-pub use join::{
-    attr_key, attr_value, gallop_cost_wins, kmerge_sorted, structural_join, structural_join_merge,
-    structural_semi_join, structural_semi_join_merge, value_join, AttrRef, Axis, SemiSide,
-    GALLOP_RATIO,
-};
 pub use metrics::Metrics;
 pub use page::{FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 pub use pool::{PoolConfig, DEFAULT_POOL_BYTES};
+pub use read::{CmpOp, OccSet, Predicate, ReadCost, ReadError, Reader};
 pub use stats::Stats;
-pub use storage::{FlushReport, Storage, StorageCtx};
+pub use storage::{FlushReport, Storage};
 pub use value::{Interner, Value, ValueKey};
 pub use xml::to_xml;

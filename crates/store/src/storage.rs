@@ -17,9 +17,9 @@
 //!   writes only the pages whose checksum changed (and the directory
 //!   pages that changed with them) to free pages, and repoints the meta
 //!   page at the new directory; `page_writes` counts the pages laid down;
-//! * **paged reads**: each query runs with a [`StorageCtx`] holding its
-//!   own cold accounting clock, and the executor reports every record it
-//!   reads to the context, which resolves the record's row to a page and
+//! * **paged reads**: each query's [`Reader`](crate::read::Reader) holds
+//!   a `StorageCtx` with its own cold accounting clock, and reports every
+//!   record it reads to the context, which resolves the record's row to a page and
 //!   charges `page_reads`/`pool_hits`/`pool_evictions` through the clock —
 //!   deterministically, because the directory is immutable for the
 //!   duration of a query. Each accounting miss makes the page resident in
@@ -136,7 +136,7 @@ impl SegmentDirectory {
 /// One published directory version: the directory, the pages its own
 /// encoding occupies, and the backend both live on. While any handle on
 /// it is alive — a database, a clone, a savepoint, a snapshot, a running
-/// query's [`StorageCtx`] — every page it names stays pinned in the
+/// query's `StorageCtx` — every page it names stays pinned in the
 /// backend's [`crate::page::PageTable`]; dropping the last handle unpins
 /// them.
 #[derive(Debug)]
@@ -1085,7 +1085,7 @@ impl Database {
     /// gets the directory, a fresh, cold accounting clock at the attached
     /// byte budget, and the attachment's shared page cache. Per-query
     /// clocks keep the page counters deterministic under any worker count.
-    pub fn storage_ctx(&self) -> StorageCtx {
+    pub(crate) fn storage_ctx(&self) -> StorageCtx {
         match &self.storage {
             Backing::Heap => StorageCtx { inner: None },
             Backing::Paged(s) => StorageCtx {
@@ -1118,7 +1118,7 @@ impl Database {
 /// silently skipped — those records exist only in the working
 /// representation until the next commit writes them back.
 #[derive(Debug)]
-pub struct StorageCtx {
+pub(crate) struct StorageCtx {
     inner: Option<PagedCtx>,
 }
 
@@ -1157,16 +1157,6 @@ fn access(
 }
 
 impl StorageCtx {
-    /// The no-op context of a heap-backed database.
-    pub fn heap() -> StorageCtx {
-        StorageCtx { inner: None }
-    }
-
-    /// Whether this context does any accounting.
-    pub fn is_paged(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Touch a run of fixed-size rows of `seg`. Consecutive rows landing
     /// on the page just accessed are absorbed (a scan reads each page
     /// once); every page transition is one clock access.
@@ -1440,7 +1430,7 @@ mod tests {
 
         db.attach_paged(Arc::new(MemPages::new()), PoolConfig::default()).unwrap();
         let mut ctx = db.storage_ctx();
-        assert!(ctx.is_paged());
+        assert!(ctx.inner.is_some(), "a paged database gets a paged context");
         let c = ColorId(0);
         let occs: Vec<OccId> = (0..db.color(c).occs().len() as u32).map(OccId).collect();
         ctx.touch_occs(c, &occs, &mut m).unwrap();

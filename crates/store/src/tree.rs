@@ -221,6 +221,7 @@ impl OrdinalRows {
         self.offsets.len().saturating_sub(1)
     }
 
+    #[inline]
     fn row(&self, ordinal: u32) -> &[OccId] {
         let k = ordinal as usize;
         match self.offsets.get(k..k + 2) {
@@ -375,30 +376,27 @@ impl ColorTree {
     }
 
     /// The labelled occurrence with the given id.
+    #[inline]
     pub fn occ(&self, o: OccId) -> &Occurrence {
         &self.labelled.occs[o.idx()]
     }
 
     /// Occurrence ids instantiating a placement, in document order.
+    #[inline]
     pub fn of_placement(&self, p: PlacementId) -> &[OccId] {
         self.labelled.by_placement.get(p.idx()).map_or(&[], Vec::as_slice)
     }
 
     /// Occurrence ids of every element labelled with the ER node type, in
     /// document order (all placements of the node in this color).
+    #[inline]
     pub fn of_node(&self, n: NodeId) -> &[OccId] {
         self.labelled.by_node.get(n.idx()).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether `anc` is a proper ancestor of `desc` (interval containment).
-    pub fn is_ancestor(&self, anc: OccId, desc: OccId) -> bool {
-        let a = self.occ(anc);
-        let d = self.occ(desc);
-        a.start < d.start && d.end <= a.end
-    }
-
     /// Occurrences of logical instance `(node, ordinal)`, in document order:
     /// two array loads.
+    #[inline]
     pub(crate) fn of_logical(&self, node: NodeId, ordinal: u32) -> &[OccId] {
         self.labelled.logical.get(node.idx()).map_or(&[], |rows| rows.row(ordinal))
     }

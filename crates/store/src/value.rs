@@ -181,6 +181,9 @@ impl Interner {
     /// *equal* to integer zero here, where `f64::total_cmp` would order it
     /// below `+0.0` (join keys already unify the two, so the index stays
     /// consistent with the hash-join path).
+    // always inlined into the index's range walk, whose constant `v` is
+    // loop-invariant: the match on its variant hoists out of the loop
+    #[inline(always)]
     pub fn key_value_cmp(&self, k: ValueKey, v: &Value) -> Ordering {
         match (k, v) {
             (ValueKey::Num(a), Value::Int(b)) => a.cmp(b),

@@ -30,8 +30,8 @@ use colorist::datagen::{generate, materialize, CanonicalInstance, ScaleProfile};
 use colorist::er::{catalog, Domain, EdgeId, ErGraph, NodeId};
 use colorist::query::{execute_update, PatternBuilder, UpdateAction, UpdateSpec};
 use colorist::store::{
-    BatchOp, BatchPosition, Database, ElementId, KernelDispatch, MemPages, PoolConfig, UpdateBatch,
-    Value,
+    BatchOp, BatchPosition, CmpOp, Database, ElementId, KernelDispatch, MemPages, PoolConfig,
+    Predicate, UpdateBatch, Value,
 };
 use colorist::workload::tpcw;
 
@@ -200,7 +200,7 @@ fn mixed_batch(
             parent: schema
                 .placement(placement)
                 .parent
-                .map(|(pp, _)| db.color(color).of_placement(pp)[0]),
+                .map(|(pp, _)| db.occurrence_at(pp).expect("a parent")),
         })
         .collect();
     let attrs: Vec<Value> = (g.node(item).attributes.iter())
@@ -301,9 +301,9 @@ fn run_sequence(
     let customer = node(g, "customer");
     for probe in [&db, &loaded] {
         for (e, a, v) in &writes {
-            let key = probe.join_key(v);
-            let hits = probe.value_index().matching(customer, *a, key);
-            assert!(hits.iter().any(|p| p.element == *e), "{}: probe {v}", ctx("round trip"));
+            let holding = Predicate { attr: *a, op: CmpOp::Eq, value: v.clone() };
+            let hits = probe.reader().select(customer, &holding).expect("a heap read");
+            assert!(hits.contains(e), "{}: probe {v}", ctx("round trip"));
             assert_eq!(probe.element(*e).attrs[*a], *v);
         }
     }

@@ -37,11 +37,9 @@ fn position_of(db: &Database, node: NodeId) -> BatchPosition {
         .flat_map(|c| db.schema.placements_of_in_color(node, c).into_iter().map(move |p| (c, p)))
         .find_map(|(color, placement)| match db.schema.placement(placement).parent {
             None => Some(BatchPosition { color, placement, parent: None }),
-            Some((pp, _)) => db.color(color).of_placement(pp).first().map(|&o| BatchPosition {
-                color,
-                placement,
-                parent: Some(o),
-            }),
+            Some((pp, _)) => {
+                db.occurrence_at(pp).map(|o| BatchPosition { color, placement, parent: Some(o) })
+            }
         })
         .expect("a placement that can take an occurrence")
 }
@@ -114,7 +112,7 @@ fn a_batch_insert_binds_its_canonical_once_per_color() {
         for &placement in &placements {
             let color = db.schema.placement(placement).color;
             let parent = (db.schema.placement(placement).parent)
-                .map(|(pp, _)| *db.color(color).of_placement(pp).first().expect("a parent"));
+                .map(|(pp, _)| db.occurrence_at(pp).expect("a parent"));
             batch.add_occurrence(new, BatchPosition { color, placement, parent });
         }
         let colors: std::collections::BTreeSet<_> =

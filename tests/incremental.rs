@@ -34,9 +34,10 @@ use colorist::query::{
     execute, execute_update, lower_update, optimize, Pattern, PatternBuilder, UpdateAction,
     UpdateSpec,
 };
+use colorist::store::database::{ColorTree, Occurrence};
 use colorist::store::{
-    BatchOp, BatchPosition, ColorTree, Database, ElementId, KernelDispatch, MemPages, OccId,
-    Occurrence, PoolConfig, UpdateBatch, Value,
+    BatchOp, BatchPosition, Database, ElementId, KernelDispatch, MemPages, OccId, PoolConfig,
+    UpdateBatch, Value,
 };
 use colorist::workload::tpcw;
 

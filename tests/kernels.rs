@@ -1,22 +1,18 @@
-//! Differential property tests for the PR-5 kernel families: the
-//! gallop-skipping structural joins against the stack-merge reference, and
-//! the index-accelerated scan/idref paths against the linear/hash
-//! reference, over random inputs. Randomness comes from the repository's
-//! own deterministic [`Rng`](colorist::datagen::Rng); build with
-//! `--features fuzz` to multiply the case count. The cross-strategy oracle
-//! additionally replays every CI seed under both kernel settings
-//! (`Database::set_reference_kernels`), so these properties and the oracle
-//! sweep cover the same contract from two directions.
+//! Differential property test for the kernel families through the public
+//! `execute`: the index-accelerated scan and idref paths against the
+//! linear and hash reference, over every tpcw read at growing scales. Build
+//! with `--features fuzz` to multiply the round count. The gallop ≡ merge
+//! property of the structural semi-join kernel, which the store keeps
+//! private, is a unit test of `colorist-store`'s join module. The
+//! cross-strategy oracle additionally replays every CI seed under both
+//! kernel settings (`Database::set_reference_kernels`), so these
+//! properties and the oracle sweep cover the same contract from two
+//! directions.
 
 use colorist::core::{design, Strategy};
-use colorist::datagen::{generate, materialize, Rng, ScaleProfile};
+use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
-use colorist::mct::ColorId;
 use colorist::query::{compile, execute};
-use colorist::store::{
-    structural_join, structural_join_merge, structural_semi_join, structural_semi_join_merge, Axis,
-    Metrics, SemiSide,
-};
 
 fn cases() -> u64 {
     if cfg!(feature = "fuzz") {
@@ -24,65 +20,6 @@ fn cases() -> u64 {
     } else {
         24
     }
-}
-
-/// Gallop dispatch is an implementation detail: for every (ancestor,
-/// descendant) subset pair — dense, sparse, and wildly asymmetric — the
-/// dispatching kernels return byte-identical output to the merge
-/// reference, on both axes, both keep sides, and bounded depths.
-#[test]
-fn gallop_kernels_match_merge_on_random_subsets() {
-    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
-    let schema = design(&g, Strategy::Af).expect("AF designs");
-    let inst = generate(&g, &ScaleProfile::tpcw(&g, 60), 7);
-    let db = materialize(&g, &schema, &inst);
-    let color = ColorId(0);
-    let pairs = [("country", "customer"), ("country", "order"), ("customer", "order")];
-
-    let mut gallop_engaged = 0usize;
-    for case in 0..cases() {
-        let mut rng = Rng::new(0xA11_CE5u64.wrapping_add(case));
-        let (anc_name, desc_name) = pairs[rng.below(pairs.len() as u64) as usize];
-        let anc_all = db.color(color).of_node(g.node_by_name(anc_name).unwrap());
-        let desc_all = db.color(color).of_node(g.node_by_name(desc_name).unwrap());
-        // subsets at three densities per side: keeping every occurrence,
-        // ~1/8, or ~1/64 — sparse-vs-dense pairs cross the dispatch ratio
-        let densities = [1u64, 8, 64];
-        let anc_den = densities[rng.below(3) as usize];
-        let desc_den = densities[rng.below(3) as usize];
-        let anc: Vec<_> = anc_all.iter().copied().filter(|_| rng.below(anc_den) == 0).collect();
-        let desc: Vec<_> = desc_all.iter().copied().filter(|_| rng.below(desc_den) == 0).collect();
-
-        for axis in [Axis::Child, Axis::Descendant] {
-            let mut ma = Metrics::default();
-            let mut mm = Metrics::default();
-            let auto = structural_join(&db, color, &anc, &desc, axis, &mut ma);
-            let merge = structural_join_merge(&db, color, &anc, &desc, axis, &mut mm);
-            assert_eq!(auto, merge, "case {case}: {anc_name}/{desc_name} {axis:?}");
-            if ma.elements_skipped > 0 {
-                gallop_engaged += 1;
-            }
-        }
-        for keep in [SemiSide::Ancestor, SemiSide::Descendant] {
-            for depth in [None, Some(1), Some(2)] {
-                let mut ma = Metrics::default();
-                let mut mm = Metrics::default();
-                let auto = structural_semi_join(&db, color, &anc, &desc, keep, depth, &mut ma);
-                let merge =
-                    structural_semi_join_merge(&db, color, &anc, &desc, keep, depth, &mut mm);
-                assert_eq!(
-                    auto, merge,
-                    "case {case}: {anc_name}/{desc_name} keep {keep:?} depth {depth:?}"
-                );
-                if ma.elements_skipped > 0 {
-                    gallop_engaged += 1;
-                }
-            }
-        }
-    }
-    // the sweep must actually cross the dispatch threshold, not pass
-    // vacuously on the merge path everywhere
-    assert!(gallop_engaged > 0, "no case engaged the gallop kernels");
 }
 
 /// Whole-plan differential: every tpcw read on every strategy returns the
