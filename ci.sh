@@ -14,6 +14,19 @@ cargo fmt --all --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "==> no cargo features: one build configuration"
+# Every setting nothing sets to a second value is a constant, and checking
+# code always runs: no workspace Cargo.toml declares a [features] table and
+# no source tests a feature, so the one build CI compiles is the one it runs.
+if grep -nE '^\[features\]' Cargo.toml crates/*/Cargo.toml; then
+    echo "a workspace Cargo.toml declares cargo features (see above)" >&2
+    exit 1
+fi
+if grep -rnE '\bcfg(_attr)?!?\(([^)]*[(, ])?feature *=' crates/ src/ tests/ examples/; then
+    echo "feature-gated code (see above)" >&2
+    exit 1
+fi
+
 echo "==> store read boundary: no store internals outside crates/store"
 # Queries read through the store's read interface (`colorist_store::read`:
 # `Reader`, `OccSet` and the cost estimators); the trees, postings, join
@@ -154,11 +167,11 @@ echo "==> perfgate: diff against committed baseline + optimizer-quality gate"
 # hardware is shared and noisy, and BENCHMARK.json is the authority for
 # time. The same diff enforces the optimizer-quality gate on both
 # documents: no query's gate sum may exceed its ratio-dispatch twin's,
-# and estimate-vs-measured drift must stay within the committed q-error
-# budget. Predicate estimates are exact counts read from the value index,
-# so the 8.0 budget now bounds the join estimates only.
+# and estimate-vs-measured drift must stay within the gate's constant
+# q-error budget of 8.0. Predicate estimates are exact counts read from the
+# value index, so the budget bounds the join estimates only.
 colorist gate --baseline results/bench_baseline.json \
-    --current results/bench_summary_ci.json --q-error-budget 8.0
+    --current results/bench_summary_ci.json
 rm -f results/bench_summary_ci.json results/trace_ci.json
 
 echo "==> table1 bench at --threads 1 and 4: worker count moves no gated number"
@@ -169,7 +182,7 @@ for threads in 1 4; do
     colorist table1 --scale 300 --seed 42 --threads "$threads" \
         --out "results/bench_summary_threads_ci.json" >/dev/null
     colorist gate --baseline results/bench_baseline.json \
-        --current results/bench_summary_threads_ci.json --q-error-budget 8.0
+        --current results/bench_summary_threads_ci.json
     rm -f results/bench_summary_threads_ci.json
 done
 
@@ -186,7 +199,7 @@ for pool in 16777216 65536; do
         --out results/bench_summary_paged_ci.json >/dev/null
     test -s results/bench_summary_paged_ci.json
     colorist gate --baseline "results/bench_baseline_paged_${pool}.json" \
-        --current results/bench_summary_paged_ci.json --q-error-budget 8.0
+        --current results/bench_summary_paged_ci.json
     rm -f results/bench_summary_paged_ci.json
 done
 
@@ -199,7 +212,7 @@ echo "==> table1 bench, file-backed paged backend (scale 300, 64 KiB pool)"
 colorist table1 --scale 300 --seed 42 --backend paged --pool-bytes 65536 \
     --out results/bench_summary_paged_file_ci.json >/dev/null
 colorist gate --baseline results/bench_baseline_paged_65536.json \
-    --current results/bench_summary_paged_file_ci.json --q-error-budget 8.0
+    --current results/bench_summary_paged_file_ci.json
 rm -f results/bench_summary_paged_file_ci.json
 
 echo "==> server smoke: colorist scale (scale-300-sized point, traced + gated)"

@@ -64,7 +64,7 @@ fn main() {
         micro::case(&format!("idref_semi/{customers}"), || {
             db.reader().idref_semi(&g, edge, true, &lines).unwrap()
         });
-        db.set_reference_kernels(true);
+        db.set_kernel_dispatch(KernelDispatch::Reference);
         micro::case(&format!("idref_semi_hash/{customers}"), || {
             db.reader().idref_semi(&g, edge, true, &lines).unwrap()
         });
@@ -122,7 +122,7 @@ fn main() {
         micro::case(&format!("scan_indexed_range/{customers}"), || {
             execute(&db, &g, &range_plan).unwrap()
         });
-        db.set_reference_kernels(true);
+        db.set_kernel_dispatch(KernelDispatch::Reference);
         micro::case(&format!("scan_linear_point/{customers}"), || {
             execute(&db, &g, &point_plan).unwrap()
         });

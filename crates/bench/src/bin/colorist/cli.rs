@@ -18,13 +18,12 @@ usage: colorist <subcommand> [flags]
   explain                   EXPLAIN ANALYZE catalog queries: [--diagram NAME] [--query QN]
                             [--strategy LABEL] [--static | --updates]
   scale                     query-service scale curves: [--scales N,N,...] [--workers N]
-                            [--clients N] [--rounds N] [--reads N] [--writes N]
-                            [--speedup-scale N] [--speedup-workers N]
+                            [--clients N] [--rounds N] [--speedup-scale N]
   oracle                    answer-equivalence oracle: [--seeds N | --batch-seeds N |
                             --replay SEED | --minimize SEED] [--start S] [--scale B] [--queries K]
   lint                      schema linter + plan verifier: [--seed N] [--scale B] [--queries K]
-  gate                      regression gate: [--scale] --baseline FILE --current FILE
-                            [--q-error-budget F] | --validate-trace FILE
+  gate                      regression gate: [--scale] --baseline FILE --current FILE |
+                            --validate-trace FILE
 
 run configuration, where the subcommand reads it:
   --scale N                          TPC-W customers (table1, figures, explain; default 300)

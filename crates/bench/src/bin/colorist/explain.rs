@@ -119,7 +119,7 @@ pub fn run(args: &Args, run: &RunConfig) {
             // only an executed run annotates it with cost estimates, read
             // from the database's exact extent and value-index counts, so
             // the estimate-vs-measured drift columns are populated
-            let mut plan = match compile(&g, &schema, q) {
+            let plan = match compile(&g, &schema, q) {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("colorist explain: {}/{s}: {e}", q.name);
@@ -127,7 +127,7 @@ pub fn run(args: &Args, run: &RunConfig) {
                 }
             };
             if let Some(db) = &db {
-                plan.costs = annotate_costs(db, &g, &plan);
+                let costs = annotate_costs(db, &g, &plan);
                 let (result, prof) = match execute_profiled(db, &g, &plan) {
                     Ok(r) => r,
                     Err(e) => {
@@ -135,7 +135,7 @@ pub fn run(args: &Args, run: &RunConfig) {
                         std::process::exit(1);
                     }
                 };
-                print!("{}", explain_analyze(&g, &plan, &result, &prof));
+                print!("{}", explain_analyze(&g, &plan, &costs, &result, &prof));
             } else {
                 print!("{}", explain(&g, &plan));
             }

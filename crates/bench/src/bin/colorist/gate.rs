@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! colorist gate --baseline results/bench_baseline.json \
-//!               --current  results/bench_summary.json \
-//!               [--q-error-budget 8.0]
+//!               --current  results/bench_summary.json
 //! colorist gate --validate-trace trace.json
 //! colorist gate --scale --baseline results/BENCH_scale.json --current ...
 //! ```
@@ -11,12 +10,14 @@
 //! `--scale` switches the diff to the `BENCH_scale.json` rules
 //! (identity fields exact, plan-cache counters op-gated). Wall-clock
 //! fields are never gated: `BENCHMARK.json` is the authority for time.
+//! The summary diff's q-error budget is the constant
+//! [`Q_ERROR_BUDGET`](colorist_bench::perfgate::Q_ERROR_BUDGET).
 //!
 //! Exit status: `0` pass, `1` regression (or invalid trace), `2` usage
 //! error / non-comparable documents.
 
 use crate::cli::{unknown, Argv};
-use colorist_bench::{compare, compare_scale, validate_trace, GateConfig};
+use colorist_bench::{compare, compare_scale, validate_trace};
 use colorist_trace::Json;
 use std::process::ExitCode;
 
@@ -28,7 +29,6 @@ pub struct Args {
     current: Option<String>,
     trace: Option<String>,
     scale_doc: bool,
-    cfg: GateConfig,
 }
 
 impl Args {
@@ -38,7 +38,6 @@ impl Args {
             "--current" => self.current = Some(args.value(flag)?),
             "--validate-trace" => self.trace = Some(args.value(flag)?),
             "--scale" => self.scale_doc = true,
-            "--q-error-budget" => self.cfg.q_error_budget = args.num(flag)?,
             _ => return Err(unknown(flag)),
         }
         Ok(())
@@ -82,7 +81,7 @@ pub fn run(args: &Args) -> ExitCode {
         if args.scale_doc {
             compare_scale(&base, &cur)
         } else {
-            compare(&base, &cur, &args.cfg)
+            compare(&base, &cur)
         }
     });
     let report = match diff {

@@ -21,12 +21,12 @@
 //!
 //! ```text
 //! colorist scale [--scales 1000,10000,100000,1000000] [--workers N]
-//!                [--clients 4] [--rounds 4] [--reads 64] [--writes 8]
-//!                [--speedup-scale 100000] [--speedup-workers 8]
+//!                [--clients 4] [--rounds 4] [--speedup-scale 100000]
 //!                [--out results/BENCH_scale.json] [--trace FILE]
 //! ```
 //!
-//! `--speedup-scale 0` skips the 1-vs-N-worker throughput comparison.
+//! Every round commits 8 writes and times 64 reads. `--speedup-scale 0`
+//! skips the 1-vs-8-worker throughput comparison.
 //! Worker *counters* are deterministic for any worker count; worker
 //! *speedup* is a property of the host's core count (a single-core CI
 //! box reports ≈1× regardless of the code), which is why the `speedup`
@@ -52,10 +52,7 @@ pub struct Args {
     workers: usize,
     clients: usize,
     rounds: u32,
-    reads_per_round: u32,
-    writes_per_round: u32,
     speedup_scale: u64,
-    speedup_workers: usize,
 }
 
 impl Default for Args {
@@ -65,10 +62,7 @@ impl Default for Args {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             clients: 4,
             rounds: 4,
-            reads_per_round: 64,
-            writes_per_round: 8,
             speedup_scale: 100_000,
-            speedup_workers: 8,
         }
     }
 }
@@ -86,15 +80,19 @@ impl Args {
             "--workers" => self.workers = args.num::<usize>(flag)?.max(1),
             "--clients" => self.clients = args.num::<usize>(flag)?.max(1),
             "--rounds" => self.rounds = args.num::<u32>(flag)?.max(1),
-            "--reads" => self.reads_per_round = args.num::<u32>(flag)?.max(1),
-            "--writes" => self.writes_per_round = args.num(flag)?,
             "--speedup-scale" => self.speedup_scale = args.num(flag)?,
-            "--speedup-workers" => self.speedup_workers = args.num::<usize>(flag)?.max(2),
             _ => return Err(unknown(flag)),
         }
         Ok(())
     }
 }
+
+/// Writes each round commits as one admission-batched burst.
+const WRITES_PER_ROUND: u32 = 8;
+/// Reads each round times, split round-robin over the clients.
+const READS_PER_ROUND: u32 = 64;
+/// Worker count of the speedup comparison's many-worker run.
+const SPEEDUP_WORKERS: usize = 8;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -185,9 +183,9 @@ fn run_cell(
     for round in 0..cfg.rounds {
         // write burst: admission-batched, group-committed by the flush
         let burst_start = Instant::now();
-        let pending: Vec<_> = (0..cfg.writes_per_round)
+        let pending: Vec<_> = (0..WRITES_PER_ROUND)
             .map(|k| {
-                let ordinal = (round * cfg.writes_per_round + k) % customers;
+                let ordinal = (round * WRITES_PER_ROUND + k) % customers;
                 let e = targets[ordinal as usize];
                 let mut b = UpdateBatch::new();
                 b.write_attr(e, 1, Value::Int((round as i64) << 16 | k as i64));
@@ -218,7 +216,7 @@ fn run_cell(
                     s.spawn(move || {
                         let mut out = Vec::new();
                         let mut i = t as u32;
-                        while i < cfg.reads_per_round {
+                        while i < READS_PER_ROUND {
                             let q = &patterns[i as usize % patterns.len()];
                             let begin = Instant::now();
                             let r = c.read(q).wait().expect("timed read serves");
@@ -253,7 +251,7 @@ fn run_cell(
     server.shutdown();
     latencies.sort_unstable();
     bursts.sort_unstable();
-    let timed_reads = cfg.rounds as u64 * cfg.reads_per_round as u64;
+    let timed_reads = cfg.rounds as u64 * READS_PER_ROUND as u64;
     Cell {
         strategy: strategy.label(),
         customers,
@@ -310,8 +308,8 @@ pub fn run(cfg: &Args, run: &RunConfig) {
         cfg.workers,
         cfg.clients,
         cfg.rounds,
-        cfg.reads_per_round,
-        cfg.writes_per_round,
+        READS_PER_ROUND,
+        WRITES_PER_ROUND,
         storage.label()
     );
 
@@ -329,8 +327,8 @@ pub fn run(cfg: &Args, run: &RunConfig) {
     let _ = writeln!(j, "  \"workers\": {},", cfg.workers);
     let _ = writeln!(j, "  \"clients\": {},", cfg.clients);
     let _ = writeln!(j, "  \"rounds\": {},", cfg.rounds);
-    let _ = writeln!(j, "  \"reads_per_round\": {},", cfg.reads_per_round);
-    let _ = writeln!(j, "  \"writes_per_round\": {},", cfg.writes_per_round);
+    let _ = writeln!(j, "  \"reads_per_round\": {READS_PER_ROUND},");
+    let _ = writeln!(j, "  \"writes_per_round\": {WRITES_PER_ROUND},");
     let _ = writeln!(j, "  \"scales\": [");
     for (si, &target) in cfg.scales.iter().enumerate() {
         let _ = writeln!(j, "    {{\"target_elements\": {target}, \"strategies\": [");
@@ -390,14 +388,14 @@ pub fn run(cfg: &Args, run: &RunConfig) {
             let (customers, db) = build(&g, strategy, fit, cfg.speedup_scale, run);
             run_cell(&g, db, &patterns, strategy, customers, cfg, workers).throughput_qps
         };
-        let (one, many) = (qps(1), qps(cfg.speedup_workers));
+        let (one, many) = (qps(1), qps(SPEEDUP_WORKERS));
         eprintln!(
             "colorist scale: speedup at {} elements ({}): 1 worker {one:.1} q/s, {} workers {many:.1} q/s => {:.2}x (ceiling = min(workers, cores) = {})",
             cfg.speedup_scale,
             strategy.label(),
-            cfg.speedup_workers,
+            SPEEDUP_WORKERS,
             many / one.max(1e-9),
-            cfg.speedup_workers
+            SPEEDUP_WORKERS
                 .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
         );
         let _ = writeln!(
@@ -408,7 +406,7 @@ pub fn run(cfg: &Args, run: &RunConfig) {
              \x20   \"host_cores\": {}}}",
             cfg.speedup_scale,
             strategy.label(),
-            cfg.speedup_workers,
+            SPEEDUP_WORKERS,
             many / one.max(1e-9),
             std::thread::available_parallelism().map_or(1, |n| n.get())
         );

@@ -48,7 +48,7 @@ pub mod micro;
 pub mod perfgate;
 pub mod summary;
 
-pub use perfgate::{compare, compare_scale, validate_trace, GateConfig, GateReport};
+pub use perfgate::{compare, compare_scale, validate_trace, GateReport};
 pub use summary::{bench_summary_json, write_bench_summary, SummaryMeta, SCHEMA_VERSION};
 
 /// One run's configuration: the `colorist` CLI's shared flags, parsed once

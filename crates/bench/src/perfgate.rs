@@ -23,7 +23,7 @@
 //!   crossover never loses to the fixed ratio — and where estimates are
 //!   recorded, the q-error
 //!   between estimated and measured gate sums must stay within
-//!   [`GateConfig::q_error_budget`].
+//!   [`Q_ERROR_BUDGET`].
 //!
 //! The module also hosts [`validate_trace`], the shape checker for
 //! chrome-trace documents emitted by `--trace`, and [`compare_scale`],
@@ -37,21 +37,11 @@ use colorist_store::Metrics;
 use colorist_trace::Json;
 use std::collections::BTreeMap;
 
-/// What the gate tolerates before failing.
-#[derive(Debug, Clone)]
-pub struct GateConfig {
-    /// Largest tolerated q-error (`max(est+1, meas+1) / min(est+1, meas+1)`)
-    /// between a query's estimated and measured gate sums. Predicate
-    /// estimates are exact index counts, so the budget bounds drift on the
-    /// join estimates only.
-    pub q_error_budget: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { q_error_budget: 8.0 }
-    }
-}
+/// Largest tolerated q-error (`max(est+1, meas+1) / min(est+1, meas+1)`)
+/// between a query's estimated and measured gate sums. Predicate
+/// estimates are exact index counts, so the budget bounds drift on the
+/// join estimates only.
+pub const Q_ERROR_BUDGET: f64 = 8.0;
 
 /// The gate's verdict: failures block, warnings inform.
 #[derive(Debug, Default)]
@@ -151,12 +141,12 @@ fn backend_class(backend: Option<&Json>) -> Option<&str> {
     backend.and_then(Json::as_str).map(|b| if b == "paged-mem" { "paged" } else { b })
 }
 
-/// Diff `current` against `baseline` under `cfg`.
+/// Diff `current` against `baseline`.
 ///
 /// `Err` means the documents are not comparable (wrong schema version,
 /// different bench/scale/seed, malformed JSON shape) — a usage error, not a
 /// regression. `Ok` carries the [`GateReport`].
-pub fn compare(baseline: &Json, current: &Json, cfg: &GateConfig) -> Result<GateReport, String> {
+pub fn compare(baseline: &Json, current: &Json) -> Result<GateReport, String> {
     for (doc, what) in [(baseline, "baseline"), (current, "current")] {
         let v = require_u64(doc, "schema_version", what)?;
         if v != SCHEMA_VERSION {
@@ -215,7 +205,7 @@ pub fn compare(baseline: &Json, current: &Json, cfg: &GateConfig) -> Result<Gate
     // (the committed baseline must satisfy its own gate, not just the run
     // under test)
     for (doc, what) in [(baseline, "baseline"), (current, "current")] {
-        optimizer_gate(doc, what, cfg, &mut report)?;
+        optimizer_gate(doc, what, &mut report)?;
     }
     Ok(report)
 }
@@ -260,8 +250,7 @@ fn scale_index<'a>(
     Ok(out)
 }
 
-/// Diff two `BENCH_scale.json` documents (emitted by `colorist scale`)
-/// under `cfg`.
+/// Diff two `BENCH_scale.json` documents (emitted by `colorist scale`).
 ///
 /// Identity fields (customers, elements, reads, writes, answers
 /// checksum, final epoch) must match exactly in both directions;
@@ -354,13 +343,8 @@ pub fn compare_scale(baseline: &Json, current: &Json) -> Result<GateReport, Stri
 ///   dispatch must not exceed the ratio-dispatch twin's `heur_*` sum;
 /// * **drift** — where a query records estimates (`est_*`), the q-error
 ///   between estimated and measured gate sums must stay within
-///   [`GateConfig::q_error_budget`].
-fn optimizer_gate(
-    doc: &Json,
-    what: &str,
-    cfg: &GateConfig,
-    report: &mut GateReport,
-) -> Result<(), String> {
+///   [`Q_ERROR_BUDGET`].
+fn optimizer_gate(doc: &Json, what: &str, report: &mut GateReport) -> Result<(), String> {
     for (label, queries) in index(doc, what)? {
         for (name, q) in queries {
             let ctx = format!("{what} {label}/{name}");
@@ -384,11 +368,10 @@ fn optimizer_gate(
                     .map(|f| require_u64(q, f, &ctx))
                     .sum::<Result<u64, _>>()?;
                 let q_err = colorist_query::q_error(est as f64, measured as f64);
-                if q_err > cfg.q_error_budget {
+                if q_err > Q_ERROR_BUDGET {
                     report.failures.push(format!(
-                        "{ctx}: estimate drift q-error {q_err:.2} exceeds budget {:.2} \
-                         (estimated gate sum {est}, measured {measured})",
-                        cfg.q_error_budget
+                        "{ctx}: estimate drift q-error {q_err:.2} exceeds budget \
+                         {Q_ERROR_BUDGET:.2} (estimated gate sum {est}, measured {measured})"
                     ));
                 }
             }
@@ -512,7 +495,7 @@ mod tests {
     fn identical_documents_pass() {
         let j = small_summary();
         let doc = Json::parse(&j).expect("summary parses");
-        let report = compare(&doc, &doc, &GateConfig::default()).expect("comparable");
+        let report = compare(&doc, &doc).expect("comparable");
         assert!(report.pass(), "{:?}", report.failures);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     }
@@ -528,8 +511,8 @@ mod tests {
                 Json::Obj(m) => {
                     for (k, v) in m.iter_mut() {
                         if k == "structural_joins" {
-                            if let Json::Num(n) = v {
-                                *n *= 2.0;
+                            if let Json::Int(n) = v {
+                                *n *= 2;
                             }
                         } else {
                             double(v);
@@ -541,7 +524,7 @@ mod tests {
             }
         }
         double(&mut cur);
-        let report = compare(&base, &cur, &GateConfig::default()).expect("comparable");
+        let report = compare(&base, &cur).expect("comparable");
         assert!(!report.pass());
         assert!(
             report.failures.iter().any(|f| f.contains("structural_joins regressed")),
@@ -549,7 +532,7 @@ mod tests {
             report.failures
         );
         // and the reverse direction is a warning, not a failure
-        let rev = compare(&cur, &base, &GateConfig::default()).expect("comparable");
+        let rev = compare(&cur, &base).expect("comparable");
         assert!(rev.pass(), "{:?}", rev.failures);
         assert!(rev.warnings.iter().any(|w| w.contains("improved")), "{:?}", rev.warnings);
     }
@@ -559,31 +542,16 @@ mod tests {
         let j = small_summary();
         let base = Json::parse(&j).expect("parses");
         // the real run passes its own optimizer gate
-        let clean = compare(&base, &base, &GateConfig::default()).expect("comparable");
+        let clean = compare(&base, &base).expect("comparable");
         assert!(clean.pass(), "{:?}", clean.failures);
 
         // shrink every heur_* counter to zero: the measured counters now
         // exceed the heuristic twin → domination failure
-        fn patch(j: &mut Json, key: &str, value: f64) {
-            match j {
-                Json::Obj(m) => {
-                    for (k, v) in m.iter_mut() {
-                        if k == key {
-                            *v = Json::Num(value);
-                        } else {
-                            patch(v, key, value);
-                        }
-                    }
-                }
-                Json::Arr(v) => v.iter_mut().for_each(|x| patch(x, key, value)),
-                _ => {}
-            }
-        }
         let mut lost = base.clone();
         for key in ["heur_scanned", "heur_probes", "heur_bytes"] {
-            patch(&mut lost, key, 0.0);
+            patch_num(&mut lost, key, 0);
         }
-        let report = compare(&lost, &lost, &GateConfig::default()).expect("comparable");
+        let report = compare(&lost, &lost).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("exceeds heuristic")),
             "{:?}",
@@ -593,27 +561,23 @@ mod tests {
         // inflate every estimate far past the measured gate sum → the
         // q-error drift gate trips
         let mut drifted = base.clone();
-        patch(&mut drifted, "est_scanned", 1e12);
-        let report = compare(&drifted, &drifted, &GateConfig::default()).expect("comparable");
+        patch_num(&mut drifted, "est_scanned", 1_000_000_000_000);
+        let report = compare(&drifted, &drifted).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("estimate drift")),
             "{:?}",
             report.failures
         );
-        // a generous budget accepts the same drift
-        let lax = GateConfig { q_error_budget: f64::INFINITY };
-        let report = compare(&drifted, &drifted, &lax).expect("comparable");
-        assert!(!report.failures.iter().any(|f| f.contains("estimate drift")));
     }
 
     #[test]
     fn meta_mismatch_is_a_usage_error() {
         let base = Json::parse(&small_summary()).expect("parses");
-        let cur = with_meta(&base, "seed", Json::Num(999.0));
-        assert!(compare(&base, &cur, &GateConfig::default()).is_err());
+        let cur = with_meta(&base, "seed", Json::Int(999));
+        assert!(compare(&base, &cur).is_err());
         // wrong schema version too
-        let old = with_meta(&base, "schema_version", Json::Num(1.0));
-        assert!(compare(&old, &base, &GateConfig::default()).is_err());
+        let old = with_meta(&base, "schema_version", Json::Int(1));
+        assert!(compare(&old, &base).is_err());
     }
 
     /// `doc` with its top-level `key` set to `value`.
@@ -631,16 +595,17 @@ mod tests {
         let backend = |b: &str| Json::Str(b.to_string());
         let paged_mem = with_meta(&base, "backend", backend("paged-mem"));
         let paged = with_meta(&base, "backend", backend("paged"));
-        let report = compare(&paged_mem, &paged, &GateConfig::default()).expect("comparable");
+        let report = compare(&paged_mem, &paged).expect("comparable");
         assert!(report.failures.is_empty() && report.warnings.is_empty());
-        assert!(compare(&paged, &paged_mem, &GateConfig::default()).is_ok());
+        assert!(compare(&paged, &paged_mem).is_ok());
         // the heap is another class, and the pool budget still has to match
-        assert!(compare(&base, &paged, &GateConfig::default()).is_err());
-        let starved = with_meta(&paged, "pool_bytes", Json::Num(65536.0));
-        assert!(compare(&paged_mem, &starved, &GateConfig::default()).is_err());
+        assert!(compare(&base, &paged).is_err());
+        let starved = with_meta(&paged, "pool_bytes", Json::Int(65536));
+        assert!(compare(&paged_mem, &starved).is_err());
     }
 
-    fn small_scale_doc() -> Json {
+    /// A one-cell scale document whose answers checksum is `checksum`.
+    fn scale_doc(checksum: u64) -> Json {
         let text = format!(
             r#"{{"schema_version": {SCHEMA_VERSION}, "bench": "scale", "seed": 42,
             "backend": "mem", "workers": 2, "clients": 2, "rounds": 4,
@@ -648,7 +613,7 @@ mod tests {
             "scales": [
               {{"target_elements": 1000, "strategies": [
                 {{"strategy": "DR", "customers": 70, "elements": 1006,
-                  "reads": 64, "writes": 8, "answers_checksum": 12345,
+                  "reads": 64, "writes": 8, "answers_checksum": {checksum},
                   "final_epoch": 8, "plan_cache_hits": 60,
                   "plan_cache_misses": 12, "plan_cache_evictions": 0,
                   "throughput_qps": 1000.0, "p50_us": 10.0, "p99_us": 50.0,
@@ -662,12 +627,13 @@ mod tests {
         Json::parse(&text).expect("scale doc parses")
     }
 
-    fn patch_num(j: &mut Json, key: &str, value: f64) {
+    /// Set every member named `key`, at any depth of `j`, to `value`.
+    fn patch_num(j: &mut Json, key: &str, value: u64) {
         match j {
             Json::Obj(m) => {
                 for (k, v) in m.iter_mut() {
                     if k == key {
-                        *v = Json::Num(value);
+                        *v = Json::Int(value);
                     } else {
                         patch_num(v, key, value);
                     }
@@ -680,7 +646,7 @@ mod tests {
 
     #[test]
     fn scale_gate_passes_identical_and_fails_identity_drift() {
-        let doc = small_scale_doc();
+        let doc = scale_doc(12345);
         let clean = compare_scale(&doc, &doc).expect("comparable");
         assert!(clean.pass(), "{:?}", clean.failures);
         assert!(clean.warnings.is_empty(), "{:?}", clean.warnings);
@@ -688,7 +654,7 @@ mod tests {
         // identity fields fail in BOTH directions: a changed answers
         // checksum means the runs computed different answers
         let mut cur = doc.clone();
-        patch_num(&mut cur, "answers_checksum", 99999.0);
+        patch_num(&mut cur, "answers_checksum", 99999);
         for (b, c) in [(&doc, &cur), (&cur, &doc)] {
             let report = compare_scale(b, c).expect("comparable");
             assert!(
@@ -699,12 +665,26 @@ mod tests {
         }
     }
 
+    /// Checksums are 64-bit: two documents whose checksums differ by 1
+    /// above 2^53, where an `f64` would read both as one value, differ to
+    /// the gate.
+    #[test]
+    fn scale_gate_compares_checksums_exactly() {
+        let (a, b) = (scale_doc(3141572457772021011), scale_doc(3141572457772021012));
+        let report = compare_scale(&a, &b).expect("comparable");
+        assert!(
+            report.failures.iter().any(|f| f.contains("answers_checksum changed")),
+            "{:?}",
+            report.failures
+        );
+    }
+
     #[test]
     fn scale_gate_op_rules_for_cache_counters() {
-        let doc = small_scale_doc();
+        let doc = scale_doc(12345);
         // more misses = regression; fewer = warning
         let mut missy = doc.clone();
-        patch_num(&mut missy, "plan_cache_misses", 40.0);
+        patch_num(&mut missy, "plan_cache_misses", 40);
         let report = compare_scale(&doc, &missy).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("plan_cache_misses regressed")),
@@ -717,7 +697,7 @@ mod tests {
 
         // fewer hits is the hit-count regression direction
         let mut cold = doc.clone();
-        patch_num(&mut cold, "plan_cache_hits", 1.0);
+        patch_num(&mut cold, "plan_cache_hits", 1);
         let report = compare_scale(&doc, &cold).expect("comparable");
         assert!(
             report.failures.iter().any(|f| f.contains("plan_cache_hits regressed")),
@@ -727,15 +707,15 @@ mod tests {
 
         // throughput and latency are the host's business, not the gate's
         let mut slow = doc.clone();
-        patch_num(&mut slow, "throughput_qps", 100.0);
-        patch_num(&mut slow, "p99_us", 5000.0);
+        patch_num(&mut slow, "throughput_qps", 100);
+        patch_num(&mut slow, "p99_us", 5000);
         let report = compare_scale(&doc, &slow).expect("comparable");
         assert!(report.pass() && report.warnings.is_empty(), "{report:?}");
 
         // meta mismatch is a usage error, and a plain bench summary is not
         // a scale document
         let mut other = doc.clone();
-        patch_num(&mut other, "workers", 16.0);
+        patch_num(&mut other, "workers", 16);
         assert!(compare_scale(&doc, &other).is_err());
         let summary = Json::parse(&small_summary()).expect("parses");
         assert!(compare_scale(&summary, &summary).is_err());

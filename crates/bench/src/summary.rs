@@ -104,17 +104,7 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
                 QueryKind::Read => "read",
                 QueryKind::Update => "update",
             };
-            let m = &q.metrics;
-            // The ratio-dispatch twin (the same plan under the fixed gallop
-            // ratio) runs every query; a missing twin (never produced by
-            // the suite today) degrades to the measured counters so the
-            // domination gate trivially holds.
-            let (hs, hp, hb) = q
-                .heuristic
-                .as_ref()
-                .map_or((m.elements_scanned, m.join_probes, m.bytes_touched), |h| {
-                    (h.elements_scanned, h.join_probes, h.bytes_touched)
-                });
+            let (m, h) = (&q.metrics, &q.heuristic);
             let _ = write!(
                 j,
                 "        {{\"name\": \"{}\", \"kind\": \"{kind}\", \
@@ -127,8 +117,13 @@ pub fn bench_summary_json(meta: &SummaryMeta, results: &[SuiteResult]) -> String
             for (key, value) in record_counters(m) {
                 let _ = write!(j, ", \"{key}\": {value}");
             }
-            let _ =
-                write!(j, ", \"heur_scanned\": {hs}, \"heur_probes\": {hp}, \"heur_bytes\": {hb}");
+            // the ratio-dispatch twin: the same plan under the fixed
+            // gallop ratio
+            let _ = write!(
+                j,
+                ", \"heur_scanned\": {}, \"heur_probes\": {}, \"heur_bytes\": {}",
+                h.elements_scanned, h.join_probes, h.bytes_touched
+            );
             if let Some(est) = &q.est {
                 let _ = write!(
                     j,

@@ -610,7 +610,6 @@ mod tests {
             reg_count,
             metrics: Metrics::default(),
             charges: Vec::new(),
-            costs: Vec::new(),
         };
         let scan = Op::Scan { dst: 0, color: ColorId(0), node: country, pred: None };
         let struct_semi = |color| Op::StructSemi {

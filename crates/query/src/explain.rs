@@ -12,7 +12,7 @@
 
 use crate::exec::{op_kind, OpProfile, QueryResult};
 use crate::pattern::CmpOp;
-use crate::plan::{Op, Plan, VDir};
+use crate::plan::{CostEst, Op, Plan, VDir};
 use colorist_er::ErGraph;
 use colorist_mct::color_name;
 use colorist_store::Metrics;
@@ -173,13 +173,15 @@ pub fn q_error(est: f64, measured: f64) -> f64 {
 /// in/out, elements scanned, join probes, bytes touched, and wall time.
 /// Rows where the measured operation counts drift from the static
 /// prediction are flagged `<< DRIFT`; the trailer reconciles the per-op
-/// deltas against the query's top-level totals. Cost-annotated plans (the
-/// optimizer's output) additionally show each operator's estimated rows
-/// and counter charges with the per-op q-error, plus a trailer comparing
-/// the predicted and measured gate sums.
+/// deltas against the query's top-level totals. Given `costs` — the
+/// per-op estimates of [`annotate_costs`](crate::optimize::annotate_costs),
+/// or empty — each row also shows its operator's estimated rows and
+/// counter charges with the per-op q-error, and a trailer compares the
+/// predicted and measured gate sums.
 pub fn explain_analyze(
     graph: &ErGraph,
     plan: &Plan,
+    costs: &[CostEst],
     result: &QueryResult,
     profile: &[OpProfile],
 ) -> String {
@@ -220,7 +222,7 @@ pub fn explain_analyze(
             }
         }
         let _ = write!(line, " {:.1}µs", p.elapsed.as_secs_f64() * 1e6);
-        if let Some(c) = plan.costs.get(p.op).filter(|c| c.op == p.op) {
+        if let Some(c) = costs.get(p.op) {
             // the cost annotation's prediction for this operator, in the
             // same units as the measured counters above
             let _ = write!(
@@ -240,8 +242,8 @@ pub fn explain_analyze(
         }
         let _ = writeln!(s, "{}  [{}]", line, op_kind(op));
     }
-    if !plan.costs.is_empty() {
-        let est: f64 = plan.costs.iter().map(|c| c.gate_sum()).sum();
+    if !costs.is_empty() {
+        let est: f64 = costs.iter().map(|c| c.gate_sum()).sum();
         let meas = (result.metrics.elements_scanned
             + result.metrics.join_probes
             + result.metrics.bytes_touched) as f64;
@@ -363,7 +365,7 @@ mod tests {
                 .unwrap();
             let plan = compile(&g, &schema, &q1).unwrap();
             let (result, profile) = execute_profiled(&db, &g, &plan).unwrap();
-            let text = explain_analyze(&g, &plan, &result, &profile);
+            let text = explain_analyze(&g, &plan, &[], &result, &profile);
             assert!(text.contains("EXPLAIN ANALYZE Q1"), "{text}");
             assert!(text.contains("per-op deltas sum exactly"), "{text}");
             assert!(!text.contains("DRIFT"), "{text}");
@@ -391,10 +393,10 @@ mod tests {
             .output(1)
             .build()
             .unwrap();
-        let mut plan = crate::optimize::optimize(&db, &g, &q1).unwrap();
-        plan.costs = crate::optimize::annotate_costs(&db, &g, &plan);
+        let plan = crate::optimize::optimize(&db, &g, &q1).unwrap();
+        let costs = crate::optimize::annotate_costs(&db, &g, &plan);
         let (result, profile) = execute_profiled(&db, &g, &plan).unwrap();
-        let text = explain_analyze(&g, &plan, &result, &profile);
+        let text = explain_analyze(&g, &plan, &costs, &result, &profile);
         assert!(text.contains("~est rows"), "{text}");
         assert!(text.contains("estimates: gate sum"), "{text}");
         assert!(!text.contains("DRIFT"), "{text}");

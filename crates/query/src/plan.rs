@@ -175,9 +175,7 @@ pub struct Charge {
 /// The physical kernel the optimizer predicts an operator will run on.
 ///
 /// Recorded in [`CostEst::kernel`] so `explain_analyze` can show which
-/// dispatch decision each estimate backed, and so the static verifier can
-/// reject annotations whose kernel is inapplicable to the annotated
-/// operator kind (`P010`).
+/// dispatch decision each estimate backed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
     /// No kernel alternative exists for this operator (Cross, Intersect,
@@ -199,14 +197,12 @@ pub enum KernelChoice {
     ReverseProbe,
 }
 
-/// The optimizer's per-operator cost estimate, in the same units as the
-/// deterministic runtime counters so estimate-vs-measured drift is directly
-/// comparable. An empty [`Plan::costs`] means the plan was built by the
-/// heuristic compiler and carries no estimates.
+/// One operator's cost estimate, in the same units as the deterministic
+/// runtime counters so estimate-vs-measured drift is directly comparable.
+/// `annotate_costs` returns one per [`Plan::ops`] entry, in op order; a
+/// plan itself carries none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostEst {
-    /// Index into [`Plan::ops`] of the annotated operator.
-    pub op: usize,
     /// Estimated output cardinality (rows in the destination register).
     pub rows: f64,
     /// Estimated `elements_scanned` charged by this operator.
@@ -249,16 +245,12 @@ pub struct Plan {
     /// Completeness charges recorded by the compiler, exactly one per
     /// `StructSemi`, each anchored at its run's top placement.
     pub charges: Vec<Charge>,
-    /// The optimizer's per-operator cost estimates, one per op in op
-    /// order, or empty for heuristic plans. Audited by `P010`.
-    pub costs: Vec<CostEst>,
 }
 
 impl Plan {
     /// Construct a plan from its IR, deriving the recorded static metrics
-    /// from the operator list (so `P008` holds by construction) and leaving
-    /// the cost annotations empty. The compiler and optimizer both build
-    /// plans through here; the optimizer then fills [`Plan::costs`].
+    /// from the operator list (so `P008` holds by construction). The
+    /// compiler builds every plan through here.
     pub fn new(
         name: String,
         strategy: String,
@@ -267,16 +259,8 @@ impl Plan {
         reg_count: usize,
         charges: Vec<Charge>,
     ) -> Plan {
-        let mut plan = Plan {
-            name,
-            strategy,
-            ops,
-            output,
-            reg_count,
-            metrics: Metrics::default(),
-            charges,
-            costs: Vec::new(),
-        };
+        let mut plan =
+            Plan { name, strategy, ops, output, reg_count, metrics: Metrics::default(), charges };
         plan.metrics = plan.static_metrics();
         plan
     }
@@ -369,7 +353,6 @@ mod tests {
             reg_count: 7,
             metrics: Metrics::default(),
             charges: Vec::new(),
-            costs: Vec::new(),
         };
         plan.metrics = plan.static_metrics();
         let m = plan.static_metrics();

@@ -23,7 +23,6 @@
 //! | P007 | completeness charges are present, unique, and anchored at a run's terminating (top) placement — the §4.2 top-up rule (the seed-231 bug class) |
 //! | P008 | the plan's recorded [`Metrics`](colorist_store::Metrics) equal the counts re-derived from the IR |
 //! | P009 | plan header well-formedness: the output register exists and is defined |
-//! | P010 | cost annotations, when present, cover every op exactly once in order, with finite non-negative estimates and a kernel applicable to the annotated operator kind |
 //!
 //! The pass is wired three ways: a `debug_assert!` in
 //! [`compile`](crate::compile::compile) (every compiled plan is verified in
@@ -40,7 +39,7 @@ use std::fmt;
 /// One diagnostic produced by the static plan verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanDiag {
-    /// Stable diagnostic code (`P001`..`P010`).
+    /// Stable diagnostic code (`P001`..`P009`).
     pub code: &'static str,
     /// Index of the offending op in [`Plan::ops`], when attributable.
     pub op: Option<usize>,
@@ -257,90 +256,7 @@ impl<'a> Verifier<'a> {
         }
 
         self.audit_charges(plan);
-        self.audit_costs(plan);
         (self.diags, trace)
-    }
-
-    /// `P010`: a cost-annotated plan (the optimizer's output) must carry
-    /// exactly one estimate per operator, in op order, each finite,
-    /// non-negative, and predicting a kernel the annotated operator can
-    /// actually dispatch to. Unannotated plans (empty `costs`, which is
-    /// what the compiler emits) pass vacuously.
-    fn audit_costs(&mut self, plan: &Plan) {
-        use crate::plan::KernelChoice;
-        if plan.costs.is_empty() {
-            return;
-        }
-        if plan.costs.len() != plan.ops.len() {
-            self.diag(
-                "P010",
-                None,
-                format!(
-                    "plan carries {} cost annotations for {} ops",
-                    plan.costs.len(),
-                    plan.ops.len()
-                ),
-            );
-            return;
-        }
-        for (i, c) in plan.costs.iter().enumerate() {
-            if c.op != i {
-                self.diag(
-                    "P010",
-                    Some(i),
-                    format!("cost annotation #{i} targets op {}, expected {i}", c.op),
-                );
-                continue;
-            }
-            for (label, v) in [
-                ("rows", c.rows),
-                ("scanned", c.scanned),
-                ("probes", c.probes),
-                ("bytes", c.bytes),
-                ("index_lookups", c.index_lookups),
-            ] {
-                if !v.is_finite() || v < 0.0 {
-                    self.diag(
-                        "P010",
-                        Some(i),
-                        format!("cost annotation has non-finite or negative `{label}` ({v})"),
-                    );
-                }
-            }
-            let applicable = match &plan.ops[i] {
-                Op::Scan { pred, .. } => match c.kernel {
-                    KernelChoice::Default | KernelChoice::LinearScan => true,
-                    KernelChoice::IndexProbe => pred.is_some(),
-                    _ => false,
-                },
-                Op::StructSemi { .. } => matches!(
-                    c.kernel,
-                    KernelChoice::Default | KernelChoice::Merge | KernelChoice::Gallop
-                ),
-                Op::ValueSemi { .. } => matches!(
-                    c.kernel,
-                    KernelChoice::Default
-                        | KernelChoice::HashJoin
-                        | KernelChoice::OrdinalProbe
-                        | KernelChoice::ReverseProbe
-                ),
-                Op::LinkSemi { .. }
-                | Op::Cross { .. }
-                | Op::Intersect { .. }
-                | Op::Distinct { .. }
-                | Op::GroupBy { .. } => c.kernel == KernelChoice::Default,
-            };
-            if !applicable {
-                self.diag(
-                    "P010",
-                    Some(i),
-                    format!(
-                        "cost annotation predicts kernel {:?}, inapplicable to this operator",
-                        c.kernel
-                    ),
-                );
-            }
-        }
     }
 
     /// `P007`: every `StructSemi` carries exactly one completeness charge,

@@ -39,9 +39,8 @@
 //!   worker count. `queue_wait_ns` (and `elapsed`) are wall-clock
 //!   derived and machine-dependent.
 //!
-//! The optional Unix-domain-socket front end lives behind the `uds`
-//! feature (the `uds` module); the in-process [`Client`] API is the
-//! primary surface.
+//! On Unix, the `uds` module adds a Unix-domain-socket front end; the
+//! in-process [`Client`] API is the primary surface.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -55,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-#[cfg(all(unix, feature = "uds"))]
+#[cfg(unix)]
 pub mod uds;
 
 /// Server construction parameters; see [`ServerConfig::default`].
@@ -69,17 +68,11 @@ pub struct ServerConfig {
     /// its barrier regardless). Larger values put more batches under one
     /// staged version.
     pub admit_max: usize,
-    /// Total prepared-plan cache capacity, in plans.
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 1,
-            admit_max: 32,
-            plan_cache_capacity: colorist_query::cache::DEFAULT_CAPACITY,
-        }
+        ServerConfig { workers: 1, admit_max: 32 }
     }
 }
 
@@ -347,7 +340,7 @@ impl Server {
             db: Mutex::new(db),
             snap: Mutex::new(snap),
             retired: Mutex::new(Vec::new()),
-            cache: PlanCache::new(config.plan_cache_capacity),
+            cache: PlanCache::default(),
             admit_max: config.admit_max.max(1) as u64,
             worker_metrics: (0..workers).map(|_| Mutex::new(Metrics::default())).collect(),
         });
@@ -874,7 +867,7 @@ mod tests {
         assert_eq!(c.flush().wait().unwrap_err(), ServerError::Stopped);
     }
 
-    #[cfg(all(unix, feature = "uds"))]
+    #[cfg(unix)]
     #[test]
     fn uds_front_end_serves_registered_queries() {
         use std::io::{BufRead, BufReader, Write};

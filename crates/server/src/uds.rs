@@ -1,4 +1,4 @@
-//! Unix-domain-socket front end (feature `uds`, DESIGN.md §15.6).
+//! Unix-domain-socket front end (DESIGN.md §15.6).
 //!
 //! A deliberately minimal line protocol over `std::os::unix::net` — the
 //! in-process [`Client`] API is the primary surface, and

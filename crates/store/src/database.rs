@@ -321,22 +321,16 @@ impl Database {
         self.dispatch == KernelDispatch::Reference
     }
 
-    /// Pin (or unpin) execution to the reference kernels. Plans do not
-    /// depend on the mode, so a reference differential compares exactly
-    /// one variable — the kernels. Unpinning restores the cost-model
-    /// default.
-    pub fn set_reference_kernels(&mut self, on: bool) {
-        self.dispatch = if on { KernelDispatch::Reference } else { KernelDispatch::CostModel };
-    }
-
     /// The kernel-dispatch mode.
     pub fn kernel_dispatch(&self) -> KernelDispatch {
         self.dispatch
     }
 
-    /// Set the kernel-dispatch mode directly — e.g.
-    /// [`KernelDispatch::Ratio`] for a fixed-ratio gallop differential
-    /// against the cost-model default.
+    /// Set the kernel-dispatch mode: [`KernelDispatch::Reference`] pins
+    /// the reference kernels, [`KernelDispatch::Ratio`] the fixed-ratio
+    /// gallop crossover, [`KernelDispatch::CostModel`] restores the
+    /// default. Plans do not depend on the mode, so a differential
+    /// compares exactly one variable — the kernels.
     pub fn set_kernel_dispatch(&mut self, dispatch: KernelDispatch) {
         self.dispatch = dispatch;
     }

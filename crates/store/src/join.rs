@@ -403,7 +403,7 @@ pub fn kmerge_sorted<'a>(lists: &[&'a [OccId]]) -> Cow<'a, [OccId]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DatabaseBuilder;
+    use crate::database::{DatabaseBuilder, KernelDispatch};
     use crate::value::Value;
     use colorist_er::{Attribute, ErDiagram, ErGraph};
 
@@ -764,14 +764,14 @@ mod tests {
             "gallop scans less than the merge walk"
         );
 
-        db.set_reference_kernels(true);
+        db.set_kernel_dispatch(KernelDispatch::Reference);
         let mut ref_m = Metrics::default();
         let ref_out =
             structural_semi_join(&db, c, &one_a, &all_b, SemiSide::Descendant, None, &mut ref_m);
         assert_eq!(ref_out, out, "pinning the reference path never changes answers");
         assert_eq!(ref_m.elements_skipped, 0, "merge skips nothing");
         assert_eq!(ref_m.elements_scanned, (one_a.len() + all_b.len()) as u64);
-        db.set_reference_kernels(false);
+        db.set_kernel_dispatch(KernelDispatch::CostModel);
 
         // balanced sides stay on the merge even unpinned
         let mut bal_m = Metrics::default();

@@ -4,8 +4,10 @@
 //! need to *read* JSON the workspace itself wrote: `colorist-perfgate`
 //! (diffing `bench_summary.json` documents) and trace validation
 //! (round-tripping the chrome-trace export). This is a strict, small
-//! recursive-descent parser for exactly that job — standard JSON, numbers
-//! as `f64`, objects as ordered key/value vectors. It is not a general
+//! recursive-descent parser for exactly that job — standard JSON,
+//! unsigned integer literals as exact `u64` (64-bit counters and
+//! checksums), other numbers as `f64`, objects as ordered key/value
+//! vectors. It is not a general
 //! serde replacement and does not aim to be.
 
 /// A parsed JSON value.
@@ -15,7 +17,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as `f64`.
+    /// An integer literal without sign, fraction or exponent that fits a
+    /// `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number, as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -47,20 +52,23 @@ impl Json {
         }
     }
 
-    /// The number, if this is a number.
+    /// The number, if this is a number (an [`Json::Int`] above 2^53
+    /// rounds to the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The number as an exact non-negative integer, if it is one.
+    /// The number as an exact non-negative integer, if it is one: an
+    /// integer literal as written, or an integral `f64` up to 2^53.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= EXACT => Some(*n as u64),
             _ => None,
         }
     }
@@ -269,6 +277,9 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.b[start..self.i]).expect("ascii number");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err("malformed number"))
     }
 }
@@ -304,7 +315,19 @@ mod tests {
     #[test]
     fn as_u64_is_exact() {
         assert_eq!(Json::parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(Json::parse("7.0").unwrap().as_u64(), Some(7));
         assert_eq!(Json::parse("7.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-7").unwrap().as_u64(), None);
+        // beyond 2^53 an f64 cannot hold every integer: literals stay exact
+        let big = (1u64 << 53) + 1;
+        let doc = Json::parse(&format!("[{big}, {}, {}]", u64::MAX, u64::MAX as u128 + 1)).unwrap();
+        let arr = doc.as_arr().unwrap();
+        assert_eq!(arr[0].as_u64(), Some(big));
+        assert_eq!(arr[0].as_f64(), Some(big as f64));
+        assert_eq!(arr[1].as_u64(), Some(u64::MAX));
+        assert_eq!(arr[2].as_u64(), None, "past u64::MAX is an f64");
+        assert_eq!(arr[2].as_f64(), Some(2f64.powi(64)));
+        assert_eq!(Json::parse("3141572457772021011").unwrap().as_u64(), Some(3141572457772021011));
+        assert_eq!(Json::parse("1e300").unwrap().as_u64(), None);
     }
 }

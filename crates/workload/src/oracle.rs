@@ -22,7 +22,7 @@
 //!    (runtime operation counters must equal the plan's static counts,
 //!    physical counts never undercount logical ones), and
 //! 6. re-executes every query with the reference kernels pinned
-//!    ([`Database::set_reference_kernels`]) and asserts the
+//!    ([`KernelDispatch::Reference`]) and asserts the
 //!    index-accelerated and gallop-skipping paths return identical
 //!    answers, so every CI seed differentially tests both kernel
 //!    families.
@@ -45,13 +45,20 @@ use colorist_query::{
     compile, execute, execute_snapshot, verify_plan, CmpOp, Pattern, PatternBuilder, Plan,
     QueryResult,
 };
-use colorist_store::{Database, Storage, UpdateBatch, Value};
+use colorist_store::{Database, KernelDispatch, Storage, UpdateBatch, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Stream-splitting constant: keeps oracle randomness decorrelated from
 /// the property tests, which seed the same PRNG with small offsets.
 const ORACLE_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Maximum entity count of a random diagram (minimum is 2).
+const MAX_ENTITIES: u64 = 5;
+/// Maximum relationship count of a random diagram (minimum is 1).
+const MAX_RELS: u64 = 7;
+/// Maximum association length considered when picking chain queries.
+const MAX_CHAIN: usize = 6;
 
 /// Bounds and knobs of one oracle run. The defaults keep a seed cheap
 /// enough for hundreds per second of CPU budget.
@@ -61,12 +68,6 @@ pub struct OracleConfig {
     pub scale: u32,
     /// Queries generated per seed.
     pub queries: usize,
-    /// Maximum entity count of a random diagram (minimum is 2).
-    pub max_entities: usize,
-    /// Maximum relationship count of a random diagram (minimum is 1).
-    pub max_rels: usize,
-    /// Maximum association length considered when picking chain queries.
-    pub max_chain: usize,
     /// Storage every strategy's database is attached to, so the sweep also
     /// exercises the paged backend's flush/reload-path accounting.
     pub storage: Storage,
@@ -74,14 +75,7 @@ pub struct OracleConfig {
 
 impl Default for OracleConfig {
     fn default() -> Self {
-        OracleConfig {
-            scale: 20,
-            queries: 6,
-            max_entities: 5,
-            max_rels: 7,
-            max_chain: 6,
-            storage: Storage::Heap,
-        }
+        OracleConfig { scale: 20, queries: 6, storage: Storage::Heap }
     }
 }
 
@@ -161,14 +155,14 @@ impl fmt::Display for OracleReport {
     }
 }
 
-/// A random simplified ER diagram: `2..=max_entities` entities (key, text
-/// label, integer measure), `1..=max_rels` binary relationships with
+/// A random simplified ER diagram: `2..=MAX_ENTITIES` entities (key, text
+/// label, integer measure), `1..=MAX_RELS` binary relationships with
 /// random cardinalities, participation, roles, and an occasional
 /// relationship attribute. Recursive relationships (both endpoints the
 /// same entity) arise naturally.
-pub fn arb_diagram(rng: &mut Rng, cfg: &OracleConfig) -> ErDiagram {
-    let n = 2 + rng.below(cfg.max_entities.saturating_sub(1).max(1) as u64) as usize;
-    let n_rels = 1 + rng.below(cfg.max_rels.max(1) as u64) as usize;
+pub fn arb_diagram(rng: &mut Rng) -> ErDiagram {
+    let n = 2 + rng.below(MAX_ENTITIES - 1) as usize;
+    let n_rels = 1 + rng.below(MAX_RELS) as usize;
     let mut d = ErDiagram::new("oracle");
     for i in 0..n {
         d.add_entity(
@@ -224,7 +218,7 @@ fn via_names(g: &ErGraph, a: &colorist_er::Association, flip: bool) -> Vec<Strin
 /// random direction, so both descents and ascents), star patterns,
 /// distinct, and group-by. Deterministic in `rng`.
 pub fn arb_queries(g: &ErGraph, rng: &mut Rng, cfg: &OracleConfig) -> Vec<Pattern> {
-    let elig = EligibleAssociations::enumerate(g, cfg.max_chain);
+    let elig = EligibleAssociations::enumerate(g, MAX_CHAIN);
     let assocs: Vec<_> = elig.iter().collect();
     let entities: Vec<_> = g.entity_nodes().collect();
     let mut out = Vec::with_capacity(cfg.queries);
@@ -394,7 +388,7 @@ struct SeedSetup {
 
 fn setup_seed(seed: u64, cfg: &OracleConfig) -> SeedSetup {
     let mut rng = Rng::new(seed.wrapping_mul(ORACLE_STREAM) ^ 0x04AC1E);
-    let diagram = arb_diagram(&mut rng, cfg);
+    let diagram = arb_diagram(&mut rng);
     let graph = ErGraph::from_diagram(&diagram).expect("generated diagrams are valid");
     let feasible = single_color_feasibility(&graph).feasible();
     let queries = arb_queries(&graph, &mut rng, cfg);
@@ -500,9 +494,9 @@ pub fn run_seed(seed: u64, cfg: &OracleConfig) -> SeedReport {
             // must be answer-identical to the linear/merge/hash reference
             // paths on every seed, query, and strategy — so each CI seed
             // exercises both code paths differentially.
-            db.set_reference_kernels(true);
+            db.set_kernel_dispatch(KernelDispatch::Reference);
             let ref_run = execute(db, g, &plan);
-            db.set_reference_kernels(false);
+            db.set_kernel_dispatch(KernelDispatch::CostModel);
             match ref_run {
                 Ok(rr) => {
                     if rr.elements != r.elements
@@ -1033,9 +1027,9 @@ pub fn run_batch_seed(seed: u64, cfg: &OracleConfig) -> SeedReport {
             let now = batch_answers(db, g, queries);
             // the stale-index differential: reference kernels see the
             // same post-delete world as the index-backed fast paths
-            db.set_reference_kernels(true);
+            db.set_kernel_dispatch(KernelDispatch::Reference);
             let ref_now = batch_answers(db, g, queries);
-            db.set_reference_kernels(false);
+            db.set_kernel_dispatch(KernelDispatch::CostModel);
             compare_answers(
                 seed,
                 &format!("kernels-{phase}"),

@@ -102,7 +102,7 @@ pub struct QueryRun {
     pub est: Option<EstTotals>,
     /// Measured metrics of the same plan under ratio dispatch — the
     /// differential partner of the perfgate's counter-domination check.
-    pub heuristic: Option<Metrics>,
+    pub heuristic: Metrics,
 }
 
 /// One schema's complete evaluation.
@@ -249,7 +249,7 @@ pub fn run_suite_on(
                     logical: r.distinct,
                     physical: r.results,
                     est: Some(EstTotals::of_costs(&annotate_costs(db, graph, &plan))),
-                    heuristic: Some(h.metrics),
+                    heuristic: h.metrics,
                 })
             } else {
                 let u = &workload.updates[qi - n_reads];
@@ -273,7 +273,7 @@ pub fn run_suite_on(
                     logical: o.logical,
                     physical: o.physical,
                     est: None,
-                    heuristic: Some(oh.metrics),
+                    heuristic: oh.metrics,
                 })
             }
         });
@@ -341,7 +341,7 @@ mod tests {
                 assert_eq!((x.logical, x.physical), (y.logical, y.physical), "{}", x.name);
                 assert_eq!(norm(x.metrics), norm(y.metrics), "{}", x.name);
                 assert_eq!(x.est, y.est, "{}", x.name);
-                assert_eq!(x.heuristic.map(norm), y.heuristic.map(norm), "{}", x.name);
+                assert_eq!(norm(x.heuristic), norm(y.heuristic), "{}", x.name);
             }
         }
     }

@@ -20,13 +20,8 @@ use colorist::mct::ColorId;
 use colorist::query::{compile, execute, execute_snapshot, PatternBuilder};
 use colorist::store::{Database, ElementId, KernelDispatch, UpdateBatch};
 
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        192
-    } else {
-        24
-    }
-}
+/// Randomized delete rounds per differential.
+const ROUNDS: u64 = 16;
 
 /// Pick a randomized batch of logical delete targets as `(node, ordinal)`
 /// coordinates — ordinals are strategy-independent, so the same targets
@@ -57,8 +52,7 @@ fn delete_targets(g: &ErGraph, db: &Database, rng: &mut Rng, count: usize) -> Ve
 fn tpcw_reads_agree_across_dispatches_after_delete_batches() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let w = colorist::workload::tpcw::workload(&g);
-    let rounds = (cases() / 12).max(2);
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         let scale = 14 + 9 * round as u32;
         let inst = generate(&g, &ScaleProfile::tpcw(&g, scale), 90 + round);
         let mut rng = Rng::new(0xDE1E7Eu64.wrapping_add(round));

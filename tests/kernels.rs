@@ -1,11 +1,10 @@
 //! Differential property test for the kernel families through the public
 //! `execute`: the index-accelerated scan and idref paths against the
-//! linear and hash reference, over every tpcw read at growing scales. Build
-//! with `--features fuzz` to multiply the round count. The gallop ≡ merge
-//! property of the structural semi-join kernel, which the store keeps
-//! private, is a unit test of `colorist-store`'s join module. The
-//! cross-strategy oracle additionally replays every CI seed under both
-//! kernel settings (`Database::set_reference_kernels`), so these
+//! linear and hash reference, over every tpcw read at growing scales. The
+//! gallop ≡ merge property of the structural semi-join kernel, which the
+//! store keeps private, is a unit test of `colorist-store`'s join module.
+//! The cross-strategy oracle additionally replays every CI seed under both
+//! kernel families (`KernelDispatch::Reference`), so these
 //! properties and the oracle sweep cover the same contract from two
 //! directions.
 
@@ -13,14 +12,10 @@ use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
 use colorist::query::{compile, execute};
+use colorist::store::KernelDispatch;
 
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        192
-    } else {
-        24
-    }
-}
+/// Growing-scale rounds of the differential.
+const ROUNDS: u64 = 16;
 
 /// Whole-plan differential: every tpcw read on every strategy returns the
 /// same answer with the value index live as with the reference kernels
@@ -29,9 +24,8 @@ fn cases() -> u64 {
 fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let w = colorist::workload::tpcw::workload(&g);
-    let rounds = (cases() / 12).max(2);
     let mut strictly_reduced = 0usize;
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         let scale = 12 + 9 * round as u32;
         let inst = generate(&g, &ScaleProfile::tpcw(&g, scale), 40 + round);
         for s in Strategy::ALL {
@@ -40,9 +34,9 @@ fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
             for q in &w.reads {
                 let plan = compile(&g, &schema, q).expect("compiles");
                 let fast = execute(&db, &g, &plan).expect("indexed run");
-                db.set_reference_kernels(true);
+                db.set_kernel_dispatch(KernelDispatch::Reference);
                 let slow = execute(&db, &g, &plan).expect("reference run");
-                db.set_reference_kernels(false);
+                db.set_kernel_dispatch(KernelDispatch::CostModel);
                 let ctx = format!("scale {scale}: {}/{s}", q.name);
                 assert_eq!(fast.elements, slow.elements, "{ctx}: answers diverge");
                 assert_eq!(fast.results, slow.results, "{ctx}: physical counts diverge");

@@ -3,28 +3,21 @@
 //! data, before and after writes; plans that depend on the pattern and the
 //! schema alone, whatever the data or a commit did; counter domination
 //! over the ratio-dispatch twin across the whole TPC-W workload and all
-//! seven strategies; and a plan-mutation harness driving the static
-//! verifier's `P010` cost-annotation audit. Randomness comes from the
-//! repository's own deterministic [`Rng`](colorist::datagen::Rng); build
-//! with `--features fuzz` to multiply the case count.
+//! seven strategies, with finite, non-negative cost estimates on kernels
+//! each operator can dispatch to. Randomness comes from the repository's
+//! own deterministic [`Rng`](colorist::datagen::Rng).
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, Rng, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
 use colorist::query::{
-    annotate_costs, compile, execute, execute_update, optimize, verify_plan, CmpOp, KernelChoice,
-    Pattern, PatternBuilder,
+    annotate_costs, compile, execute, execute_update, optimize, CmpOp, KernelChoice, Op, Pattern,
+    PatternBuilder,
 };
 use colorist::store::{Database, KernelDispatch, UpdateBatch, Value};
 use colorist::workload::{derby, tpcw, Workload};
 
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        48
-    } else {
-        8
-    }
-}
+const CASES: u64 = 48;
 
 /// The cost annotation's predicate contract: on any instance, for any
 /// comparison constant, a single-predicate scan's row estimate equals the
@@ -37,7 +30,7 @@ fn cases() -> u64 {
 fn predicate_estimates_are_exact() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
     let node = |name: &str| g.node_by_name(name).expect("node exists");
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = Rng::new(0xE57_0001u64.wrapping_add(case));
         let scale = 20 + rng.below(120) as u32;
         let strategy = Strategy::ALL[case as usize % Strategy::ALL.len()];
@@ -106,8 +99,8 @@ fn mutate(g: &ErGraph, db: &mut Database, w: &Workload) {
 
 /// A plan is a function of `(pattern, schema)`: for every TPC-W and
 /// Derby read on every strategy, `optimize` emits exactly the ops
-/// `compile` does, unannotated, before and after updates and a batch
-/// that write, insert and delete.
+/// `compile` does, before and after updates and a batch that write,
+/// insert and delete.
 #[test]
 fn optimize_emits_the_compiled_plan_before_and_after_writes() {
     for (name, scale) in [("tpcw", 40), ("derby", 12)] {
@@ -126,7 +119,6 @@ fn optimize_emits_the_compiled_plan_before_and_after_writes() {
                     let plan = optimize(&db, &g, q).expect("optimizer plans");
                     let compiled = compile(&g, &db.schema, q).expect("compiles");
                     assert_eq!(plan.ops, compiled.ops, "{name}/{s}/{} {when}", q.name);
-                    assert!(plan.costs.is_empty(), "{name}/{s}/{} {when}", q.name);
                 }
                 mutate(&g, &mut db, &w);
             }
@@ -134,11 +126,27 @@ fn optimize_emits_the_compiled_plan_before_and_after_writes() {
     }
 }
 
+/// Whether `op` can dispatch to `kernel`: an index probe only on a
+/// predicated scan, merge or gallop only on a structural semi-join, the
+/// hash join and the two probes only on a value semi-join.
+fn kernel_applies(op: &Op, kernel: KernelChoice) -> bool {
+    use KernelChoice::*;
+    match op {
+        Op::Scan { pred, .. } => {
+            matches!(kernel, Default | LinearScan) || (kernel == IndexProbe && pred.is_some())
+        }
+        Op::StructSemi { .. } => matches!(kernel, Default | Merge | Gallop),
+        Op::ValueSemi { .. } => matches!(kernel, Default | HashJoin | OrdinalProbe | ReverseProbe),
+        _ => kernel == Default,
+    }
+}
+
 /// The domination contract on the committed workload: for every TPC-W
 /// read query on every strategy, the plan under the default dispatch
 /// answers identically to its ratio-dispatch twin and never increases the
-/// perf-gate sum `elements_scanned + join_probes + bytes_touched`, and its
-/// cost annotations pass the static verifier.
+/// perf-gate sum `elements_scanned + join_probes + bytes_touched`, and
+/// `annotate_costs` gives one finite, non-negative estimate per op on a
+/// kernel the op can dispatch to.
 #[test]
 fn optimized_plans_dominate_heuristic_on_tpcw() {
     let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
@@ -150,10 +158,22 @@ fn optimized_plans_dominate_heuristic_on_tpcw() {
         let mut heur = db.clone();
         heur.set_kernel_dispatch(KernelDispatch::Ratio);
         for q in &w.reads {
-            let mut opt_plan = optimize(&db, &g, q).expect("optimizer plans");
-            opt_plan.costs = annotate_costs(&db, &g, &opt_plan);
-            let diags = verify_plan(&g, &db.schema, &opt_plan);
-            assert!(diags.is_empty(), "{}/{}: {diags:?}", s.label(), q.name);
+            let opt_plan = optimize(&db, &g, q).expect("optimizer plans");
+            let costs = annotate_costs(&db, &g, &opt_plan);
+            assert_eq!(costs.len(), opt_plan.ops.len(), "{s}/{}: one estimate per op", q.name);
+            for (i, (op, c)) in opt_plan.ops.iter().zip(&costs).enumerate() {
+                let ctx = format!("{s}/{} op {i}", q.name);
+                for (label, v) in [
+                    ("rows", c.rows),
+                    ("scanned", c.scanned),
+                    ("probes", c.probes),
+                    ("bytes", c.bytes),
+                    ("index_lookups", c.index_lookups),
+                ] {
+                    assert!(v.is_finite() && v >= 0.0, "{ctx}: `{label}` estimate {v}");
+                }
+                assert!(kernel_applies(op, c.kernel), "{ctx}: kernel {:?} on {op:?}", c.kernel);
+            }
             let r = execute(&db, &g, &opt_plan).expect("optimized plan executes");
             let h_plan = compile(&g, &heur.schema, q).expect("heuristic plan compiles");
             let h = execute(&heur, &g, &h_plan).expect("heuristic plan executes");
@@ -170,53 +190,5 @@ fn optimized_plans_dominate_heuristic_on_tpcw() {
                 q.name
             );
         }
-    }
-}
-
-/// The `P010` audit catches every way a cost annotation can lie about the
-/// plan it rides on: wrong annotation count, mis-targeted op index,
-/// non-finite or negative estimates, and a kernel the annotated operator
-/// cannot dispatch to — while `annotate_costs`' own output passes clean.
-#[test]
-fn mutated_cost_annotations_are_rejected_as_p010() {
-    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
-    let w = tpcw::workload(&g);
-    let inst = generate(&g, &ScaleProfile::tpcw(&g, 30), 7);
-    let schema = design(&g, Strategy::Deep).expect("DEEP designs");
-    let db = materialize(&g, &schema, &inst);
-    let q8 = w.reads.iter().find(|q| q.name == "Q8").expect("Q8 exists");
-    let mut clean = optimize(&db, &g, q8).expect("optimizer plans Q8");
-    clean.costs = annotate_costs(&db, &g, &clean);
-    assert!(verify_plan(&g, &db.schema, &clean).is_empty(), "clean plan must verify");
-    assert!(clean.costs.len() == clean.ops.len(), "one estimate per op");
-
-    let mut truncated = clean.clone();
-    truncated.costs.pop();
-    let mut mistargeted = clean.clone();
-    mistargeted.costs[0].op = 1;
-    let mut nan = clean.clone();
-    nan.costs[0].rows = f64::NAN;
-    let mut negative = clean.clone();
-    negative.costs[0].scanned = -1.0;
-    let mut wrong_kernel = clean.clone();
-    // op 0 is a scan; Gallop only applies to structural semi-joins
-    wrong_kernel.costs[0].kernel = KernelChoice::Gallop;
-
-    for (what, mutant) in [
-        ("truncated annotation list", truncated),
-        ("mis-targeted op index", mistargeted),
-        ("NaN estimate", nan),
-        ("negative estimate", negative),
-        ("inapplicable kernel", wrong_kernel),
-    ] {
-        let diags = verify_plan(&g, &db.schema, &mutant);
-        assert!(
-            diags.iter().any(|d| d.code == "P010"),
-            "{what}: expected a P010 diagnostic, got {diags:?}"
-        );
-        assert!(
-            diags.iter().all(|d| d.code == "P010"),
-            "{what}: mutation must only trip the cost audit, got {diags:?}"
-        );
     }
 }

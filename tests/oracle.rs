@@ -3,26 +3,26 @@
 //! over random diagrams, data, queries, and all seven schemas at once;
 //! the named regressions below are seeds on which the oracle actually
 //! caught bugs during development, kept at both the original and the
-//! minimized scale. Build with `--features fuzz` to multiply the sweep.
+//! minimized scale. The release `colorist oracle --seeds N` runs longer
+//! sweeps at the same configuration.
 
 use colorist::datagen::{generate, Rng, ScaleProfile};
 use colorist::er::{Cardinality, ErGraph, Participation};
 use colorist::workload::{run_seed, run_seeds, OracleConfig};
 
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        192
-    } else {
-        32
-    }
-}
+/// Seeds of the fixed sweep; `colorist oracle --seeds 256` in CI covers
+/// seeds 0–255 at the same configuration.
+const SWEEP_SEEDS: u64 = 32;
+
+/// Random diagrams the datagen coverage property checks.
+const DATAGEN_CASES: u64 = 192;
 
 /// Every fixed seed must run divergence-free: all seven strategies return
 /// the same logical answers on every generated query, and every runtime
 /// metrics counter matches its plan's static count.
 #[test]
 fn fixed_seed_sweep_is_divergence_free() {
-    let report = run_seeds(0, cases(), &OracleConfig::default(), 4);
+    let report = run_seeds(0, SWEEP_SEEDS, &OracleConfig::default(), 4);
     let divs = report.divergences();
     assert!(divs.is_empty(), "oracle divergences:\n{report}");
     // the sweep must be exercising real work, not vacuously passing
@@ -71,9 +71,9 @@ fn up_run_completeness_regression_seed_agrees() {
 /// covers every participant instance.
 #[test]
 fn many_total_endpoints_cover_every_participant() {
-    for case in 0..cases() {
+    for case in 0..DATAGEN_CASES {
         let mut rng = Rng::new(0xC0FE_u64.wrapping_add(case));
-        let d = colorist::workload::oracle::arb_diagram(&mut rng, &OracleConfig::default());
+        let d = colorist::workload::oracle::arb_diagram(&mut rng);
         let g = ErGraph::from_diagram(&d).unwrap();
         let inst = generate(&g, &ScaleProfile::uniform(&g, 11), case);
         for e in g.edge_ids() {

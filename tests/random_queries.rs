@@ -5,7 +5,7 @@
 //!
 //! Randomness comes from the repository's own deterministic
 //! [`Rng`](colorist::datagen::Rng): each case is a fixed function of its
-//! index. Build with `--features fuzz` to multiply the case count.
+//! index.
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, Rng, ScaleProfile};
@@ -13,13 +13,7 @@ use colorist::er::{Attribute, Cardinality, EligibleAssociations, Endpoint, ErDia
 use colorist::query::{compile, execute, Pattern, PatternBuilder};
 use colorist::store::Value;
 
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        192
-    } else {
-        24
-    }
-}
+const CASES: u64 = 192;
 
 /// A random simplified ER diagram: 2–5 entities, 1–7 binary relationships.
 fn arb_diagram(rng: &mut Rng) -> ErDiagram {
@@ -123,7 +117,7 @@ fn deep_turning_point_sees_all_duplicate_subtrees() {
 
 #[test]
 fn random_chain_queries_agree_across_all_strategies() {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = Rng::new(0xBEEF_u64.wrapping_add(case));
         let d = arb_diagram(&mut rng);
         let pick = rng.below(64) as usize;

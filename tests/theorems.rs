@@ -4,21 +4,14 @@
 //! Randomness comes from the repository's own deterministic [`Rng`]
 //! (workspace builds offline, with no external crates): every case is a
 //! fixed function of its index, so failures are reproducible from the
-//! printed case number alone. Build with `--features fuzz` to multiply
-//! the case counts for deeper soaks.
+//! printed case number alone.
 
 use colorist::core::{self, design, single_color_feasibility, Strategy};
 use colorist::datagen::Rng;
 use colorist::er::{Attribute, Cardinality, EligibleAssociations, Endpoint, ErDiagram, ErGraph};
 
-/// Cases per property (multiplied under `--features fuzz`).
-fn cases() -> u64 {
-    if cfg!(feature = "fuzz") {
-        512
-    } else {
-        64
-    }
-}
+/// Cases per property.
+const CASES: u64 = 512;
 
 /// A random simplified ER diagram: 2–6 entities, 1–9 relationships with
 /// random cardinalities (1:1 / 1:M / M:N), participations, and endpoints
@@ -53,10 +46,10 @@ fn arb_diagram(rng: &mut Rng) -> ErDiagram {
     d
 }
 
-/// Run `body` over `cases()` independent diagrams, tagging failures with
+/// Run `body` over `CASES` independent diagrams, tagging failures with
 /// the reproducible case index.
 fn for_random_diagrams(salt: u64, body: impl Fn(&ErGraph)) {
-    for case in 0..cases() {
+    for case in 0..CASES {
         let mut rng = Rng::new(0xC010_u64.wrapping_add(salt << 32).wrapping_add(case));
         let d = arb_diagram(&mut rng);
         let g = ErGraph::from_diagram(&d).unwrap();

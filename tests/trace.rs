@@ -254,7 +254,7 @@ fn per_op_deltas_sum_exactly_on_every_query_and_strategy() {
             let norm = |m: &Metrics| Metrics { elapsed: Default::default(), ..*m };
             assert_eq!(norm(&sum), norm(&result.metrics), "{}/{strategy}", q.name);
 
-            let text = explain_analyze(&g, &plan, &result, &profile);
+            let text = explain_analyze(&g, &plan, &[], &result, &profile);
             assert!(text.contains("per-op deltas sum exactly"), "{text}");
             assert!(!text.contains("DRIFT"), "{}/{strategy}:\n{text}", q.name);
         }

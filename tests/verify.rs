@@ -10,13 +10,7 @@ use colorist::mct::lint_schema;
 use colorist::query::{verify_plan, Metrics, Op, Plan, VDir};
 use colorist::workload::{compile_seed, OracleConfig, SeedCorpus};
 
-fn sweep_seeds() -> u64 {
-    if cfg!(feature = "fuzz") {
-        256
-    } else {
-        64
-    }
-}
+const SWEEP_SEEDS: u64 = 256;
 
 fn corpus(seed: u64) -> SeedCorpus {
     compile_seed(seed, &OracleConfig::default())
@@ -27,7 +21,7 @@ fn corpus(seed: u64) -> SeedCorpus {
 #[test]
 fn sweep_of_compiled_plans_verifies_clean() {
     let mut plans = 0usize;
-    for seed in 0..sweep_seeds() {
+    for seed in 0..SWEEP_SEEDS {
         let c = corpus(seed);
         for (s, schema) in &c.schemas {
             let diags = lint_schema(&c.graph, schema);
