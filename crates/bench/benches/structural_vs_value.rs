@@ -3,8 +3,9 @@
 //! extents — "structural joins … have been shown to be much more efficient
 //! than value-based joins". Every case runs through the store's read
 //! interface, as the executor does: a path-exact descent against an idref
-//! semi-join (indexed, and the hash-join reference), the gallop-skipping
-//! kernel against the merge reference at growing side asymmetry, and
+//! semi-join (indexed, and the hash-join reference), a path-exact ascent on
+//! the parent walk against the merge reference, the gallop-skipping kernel
+//! against the merge reference at growing side asymmetry, and
 //! index-accelerated predicated scans against the linear reference path.
 
 use colorist_bench::micro;
@@ -52,6 +53,20 @@ fn main() {
             let countries = rd.scan(color, country, None).unwrap();
             rd.descend(&countries, order, &path).unwrap().len()
         });
+
+        // structural, upward: from every order to the customer who made
+        // it, on the parent walk and on the reference merge, which also
+        // walks the whole customer list
+        let customer = g.node_by_name("customer").unwrap();
+        let made = via(&db, color, customer, order);
+        let mut merge_db = db.clone();
+        merge_db.set_kernel_dispatch(KernelDispatch::Reference);
+        for (case, db) in [("ascend", &db), ("ascend_merge", &merge_db)] {
+            let orders = db.reader().scan(color, order, None).unwrap();
+            micro::case(&format!("{case}/{customers}"), || {
+                db.reader().ascend(&orders, customer, &made).unwrap().len()
+            });
+        }
 
         // value: SHALLOW's order_line.item_idref = item.id, from every
         // order line, on the ordinal probe and on the reference hash join

@@ -189,6 +189,9 @@ pub enum KernelChoice {
     Merge,
     /// Structural semi-join on the gallop-skipping kernel.
     Gallop,
+    /// Structural ascent climbing parent links, never reading the
+    /// ancestor list.
+    ParentWalk,
     /// Value semi-join on the reference hash-join kernel.
     HashJoin,
     /// Value semi-join probing participants by ordinal id (idref→id).

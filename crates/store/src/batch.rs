@@ -697,39 +697,8 @@ impl<'a> Replay<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DatabaseBuilder;
-    use colorist_er::{Attribute, ErDiagram};
+    use crate::database::tests::tiny_db as tiny;
     use colorist_mct::ColorId;
-
-    fn tiny() -> (ErGraph, Database) {
-        let mut d = ErDiagram::new("t");
-        d.add_entity("a", vec![Attribute::key("id")]).unwrap();
-        d.add_entity("b", vec![Attribute::key("id"), Attribute::text("x")]).unwrap();
-        d.add_rel_1m("r", "a", "b").unwrap();
-        let g = ErGraph::from_diagram(&d).unwrap();
-        let s = colorist_core::design(&g, colorist_core::Strategy::En).unwrap();
-        let a = g.node_by_name("a").unwrap();
-        let b = g.node_by_name("b").unwrap();
-        let r = g.node_by_name("r").unwrap();
-        let c = ColorId(0);
-        let pa = s.placements_of_in_color(a, c)[0];
-        let pr = s.placements_of_in_color(r, c)[0];
-        let pb = s.placements_of_in_color(b, c)[0];
-        let mut bd = DatabaseBuilder::new(s.clone(), g.node_count());
-        let ea0 = bd.add_canonical(a, &[Value::Int(0)]);
-        let _ea1 = bd.add_canonical(a, &[Value::Int(1)]);
-        let er0 = bd.add_canonical(r, &[]);
-        let er1 = bd.add_canonical(r, &[]);
-        let eb0 = bd.add_canonical(b, &[Value::Int(0), Value::Text("u".into())]);
-        let eb1 = bd.add_canonical(b, &[Value::Int(1), Value::Text("v".into())]);
-        let oa0 = bd.add_occurrence(c, ea0, pa, None);
-        let _oa1 = bd.add_occurrence(c, _ea1, pa, None);
-        let or0 = bd.add_occurrence(c, er0, pr, Some(oa0));
-        let or1 = bd.add_occurrence(c, er1, pr, Some(oa0));
-        bd.add_occurrence(c, eb0, pb, Some(or0));
-        bd.add_occurrence(c, eb1, pb, Some(or1));
-        (g, bd.finish())
-    }
 
     #[test]
     fn batch_commits_atomically_and_reports() {

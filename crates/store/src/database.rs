@@ -1036,11 +1036,12 @@ impl DatabaseBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use colorist_er::{Attribute, ErDiagram};
 
-    fn tiny() -> (ErGraph, MctSchema) {
+    /// A one-color schema over `a -1:m- b` through relationship `r`.
+    pub(crate) fn tiny() -> (ErGraph, MctSchema) {
         let mut d = ErDiagram::new("t");
         d.add_entity("a", vec![Attribute::key("id")]).unwrap();
         d.add_entity("b", vec![Attribute::key("id"), Attribute::text("x")]).unwrap();
@@ -1051,7 +1052,7 @@ mod tests {
     }
 
     /// a0 -> r0 -> b0, a0 -> r1 -> b1, a1 (childless)
-    fn build(g: &ErGraph, s: &MctSchema) -> Database {
+    pub(crate) fn build(g: &ErGraph, s: &MctSchema) -> Database {
         let a = g.node_by_name("a").unwrap();
         let b = g.node_by_name("b").unwrap();
         let r = g.node_by_name("r").unwrap();
@@ -1073,6 +1074,13 @@ mod tests {
         bd.add_occurrence(c, eb0, pb, Some(or0));
         bd.add_occurrence(c, eb1, pb, Some(or1));
         bd.finish()
+    }
+
+    /// [`build`] over [`tiny`].
+    pub(crate) fn tiny_db() -> (ErGraph, Database) {
+        let (g, s) = tiny();
+        let db = build(&g, &s);
+        (g, db)
     }
 
     #[test]

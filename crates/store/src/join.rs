@@ -20,21 +20,28 @@
 //! **gallop** variant that binary-searches past non-joining runs when one
 //! side is much smaller — the small side drives, and each of its
 //! occurrences either probes the large side's `start`-sorted window
-//! (ancestors driving) or climbs its parent chain and membership-tests the
-//! ancestor list (descendants driving). [`structural_semi_join`]
-//! dispatches between them per the database's `KernelDispatch`: by the
-//! cost model's crossover [`gallop_cost_wins`] by default, by the fixed
-//! [`GALLOP_RATIO`] under `Ratio`, and never to gallop under
-//! `Reference`. Both produce byte-identical output; only the deterministic
-//! cost counters differ (gallop charges what it examined and credits
-//! `elements_skipped` with what it leapt over).
+//! (ancestors driving) or, keeping descendants, climbs its parent chain
+//! and membership-tests the ancestor list (descendants driving).
+//! [`structural_semi_join`] dispatches between them per the database's
+//! `KernelDispatch`: by the cost model's crossover [`gallop_cost_wins`] by
+//! default, by the fixed [`GALLOP_RATIO`] under `Ratio`, and never to
+//! gallop under `Reference`. Both produce byte-identical output; only the
+//! deterministic cost counters differ (gallop charges what it examined and
+//! credits `elements_skipped` with what it leapt over).
+//!
+//! An **ascent** (the ancestors exactly `k` edges above some sources) has
+//! a third kernel, the **parent walk** ([`parent_walk`]): `k` parent hops
+//! per source and a sort, never reading the ancestor list. It takes every
+//! ascent on which it reads less ([`walk_wins`]), so a gallop that keeps
+//! ancestors always lets them drive.
 
-use crate::database::{Database, ElementId, OccId, Occurrence};
+use crate::database::{ColorTree, Database, ElementId, OccId, Occurrence};
 use crate::metrics::Metrics;
 use crate::value::ValueKey;
 use colorist_mct::ColorId;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io;
 
 /// What a value join compares on one side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +100,21 @@ fn gallop_applies(db: &Database, anc: usize, desc: usize) -> bool {
         KernelDispatch::Ratio => small.saturating_mul(GALLOP_RATIO) < large,
         KernelDispatch::CostModel => gallop_cost_wins(small, large),
     }
+}
+
+/// Whether the parent walk, which reads at most `src · k` occurrences,
+/// beats the kernel that would otherwise run an ascent of `k` edges from
+/// `src` sources to `anc` ancestors: the merge, reading `anc + src`, or a
+/// gallop the descendants drive, which climbs the same chains and
+/// binary-searches the list besides.
+pub fn walk_wins(anc: usize, src: usize, k: usize, gallop: bool) -> bool {
+    k > 0 && if gallop { src < anc } else { src.saturating_mul(k) < anc + src }
+}
+
+/// Size-only dispatch of an ascent to [`parent_walk`] per the database's
+/// `KernelDispatch`: never under `Reference`, which keeps the merge.
+pub fn ascent_walks(db: &Database, anc: usize, src: usize, k: usize) -> bool {
+    !db.reference_kernels() && walk_wins(anc, src, k, gallop_applies(db, anc, src))
 }
 
 /// Gallop cost accounting: the driving (small) side plus everything the
@@ -268,14 +290,15 @@ pub fn structural_semi_join_merge(
 /// Gallop-skipping implementation of [`structural_semi_join`]: the
 /// smaller side drives and the larger side is entered by binary search, so
 /// runs of the large input with no partner are never touched (they are
-/// credited to `Metrics::elements_skipped`). With few ancestors, each
-/// ancestor binary-searches the descendants for its `(start, end)` window
-/// (interval nesting within one color tree makes every window entry a true
-/// descendant); with few descendants, each climbs its parent chain and
-/// membership-tests the ancestor list (document order is `OccId` order, so
-/// membership is a binary search). An ancestor stops scanning its window
-/// at the first qualifying descendant, a descendant stops climbing at the
-/// first qualifying ancestor. Output is byte-identical to
+/// credited to `Metrics::elements_skipped`). With few ancestors, or
+/// whenever ancestors are kept, each ancestor binary-searches the
+/// descendants for its `(start, end)` window (interval nesting within one
+/// color tree makes every window entry a true descendant); with few
+/// descendants kept, each climbs its parent chain and membership-tests the
+/// ancestor list (document order is `OccId` order, so membership is a
+/// binary search). An ancestor stops scanning its window at the first
+/// qualifying descendant when ancestors are kept, a descendant stops
+/// climbing at the first qualifying ancestor. Output is byte-identical to
 /// [`structural_semi_join_merge`] — document order, duplicate-free.
 pub fn structural_semi_join_gallop(
     db: &Database,
@@ -294,7 +317,7 @@ pub fn structural_semi_join_gallop(
     };
     let mut out = Vec::new();
     let mut examined: u64 = 0;
-    if anc.len() <= desc.len() {
+    if anc.len() <= desc.len() || keep == SemiSide::Ancestor {
         // ancestors drive: window-scan the descendants per ancestor
         for &a in anc {
             let ao = occ(a);
@@ -325,43 +348,75 @@ pub fn structural_semi_join_gallop(
         }
         charge_gallop(metrics, anc.len(), desc.len(), examined);
     } else {
-        // descendants drive: climb the parent chain, membership-test `anc`
+        // descendants drive and are kept: climb, membership-test `anc`
         for &d in desc {
-            let dd = *occ(d);
-            let mut cur = dd.parent;
+            let mut cur = occ(d).parent;
             let mut dist: u16 = 1;
             while let Some(p) = cur {
                 examined += 1;
-                let po = occ(p);
                 // with an exact depth only the k-th parent can qualify, so
                 // the chain is climbed without probing until that level
                 if depth.is_none_or(|k| k == dist) {
                     metrics.join_probes += 1;
                     if anc.binary_search(&p).is_ok() {
-                        match keep {
-                            SemiSide::Descendant => {
-                                out.push(d);
-                                break; // early exit: one partner suffices
-                            }
-                            SemiSide::Ancestor => out.push(p),
-                        }
+                        out.push(d);
+                        break; // early exit: one partner suffices
                     }
                 }
                 if depth.is_some_and(|k| dist >= k) {
                     break;
                 }
-                cur = po.parent;
+                cur = occ(p).parent;
                 dist = dist.saturating_add(1);
             }
-        }
-        if keep == SemiSide::Ancestor {
-            // several descendants may share an ancestor
-            out.sort_unstable();
-            out.dedup();
         }
         charge_gallop(metrics, desc.len(), anc.len(), examined);
     }
     out
+}
+
+/// Parent-walk ascent: the ancestors exactly `k ≥ 1` edges above `src`,
+/// in document order and duplicate-free. That is what a depth-`k`
+/// [`structural_semi_join`] keeps of an `anc`-long list holding them all,
+/// but the list is never read. Each hop moves every occurrence to its
+/// parent, drops orphans (partial participation: no parent that high) and
+/// climbs a shared parent once. It charges the records it reads: the
+/// sources, then each intermediate level, which it `touch`es; the `k`-th
+/// ancestors are known by id. The unread list is `elements_skipped`.
+pub fn parent_walk(
+    tree: &ColorTree,
+    src: &[OccId],
+    k: usize,
+    anc: usize,
+    metrics: &mut Metrics,
+    mut touch: impl FnMut(&[OccId], &mut Metrics) -> io::Result<()>,
+) -> io::Result<Vec<OccId>> {
+    debug_assert!(k > 0, "an ascent climbs at least one edge");
+    metrics.structural_joins += 1;
+    let mut read = 0;
+    let mut cur = src.to_vec();
+    for hop in 0..k {
+        if hop > 0 {
+            touch(&cur, metrics)?;
+        }
+        read += cur.len() as u64;
+        cur.retain_mut(|o| match tree.occ(*o).parent {
+            Some(p) => {
+                *o = p;
+                true
+            }
+            None => false,
+        });
+        // siblings land on their parent side by side
+        cur.dedup();
+    }
+    // ancestors of one node that nest in one another arrive out of order
+    cur.sort_unstable();
+    cur.dedup();
+    metrics.elements_scanned += read;
+    metrics.bytes_touched += read * std::mem::size_of::<Occurrence>() as u64;
+    metrics.elements_skipped += (anc as u64).saturating_sub(cur.len() as u64);
+    Ok(cur)
 }
 
 /// K-way merge of sorted, pairwise-disjoint occurrence lists (e.g. the
@@ -370,38 +425,21 @@ pub fn structural_semi_join_gallop(
 /// single-placement case of a `Down` step allocates nothing. Inputs being
 /// disjoint, no deduplication is performed.
 pub fn kmerge_sorted<'a>(lists: &[&'a [OccId]]) -> Cow<'a, [OccId]> {
-    let live: Vec<&'a [OccId]> = lists.iter().copied().filter(|l| !l.is_empty()).collect();
-    match live.len() {
-        0 => Cow::Owned(Vec::new()),
-        1 => Cow::Borrowed(live[0]),
+    let mut live = lists.iter().copied().filter(|l| !l.is_empty());
+    match (live.next(), live.next()) {
+        (None, _) => Cow::Borrowed(&[]),
+        (Some(only), None) => Cow::Borrowed(only),
         _ => {
-            // repeated min-pick over the heads: the fan-in is the number of
-            // placements of one node in one color, which is tiny
-            let total = live.iter().map(|l| l.len()).sum();
-            let mut heads = vec![0usize; live.len()];
-            let mut out: Vec<OccId> = Vec::with_capacity(total);
-            loop {
-                let mut best: Option<usize> = None;
-                for (i, l) in live.iter().enumerate() {
-                    if heads[i] < l.len() && best.is_none_or(|b| l[heads[i]] < live[b][heads[b]]) {
-                        best = Some(i);
-                    }
-                }
-                match best {
-                    Some(i) => {
-                        out.push(live[i][heads[i]]);
-                        heads[i] += 1;
-                    }
-                    None => break,
-                }
-            }
+            // the stable sort merges the concatenation's sorted runs
+            let mut out = lists.concat();
+            out.sort();
             Cow::Owned(out)
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::database::{DatabaseBuilder, KernelDispatch};
     use crate::value::Value;
@@ -586,27 +624,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn structural_semi_join_counts_each_side_once() {
-        // every a has 3 r children; keep=Ancestor must not emit an a per
-        // child, and keep=Descendant must not emit an r per matching a
-        let (g, db) = chain_db(4, 3);
-        let c = ColorId(0);
-        let a = g.node_by_name("a").unwrap();
-        let r = g.node_by_name("r").unwrap();
-        let pa = db.schema.placements_of_in_color(a, c)[0];
-        let pr = db.schema.placements_of_in_color(r, c)[0];
-        let anc = db.color(c).of_placement(pa).to_vec();
-        let desc = db.color(c).of_placement(pr).to_vec();
-        let mut m = Metrics::default();
-        let anc_out =
-            structural_semi_join(&db, c, &anc, &desc, SemiSide::Ancestor, Some(1), &mut m);
-        assert_eq!(anc_out.len(), 4);
-        let desc_out =
-            structural_semi_join(&db, c, &anc, &desc, SemiSide::Descendant, Some(1), &mut m);
-        assert_eq!(desc_out.len(), 12);
-    }
-
     /// Database over two entities sharing a text attribute with a small
     /// vocabulary (so text joins have real fan-out), plus an int key.
     fn text_db(n_a: usize, n_b: usize) -> (ErGraph, Database) {
@@ -694,53 +711,6 @@ mod tests {
         }
     }
 
-    /// Both gallop driving directions (small-ancestor windows and
-    /// small-descendant chain climbs) must reproduce the merge kernel's
-    /// output byte for byte, for every semi-join shape.
-    #[test]
-    fn gallop_kernels_match_merge_kernels() {
-        let (g, db) = chain_db(40, 4);
-        let c = ColorId(0);
-        let a = g.node_by_name("a").unwrap();
-        let b = g.node_by_name("b").unwrap();
-        let r = g.node_by_name("r").unwrap();
-        let pa = db.schema.placements_of_in_color(a, c)[0];
-        let pr = db.schema.placements_of_in_color(r, c)[0];
-        let pb = db.schema.placements_of_in_color(b, c)[0];
-        let every =
-            |occs: &[OccId], k: usize| -> Vec<OccId> { occs.iter().copied().step_by(k).collect() };
-        let anc_sets = [
-            db.color(c).of_placement(pa).to_vec(),
-            every(db.color(c).of_placement(pa), 13),
-            vec![db.color(c).of_placement(pa)[7]],
-            db.color(c).of_placement(pr).to_vec(),
-            Vec::new(),
-        ];
-        let desc_sets = [
-            db.color(c).of_placement(pb).to_vec(),
-            every(db.color(c).of_placement(pb), 11),
-            db.color(c).of_placement(pr).to_vec(),
-            vec![db.color(c).of_placement(pb)[3]],
-            Vec::new(),
-        ];
-        for anc in &anc_sets {
-            for desc in &desc_sets {
-                let mut m = Metrics::default();
-                for keep in [SemiSide::Ancestor, SemiSide::Descendant] {
-                    for depth in [None, Some(1), Some(2), Some(9)] {
-                        assert_eq!(
-                            structural_semi_join_gallop(&db, c, anc, desc, keep, depth, &mut m),
-                            structural_semi_join_merge(&db, c, anc, desc, keep, depth, &mut m),
-                            "semi {keep:?} depth {depth:?} |anc|={} |desc|={}",
-                            anc.len(),
-                            desc.len()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// The dispatchers go gallop only past the size ratio, never when the
     /// database pins the reference kernels, and the gallop cost model
     /// credits `elements_skipped` for the untouched large-side remainder.
@@ -752,65 +722,39 @@ mod tests {
         let b = g.node_by_name("b").unwrap();
         let pa = db.schema.placements_of_in_color(a, c)[0];
         let pb = db.schema.placements_of_in_color(b, c)[0];
-        let one_a = vec![db.color(c).of_placement(pa)[7]];
-        let all_b = db.color(c).of_placement(pb).to_vec(); // 160 ≫ 16·1
-        let mut gallop_m = Metrics::default();
-        let out =
-            structural_semi_join(&db, c, &one_a, &all_b, SemiSide::Descendant, None, &mut gallop_m);
+        let all_a = db.color(c).of_placement(pa).to_vec();
+        let all_b = db.color(c).of_placement(pb).to_vec();
+        let semi = |db: &Database, anc: &[OccId]| {
+            let mut m = Metrics::default();
+            (structural_semi_join(db, c, anc, &all_b, SemiSide::Descendant, None, &mut m), m)
+        };
+        let one_a = [all_a[7]]; // 160 ≫ 16·1
+        let (out, gallop_m) = semi(&db, &one_a);
         assert_eq!(out.len(), 4, "one a owns 4 bs");
         assert!(gallop_m.elements_skipped > 0, "dispatcher chose gallop");
-        assert!(
-            gallop_m.elements_scanned < (one_a.len() + all_b.len()) as u64,
-            "gallop scans less than the merge walk"
-        );
+        assert!(gallop_m.elements_scanned < 161, "gallop scans less than the merge walk");
 
         db.set_kernel_dispatch(KernelDispatch::Reference);
-        let mut ref_m = Metrics::default();
-        let ref_out =
-            structural_semi_join(&db, c, &one_a, &all_b, SemiSide::Descendant, None, &mut ref_m);
+        let (ref_out, ref_m) = semi(&db, &one_a);
         assert_eq!(ref_out, out, "pinning the reference path never changes answers");
         assert_eq!(ref_m.elements_skipped, 0, "merge skips nothing");
-        assert_eq!(ref_m.elements_scanned, (one_a.len() + all_b.len()) as u64);
+        assert_eq!(ref_m.elements_scanned, 161);
         db.set_kernel_dispatch(KernelDispatch::CostModel);
 
-        // balanced sides stay on the merge even unpinned
-        let mut bal_m = Metrics::default();
-        let all_a = db.color(c).of_placement(pa).to_vec(); // 40·⌈log₂ 160⌉ = 320 ≥ 160
-        structural_semi_join(&db, c, &all_a, &all_b, SemiSide::Descendant, None, &mut bal_m);
-        assert_eq!(bal_m.elements_skipped, 0);
-        assert_eq!(bal_m.elements_scanned, (all_a.len() + all_b.len()) as u64);
+        // balanced sides stay on the merge even unpinned: 40·⌈log₂ 160⌉ ≥ 160
+        let (_, bal_m) = semi(&db, &all_a);
+        assert_eq!((bal_m.elements_skipped, bal_m.elements_scanned), (0, 200));
 
         // 19 vs 160 separates the two non-reference dispatchers: the cost
         // model gallops (19·⌈log₂ 160⌉ = 152 < 160) while the ratio fallback
         // merges (19·16 = 304 ≥ 160).
-        let nineteen_a = all_a[..19].to_vec();
-        assert_eq!(db.kernel_dispatch(), crate::database::KernelDispatch::CostModel);
-        let mut cost_m = Metrics::default();
-        let cost_out = structural_semi_join(
-            &db,
-            c,
-            &nineteen_a,
-            &all_b,
-            SemiSide::Descendant,
-            None,
-            &mut cost_m,
-        );
+        let (cost_out, cost_m) = semi(&db, &all_a[..19]);
         assert!(cost_m.elements_skipped > 0, "cost model chose gallop");
-
-        db.set_kernel_dispatch(crate::database::KernelDispatch::Ratio);
-        let mut ratio_m = Metrics::default();
-        let ratio_out = structural_semi_join(
-            &db,
-            c,
-            &nineteen_a,
-            &all_b,
-            SemiSide::Descendant,
-            None,
-            &mut ratio_m,
-        );
+        db.set_kernel_dispatch(KernelDispatch::Ratio);
+        let (ratio_out, ratio_m) = semi(&db, &all_a[..19]);
         assert_eq!(ratio_out, cost_out, "dispatch mode never changes answers");
         assert_eq!(ratio_m.elements_skipped, 0, "ratio fallback stayed on the merge");
-        assert_eq!(ratio_m.elements_scanned, (nineteen_a.len() + all_b.len()) as u64);
+        assert_eq!(ratio_m.elements_scanned, 19 + 160);
         assert!(
             cost_m.elements_scanned + cost_m.join_probes + cost_m.bytes_touched
                 <= ratio_m.elements_scanned + ratio_m.join_probes + ratio_m.bytes_touched,
@@ -837,110 +781,145 @@ mod tests {
         assert!(kmerge_sorted(&[&[], &[]]).is_empty());
     }
 
-    /// A four-entity 1:m chain `a → b → c → d` in one color, each link
-    /// through its relationship element, so entity levels lie two apart:
-    /// `fan[i]` children per parent at each step.
-    fn deep_chain_db(roots: usize, fan: [usize; 3]) -> (ErGraph, Database) {
-        let mut d = ErDiagram::new("t");
-        for name in ["a", "b", "c", "d"] {
-            d.add_entity(name, vec![Attribute::key("id")]).unwrap();
-        }
-        d.add_rel_1m("ab", "a", "b").unwrap();
-        d.add_rel_1m("bc", "b", "c").unwrap();
-        d.add_rel_1m("cd", "c", "d").unwrap();
-        let g = ErGraph::from_diagram(&d).unwrap();
-        let s = colorist_core::design(&g, colorist_core::Strategy::En).unwrap();
-        let c = ColorId(0);
-        let at = |name: &str| {
-            let n = g.node_by_name(name).unwrap();
-            (n, s.placements_of_in_color(n, c)[0])
-        };
-        let levels = [at("a"), at("ab"), at("b"), at("bc"), at("c"), at("cd"), at("d")];
-        let mut bd = DatabaseBuilder::new(s, g.node_count());
-        let mut ids = [0i64; 4];
-        let mut add = |bd: &mut DatabaseBuilder, depth: usize, parent| {
-            let (node, placement) = levels[depth];
-            let attrs = if depth.is_multiple_of(2) {
-                ids[depth / 2] += 1;
-                vec![Value::Int(ids[depth / 2])]
-            } else {
-                vec![]
-            };
-            let e = bd.add_canonical(node, &attrs);
-            bd.add_occurrence(c, e, placement, parent)
-        };
-        fn grow(
-            bd: &mut DatabaseBuilder,
-            add: &mut impl FnMut(&mut DatabaseBuilder, usize, Option<OccId>) -> OccId,
-            fan: [usize; 3],
-            depth: usize,
-            parent: OccId,
-        ) {
-            if depth == 6 {
-                return;
-            }
-            for _ in 0..fan[depth / 2] {
-                let rel = add(bd, depth + 1, Some(parent));
-                let child = add(bd, depth + 2, Some(rel));
-                grow(bd, add, fan, depth + 2, child);
-            }
-        }
-        for _ in 0..roots {
-            let root = add(&mut bd, 0, None);
-            grow(&mut bd, &mut add, fan, 0, root);
-        }
-        (g, bd.finish())
+    /// splitmix64: a tiny deterministic source for the random draws.
+    pub(crate) fn below(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
     }
 
-    /// Gallop dispatch is an implementation detail: for every (ancestor,
-    /// descendant) subset pair of a multi-level tree — dense, sparse, and
-    /// wildly asymmetric — the dispatching semi-join returns byte-identical
-    /// output to the merge reference, on both keep sides and at bounded
-    /// depths.
+    /// A random attribute-free instance of `strategy`'s TPC-W schema, `per`
+    /// instances per node: root placements root each one, child placements
+    /// hang 0–2 random ones under each parent, and about half of them hold
+    /// a parentless orphan too (§4.2). Later occurrences in a color copy.
+    pub(crate) fn random_db(strategy: colorist_core::Strategy, per: usize, seed: u64) -> Database {
+        let g = ErGraph::from_diagram(&colorist_er::catalog::tpcw()).unwrap();
+        let schema = colorist_core::design(&g, strategy).unwrap();
+        let mut b = DatabaseBuilder::new(schema.clone(), g.node_count());
+        let canon: Vec<Vec<ElementId>> =
+            g.node_ids().map(|n| (0..per).map(|_| b.add_canonical(n, &[])).collect()).collect();
+        let mut rng = seed;
+        for color in schema.colors() {
+            let mut bound = vec![vec![false; per]; g.node_count()];
+            let mut at: Vec<Vec<OccId>> = vec![Vec::new(); schema.placements().len()];
+            for &root in schema.roots(color) {
+                for p in schema.subtree(root) {
+                    let mut parents: Vec<Option<OccId>> = Vec::new();
+                    match schema.placement(p).parent {
+                        None => parents.resize(per, None),
+                        Some((pp, _)) => {
+                            for &o in &at[pp.idx()] {
+                                parents.extend((0..below(&mut rng, 3)).map(|_| Some(o)));
+                            }
+                            parents.extend((below(&mut rng, 2) == 0).then_some(None));
+                        }
+                    }
+                    let node = schema.placement(p).node.idx();
+                    for (i, parent) in parents.into_iter().enumerate() {
+                        // a root placement roots every instance in turn
+                        let ordinal =
+                            if p == root { i } else { below(&mut rng, per as u64) as usize };
+                        let c = canon[node][ordinal];
+                        let e = if bound[node][ordinal] { b.add_copy(c) } else { c };
+                        bound[node][ordinal] = true;
+                        at[p.idx()].push(b.add_occurrence(color, e, p, parent));
+                    }
+                }
+            }
+        }
+        b.finish()
+    }
+
+    /// Where a node nests in itself (a recursive relationship placed
+    /// structurally), sources in document order can reach their ancestors
+    /// out of order: the walk still returns them sorted, as the merge does.
+    #[test]
+    fn parent_walk_sorts_the_ancestors_of_a_recursive_nesting() {
+        let dsl = "diagram t\nentity a { id* }\nrel sup 1:m a@boss -- a@sub\n";
+        let g = ErGraph::from_diagram(&colorist_er::parse::parse_diagram(dsl).unwrap()).unwrap();
+        let (a, sup) = (g.node_by_name("a").unwrap(), g.node_by_name("sup").unwrap());
+        let edge = |role: &str| g.edge_ids().find(|&e| g.edge(e).role.as_deref() == Some(role));
+        let (boss, sub) = (edge("boss").unwrap(), edge("sub").unwrap());
+        let mut sb = colorist_mct::MctSchemaBuilder::new("t", "nested");
+        let c = sb.add_color();
+        let p0 = sb.add_root(c, a);
+        let p1 = sb.add_child(p0, boss, sup);
+        let p2 = sb.add_child(p1, sub, a);
+        let p3 = sb.add_child(p2, boss, sup);
+        let p4 = sb.add_child(p3, sub, a);
+        let mut bd = DatabaseBuilder::new(sb.finish(&g).unwrap(), g.node_count());
+        let mut add = |node, p, parent| {
+            let e = bd.add_canonical(node, &[]);
+            bd.add_occurrence(c, e, p, parent)
+        };
+        // a0 ⊃ s0 ⊃ a1 ⊃ s1 ⊃ a2, then a0's second child s2
+        let a0 = add(a, p0, None);
+        let s0 = add(sup, p1, Some(a0));
+        let a1 = add(a, p2, Some(s0));
+        let s1 = add(sup, p3, Some(a1));
+        add(a, p4, Some(s1));
+        add(sup, p1, Some(a0));
+        let db = bd.finish();
+        let (tree, m) = (db.color(c), &mut Metrics::default());
+        let (anc, src) = (tree.of_node(a), tree.of_node(sup));
+        let walk = parent_walk(tree, src, 1, anc.len(), m, |_, _| Ok(())).unwrap();
+        let merge = structural_semi_join_merge(&db, c, anc, src, SemiSide::Ancestor, Some(1), m);
+        assert_eq!(walk, merge);
+        assert_eq!(walk.len(), 2, "a0 and a1 each supervise");
+    }
+
+    /// Gallop dispatch is an implementation detail: for random (ancestor,
+    /// descendant) subset pairs of random DEEP and UNDR instances — dense,
+    /// sparse, empty and wildly asymmetric, the ancestor node up to four
+    /// placements above the descendant's — the gallop kernel and the
+    /// dispatching semi-join both return byte-identical output to the merge
+    /// reference, on both keep sides and at bounded depths.
     #[test]
     fn gallop_semi_join_matches_merge_on_random_subsets() {
-        let (g, db) = deep_chain_db(6, [3, 4, 3]);
-        let color = ColorId(0);
-        let pairs = [("a", "c"), ("a", "d"), ("c", "d")];
-        // splitmix64: a tiny deterministic source for the subset draws
-        let below = |state: &mut u64, n: u64| {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % n
-        };
         let mut gallop_engaged = 0usize;
-        // the deeper `fuzz` count of the workspace's property tests, always:
-        // on this small tree all 192 cases take milliseconds
-        for case in 0..192u64 {
-            let mut rng = 0xA11_CE5u64.wrapping_add(case);
-            let (anc_name, desc_name) = pairs[below(&mut rng, pairs.len() as u64) as usize];
-            let anc_all = db.color(color).of_node(g.node_by_name(anc_name).unwrap());
-            let desc_all = db.color(color).of_node(g.node_by_name(desc_name).unwrap());
-            // subsets at three densities per side: keeping every
-            // occurrence, ~1/8, or ~1/64 — sparse-vs-dense pairs cross the
-            // dispatch crossover
-            let densities = [1u64, 8, 64];
-            let anc_den = densities[below(&mut rng, 3) as usize];
-            let desc_den = densities[below(&mut rng, 3) as usize];
-            let anc: Vec<OccId> =
-                anc_all.iter().copied().filter(|_| below(&mut rng, anc_den) == 0).collect();
-            let desc: Vec<OccId> =
-                desc_all.iter().copied().filter(|_| below(&mut rng, desc_den) == 0).collect();
-            for keep in [SemiSide::Ancestor, SemiSide::Descendant] {
-                for depth in [None, Some(1), Some(2), Some(4)] {
-                    let mut ma = Metrics::default();
-                    let mut mm = Metrics::default();
-                    let auto = structural_semi_join(&db, color, &anc, &desc, keep, depth, &mut ma);
-                    let merge =
-                        structural_semi_join_merge(&db, color, &anc, &desc, keep, depth, &mut mm);
-                    assert_eq!(
-                        auto, merge,
-                        "case {case}: {anc_name}/{desc_name} keep {keep:?} depth {depth:?}"
-                    );
-                    if ma.elements_skipped > 0 {
-                        gallop_engaged += 1;
+        for (strategy, seed) in
+            [(colorist_core::Strategy::Deep, 3), (colorist_core::Strategy::Undr, 5)]
+        {
+            let db = random_db(strategy, 8, seed);
+            let placements = db.schema.placements();
+            for case in 0..96u64 {
+                let mut rng = 0xA11_CE5u64.wrapping_add(case);
+                let pd = &placements[below(&mut rng, placements.len() as u64) as usize];
+                let mut pa = pd;
+                for _ in 0..=below(&mut rng, 4) {
+                    if let Some((up, _)) = pa.parent {
+                        pa = db.schema.placement(up);
+                    }
+                }
+                let (color, tree) = (pd.color, db.color(pd.color));
+                // subsets at three densities per side: keeping every
+                // occurrence, ~1/8, or ~1/64 — sparse-vs-dense pairs cross
+                // the dispatch crossover
+                let mut subset = |all: &[OccId]| -> Vec<OccId> {
+                    let den = [1u64, 8, 64][below(&mut rng, 3) as usize];
+                    all.iter().copied().filter(|_| below(&mut rng, den) == 0).collect()
+                };
+                let anc = subset(tree.of_node(pa.node));
+                let desc = subset(tree.of_node(pd.node));
+                for keep in [SemiSide::Ancestor, SemiSide::Descendant] {
+                    for depth in [None, Some(1), Some(2), Some(4)] {
+                        let (mut ma, mut m) = (Metrics::default(), Metrics::default());
+                        let merge = structural_semi_join_merge(
+                            &db, color, &anc, &desc, keep, depth, &mut m,
+                        );
+                        let ctx = format!("{strategy} case {case}: keep {keep:?} depth {depth:?}");
+                        let auto =
+                            structural_semi_join(&db, color, &anc, &desc, keep, depth, &mut ma);
+                        assert_eq!(auto, merge, "{ctx}: dispatch");
+                        let gallop = structural_semi_join_gallop(
+                            &db, color, &anc, &desc, keep, depth, &mut m,
+                        );
+                        assert_eq!(gallop, merge, "{ctx}: gallop");
+                        if ma.elements_skipped > 0 {
+                            gallop_engaged += 1;
+                        }
                     }
                 }
             }

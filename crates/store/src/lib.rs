@@ -18,11 +18,12 @@
 //!   canonical element lists), charging every counter and page they read,
 //!   plus estimators that price the same operations from exact stored
 //!   counts. Behind it, crate-private: the stack-merge and gallop
-//!   structural semi-join kernels (the cheap side of the paper's cost
-//!   asymmetry; Al-Khalifa et al., ICDE 2002), the hash value join (the
-//!   expensive side), and the persistent attribute/id value index over
-//!   canonical elements that turns selective predicate scans and idref
-//!   probes into index lookups (TIMBER never scans a document linearly);
+//!   structural semi-join kernels and the parent-walk ascent (the cheap
+//!   side of the paper's cost asymmetry; Al-Khalifa et al., ICDE 2002),
+//!   the hash value join (the expensive side), and the persistent
+//!   attribute/id value index over canonical elements that turns
+//!   selective predicate scans and idref probes into index lookups
+//!   (TIMBER never scans a document linearly);
 //! * [`metrics`] — the operation counters the paper reports in Figures 8–10
 //!   (structural joins, value joins, color crossings, duplicate
 //!   eliminations, …) plus wall-clock time;
@@ -72,7 +73,7 @@ pub use effect::{analyze_batch, CommitScheduler, Footprint};
 pub use metrics::Metrics;
 pub use page::{FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 pub use pool::{PoolConfig, DEFAULT_POOL_BYTES};
-pub use read::{CmpOp, OccSet, Predicate, ReadCost, ReadError, Reader};
+pub use read::{CmpOp, OccSet, Predicate, ReadCost, ReadError, Reader, StructKernel};
 pub use stats::Stats;
 pub use storage::{FlushReport, Storage};
 pub use value::{Interner, Value, ValueKey};

@@ -93,35 +93,16 @@ fn escape(v: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colorist_er::{Attribute, ErDiagram};
 
     #[test]
     fn serializes_a_tiny_tree() {
-        let mut d = ErDiagram::new("t");
-        d.add_entity("a", vec![Attribute::key("id"), Attribute::text("name")]).unwrap();
-        d.add_entity("b", vec![Attribute::key("id")]).unwrap();
-        d.add_rel_1m("r", "a", "b").unwrap();
-        let g = ErGraph::from_diagram(&d).unwrap();
-        let schema = colorist_core::design(&g, colorist_core::Strategy::En).unwrap();
-        let a = g.node_by_name("a").unwrap();
-        let r = g.node_by_name("r").unwrap();
-        let b = g.node_by_name("b").unwrap();
-        let c = ColorId(0);
-        let pa = schema.placements_of_in_color(a, c)[0];
-        let pr = schema.placements_of_in_color(r, c)[0];
-        let pb = schema.placements_of_in_color(b, c)[0];
-        let mut bd = crate::database::DatabaseBuilder::new(schema, g.node_count());
-        let ea = bd.add_canonical(a, &[Value::Int(0), Value::Text("x<y".into())]);
-        let er = bd.add_canonical(r, &[]);
-        let eb = bd.add_canonical(b, &[Value::Int(0)]);
-        let oa = bd.add_occurrence(c, ea, pa, None);
-        let or = bd.add_occurrence(c, er, pr, Some(oa));
-        bd.add_occurrence(c, eb, pb, Some(or));
-        let db = bd.finish();
-        let xml = to_xml(&db, &g, c);
+        let (g, mut db) = crate::database::tests::tiny_db();
+        let b0 = db.extent(g.node_by_name("b").unwrap())[0];
+        db.write_attr(b0, 1, Value::Text("x<y".into()));
+        let xml = to_xml(&db, &g, ColorId(0));
         assert!(xml.contains("<a id=\"a.0\""), "{xml}");
-        assert!(xml.contains("<name>x&lt;y</name>"), "{xml}");
-        assert!(xml.contains("<b id=\"b.0\"/>") || xml.contains("<b id=\"b.0\" "), "{xml}");
+        assert!(xml.contains("<x>x&lt;y</x>"), "{xml}");
+        assert!(xml.contains("<a id=\"a.1\" id=\"1\"/>"), "childless: {xml}");
         assert!(xml.trim_end().ends_with("</root>"), "{xml}");
     }
 }

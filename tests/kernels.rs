@@ -1,33 +1,36 @@
 //! Differential property test for the kernel families through the public
-//! `execute`: the index-accelerated scan and idref paths against the
-//! linear and hash reference, over every tpcw read at growing scales. The
-//! gallop ≡ merge property of the structural semi-join kernel, which the
-//! store keeps private, is a unit test of `colorist-store`'s join module.
-//! The cross-strategy oracle additionally replays every CI seed under both
-//! kernel families (`KernelDispatch::Reference`), so these
-//! properties and the oracle sweep cover the same contract from two
-//! directions.
+//! `execute`: the index-accelerated scan and idref paths, the gallop and
+//! parent-walk structural kernels against the linear, hash and merge
+//! reference, over every TPC-W, Derby and XMark read at growing scales.
+//! The kernel-against-kernel properties of the structural semi-join (gallop
+//! ≡ merge, parent walk ≡ merge), which the store keeps private, are unit
+//! tests of `colorist-store`. The cross-strategy oracle additionally
+//! replays every CI seed under both kernel families
+//! (`KernelDispatch::Reference`), so these properties and the oracle sweep
+//! cover the same contract from two directions.
 
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, ScaleProfile};
 use colorist::er::{catalog, ErGraph};
 use colorist::query::{compile, execute};
 use colorist::store::KernelDispatch;
+use colorist::workload::{derby, tpcw, xmark, Workload};
 
-/// Growing-scale rounds of the differential.
-const ROUNDS: u64 = 16;
-
-/// Whole-plan differential: every tpcw read on every strategy returns the
-/// same answer with the value index live as with the reference kernels
-/// pinned, and the indexed run never examines more elements.
-#[test]
-fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
-    let g = ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds");
-    let w = colorist::workload::tpcw::workload(&g);
+/// Every read of `workload` over diagram `name`, on every strategy, returns
+/// the same answer with the value index and the gallop and parent-walk
+/// kernels live as with the reference kernels pinned, at `scales`; returns
+/// how many runs the default dispatch examined strictly fewer elements on.
+fn agree_with_reference(name: &str, workload: fn(&ErGraph) -> Workload, scales: &[u32]) -> usize {
+    let g = ErGraph::from_diagram(&catalog::by_name(name).expect("in the catalog"))
+        .expect("diagram builds");
+    let w = workload(&g);
     let mut strictly_reduced = 0usize;
-    for round in 0..ROUNDS {
-        let scale = 12 + 9 * round as u32;
-        let inst = generate(&g, &ScaleProfile::tpcw(&g, scale), 40 + round);
+    for (round, &scale) in scales.iter().enumerate() {
+        let profile = match name {
+            "tpcw" => ScaleProfile::tpcw(&g, scale),
+            _ => ScaleProfile::uniform(&g, scale),
+        };
+        let inst = generate(&g, &profile, 40 + round as u64);
         for s in Strategy::ALL {
             let schema = design(&g, s).expect("designs");
             let mut db = materialize(&g, &schema, &inst);
@@ -37,13 +40,18 @@ fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
                 db.set_kernel_dispatch(KernelDispatch::Reference);
                 let slow = execute(&db, &g, &plan).expect("reference run");
                 db.set_kernel_dispatch(KernelDispatch::CostModel);
-                let ctx = format!("scale {scale}: {}/{s}", q.name);
+                let ctx = format!("{name} scale {scale}: {}/{s}", q.name);
                 assert_eq!(fast.elements, slow.elements, "{ctx}: answers diverge");
                 assert_eq!(fast.results, slow.results, "{ctx}: physical counts diverge");
                 assert_eq!(fast.distinct, slow.distinct, "{ctx}: logical counts diverge");
+                // the kernels never change the paper's counters
+                let (f, r) = (&fast.metrics, &slow.metrics);
+                assert_eq!(f.structural_joins, r.structural_joins, "{ctx}: structural joins");
+                assert_eq!(f.value_joins, r.value_joins, "{ctx}: value joins");
+                assert_eq!(f.color_crossings, r.color_crossings, "{ctx}: crossings");
                 // the reference paths never probe the index or skip
-                assert_eq!(slow.metrics.index_lookups, 0, "{ctx}");
-                assert_eq!(slow.metrics.elements_skipped, 0, "{ctx}");
+                assert_eq!(r.index_lookups, 0, "{ctx}");
+                assert_eq!(r.elements_skipped, 0, "{ctx}");
                 // on join-free plans (predicated scans ± distinct/group-by)
                 // the index must never examine more than the linear walk,
                 // and must examine strictly less whenever the predicate
@@ -56,26 +64,52 @@ fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
                 let predicated = q.nodes.iter().any(|n| n.predicate.is_some());
                 if stat.structural_joins == 0 && stat.value_joins == 0 && predicated {
                     assert!(
-                        fast.metrics.elements_scanned <= slow.metrics.elements_scanned,
+                        f.elements_scanned <= r.elements_scanned,
                         "{ctx}: indexed scan examined {} of reference {}",
-                        fast.metrics.elements_scanned,
-                        slow.metrics.elements_scanned
+                        f.elements_scanned,
+                        r.elements_scanned
                     );
-                    if fast.metrics.elements_skipped > 0 {
+                    if f.elements_skipped > 0 {
                         assert!(
-                            fast.metrics.elements_scanned < slow.metrics.elements_scanned,
+                            f.elements_scanned < r.elements_scanned,
                             "{ctx}: skipped {} yet examined {} of reference {}",
-                            fast.metrics.elements_skipped,
-                            fast.metrics.elements_scanned,
-                            slow.metrics.elements_scanned
+                            f.elements_skipped,
+                            f.elements_scanned,
+                            r.elements_scanned
                         );
                     }
                 }
-                if fast.metrics.elements_scanned < slow.metrics.elements_scanned {
+                if f.elements_scanned < r.elements_scanned {
                     strictly_reduced += 1;
                 }
             }
         }
     }
-    assert!(strictly_reduced > 0, "no query's scan volume actually shrank");
+    strictly_reduced
+}
+
+/// TPC-W at sixteen growing scales.
+#[test]
+fn tpcw_workload_agrees_between_indexed_and_reference_kernels() {
+    let scales: Vec<u32> = (0..16).map(|round| 12 + 9 * round).collect();
+    let reduced = agree_with_reference("tpcw", tpcw::workload, &scales);
+    assert!(reduced > 0, "no query's scan volume actually shrank");
+}
+
+/// Derby's own workload, at five scales.
+#[test]
+fn derby_workload_agrees_between_indexed_and_reference_kernels() {
+    let reduced = agree_with_reference("derby", derby::workload, &[8, 20, 45, 90, 150]);
+    assert!(reduced > 0, "no query's scan volume actually shrank");
+}
+
+/// The XMark-emulated workload on every diagram of the ER collection it is
+/// instantiated against (all but TPC-W and Derby, which bring their own).
+#[test]
+fn xmark_workload_agrees_between_indexed_and_reference_kernels() {
+    let mut reduced = 0;
+    for name in catalog::COLLECTION.iter().filter(|&&n| n != "tpcw" && n != "derby") {
+        reduced += agree_with_reference(name, xmark::workload, &[6, 15, 40]);
+    }
+    assert!(reduced > 0, "no query's scan volume actually shrank");
 }

@@ -127,15 +127,15 @@ fn optimize_emits_the_compiled_plan_before_and_after_writes() {
 }
 
 /// Whether `op` can dispatch to `kernel`: an index probe only on a
-/// predicated scan, merge or gallop only on a structural semi-join, the
-/// hash join and the two probes only on a value semi-join.
+/// predicated scan, merge, gallop or parent walk only on a structural
+/// semi-join, the hash join and the two probes only on a value semi-join.
 fn kernel_applies(op: &Op, kernel: KernelChoice) -> bool {
     use KernelChoice::*;
     match op {
         Op::Scan { pred, .. } => {
             matches!(kernel, Default | LinearScan) || (kernel == IndexProbe && pred.is_some())
         }
-        Op::StructSemi { .. } => matches!(kernel, Default | Merge | Gallop),
+        Op::StructSemi { .. } => matches!(kernel, Default | Merge | Gallop | ParentWalk),
         Op::ValueSemi { .. } => matches!(kernel, Default | HashJoin | OrdinalProbe | ReverseProbe),
         _ => kernel == Default,
     }
