@@ -5,13 +5,19 @@
 //! colors they touch (DESIGN.md §5a), so their cost grows with the color,
 //! which the second size shows. Each iteration runs on a fresh database
 //! clone; only the update itself is timed.
+//!
+//! The `flush/{customers}` rows time one four-write commit on a DR
+//! database attached to in-memory pages: two `uname` and two `discount`
+//! writes, as `paged_mixed` sends them, validated, applied and flushed.
+//! A flush encodes only the pages the written rows land on, so the row
+//! should not grow with the database.
 
 use colorist_bench::micro;
 use colorist_core::{design, Strategy};
 use colorist_datagen::{generate, materialize, ScaleProfile};
 use colorist_er::{catalog, ErGraph};
 use colorist_query::{execute_update, PatternBuilder, UpdateAction, UpdateSpec};
-use colorist_store::Value;
+use colorist_store::{PoolConfig, Storage, UpdateBatch, Value};
 use colorist_workload::tpcw;
 
 fn main() {
@@ -46,5 +52,29 @@ fn main() {
                 );
             }
         }
+    }
+    println!("updates — one four-write commit on paged-mem pages (DR, fresh clone per iteration)");
+    let customer = g.node_by_name("customer").unwrap();
+    for customers in [1000, 10_000] {
+        let inst = generate(&g, &ScaleProfile::tpcw(&g, customers), 42);
+        let mut db = materialize(&g, &design(&g, Strategy::Dr).unwrap(), &inst);
+        Storage::PagedMem(PoolConfig::default()).attach(&mut db).unwrap();
+        let uname = db.attr_index(&g, customer, "uname").unwrap();
+        let discount = db.attr_index(&g, customer, "discount").unwrap();
+        let extent = db.extent(customer);
+        let mut batch = UpdateBatch::new();
+        for k in 0..4 {
+            let e = extent[(2 * k + 1) * extent.len() / 8];
+            match k % 2 {
+                // another customer's name: no new symbol
+                0 => batch.write_attr(e, uname, db.element(extent[k]).attrs[uname].clone()),
+                _ => batch.write_attr(e, discount, Value::Float(k as f64 + 0.25)),
+            };
+        }
+        micro::case_with_setup(
+            &format!("flush/{customers}"),
+            || db.clone(),
+            |mut dbu| batch.apply(&mut dbu, &g).unwrap(),
+        );
     }
 }

@@ -9,9 +9,11 @@
 //!   one class: they count pages identically;
 //! * **operation-count drift** (structural/value joins, crossings,
 //!   dup-eliminations, group-bys, scans, probes, bytes, result counts) is a
-//!   **failure** when the current count grew, and a **warning** when it
-//!   *shrank* — improvements mean the baseline is stale and should be
-//!   refreshed, not that the build is broken. The counters are
+//!   **failure** when the current count moved the worse way, and a
+//!   **warning** when it moved the better way — improvements mean the
+//!   baseline is stale and should be refreshed, not that the build is
+//!   broken. Growth is worse except for the counters of avoided work in
+//!   [`MORE_IS_BETTER`], where shrinkage is. The counters are
 //!   deterministic (same scale + seed ⇒ same counts), so they are compared
 //!   exactly. Wall-clock fields are never compared: `BENCHMARK.json` is the
 //!   authority for time;
@@ -32,7 +34,7 @@
 //! answer checksums, final epochs) must match exactly and plan-cache
 //! counters follow the operation-count rule.
 
-use crate::summary::{record_counters, SCHEMA_VERSION};
+use crate::summary::{record_counters, MORE_IS_BETTER, SCHEMA_VERSION};
 use colorist_store::Metrics;
 use colorist_trace::Json;
 use std::collections::BTreeMap;
@@ -88,11 +90,13 @@ const SPAN_COUNTERS: [(&str, &[&str], bool); 8] = [
     ("effect", &["effect_keys"], false),
 ];
 
-/// The operation-count rule: growth fails, shrinkage warns.
+/// The operation-count rule: growth fails and shrinkage warns, the other
+/// way round for a counter in [`MORE_IS_BETTER`].
 fn gate_count(report: &mut GateReport, what: &str, field: &str, b: u64, c: u64) {
-    if c > b {
+    let worse = if MORE_IS_BETTER.contains(&field) { c < b } else { c > b };
+    if worse {
         report.failures.push(format!("{what}: {field} regressed {b} -> {c}"));
-    } else if c < b {
+    } else if c != b {
         report.warnings.push(format!("{what}: {field} improved {b} -> {c} — refresh the baseline"));
     }
 }
@@ -327,8 +331,6 @@ pub fn compare_scale(baseline: &Json, current: &Json) -> Result<GateReport, Stri
             for field in SCALE_CACHE_FIELDS {
                 let b = require_u64(bc, field, &format!("baseline {what}"))?;
                 let c = require_u64(cc, field, &format!("current {what}"))?;
-                // hits shrinking is the regression; misses/evictions growing is
-                let (b, c) = if field == "plan_cache_hits" { (c, b) } else { (b, c) };
                 gate_count(&mut report, &what, field, b, c);
             }
         }
@@ -535,6 +537,38 @@ mod tests {
         let rev = compare(&cur, &base).expect("comparable");
         assert!(rev.pass(), "{:?}", rev.failures);
         assert!(rev.warnings.iter().any(|w| w.contains("improved")), "{:?}", rev.warnings);
+    }
+
+    /// `doc` with every `key` one higher.
+    fn bump(doc: &Json, key: &str) -> Json {
+        fn walk(j: &mut Json, key: &str) {
+            match j {
+                Json::Obj(m) => m.iter_mut().for_each(|(k, v)| match v {
+                    Json::Int(n) if k == key => *n += 1,
+                    v => walk(v, key),
+                }),
+                Json::Arr(v) => v.iter_mut().for_each(|x| walk(x, key)),
+                _ => {}
+            }
+        }
+        let mut doc = doc.clone();
+        walk(&mut doc, key);
+        doc
+    }
+
+    #[test]
+    fn counters_of_avoided_work_fail_when_they_shrink() {
+        let base = Json::parse(&small_summary()).expect("parses");
+        for key in ["elements_skipped", "pool_hits", "structural_joins"] {
+            let more = bump(&base, key);
+            let (grown, shrunk) = (compare(&base, &more), compare(&more, &base));
+            let (grown, shrunk) = (grown.expect("comparable"), shrunk.expect("comparable"));
+            let (worse, better) =
+                if MORE_IS_BETTER.contains(&key) { (shrunk, grown) } else { (grown, shrunk) };
+            assert!(worse.failures.iter().any(|f| f.contains(&format!("{key} regressed"))));
+            assert!(better.pass(), "{key}: {:?}", better.failures);
+            assert!(better.warnings.iter().any(|w| w.contains(&format!("{key} improved"))));
+        }
     }
 
     #[test]

@@ -60,6 +60,13 @@ pub fn record_counters(m: &Metrics) -> impl Iterator<Item = (&'static str, u64)>
     m.counters().filter(|(key, _)| !matches!(*key, "results" | "distinct_results"))
 }
 
+/// The counters that count avoided work or reuse, so that more of them is
+/// better: the skips a gallop or a walk earns, the page requests the pool
+/// answers, the plan lookups the cache answers. For these the count gate
+/// fails on shrinkage and warns on growth; every other counter the other
+/// way round.
+pub const MORE_IS_BETTER: [&str; 3] = ["elements_skipped", "pool_hits", "plan_cache_hits"];
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }

@@ -18,12 +18,13 @@
 //! copies the table list's column handles, the written column's spine and
 //! one 64-cell chunk of it, and shares every other column whole.
 
-use crate::chunked::Chunked;
+use crate::chunked::{Chunked, CHUNK_LEN};
 use crate::database::ElementId;
 use crate::index::{IndexEntry, ValueIndex};
 use crate::tree::group;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -183,6 +184,15 @@ impl Column {
         match self {
             Column::Text(a) => count(a, other.and_then(|o| o.as_text())),
             Column::Values(a) => count(a, other.and_then(|o| o.as_values())),
+        }
+    }
+
+    /// Whether chunk `k` is the very chunk `old` holds there.
+    fn shares_chunk(&self, old: &Column, k: usize) -> bool {
+        match (self, old) {
+            (Column::Text(a), Column::Text(b)) => Arc::ptr_eq(&a.chunks()[k], &b.chunks()[k]),
+            (Column::Values(a), Column::Values(b)) => Arc::ptr_eq(&a.chunks()[k], &b.chunks()[k]),
+            _ => false,
         }
     }
 
@@ -381,6 +391,37 @@ impl Elements {
             return Err(format!("the tables hold {rows} rows for {} elements", self.len()));
         }
         Ok(())
+    }
+
+    /// The elements whose cells may differ from `old`'s (headers only
+    /// grow): found by pointer — table list, column, chunk — then, in each
+    /// chunk `old` does not share, row by row and bit for bit (`-0.0` is
+    /// not `0.0`). `old`'s text resolves through `old_interner`.
+    pub(crate) fn changed_since(
+        &self,
+        old: &Elements,
+        i: &Interner,
+        old_i: &Interner,
+    ) -> BTreeSet<u32> {
+        let mut changed = BTreeSet::new();
+        let tables = self.tables.iter().zip(old.tables.iter());
+        for (table, was) in tables.filter(|_| !Arc::ptr_eq(&self.tables, &old.tables)) {
+            let columns = table.columns.iter().zip(&was.columns);
+            for (column, old_column) in columns.filter(|(c, o)| !Arc::ptr_eq(c, o)) {
+                let rows = (0..was.ids.len().div_ceil(CHUNK_LEN))
+                    .filter(|&k| !column.shares_chunk(old_column, k))
+                    .flat_map(|k| k * CHUNK_LEN..((k + 1) * CHUNK_LEN).min(was.ids.len()));
+                for r in rows {
+                    let (a, b) = (column.value(r, i), old_column.value(r, old_i));
+                    // equal floats differ in bits only as `0.0` and `-0.0`
+                    let signed = |v: &Value| matches!(v, Value::Float(f) if f.is_sign_negative());
+                    if a != b || signed(a) != signed(b) {
+                        changed.insert(table.ids.get(r).0);
+                    }
+                }
+            }
+        }
+        changed
     }
 
     /// What this store and `other` share of column `(node, attr)`.

@@ -31,6 +31,7 @@
 use crate::database::ElementId;
 use crate::value::ValueKey;
 use colorist_er::NodeId;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One posting of the value index: canonical `element` (of ER type `node`)
@@ -107,15 +108,10 @@ impl ValueIndex {
         self.runs().map(|r| r.len()).sum()
     }
 
-    /// Every posting run, in `(node, attr)` order.
+    /// Every posting run, in `(node, attr)` order: concatenated, the row
+    /// order of the paged postings segment.
     pub(crate) fn runs(&self) -> impl Iterator<Item = &Arc<Vec<IndexEntry>>> {
         self.columns.iter().flatten()
-    }
-
-    /// Every posting, in sort order — the row order of the paged postings
-    /// segment.
-    pub fn entries(&self) -> impl Iterator<Item = &IndexEntry> {
-        self.runs().flat_map(|r| r.iter())
     }
 
     /// All postings for `(node, attr)`, sorted by key then element.
@@ -159,6 +155,33 @@ impl ValueIndex {
         let earlier = self.columns[..node].iter().flatten().chain(&self.columns[node][..attr]);
         let before: usize = earlier.map(|r| r.len()).sum();
         Some((before + within) as u64)
+    }
+
+    /// The ascending row ranges whose postings may differ from `old`'s —
+    /// skipping shared runs by pointer, trimming common prefix and suffix —
+    /// and the row from which all may have moved, if a run changed length.
+    pub(crate) fn changed_since(&self, old: &ValueIndex) -> (Vec<Range<u64>>, Option<u64>) {
+        let (mut ranges, mut row) = (Vec::new(), 0);
+        for n in 0..self.columns.len().max(old.columns.len()) {
+            let attrs = |ix: &ValueIndex| ix.columns.get(n).map_or(0, Vec::len);
+            for a in 0..attrs(self).max(attrs(old)) {
+                let node = NodeId(n as u32);
+                let (new, was) = (self.of_attr(node, a), old.of_attr(node, a));
+                if !std::ptr::eq(new, was) {
+                    let prefix = new.iter().zip(was).take_while(|(x, y)| x == y).count();
+                    if new.len() != was.len() {
+                        return (ranges, Some(row + prefix as u64));
+                    }
+                    let same = new.iter().rev().zip(was.iter().rev()).take_while(|(x, y)| x == y);
+                    let suffix = same.count();
+                    if prefix < new.len() {
+                        ranges.push(row + prefix as u64..row + (new.len() - suffix) as u64);
+                    }
+                }
+                row += new.len() as u64;
+            }
+        }
+        (ranges, None)
     }
 
     /// The run of `(node, attr)` for writing: created if the column is new,
@@ -248,7 +271,8 @@ mod tests {
     ) -> Vec<ElementId> {
         let key = interner.try_key(v);
         index
-            .entries()
+            .runs()
+            .flat_map(|r| r.iter())
             .filter(|e| e.node == node && e.attr == attr as u32 && Some(e.key) == key)
             .map(|e| e.element)
             .collect()

@@ -13,10 +13,11 @@
 //! * a **commit protocol**: mutators mark the segments they touch dirty,
 //!   and every commit point (`UpdateBatch::apply` — which
 //!   `query::execute_update` commits through — a `CommitScheduler` group,
-//!   attach) re-serializes exactly the dirty segments, hashes every page,
-//!   writes only the pages whose checksum changed (and the directory
-//!   pages that changed with them) to free pages, and repoints the meta
-//!   page at the new directory; `page_writes` counts the pages laid down;
+//!   attach) lays the dirty segments down again, the element and posting
+//!   segments only on the pages of rows that changed since the version's
+//!   *image* (found by `Arc` pointer), and writes the pages whose checksum
+//!   changed (and the directory pages with them) to free pages, then
+//!   repoints the meta page at the new directory; `page_writes` counts them;
 //! * **paged reads**: each query's [`Reader`](crate::read::Reader) holds
 //!   a `StorageCtx` with its own cold accounting clock, and reports every
 //!   record it reads to the context, which resolves the record's row to a page and
@@ -49,6 +50,7 @@ use colorist_mct::{ColorId, MctSchema, PlacementId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -73,6 +75,8 @@ const REC_OCC: u64 = 22;
 const REC_POSTING: u64 = 21;
 /// Serialized record size of one ordinal or link slot (`u32`).
 const REC_SLOT: u64 = 4;
+/// Element records between two offsets an image keeps.
+const SAMPLE_ROWS: usize = 64;
 
 /// One serialized stored structure, keyed for dirty tracking and the
 /// directory. Trees are per color; everything else is global.
@@ -127,23 +131,32 @@ struct SegmentDirectory {
     link_bases: Vec<u64>,
 }
 
-impl SegmentDirectory {
-    fn entry(&self, seg: SegId) -> Option<&SegEntry> {
-        self.segs.get(&seg)
-    }
-}
-
 /// One published directory version: the directory, the pages its own
-/// encoding occupies, and the backend both live on. While any handle on
-/// it is alive — a database, a clone, a savepoint, a snapshot, a running
-/// query's `StorageCtx` — every page it names stays pinned in the
-/// backend's [`crate::page::PageTable`]; dropping the last handle unpins
-/// them.
+/// encoding occupies, the backend both live on, and the image its pages
+/// encode. While any handle on it is alive — a database, a clone, a
+/// savepoint, a snapshot, a running query's `StorageCtx` — every page it
+/// names stays pinned in the backend's [`crate::page::PageTable`];
+/// dropping the last handle unpins them.
 #[derive(Debug)]
 pub(crate) struct DirVersion {
     backend: Arc<dyn StorageBackend>,
     dir: SegmentDirectory,
     dir_pages: Vec<PageRef>,
+    /// `None` before an attach's first flush.
+    image: Option<Image>,
+}
+
+/// The state a version's pages encode, as handles on the database's own
+/// copy-on-write structures: the next flush finds what changed by pointer.
+/// Clones, snapshots and a failed flush each diff against their own.
+#[derive(Debug)]
+struct Image {
+    elements: Elements,
+    index: Arc<ValueIndex>,
+    interner: Arc<Interner>,
+    /// Offset of every `SAMPLE_ROWS`-th element record, where an encode
+    /// may start.
+    samples: Vec<u64>,
 }
 
 impl DirVersion {
@@ -152,8 +165,9 @@ impl DirVersion {
         backend: Arc<dyn StorageBackend>,
         dir: SegmentDirectory,
         dir_pages: Vec<PageRef>,
+        image: Image,
     ) -> Arc<DirVersion> {
-        let version = DirVersion { backend, dir, dir_pages };
+        let version = DirVersion { backend, dir, dir_pages, image: Some(image) };
         version.backend.pages().pin(version.page_ids());
         Arc::new(version)
     }
@@ -274,6 +288,15 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// `rows` records of at least `min` bytes each, checked to fit in `bytes`
+/// before anything is sized by a count a valid checksum may still carry.
+fn fits(rows: u64, min: u64, bytes: &[u8]) -> io::Result<usize> {
+    match rows.checked_mul(min) {
+        Some(need) if need <= bytes.len() as u64 => Ok(rows as usize),
+        _ => Err(corrupt(format!("{rows} records overrun a segment of {} bytes", bytes.len()))),
+    }
+}
+
 struct Cur<'a> {
     b: &'a [u8],
     p: usize,
@@ -304,6 +327,12 @@ impl<'a> Cur<'a> {
 
     fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// A `u32` count of items of 4 bytes or more, checked against the rest.
+    fn count(&mut self) -> io::Result<usize> {
+        let n = self.u32()?;
+        fits(n as u64, 4, &self.b[self.p..])
     }
 }
 
@@ -343,34 +372,48 @@ fn decode_cell(cur: &mut Cur, interner: &Interner) -> io::Result<Cell> {
     }
 }
 
-/// The element segment: one record per element in id order — node,
-/// ordinal, canonical, then its row's cells — read out of the columns.
-fn encode_elements(elements: &Elements, interner: &Interner) -> (Vec<u8>, u64) {
-    let mut out = Vec::new();
-    for e in 0..elements.len() as u32 {
-        let h = elements.header(ElementId(e));
-        put_u32(&mut out, h.node.0);
-        put_u32(&mut out, h.ordinal);
-        put_u32(&mut out, h.canonical.0);
+/// The element segment: per element in id order, node, ordinal, canonical,
+/// arity, then its row's cells. Appends the records from row `from` on to
+/// `out`, until `stop`, shown each row and `out`'s length, returns `true`.
+fn encode_elements(
+    elements: &Elements,
+    interner: &Interner,
+    from: usize,
+    out: &mut Vec<u8>,
+    mut stop: impl FnMut(usize, usize) -> bool,
+) {
+    for e in from..elements.len() {
+        if stop(e, out.len()) {
+            return;
+        }
+        let h = elements.header(ElementId(e as u32));
+        put_u32(out, h.node.0);
+        put_u32(out, h.ordinal);
+        put_u32(out, h.canonical.0);
         let arity = elements.arity(h.node);
-        put_u16(&mut out, arity as u16);
+        put_u16(out, arity as u16);
         for a in 0..arity {
-            encode_cell(&mut out, elements.cell(h, a, interner));
+            encode_cell(out, elements.cell(h, a, interner));
         }
     }
-    (out, elements.len() as u64)
 }
 
+/// The element store, and the offset of every `SAMPLE_ROWS`-th record.
 fn decode_elements(
     bytes: &[u8],
     rows: u64,
     node_count: usize,
     interner: &Interner,
-) -> io::Result<Elements> {
+) -> io::Result<(Elements, Vec<u64>)> {
+    let rows = fits(rows, 14, bytes)?; // node, ordinal, canonical, arity
     let mut cur = Cur::new(bytes);
     let mut out = Staged::new(node_count);
     let mut cells = Vec::new();
-    for _ in 0..rows {
+    let mut samples = Vec::new();
+    for row in 0..rows {
+        if row % SAMPLE_ROWS == 0 {
+            samples.push(cur.p as u64);
+        }
         let node = NodeId(cur.u32()?);
         let ordinal = cur.u32()?;
         let canonical = ElementId(cur.u32()?);
@@ -386,7 +429,7 @@ fn decode_elements(
         }
         out.push(node, ordinal, canonical, cells.drain(..), interner);
     }
-    Ok(out.freeze())
+    Ok((out.freeze(), samples))
 }
 
 fn encode_tree(occs: &[Occurrence]) -> (Vec<u8>, u64) {
@@ -403,8 +446,9 @@ fn encode_tree(occs: &[Occurrence]) -> (Vec<u8>, u64) {
 }
 
 fn decode_tree(bytes: &[u8], rows: u64) -> io::Result<Vec<Occurrence>> {
+    let rows = fits(rows, REC_OCC, bytes)?;
     let mut cur = Cur::new(bytes);
-    let mut out = Vec::with_capacity(rows as usize);
+    let mut out = Vec::with_capacity(rows);
     for _ in 0..rows {
         let element = ElementId(cur.u32()?);
         let placement = PlacementId(cur.u32()?);
@@ -435,6 +479,10 @@ fn encode_slots(groups: &[Vec<impl SlotWord>]) -> (Vec<u8>, Vec<u64>, u64) {
 }
 
 fn decode_slots<T: SlotWord>(bytes: &[u8], bases: &[u64], rows: u64) -> io::Result<Vec<Vec<T>>> {
+    fits(rows, REC_SLOT, bytes)?;
+    if bases.windows(2).any(|w| w[0] > w[1]) || bases.last().is_some_and(|&b| b > rows) {
+        return Err(corrupt("slot bases out of order"));
+    }
     let mut cur = Cur::new(bytes);
     let mut out = Vec::with_capacity(bases.len());
     for (i, &base) in bases.iter().enumerate() {
@@ -493,13 +541,13 @@ fn encode_rev_links(rev: &[Vec<Vec<u32>>]) -> (Vec<u8>, u64) {
 
 fn decode_rev_links(bytes: &[u8]) -> io::Result<Vec<Vec<Vec<u32>>>> {
     let mut cur = Cur::new(bytes);
-    let edges = cur.u32()? as usize;
+    let edges = cur.count()?;
     let mut out = Vec::with_capacity(edges);
     for _ in 0..edges {
-        let participants = cur.u32()? as usize;
+        let participants = cur.count()?;
         let mut per_edge = Vec::with_capacity(participants);
         for _ in 0..participants {
-            let n = cur.u32()? as usize;
+            let n = cur.count()?;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(cur.u32()?);
@@ -539,20 +587,22 @@ fn decode_key(cur: &mut Cur) -> io::Result<ValueKey> {
     }
 }
 
-fn encode_postings(index: &ValueIndex) -> (Vec<u8>, u64) {
-    let mut out = Vec::with_capacity(index.len() * REC_POSTING as usize);
-    for e in index.entries() {
-        put_u32(&mut out, e.node.0);
-        put_u32(&mut out, e.attr);
-        encode_key(&mut out, e.key);
-        put_u32(&mut out, e.element.0);
+/// The postings segment: every posting in the index's global order.
+/// Appends rows `rows` of it to `out` (skipping whole runs to the first).
+fn encode_postings(index: &ValueIndex, rows: Range<u64>, out: &mut Vec<u8>) {
+    let postings = index.runs().flat_map(|r| r.iter()).skip(rows.start as usize);
+    for e in postings.take((rows.end - rows.start) as usize) {
+        put_u32(out, e.node.0);
+        put_u32(out, e.attr);
+        encode_key(out, e.key);
+        put_u32(out, e.element.0);
     }
-    (out, index.len() as u64)
 }
 
 fn decode_postings(bytes: &[u8], rows: u64) -> io::Result<Vec<IndexEntry>> {
+    let rows = fits(rows, REC_POSTING, bytes)?;
     let mut cur = Cur::new(bytes);
-    let mut out = Vec::with_capacity(rows as usize);
+    let mut out = Vec::with_capacity(rows);
     for _ in 0..rows {
         let node = NodeId(cur.u32()?);
         let attr = cur.u32()?;
@@ -574,8 +624,9 @@ fn encode_symbols(interner: &Interner) -> (Vec<u8>, u64) {
 }
 
 fn decode_symbols(bytes: &[u8], rows: u64) -> io::Result<Interner> {
+    let rows = fits(rows, 4, bytes)?;
     let mut cur = Cur::new(bytes);
-    let mut strings = Vec::with_capacity(rows as usize);
+    let mut strings = Vec::with_capacity(rows);
     for _ in 0..rows {
         let n = cur.u32()? as usize;
         let s = std::str::from_utf8(cur.take(n)?).map_err(|_| corrupt("non-UTF-8 symbol"))?;
@@ -724,27 +775,50 @@ fn decode_meta(page: &[u8]) -> io::Result<Meta> {
     Ok(Meta { epoch, dir_bytes, dir_pages })
 }
 
-/// Cut `bytes` into pages (zero-padding it in place), hash each, and keep
-/// the id of every page whose checksum equals the one `old` recorded at
-/// the same index. Returns the new page list — a changed page gets id 0
-/// for now — and the indices of the changed pages.
-fn diff_pages(bytes: &mut Vec<u8>, old: &[PageRef]) -> (Vec<PageRef>, Vec<usize>) {
-    bytes.resize(bytes.len().div_ceil(PAGE_SIZE) * PAGE_SIZE, 0);
+/// Lay a segment of `total` bytes over its `old` pages: `buf` holds its
+/// bytes from page `first` on, and `span` appends those of an earlier page
+/// overlapping the ascending `ranges`; other pages carry over. Each laid
+/// page is hashed and compared with the old one at its index. Returns the
+/// page list (id 0 where changed) and each changed page's offset in `buf`.
+fn lay_pages(
+    old: &[PageRef],
+    total: u64,
+    first: usize,
+    ranges: &[Range<u64>],
+    buf: &mut Vec<u8>,
+    mut span: impl FnMut(Range<u64>, &mut Vec<u8>),
+) -> (Vec<PageRef>, Vec<(usize, usize)>) {
+    let page = PAGE_SIZE as u64;
+    let count = pages_for(total) as usize;
+    buf.resize((count - first) * PAGE_SIZE, 0);
+    let mut pages = old[..old.len().min(count)].to_vec();
+    pages.resize(count, PageRef { id: 0, checksum: 0 });
     let mut changed = Vec::new();
-    let pages = bytes
-        .chunks_exact(PAGE_SIZE)
-        .enumerate()
-        .map(|(i, page)| {
-            let checksum = checksum(page);
-            match old.get(i) {
-                Some(&p) if p.checksum == checksum => p,
-                _ => {
-                    changed.push(i);
-                    PageRef { id: 0, checksum }
-                }
-            }
-        })
+    let mut lay = |i: usize, at: usize, buf: &[u8]| {
+        let checksum = checksum(&buf[at..at + PAGE_SIZE]);
+        let kept = old.get(i).is_some_and(|p| p.checksum == checksum);
+        if !kept {
+            pages[i] = PageRef { id: 0, checksum };
+            changed.push((i, at));
+        }
+        kept
+    };
+    let mut before: Vec<usize> = (ranges.iter())
+        .flat_map(|r| (r.start / page) as usize..=((r.end - 1) / page) as usize)
+        .filter(|&i| i < first)
         .collect();
+    before.dedup();
+    for i in before {
+        let at = buf.len();
+        span(i as u64 * page..((i as u64 + 1) * page).min(total), buf);
+        buf.resize(at + PAGE_SIZE, 0);
+        if lay(i, at, buf) {
+            buf.truncate(at);
+        }
+    }
+    for i in first..count {
+        lay(i, (i - first) * PAGE_SIZE, buf);
+    }
     (pages, changed)
 }
 
@@ -809,7 +883,7 @@ impl Database {
         for c in 0..self.colors.len() {
             dirty.insert(SegId::Tree(c as u16));
         }
-        let empty = DirVersion { backend, dir: SegmentDirectory::default(), dir_pages: vec![] };
+        let empty = DirVersion { backend, dir: Default::default(), dir_pages: vec![], image: None };
         let cache = Arc::new(PageCache::new(pool));
         self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), dirty, pool, cache });
         self.flush_storage()
@@ -821,14 +895,16 @@ impl Database {
     }
 
     /// Write every dirty segment back to the backend — the commit/
-    /// write-back protocol of DESIGN.md §14. Each dirty segment is
-    /// re-encoded and hashed page by page; only the pages whose checksum
-    /// changed are written, each to a page no live version names, and the
-    /// directory is diffed and written the same way. Then the meta page is
-    /// repointed and the backend synced once. Returns the pages written
-    /// for `page_writes` accounting; zero (and no I/O) when nothing is
-    /// dirty or the database is heap-backed. On `Err` the database, its
-    /// directory and the backend's free list are as before the call.
+    /// write-back protocol of DESIGN.md §14. The element and posting
+    /// segments encode and hash only the pages of the rows that changed
+    /// since the directory's image, found by pointer; the others are
+    /// re-encoded whole and hashed page by page. Only the pages whose
+    /// checksum changed are written, each to a page no live version names,
+    /// and the directory is diffed and written the same way. Then the meta
+    /// page is repointed and the backend synced once. Returns the pages
+    /// written for `page_writes` accounting; zero (and no I/O) when nothing
+    /// is dirty or the database is heap-backed. On `Err` the database, its
+    /// directory and image, and the backend's free list are as before.
     pub fn flush_storage(&mut self) -> io::Result<FlushReport> {
         let (old, dirty, cache) = match &self.storage {
             Backing::Paged(s) if !s.dirty.is_empty() => {
@@ -856,8 +932,8 @@ impl Database {
         Ok(FlushReport { pages_written })
     }
 
-    /// The write half of [`Database::flush_storage`]: encode, diff and
-    /// write the dirty segments' changed pages and the directory's, taking
+    /// The write half of [`Database::flush_storage`]: lay the dirty
+    /// segments' pages, write the changed ones and the directory's, taking
     /// pages into `taken` and dropping them from `cache`. Returns the
     /// pinned new version, its meta page and the pages written (the meta
     /// page included).
@@ -875,55 +951,158 @@ impl Database {
             Ok(ids)
         };
         let mut dir = old.dir.clone();
-        let mut encoded = Vec::with_capacity(dirty.len());
-        // (segment, its buffer in `encoded`, page index) per changed page
-        let mut changed = Vec::new();
+        let mut samples = old.image.as_ref().map_or_else(Vec::new, |i| i.samples.clone());
+        // per changed page: (segment, its buffer in `laid`, index, offset)
+        let (mut laid, mut changed) = (Vec::new(), Vec::new());
         for &seg in dirty {
-            let (mut bytes, rows) = match seg {
-                SegId::Elements => encode_elements(&self.elements, &self.interner),
-                SegId::Ordinals => {
-                    let (b, bases, rows) = encode_slots(&self.by_ordinal);
-                    dir.ordinal_bases = bases;
-                    (b, rows)
-                }
-                SegId::Postings => encode_postings(&self.value_index),
-                SegId::Links => {
-                    let (b, bases, rows) = encode_slots(&self.links);
-                    dir.link_bases = bases;
-                    (b, rows)
-                }
-                SegId::RevLinks => encode_rev_links(&self.rev_links),
-                SegId::Symbols => encode_symbols(&self.interner),
-                SegId::Tree(c) => encode_tree(self.colors[c as usize].occs()),
-            };
-            let len = bytes.len() as u64;
-            let old_pages = old.dir.entry(seg).map_or(&[][..], |e| &e.pages);
-            let (pages, seg_changed) = diff_pages(&mut bytes, old_pages);
-            changed.extend(seg_changed.into_iter().map(|i| (seg, encoded.len(), i)));
-            dir.segs.insert(seg, SegEntry { bytes: len, rows, pages });
-            encoded.push(bytes);
+            let (entry, buf, seg_changed) = self.lay_segment(old, seg, &mut dir, &mut samples);
+            changed.extend(seg_changed.into_iter().map(|(i, at)| (seg, laid.len(), i, at)));
+            dir.segs.insert(seg, entry);
+            laid.push(buf);
         }
         let mut writes = Vec::with_capacity(changed.len());
-        for (&(seg, buf, i), id) in changed.iter().zip(take(changed.len())?) {
+        for (&(seg, buf, i, at), id) in changed.iter().zip(take(changed.len())?) {
             dir.segs.get_mut(&seg).expect("inserted above").pages[i].id = id;
-            writes.push((id, &encoded[buf][i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
+            writes.push((id, &laid[buf][at..at + PAGE_SIZE]));
         }
         let data_pages = writes.len() as u64;
         write_runs(backend, cache, writes)?;
 
         let mut dir_buf = encode_dir(&dir);
         let dir_bytes = dir_buf.len() as u64;
-        let (mut dir_pages, dir_changed) = diff_pages(&mut dir_buf, &old.dir_pages);
+        let (mut dir_pages, dir_changed) =
+            lay_pages(&old.dir_pages, dir_bytes, 0, &[], &mut dir_buf, |_, _| {});
         let mut writes = Vec::with_capacity(dir_changed.len());
-        for (&i, id) in dir_changed.iter().zip(take(dir_changed.len())?) {
+        for (&(i, at), id) in dir_changed.iter().zip(take(dir_changed.len())?) {
             dir_pages[i].id = id;
-            writes.push((id, &dir_buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]));
+            writes.push((id, &dir_buf[at..at + PAGE_SIZE]));
         }
         write_runs(backend, cache, writes)?;
         let meta = encode_meta(self.epoch(), dir_bytes, &dir_pages)?;
-        let version = DirVersion::pinned(old.backend.clone(), dir, dir_pages);
+        let image = Image {
+            elements: self.elements.clone(),
+            index: self.value_index.clone(),
+            interner: self.interner.clone(),
+            samples,
+        };
+        let version = DirVersion::pinned(old.backend.clone(), dir, dir_pages, image);
         taken.clear();
         Ok((version, meta, data_pages + dir_changed.len() as u64 + 1))
+    }
+
+    /// What changed in the element segment since `img` laid its
+    /// `old_bytes`: the byte range of each sample group holding a record
+    /// rewritten at its old length, and the offset from which every byte
+    /// may have changed (the sample ahead of the first record whose length
+    /// changed, or the end).
+    fn element_changes(&self, img: &Image, old_bytes: u64) -> (Vec<Range<u64>>, u64) {
+        // a text cell is a tag and a symbol, a number a tag and 8 bytes
+        let len = |els: &Elements, interner, e| {
+            let cells = els.attrs(els.header(ElementId(e)), interner);
+            cells.iter().map(|v| if matches!(v, Value::Text(_)) { 5 } else { 9 }).sum::<u64>()
+        };
+        let mut ranges: Vec<Range<u64>> = Vec::new();
+        for e in self.elements.changed_since(&img.elements, &self.interner, &img.interner) {
+            let k = e as usize / SAMPLE_ROWS;
+            if len(&self.elements, &self.interner, e) != len(&img.elements, &img.interner, e) {
+                return (ranges, img.samples[k]);
+            }
+            let group = img.samples[k]..img.samples.get(k + 1).copied().unwrap_or(old_bytes);
+            if ranges.last() != Some(&group) {
+                ranges.push(group);
+            }
+        }
+        (ranges, old_bytes)
+    }
+
+    /// Lay dirty segment `seg` over `old`'s pages ([`lay_pages`]). The
+    /// element and posting segments encode from the page where every byte
+    /// may have changed on, and before it the pages of the changed rows
+    /// only; the element segment keeps `samples` current.
+    #[allow(clippy::type_complexity)]
+    fn lay_segment(
+        &self,
+        old: &DirVersion,
+        seg: SegId,
+        dir: &mut SegmentDirectory,
+        samples: &mut Vec<u64>,
+    ) -> (SegEntry, Vec<u8>, Vec<(usize, usize)>) {
+        let page = PAGE_SIZE as u64;
+        let old_entry = old.dir.segs.get(&seg);
+        let old_pages = old_entry.map_or(&[][..], |e| &e.pages);
+        // what the old pages encode, when there are old pages
+        let image = old.image.as_ref().zip(old_entry);
+        let whole = |(buf, rows): (Vec<u8>, u64)| (buf, rows, 0, vec![]);
+        let (mut buf, rows, first, ranges) = match seg {
+            SegId::Elements => {
+                let (els, interner) = (&self.elements, &*self.interner);
+                let (ranges, moved) =
+                    image.map_or((vec![], 0), |(img, e)| self.element_changes(img, e.bytes));
+                let first = moved / page;
+                // encode from the sample at or before that page on
+                let k = samples.partition_point(|&o| o <= first * page).saturating_sub(1);
+                let from = samples.get(k).copied().unwrap_or(0);
+                samples.truncate(k);
+                let mut buf = Vec::new();
+                encode_elements(els, interner, k * SAMPLE_ROWS, &mut buf, |row, n| {
+                    if row % SAMPLE_ROWS == 0 {
+                        samples.push(from + n as u64);
+                    }
+                    false
+                });
+                buf.drain(..(first * page - from) as usize);
+                (buf, els.len() as u64, first, ranges)
+            }
+            SegId::Postings => {
+                let index = &*self.value_index;
+                let rows = index.len() as u64;
+                let (ranges, moved) =
+                    image.map_or((vec![], Some(0)), |(img, _)| index.changed_since(&img.index));
+                let first = moved.unwrap_or(rows) * REC_POSTING / page;
+                let from = first * page / REC_POSTING;
+                let mut buf = Vec::new();
+                encode_postings(index, from..rows, &mut buf);
+                buf.drain(..(first * page - from * REC_POSTING) as usize);
+                let bytes = |r: &Range<u64>| r.start * REC_POSTING..r.end * REC_POSTING;
+                (buf, rows, first, ranges.iter().map(bytes).collect())
+            }
+            SegId::Ordinals => {
+                let (b, bases, rows) = encode_slots(&self.by_ordinal);
+                dir.ordinal_bases = bases;
+                whole((b, rows))
+            }
+            SegId::Links => {
+                let (b, bases, rows) = encode_slots(&self.links);
+                dir.link_bases = bases;
+                whole((b, rows))
+            }
+            SegId::RevLinks => whole(encode_rev_links(&self.rev_links)),
+            SegId::Symbols => whole(encode_symbols(&self.interner)),
+            SegId::Tree(c) => whole(encode_tree(self.colors[c as usize].occs())),
+        };
+        let total = first * page + buf.len() as u64;
+        // bytes `r`, encoded from the nearest record start at or before it
+        let span = |r: Range<u64>, out: &mut Vec<u8>| {
+            let at = out.len();
+            let from = match seg {
+                SegId::Elements => {
+                    let k = samples.partition_point(|&o| o <= r.start) - 1;
+                    let (els, interner) = (&self.elements, &*self.interner);
+                    let end = |_, n| samples[k] + (n - at) as u64 >= r.end;
+                    encode_elements(els, interner, k * SAMPLE_ROWS, out, end);
+                    samples[k]
+                }
+                _ => {
+                    let first = r.start / REC_POSTING;
+                    encode_postings(&self.value_index, first..r.end.div_ceil(REC_POSTING), out);
+                    first * REC_POSTING
+                }
+            };
+            out.drain(at..at + (r.start - from) as usize);
+            out.truncate(at + (r.end - r.start) as usize);
+        };
+        let (pages, changed) = lay_pages(old_pages, total, first as usize, &ranges, &mut buf, span);
+        (SegEntry { bytes: total, rows, pages }, buf, changed)
     }
 
     /// Save this database durably to a page file at `path` (kept on
@@ -996,7 +1175,7 @@ impl Database {
         };
         let dir = decode_dir(&read("directory", meta.dir_bytes, &meta.dir_pages)?)?;
         let read_seg = |seg: SegId| -> io::Result<(Vec<u8>, u64)> {
-            let Some(e) = dir.entry(seg) else { return Ok((Vec::new(), 0)) };
+            let Some(e) = dir.segs.get(&seg) else { return Ok((Vec::new(), 0)) };
             Ok((read(&format!("{seg:?}"), e.bytes, &e.pages)?, e.rows))
         };
         let (b, rows) = read_seg(SegId::Symbols)?;
@@ -1004,13 +1183,13 @@ impl Database {
         let (b, rows) = read_seg(SegId::Ordinals)?;
         let by_ordinal: Vec<Vec<ElementId>> = decode_slots(&b, &dir.ordinal_bases, rows)?;
         let (b, rows) = read_seg(SegId::Elements)?;
-        let elements = decode_elements(&b, rows, by_ordinal.len(), &interner)?;
+        let (elements, samples) = decode_elements(&b, rows, by_ordinal.len(), &interner)?;
         let (b, rows) = read_seg(SegId::Links)?;
         let links: Vec<Vec<u32>> = decode_slots(&b, &dir.link_bases, rows)?;
         let (b, _) = read_seg(SegId::RevLinks)?;
         let rev_links = decode_rev_links(&b)?;
         let (b, rows) = read_seg(SegId::Postings)?;
-        let value_index = ValueIndex::from_entries(decode_postings(&b, rows)?);
+        let value_index = Arc::new(ValueIndex::from_entries(decode_postings(&b, rows)?));
         // a stored tree is in document order, so integrating it as one
         // pending tail reproduces it and builds its indexes
         let mut colors = Vec::with_capacity(schema.color_count());
@@ -1036,7 +1215,14 @@ impl Database {
             .collect();
         let named = dir.segs.values().flat_map(|e| &e.pages).chain(&meta.dir_pages);
         backend.pages().adopt(page_count, &meta_page, named.map(|p| p.id).collect());
-        let version = DirVersion::pinned(backend, dir, meta.dir_pages);
+        let interner = Arc::new(interner);
+        let image = Image {
+            elements: elements.clone(),
+            index: value_index.clone(),
+            interner: interner.clone(),
+            samples,
+        };
+        let version = DirVersion::pinned(backend, dir, meta.dir_pages, image);
         Ok(Database {
             schema,
             elements,
@@ -1045,8 +1231,8 @@ impl Database {
             by_ordinal: Arc::new(by_ordinal),
             links: Arc::new(links),
             rev_links: Arc::new(rev_links),
-            interner: Arc::new(interner),
-            value_index: Arc::new(value_index),
+            interner,
+            value_index,
             dispatch: Default::default(),
             epoch: meta.epoch,
             storage: Backing::Paged(PagedState {
@@ -1168,7 +1354,7 @@ impl StorageCtx {
         m: &mut Metrics,
     ) -> io::Result<()> {
         let Some(PagedCtx { version, clock, cache }) = &mut self.inner else { return Ok(()) };
-        let Some(e) = version.dir.entry(seg) else { return Ok(()) };
+        let Some(e) = version.dir.segs.get(&seg) else { return Ok(()) };
         let mut last = usize::MAX;
         for row in rows {
             let off = row * rec;
@@ -1208,7 +1394,7 @@ impl StorageCtx {
     /// Touch one element record.
     pub fn touch_element(&mut self, e: ElementId, m: &mut Metrics) -> io::Result<()> {
         let Some(PagedCtx { version, clock, cache }) = &mut self.inner else { return Ok(()) };
-        let Some(entry) = version.dir.entry(SegId::Elements) else { return Ok(()) };
+        let Some(entry) = version.dir.segs.get(&SegId::Elements) else { return Ok(()) };
         if entry.rows == 0 || e.idx() as u64 >= entry.rows {
             return Ok(());
         }
@@ -1417,6 +1603,36 @@ mod tests {
         let before = m;
         ctx.touch_element(fresh, &mut m).unwrap();
         assert_eq!(m, before, "unflushed rows live only in the heap");
+    }
+
+    /// A count a directory or a segment names is checked against the bytes
+    /// before anything is sized by it: a huge count and decreasing slot
+    /// bases are typed `InvalidData` errors, not an abort in the allocator
+    /// or a wrapped subtraction.
+    #[test]
+    fn decoders_bound_every_count_by_the_bytes() {
+        let invalid = |r: io::Result<()>| {
+            assert_eq!(r.expect_err("must be refused").kind(), io::ErrorKind::InvalidData)
+        };
+        let bytes = [0u8; 64];
+        let huge = u64::MAX / 2;
+        invalid(decode_tree(&bytes, huge).map(drop));
+        invalid(decode_postings(&bytes, huge).map(drop));
+        invalid(decode_symbols(&bytes, huge).map(drop));
+        invalid(decode_elements(&bytes, huge, 1, &Interner::default()).map(drop));
+        invalid(decode_slots::<u32>(&bytes, &[0, 4], huge).map(drop));
+        invalid(decode_slots::<u32>(&bytes, &[0, 8, 4], 12).map(drop));
+        invalid(decode_slots::<u32>(&bytes, &[0, 13], 12).map(drop));
+        // rev links: edge, participant and entry counts past the bytes
+        for prefix in [&[u32::MAX][..], &[1, u32::MAX], &[1, 1, u32::MAX]] {
+            let mut b = Vec::new();
+            prefix.iter().for_each(|&w| put_u32(&mut b, w));
+            b.resize(64, 0);
+            invalid(decode_rev_links(&b).map(drop));
+        }
+        // counts the bytes do hold still decode
+        assert_eq!(decode_slots::<u32>(&bytes, &[0, 8, 8], 12).unwrap().len(), 3);
+        assert_eq!(decode_tree(&bytes, 2).unwrap().len(), 2);
     }
 
     #[test]
