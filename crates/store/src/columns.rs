@@ -424,6 +424,11 @@ impl Elements {
         changed
     }
 
+    /// Whether this store is `other`'s headers and tables, by pointer.
+    pub(crate) fn same(&self, other: &Elements) -> bool {
+        Arc::ptr_eq(&self.headers, &other.headers) && Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
     /// What this store and `other` share of column `(node, attr)`.
     pub(crate) fn sharing(&self, other: &Elements, node: NodeId, attr: usize) -> ColumnSharing {
         let column = |s: &Elements| s.tables.get(node.idx())?.columns.get(attr).cloned();

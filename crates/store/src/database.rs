@@ -21,7 +21,7 @@
 use crate::columns::{Cell, ColumnSharing, ElementRef, Elements, Staged};
 use crate::effect::shadow;
 use crate::index::{IndexEntry, ValueIndex};
-use crate::storage::{Backing, SegId};
+use crate::storage::Backing;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::{EdgeId, ErGraph, NodeId};
 use colorist_mct::{ColorId, MctSchema, PlacementId};
@@ -153,8 +153,8 @@ pub struct Database {
     pub(crate) epoch: u64,
     /// How this database is backed (DESIGN.md §14): the pure heap by
     /// default, or attached to a paged [`crate::page::StorageBackend`]
-    /// with a segment directory and dirty-segment tracking. Excluded from
-    /// [`Database::same_state`] — backing is orthogonal to content.
+    /// with a segment directory and the image the next flush diffs against.
+    /// Excluded from [`Database::same_state`] — backing is orthogonal to content.
     pub(crate) storage: Backing,
 }
 
@@ -264,7 +264,6 @@ impl Database {
         if let Some(sym) = self.interner.get(&s) {
             return Cell::Sym(sym);
         }
-        self.storage.mark(SegId::Symbols);
         let sym = Arc::make_mut(&mut self.interner).intern(&s);
         shadow::note(|t| {
             t.new_symbols.insert(s);
@@ -279,7 +278,6 @@ impl Database {
     /// raw mutable element access, so the index cannot go stale.
     pub fn write_attr(&mut self, e: ElementId, attr: usize, v: Value) {
         let cell = self.cell(v);
-        self.storage.mark(SegId::Elements);
         let new_key = cell.key(&self.interner);
         let old_key = self.elements.write(e, attr, cell, &self.interner);
         let h = self.elements.header(e);
@@ -291,7 +289,6 @@ impl Database {
             }
         });
         if is_canonical {
-            self.storage.mark(SegId::Postings);
             // stored values are always interned, but stay total if not
             if let Some(old_key) = old_key {
                 Arc::make_mut(&mut self.value_index).reindex(node, attr, e, old_key, new_key);
@@ -474,8 +471,6 @@ impl Database {
         shadow::note(|t| {
             t.links.insert((edge, rel_ordinal));
         });
-        self.storage.mark(SegId::Links);
-        self.storage.mark(SegId::RevLinks);
         let links = Arc::make_mut(&mut self.links);
         let rev_links = Arc::make_mut(&mut self.rev_links);
         if links.len() <= edge.idx() {
@@ -503,7 +498,6 @@ impl Database {
             shadow::note(|t| {
                 t.links.insert((edge, rel_ordinal));
             });
-            self.storage.mark(SegId::Links);
         }
         self.epoch += 1;
     }
@@ -544,7 +538,6 @@ impl Database {
         shadow::note(|t| {
             t.colors.insert(c);
         });
-        self.storage.mark(SegId::Tree(c.0));
         self.colors[c.idx()].integrate(&self.elements);
         self.epoch += 1;
     }
@@ -565,9 +558,6 @@ impl Database {
             t.extent_nodes.insert(node);
             t.postings.extend((0..arity).map(|a| (node, a, id)));
         });
-        self.storage.mark(SegId::Elements);
-        self.storage.mark(SegId::Ordinals);
-        self.storage.mark(SegId::Postings);
         {
             let index = Arc::make_mut(&mut self.value_index);
             for (a, cell) in cells.iter().enumerate() {
@@ -602,7 +592,6 @@ impl Database {
         shadow::note(|t| {
             t.allocated.insert(id);
         });
-        self.storage.mark(SegId::Elements);
         self.epoch += 1;
         id
     }
@@ -622,7 +611,6 @@ impl Database {
             t.colors.insert(c);
             t.occ_added.insert(canon);
         });
-        self.storage.mark(SegId::Tree(c.0));
         let id = self.colors[c.idx()].push(element, placement, parent);
         self.epoch += 1;
         id
@@ -637,7 +625,6 @@ impl Database {
         shadow::note(|t| {
             t.colors.insert(c);
         });
-        self.storage.mark(SegId::Tree(c.0));
         self.epoch += 1;
         self.colors[c.idx()].remove(remove)
     }
@@ -689,8 +676,6 @@ impl Database {
                 t.extent_nodes.insert(node);
                 t.postings.extend((0..arity).map(|a| (node, a, canon)));
             });
-            self.storage.mark(SegId::Ordinals);
-            self.storage.mark(SegId::Postings);
             Arc::make_mut(&mut self.by_ordinal)[node.idx()][ordinal as usize] = TOMBSTONE;
             let extent = &mut Arc::make_mut(&mut self.extents)[node.idx()];
             if let Ok(pos) = extent.binary_search(&canon) {

@@ -44,10 +44,11 @@ use crate::index::{IndexEntry, ValueIndex};
 use crate::metrics::Metrics;
 use crate::page::{checksum, pages_for, FilePages, MemPages, PageId, StorageBackend, PAGE_SIZE};
 use crate::pool::{Clock, Fault, PageCache, PoolConfig};
+use crate::tree::Labelled;
 use crate::value::{Interner, Value, ValueKey};
 use colorist_er::NodeId;
 use colorist_mct::{ColorId, MctSchema, PlacementId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::ops::Range;
@@ -78,8 +79,8 @@ const REC_SLOT: u64 = 4;
 /// Element records between two offsets an image keeps.
 const SAMPLE_ROWS: usize = 64;
 
-/// One serialized stored structure, keyed for dirty tracking and the
-/// directory. Trees are per color; everything else is global.
+/// One serialized stored structure, keyed for the directory and the
+/// image diff. Trees are per color; everything else is global.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum SegId {
     /// All stored elements (canonicals and copies), row = `ElementId`.
@@ -146,17 +147,56 @@ pub(crate) struct DirVersion {
     image: Option<Image>,
 }
 
-/// The state a version's pages encode, as handles on the database's own
-/// copy-on-write structures: the next flush finds what changed by pointer.
-/// Clones, snapshots and a failed flush each diff against their own.
+/// The state a version's pages encode, as a handle on each of the
+/// database's copy-on-write structures: the next flush finds what changed
+/// by pointer. Clones, snapshots and a failed flush each diff against their own.
 #[derive(Debug)]
 struct Image {
     elements: Elements,
-    index: Arc<ValueIndex>,
+    value_index: Arc<ValueIndex>,
     interner: Arc<Interner>,
+    by_ordinal: Arc<Vec<Vec<ElementId>>>,
+    links: Arc<Vec<Vec<u32>>>,
+    rev_links: Arc<Vec<Vec<Vec<u32>>>>,
+    trees: Vec<Arc<Labelled>>,
     /// Offset of every `SAMPLE_ROWS`-th element record, where an encode
     /// may start.
     samples: Vec<u64>,
+}
+
+impl Image {
+    fn of(db: &Database, samples: Vec<u64>) -> Image {
+        Image {
+            elements: db.elements.clone(),
+            value_index: db.value_index.clone(),
+            interner: db.interner.clone(),
+            by_ordinal: db.by_ordinal.clone(),
+            links: db.links.clone(),
+            rev_links: db.rev_links.clone(),
+            trees: db.colors.iter().map(|t| t.labels().clone()).collect(),
+            samples,
+        }
+    }
+
+    /// Whether `db`'s structure behind `seg` is the one this image holds.
+    fn holds(&self, db: &Database, seg: SegId) -> bool {
+        match seg {
+            SegId::Elements => db.elements.same(&self.elements),
+            SegId::Ordinals => Arc::ptr_eq(&db.by_ordinal, &self.by_ordinal),
+            SegId::Postings => Arc::ptr_eq(&db.value_index, &self.value_index),
+            SegId::Links => Arc::ptr_eq(&db.links, &self.links),
+            SegId::RevLinks => Arc::ptr_eq(&db.rev_links, &self.rev_links),
+            SegId::Symbols => Arc::ptr_eq(&db.interner, &self.interner),
+            SegId::Tree(c) => Arc::ptr_eq(db.colors[c as usize].labels(), &self.trees[c as usize]),
+        }
+    }
+}
+
+/// Every segment a database of `colors` colors stores, in [`SegId`] order.
+fn segments(colors: usize) -> impl Iterator<Item = SegId> {
+    use SegId::*;
+    let globals = [Elements, Ordinals, Postings, Links, RevLinks, Symbols];
+    globals.into_iter().chain((0..colors as u16).map(Tree))
 }
 
 impl DirVersion {
@@ -200,29 +240,18 @@ pub(crate) enum Backing {
 #[derive(Debug, Clone)]
 pub(crate) struct PagedState {
     dir: Arc<DirVersion>,
-    dirty: BTreeSet<SegId>,
     pool: PoolConfig,
     /// The attachment's page cache, shared with every clone, snapshot and
     /// query of it.
     cache: Arc<PageCache>,
 }
 
-impl Backing {
-    /// Record that a stored structure changed since the last flush.
-    /// A no-op on the heap backend.
-    pub(crate) fn mark(&mut self, seg: SegId) {
-        if let Backing::Paged(s) = self {
-            s.dirty.insert(seg);
-        }
-    }
-}
-
 /// What a flush laid down, for `page_writes` accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushReport {
-    /// Pages written: the dirty segments' pages whose bytes changed, the
+    /// Pages written: the changed segments' pages whose bytes changed, the
     /// directory pages that changed with them, and the meta page. Zero
-    /// when nothing was dirty (or the database is heap-backed).
+    /// when no segment changed (or the database is heap-backed).
     pub pages_written: u64,
 }
 
@@ -860,7 +889,7 @@ impl Database {
     /// Attach this database to a paged backend: every stored structure is
     /// serialized into segments and flushed (so the returned report counts
     /// the full database), and from here on every commit point writes
-    /// dirty segments back through the backend. Queries executed against
+    /// changed segments back through the backend. Queries executed against
     /// an attached database charge the `page_reads`/`pool_hits`/
     /// `pool_evictions` counters through a per-query accounting clock of
     /// `pool.pool_bytes` bytes, and read pages through one page cache of
@@ -870,22 +899,9 @@ impl Database {
         backend: Arc<dyn StorageBackend>,
         pool: PoolConfig,
     ) -> io::Result<FlushReport> {
-        let mut dirty: BTreeSet<SegId> = [
-            SegId::Elements,
-            SegId::Ordinals,
-            SegId::Postings,
-            SegId::Links,
-            SegId::RevLinks,
-            SegId::Symbols,
-        ]
-        .into_iter()
-        .collect();
-        for c in 0..self.colors.len() {
-            dirty.insert(SegId::Tree(c as u16));
-        }
         let empty = DirVersion { backend, dir: Default::default(), dir_pages: vec![], image: None };
         let cache = Arc::new(PageCache::new(pool));
-        self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), dirty, pool, cache });
+        self.storage = Backing::Paged(PagedState { dir: Arc::new(empty), pool, cache });
         self.flush_storage()
     }
 
@@ -894,27 +910,30 @@ impl Database {
         self.storage = Backing::Heap;
     }
 
-    /// Write every dirty segment back to the backend — the commit/
+    /// Write every segment whose structure is not the directory's image's
+    /// (all before the first flush) back to the backend — the commit/
     /// write-back protocol of DESIGN.md §14. The element and posting
     /// segments encode and hash only the pages of the rows that changed
-    /// since the directory's image, found by pointer; the others are
-    /// re-encoded whole and hashed page by page. Only the pages whose
-    /// checksum changed are written, each to a page no live version names,
-    /// and the directory is diffed and written the same way. Then the meta
-    /// page is repointed and the backend synced once. Returns the pages
-    /// written for `page_writes` accounting; zero (and no I/O) when nothing
-    /// is dirty or the database is heap-backed. On `Err` the database, its
-    /// directory and image, and the backend's free list are as before.
+    /// since the image, found by pointer; the others are re-encoded whole
+    /// and hashed page by page. Only the pages whose checksum changed are
+    /// written, each to a page no live version names, and the directory is
+    /// diffed and written the same way. Then the meta page is repointed and
+    /// the backend synced once. Returns the pages written for `page_writes`
+    /// accounting; zero (and no I/O) when no segment changed or the
+    /// database is heap-backed. On `Err` the database, its directory and
+    /// image, and the backend's free list are as before.
     pub fn flush_storage(&mut self) -> io::Result<FlushReport> {
-        let (old, dirty, cache) = match &self.storage {
-            Backing::Paged(s) if !s.dirty.is_empty() => {
-                (s.dir.clone(), s.dirty.clone(), s.cache.clone())
-            }
-            _ => return Ok(FlushReport::default()),
-        };
+        let Backing::Paged(s) = &self.storage else { return Ok(FlushReport::default()) };
+        let (old, cache) = (s.dir.clone(), s.cache.clone());
+        let changed: Vec<SegId> = segments(self.colors.len())
+            .filter(|&seg| old.image.as_ref().is_none_or(|img| !img.holds(self, seg)))
+            .collect();
+        if changed.is_empty() {
+            return Ok(FlushReport::default());
+        }
         let table = old.backend.pages();
         let mut taken = Vec::new();
-        let written = self.write_version(&old, &dirty, &cache, &mut taken);
+        let written = self.write_version(&old, &changed, &cache, &mut taken);
         let (version, meta, pages_written) = match written {
             Ok(written) => written,
             Err(e) => {
@@ -927,12 +946,11 @@ impl Database {
         table.publish(&*old.backend, meta, version.page_ids().collect())?;
         if let Backing::Paged(s) = &mut self.storage {
             s.dir = version;
-            s.dirty.clear();
         }
         Ok(FlushReport { pages_written })
     }
 
-    /// The write half of [`Database::flush_storage`]: lay the dirty
+    /// The write half of [`Database::flush_storage`]: lay the `changed`
     /// segments' pages, write the changed ones and the directory's, taking
     /// pages into `taken` and dropping them from `cache`. Returns the
     /// pinned new version, its meta page and the pages written (the meta
@@ -940,7 +958,7 @@ impl Database {
     fn write_version(
         &self,
         old: &DirVersion,
-        dirty: &BTreeSet<SegId>,
+        changed: &[SegId],
         cache: &PageCache,
         taken: &mut Vec<PageId>,
     ) -> io::Result<(Arc<DirVersion>, Vec<u8>, u64)> {
@@ -953,15 +971,15 @@ impl Database {
         let mut dir = old.dir.clone();
         let mut samples = old.image.as_ref().map_or_else(Vec::new, |i| i.samples.clone());
         // per changed page: (segment, its buffer in `laid`, index, offset)
-        let (mut laid, mut changed) = (Vec::new(), Vec::new());
-        for &seg in dirty {
-            let (entry, buf, seg_changed) = self.lay_segment(old, seg, &mut dir, &mut samples);
-            changed.extend(seg_changed.into_iter().map(|(i, at)| (seg, laid.len(), i, at)));
+        let (mut laid, mut pages) = (Vec::new(), Vec::new());
+        for &seg in changed {
+            let (entry, buf, seg_pages) = self.lay_segment(old, seg, &mut dir, &mut samples);
+            pages.extend(seg_pages.into_iter().map(|(i, at)| (seg, laid.len(), i, at)));
             dir.segs.insert(seg, entry);
             laid.push(buf);
         }
-        let mut writes = Vec::with_capacity(changed.len());
-        for (&(seg, buf, i, at), id) in changed.iter().zip(take(changed.len())?) {
+        let mut writes = Vec::with_capacity(pages.len());
+        for (&(seg, buf, i, at), id) in pages.iter().zip(take(pages.len())?) {
             dir.segs.get_mut(&seg).expect("inserted above").pages[i].id = id;
             writes.push((id, &laid[buf][at..at + PAGE_SIZE]));
         }
@@ -979,12 +997,7 @@ impl Database {
         }
         write_runs(backend, cache, writes)?;
         let meta = encode_meta(self.epoch(), dir_bytes, &dir_pages)?;
-        let image = Image {
-            elements: self.elements.clone(),
-            index: self.value_index.clone(),
-            interner: self.interner.clone(),
-            samples,
-        };
+        let image = Image::of(self, samples);
         let version = DirVersion::pinned(old.backend.clone(), dir, dir_pages, image);
         taken.clear();
         Ok((version, meta, data_pages + dir_changed.len() as u64 + 1))
@@ -1015,7 +1028,7 @@ impl Database {
         (ranges, old_bytes)
     }
 
-    /// Lay dirty segment `seg` over `old`'s pages ([`lay_pages`]). The
+    /// Lay changed segment `seg` over `old`'s pages ([`lay_pages`]). The
     /// element and posting segments encode from the page where every byte
     /// may have changed on, and before it the pages of the changed rows
     /// only; the element segment keeps `samples` current.
@@ -1056,8 +1069,8 @@ impl Database {
             SegId::Postings => {
                 let index = &*self.value_index;
                 let rows = index.len() as u64;
-                let (ranges, moved) =
-                    image.map_or((vec![], Some(0)), |(img, _)| index.changed_since(&img.index));
+                let (ranges, moved) = image
+                    .map_or((vec![], Some(0)), |(img, _)| index.changed_since(&img.value_index));
                 let first = moved.unwrap_or(rows) * REC_POSTING / page;
                 let from = first * page / REC_POSTING;
                 let mut buf = Vec::new();
@@ -1215,15 +1228,7 @@ impl Database {
             .collect();
         let named = dir.segs.values().flat_map(|e| &e.pages).chain(&meta.dir_pages);
         backend.pages().adopt(page_count, &meta_page, named.map(|p| p.id).collect());
-        let interner = Arc::new(interner);
-        let image = Image {
-            elements: elements.clone(),
-            index: value_index.clone(),
-            interner: interner.clone(),
-            samples,
-        };
-        let version = DirVersion::pinned(backend, dir, meta.dir_pages, image);
-        Ok(Database {
+        let mut db = Database {
             schema,
             elements,
             colors,
@@ -1231,17 +1236,16 @@ impl Database {
             by_ordinal: Arc::new(by_ordinal),
             links: Arc::new(links),
             rev_links: Arc::new(rev_links),
-            interner,
+            interner: Arc::new(interner),
             value_index,
             dispatch: Default::default(),
             epoch: meta.epoch,
-            storage: Backing::Paged(PagedState {
-                dir: version,
-                dirty: BTreeSet::new(),
-                pool,
-                cache: Arc::new(PageCache::new(pool)),
-            }),
-        })
+            storage: Backing::Heap,
+        };
+        let dir = DirVersion::pinned(backend, dir, meta.dir_pages, Image::of(&db, samples));
+        db.storage =
+            Backing::Paged(PagedState { dir, pool, cache: Arc::new(PageCache::new(pool)) });
+        Ok(db)
     }
 
     /// The pages this database's directory version names: per segment,

@@ -68,7 +68,7 @@ pub struct ColorTree {
 /// Occurrences in document order with exact DFS labels, and the indexes
 /// over them.
 #[derive(Debug, PartialEq, Eq)]
-struct Labelled {
+pub(crate) struct Labelled {
     occs: Vec<Occurrence>,
     /// Per placement (indexed by `PlacementId`), occurrence ids in
     /// document order.
@@ -368,6 +368,11 @@ impl ColorTree {
             logical: (0..nodes).map(|_| OrdinalRows::default()).collect(),
         };
         ColorTree { labelled: Arc::new(labelled), pending: Vec::new() }
+    }
+
+    /// The labelled part, which a structural write replaces.
+    pub(crate) fn labels(&self) -> &Arc<Labelled> {
+        &self.labelled
     }
 
     /// All labelled occurrences, in document order (sorted by `start`).
