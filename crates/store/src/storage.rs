@@ -363,6 +363,15 @@ impl<'a> Cur<'a> {
         let n = self.u32()?;
         fits(n as u64, 4, &self.b[self.p..])
     }
+
+    /// `out`, if every byte was read: a length and a row count that
+    /// disagree are refused.
+    fn end<T>(&self, out: T) -> io::Result<T> {
+        match self.p == self.b.len() {
+            true => Ok(out),
+            false => Err(corrupt(format!("{} bytes past the last record", self.b.len() - self.p))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +467,7 @@ fn decode_elements(
         }
         out.push(node, ordinal, canonical, cells.drain(..), interner);
     }
-    Ok((out.freeze(), samples))
+    cur.end((out.freeze(), samples))
 }
 
 fn encode_tree(occs: &[Occurrence]) -> (Vec<u8>, u64) {
@@ -488,7 +497,7 @@ fn decode_tree(bytes: &[u8], rows: u64) -> io::Result<Vec<Occurrence>> {
         let (start, end, level) = (cur.u32()?, cur.u32()?, cur.u16()?);
         out.push(Occurrence { element, placement, parent, start, end, level });
     }
-    Ok(out)
+    cur.end(out)
 }
 
 /// Flat per-node (or per-edge) `u32` slot runs, plus the row base of each
@@ -522,7 +531,7 @@ fn decode_slots<T: SlotWord>(bytes: &[u8], bases: &[u64], rows: u64) -> io::Resu
         }
         out.push(g);
     }
-    Ok(out)
+    cur.end(out)
 }
 
 /// The two flat slot segments store `u32` words: ordinal slots hold
@@ -568,8 +577,9 @@ fn encode_rev_links(rev: &[Vec<Vec<u32>>]) -> (Vec<u8>, u64) {
     (out, rows)
 }
 
-fn decode_rev_links(bytes: &[u8]) -> io::Result<Vec<Vec<Vec<u32>>>> {
+fn decode_rev_links(bytes: &[u8], rows: u64) -> io::Result<Vec<Vec<Vec<u32>>>> {
     let mut cur = Cur::new(bytes);
+    let mut entries = 0;
     let edges = cur.count()?;
     let mut out = Vec::with_capacity(edges);
     for _ in 0..edges {
@@ -577,6 +587,7 @@ fn decode_rev_links(bytes: &[u8]) -> io::Result<Vec<Vec<Vec<u32>>>> {
         let mut per_edge = Vec::with_capacity(participants);
         for _ in 0..participants {
             let n = cur.count()?;
+            entries += n as u64;
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
                 v.push(cur.u32()?);
@@ -585,7 +596,10 @@ fn decode_rev_links(bytes: &[u8]) -> io::Result<Vec<Vec<Vec<u32>>>> {
         }
         out.push(per_edge);
     }
-    Ok(out)
+    match entries == rows {
+        true => cur.end(out),
+        false => Err(corrupt(format!("{entries} reverse links where the directory says {rows}"))),
+    }
 }
 
 fn encode_key(out: &mut Vec<u8>, k: ValueKey) {
@@ -639,7 +653,7 @@ fn decode_postings(bytes: &[u8], rows: u64) -> io::Result<Vec<IndexEntry>> {
         let element = ElementId(cur.u32()?);
         out.push(IndexEntry { node, attr, key, element });
     }
-    Ok(out)
+    cur.end(out)
 }
 
 fn encode_symbols(interner: &Interner) -> (Vec<u8>, u64) {
@@ -661,7 +675,43 @@ fn decode_symbols(bytes: &[u8], rows: u64) -> io::Result<Interner> {
         let s = std::str::from_utf8(cur.take(n)?).map_err(|_| corrupt("non-UTF-8 symbol"))?;
         strings.push(s.to_owned());
     }
-    Ok(Interner::from_strings(strings))
+    cur.end(Interner::from_strings(strings))
+}
+
+/// The slot segments against the segments they index, in linear passes,
+/// so that bases cutting a slot run in the wrong place are refused: each
+/// node holds one ordinal slot per canonical element of it, the element's
+/// own or a tombstone; each edge holds one reverse link per link slot,
+/// naming the participant the slot names unless the link was killed.
+fn check_slots(
+    elements: &Elements,
+    by_ordinal: &[Vec<ElementId>],
+    links: &[Vec<u32>],
+    rev_links: &[Vec<Vec<u32>>],
+) -> io::Result<()> {
+    let mut canonicals = vec![0; by_ordinal.len()];
+    for e in (0..elements.len() as u32).map(ElementId) {
+        let h = elements.header(e);
+        let slot = by_ordinal[h.node.idx()].get(h.ordinal as usize);
+        if h.canonical == e && !slot.is_some_and(|&s| s == e || s == TOMBSTONE) {
+            return Err(corrupt(format!("element {} is not in its ordinal slot", e.0)));
+        }
+        canonicals[h.node.idx()] += usize::from(h.canonical == e);
+    }
+    if canonicals.iter().zip(by_ordinal).any(|(&n, slots)| n != slots.len()) {
+        return Err(corrupt("the ordinal slots are cut at the wrong bases"));
+    }
+    let agree = |(slots, rev): (&Vec<u32>, &Vec<Vec<u32>>)| {
+        rev.iter().map(Vec::len).sum::<usize>() == slots.len()
+            && rev.iter().zip(0..).all(|(rels, p)| {
+                rels.iter()
+                    .all(|&r| slots.get(r as usize).is_some_and(|&q| q == p || q == u32::MAX))
+            })
+    };
+    if links.len() != rev_links.len() || !links.iter().zip(rev_links).all(agree) {
+        return Err(corrupt("the link slots disagree with the reverse links"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -736,7 +786,9 @@ fn decode_dir(bytes: &[u8]) -> io::Result<SegmentDirectory> {
         let seg = seg_from_tag(tag, color)?;
         let (bytes, rows) = (cur.u64()?, cur.u64()?);
         let pages = page_refs(&mut cur, pages_for(bytes))?;
-        segs.insert(seg, SegEntry { bytes, rows, pages });
+        if segs.insert(seg, SegEntry { bytes, rows, pages }).is_some() {
+            return Err(corrupt(format!("the directory lists segment {seg:?} twice")));
+        }
     }
     let mut bases = [Vec::new(), Vec::new()];
     for b in &mut bases {
@@ -746,7 +798,7 @@ fn decode_dir(bytes: &[u8]) -> io::Result<SegmentDirectory> {
         }
     }
     let [ordinal_bases, link_bases] = bases;
-    Ok(SegmentDirectory { segs, ordinal_bases, link_bases })
+    cur.end(SegmentDirectory { segs, ordinal_bases, link_bases })
 }
 
 /// What the meta page records: the epoch and where the directory lives.
@@ -1187,8 +1239,11 @@ impl Database {
             Ok(raw)
         };
         let dir = decode_dir(&read("directory", meta.dir_bytes, &meta.dir_pages)?)?;
+        if !dir.segs.keys().copied().eq(segments(schema.color_count())) {
+            return Err(corrupt("the directory does not list the schema's segments"));
+        }
         let read_seg = |seg: SegId| -> io::Result<(Vec<u8>, u64)> {
-            let Some(e) = dir.segs.get(&seg) else { return Ok((Vec::new(), 0)) };
+            let e = &dir.segs[&seg];
             Ok((read(&format!("{seg:?}"), e.bytes, &e.pages)?, e.rows))
         };
         let (b, rows) = read_seg(SegId::Symbols)?;
@@ -1199,8 +1254,9 @@ impl Database {
         let (elements, samples) = decode_elements(&b, rows, by_ordinal.len(), &interner)?;
         let (b, rows) = read_seg(SegId::Links)?;
         let links: Vec<Vec<u32>> = decode_slots(&b, &dir.link_bases, rows)?;
-        let (b, _) = read_seg(SegId::RevLinks)?;
-        let rev_links = decode_rev_links(&b)?;
+        let (b, rows) = read_seg(SegId::RevLinks)?;
+        let rev_links = decode_rev_links(&b, rows)?;
+        check_slots(&elements, &by_ordinal, &links, &rev_links)?;
         let (b, rows) = read_seg(SegId::Postings)?;
         let value_index = Arc::new(ValueIndex::from_entries(decode_postings(&b, rows)?));
         // a stored tree is in document order, so integrating it as one
@@ -1505,6 +1561,7 @@ impl Storage {
 mod tests {
     use super::*;
     use crate::database::tests::{build, tiny};
+    use colorist_er::ErGraph;
 
     #[test]
     fn attach_flush_load_roundtrip() {
@@ -1632,11 +1689,118 @@ mod tests {
             let mut b = Vec::new();
             prefix.iter().for_each(|&w| put_u32(&mut b, w));
             b.resize(64, 0);
-            invalid(decode_rev_links(&b).map(drop));
+            invalid(decode_rev_links(&b, 0).map(drop));
         }
-        // counts the bytes do hold still decode
-        assert_eq!(decode_slots::<u32>(&bytes, &[0, 8, 8], 12).unwrap().len(), 3);
-        assert_eq!(decode_tree(&bytes, 2).unwrap().len(), 2);
+        // counts the bytes do hold still decode, and bytes past them are refused
+        assert_eq!(decode_slots::<u32>(&bytes[..48], &[0, 8, 8], 12).unwrap().len(), 3);
+        assert_eq!(decode_tree(&bytes[..44], 2).unwrap().len(), 2);
+        invalid(decode_tree(&bytes[..45], 2).map(drop));
+    }
+
+    /// A small TPC-W DR database (five colors): two instances of every
+    /// node, each color's placements filled top-down (a second occurrence
+    /// of an instance in a color stores a copy), a number and a text cell
+    /// per element, and every relationship edge linked.
+    fn tpcw_dr() -> Database {
+        let g = ErGraph::from_diagram(&colorist_er::catalog::tpcw()).unwrap();
+        let schema = colorist_core::design(&g, colorist_core::Strategy::Dr).unwrap();
+        let mut bd = crate::database::DatabaseBuilder::new(schema.clone(), g.node_count());
+        let per = 2;
+        let cell = |a: usize, k: usize| match a % 2 {
+            0 => Value::Int(k as i64),
+            _ => Value::Text(format!("{a}:{k}")),
+        };
+        let canon: Vec<Vec<ElementId>> = (g.node_ids())
+            .map(|n| {
+                let cells = |k| -> Vec<Value> {
+                    (0..g.node(n).attributes.len()).map(|a| cell(a, k)).collect()
+                };
+                (0..per).map(|k| bd.add_canonical(n, &cells(k))).collect()
+            })
+            .collect();
+        for c in schema.colors() {
+            let mut bound = vec![vec![false; per]; g.node_count()];
+            let mut at: Vec<Vec<OccId>> = vec![Vec::new(); schema.placements().len()];
+            for p in schema.roots(c).iter().flat_map(|&root| schema.subtree(root)) {
+                let parents = match schema.placement(p).parent {
+                    None => vec![None; per],
+                    Some((pp, _)) => at[pp.idx()].iter().map(|&o| Some(o)).collect(),
+                };
+                let node = schema.placement(p).node.idx();
+                for (i, parent) in parents.into_iter().enumerate() {
+                    let k = i % per;
+                    let e =
+                        if bound[node][k] { bd.add_copy(canon[node][k]) } else { canon[node][k] };
+                    bound[node][k] = true;
+                    at[p.idx()].push(bd.add_occurrence(c, e, p, parent));
+                }
+            }
+        }
+        bd.set_links(g.edge_ids().map(|_| (0..per as u32).collect()).collect());
+        bd.finish()
+    }
+
+    /// Every single-byte change to the bytes the meta page and the
+    /// directory use, with the checksums recomputed so the decoder sees
+    /// it, loads as a typed `InvalidData` error or as the saved state:
+    /// never a panic, and never another database.
+    #[test]
+    fn hostile_meta_and_directory_bytes_are_refused_or_harmless() {
+        let pool = PoolConfig::default();
+        let mut db = tpcw_dr();
+        assert!(db.color_count() >= 2, "several trees");
+        let backend = Arc::new(MemPages::new());
+        db.attach_paged(backend.clone(), pool).unwrap();
+        // a write, a killed link and a tombstone, flushed
+        let e = db.extent(db.element(ElementId(0)).node)[1];
+        db.write_attr(e, 0, Value::Int(77));
+        db.kill_link(colorist_er::EdgeId(0), 1);
+        db.remove_element_occurrences(ElementId(0));
+        assert!(db.flush_storage().unwrap().pages_written > 0);
+
+        let read = |id: PageId| {
+            let mut page = vec![0; PAGE_SIZE];
+            backend.read_page(id, &mut page).unwrap();
+            page
+        };
+        let mut meta_page = vec![0; PAGE_SIZE];
+        backend.read_meta(&mut meta_page).unwrap();
+        let meta = decode_meta(&meta_page).unwrap();
+        let pages: Vec<Vec<u8>> = (1..backend.page_count()).map(read).collect();
+        let meta_used = META_HEAD + 16 * meta.dir_pages.len();
+        let (mut loads, mut refused) = (0, 0);
+        for at in 0..meta_used + meta.dir_bytes as usize {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let (mut meta_page, mut pages) = (meta_page.clone(), pages.clone());
+                if at < meta_used {
+                    meta_page[at] ^= flip;
+                } else {
+                    let (i, off) = ((at - meta_used) / PAGE_SIZE, (at - meta_used) % PAGE_SIZE);
+                    let page = &mut pages[meta.dir_pages[i].id as usize - 1];
+                    page[off] ^= flip;
+                    let sum = META_HEAD + 16 * i + 8;
+                    meta_page[sum..sum + 8].copy_from_slice(&checksum(page).to_le_bytes());
+                }
+                let sum = checksum(&meta_page[..PAGE_SIZE - 8]);
+                meta_page[PAGE_SIZE - 8..].copy_from_slice(&sum.to_le_bytes());
+                let hostile = MemPages::new();
+                hostile.reserve(pages.len() as u64).unwrap();
+                hostile.write_pages(1, &pages.concat()).unwrap();
+                hostile.write_meta(&meta_page).unwrap();
+                let what = format!("byte {at} ^ {flip:#04x}");
+                loads += 1;
+                match Database::load_from_backend(Arc::new(hostile), db.schema.clone(), pool) {
+                    Ok(loaded) => {
+                        loaded.same_state(&db, false).unwrap_or_else(|e| panic!("{what}: {e}"))
+                    }
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > loads / 2, "{refused} of {loads} loads refused");
     }
 
     #[test]
