@@ -6,15 +6,19 @@
 //!
 //! * a property test applies random commits on DR, DEEP and UNDR TPC-W —
 //!   attribute writes that move a cell between `Int`, `Float` (signed
-//!   zeros included) and `Text`, a number into a text column, inserts that
-//!   store copies and push links, deletes that kill links — and after each
-//!   one compares every segment page by page with a clone attached to a
-//!   fresh `MemPages`, then reloads the backend;
+//!   zeros included) and `Text`, a new symbol, a number into a text column,
+//!   inserts that store copies and push links, deletes that kill links, and
+//!   in every color an occurrence removal that changes that tree alone —
+//!   and after each one compares every segment page by page with a clone
+//!   attached to a fresh `MemPages`, then reloads the backend. Every
+//!   segment is rewritten at least once in each run, and a rejected batch
+//!   leaves nothing to flush;
 //! * two forked clones flush in turn against one backend, each against
 //!   the image of the version it holds;
 //! * a flush that fails at each backend call leaves the image where it
 //!   was, so the retry lays down the right pages.
 
+use std::collections::BTreeSet;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,11 +26,12 @@ use std::sync::Arc;
 use colorist::core::{design, Strategy};
 use colorist::datagen::{generate, materialize, Rng, ScaleProfile};
 use colorist::er::{catalog, ErGraph, NodeId};
+use colorist::mct::ColorId;
 use colorist::query::execute_update;
 use colorist::store::page::PageTable;
 use colorist::store::{
-    BatchError, Database, ElementId, MemPages, PageId, PoolConfig, StorageBackend, UpdateBatch,
-    Value, PAGE_SIZE,
+    BatchError, BatchOp, Database, ElementId, MemPages, OccId, PageId, PoolConfig, StorageBackend,
+    UpdateBatch, Value, PAGE_SIZE,
 };
 use colorist::workload::tpcw;
 
@@ -125,6 +130,11 @@ fn commit(db: &mut Database, g: &ErGraph, batch: &UpdateBatch) -> bool {
     }
 }
 
+/// The segments whose pages differ between two page maps of one database.
+fn moved(before: &[(String, Vec<PageId>)], after: &[(String, Vec<PageId>)]) -> Vec<String> {
+    (after.iter()).filter(|seg| !before.contains(seg)).map(|(name, _)| name.clone()).collect()
+}
+
 #[test]
 fn random_commits_lay_down_the_pages_of_a_full_encode() {
     let w = tpcw::workload(&ErGraph::from_diagram(&catalog::tpcw()).expect("tpcw builds"));
@@ -133,19 +143,49 @@ fn random_commits_lay_down_the_pages_of_a_full_encode() {
         let (g, mut db) = tpcw_db(strategy);
         let backend: Arc<dyn StorageBackend> = Arc::new(MemPages::new());
         db.attach_paged(backend.clone(), PoolConfig::default()).expect("attach");
+        let mut rewritten = BTreeSet::new();
         // a zero that flips its sign moves no posting, and its cell equals
         // the old one under `==`, but not bit for bit
         let customer = g.node_by_name("customer").expect("customer");
         let discount = db.attr_index(&g, customer, "discount").expect("discount");
+        let uname = db.attr_index(&g, customer, "uname").expect("uname");
+        let mut batches = Vec::new();
         for zero in [0.0, -0.0] {
             let mut batch = UpdateBatch::new();
             batch.write_attr(db.extent(customer)[3], discount, Value::Float(zero));
-            assert!(commit(&mut db, &g, &batch));
-            assert_full_encode(&db, &backend, &format!("{strategy}, discount {zero:?}"));
+            batches.push((format!("discount {zero:?}"), batch));
+        }
+        let mut batch = UpdateBatch::new();
+        batch.write_attr(
+            db.extent(customer)[4],
+            uname,
+            Value::Text("a symbol never stored".into()),
+        );
+        batches.push(("a new symbol".into(), batch));
+        for (what, batch) in batches {
+            let before = db.page_map();
+            assert!(commit(&mut db, &g, &batch), "{what} commits");
+            rewritten.extend(moved(&before, &db.page_map()));
+            assert_full_encode(&db, &backend, &format!("{strategy}, {what}"));
+        }
+        // the last occurrence in document order is a leaf: removing it
+        // changes its tree and nothing else
+        for c in 0..db.color_count() as u16 {
+            let color = ColorId(c);
+            let last = OccId(db.color(color).occs().len() as u32 - 1);
+            let mut batch = UpdateBatch::new();
+            batch.push(BatchOp::RemoveOccurrences { color, occs: vec![last] });
+            let before = db.page_map();
+            assert!(commit(&mut db, &g, &batch), "removing a leaf occurrence commits");
+            let tree_only = moved(&before, &db.page_map());
+            assert_eq!(tree_only, [format!("Tree({c})"), "directory".into()], "{strategy}");
+            rewritten.extend(tree_only);
+            assert_full_encode(&db, &backend, &format!("{strategy}, a leaf of color {c} removed"));
         }
         let mut rng = Rng::new(seed as u64 + 1);
         for round in 0..24 {
             let ctx = format!("{strategy}, commit {round}");
+            let before = db.page_map();
             let committed = match rng.below(8) {
                 0 => {
                     execute_update(&mut db, &g, update("U1")).expect("U1 inserts");
@@ -165,10 +205,20 @@ fn random_commits_lay_down_the_pages_of_a_full_encode() {
                     commit(&mut db, &g, &batch)
                 }
             };
+            rewritten.extend(moved(&before, &db.page_map()));
             if committed {
                 assert_full_encode(&db, &backend, &ctx);
             }
         }
+        // a rejected batch was refused before it wrote anything
+        let mut batch = UpdateBatch::new();
+        batch.write_attr(db.extent(customer)[3], discount, Value::Float(1.5));
+        batch.write_attr(db.extent(customer)[3], discount, Value::Float(2.5));
+        assert!(!commit(&mut db, &g, &batch), "a cell written twice is a conflict");
+        let flush = db.flush_storage().expect("a flush with nothing to write");
+        assert_eq!(flush.pages_written, 0, "{strategy}: a rejected batch leaves nothing to flush");
+        let stored: BTreeSet<String> = db.page_map().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(rewritten, stored, "{strategy}: every segment is rewritten in the run");
     }
 }
 
