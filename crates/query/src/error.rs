@@ -43,8 +43,8 @@ pub enum QueryError {
         /// Human-readable edge label (`relationship[participant]`).
         edge: String,
     },
-    /// The paged storage backend failed to commit an update's dirty
-    /// segments (an I/O error from the page file). The update is rolled
+    /// The paged storage backend failed to commit the segments an update
+    /// changed (an I/O error from the page file). The update is rolled
     /// back: the database, in memory and on the backend, is unchanged.
     Storage(String),
     /// A page a query read could not be served: the backend read failed,

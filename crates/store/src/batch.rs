@@ -166,8 +166,8 @@ pub enum BatchError {
     /// Two ops in the batch contend for the same target (double write of
     /// one attribute, delete of a written instance, …).
     Conflict(String),
-    /// The paged storage backend failed to commit the batch's dirty
-    /// segments (an I/O error). Raised *before* the commit point, so the
+    /// The paged storage backend failed to commit the segments the batch
+    /// changed (an I/O error). Raised *before* the commit point, so the
     /// live database and its backend state are untouched.
     Storage(String),
 }
@@ -217,13 +217,14 @@ pub struct BatchReceipt {
     /// carries its group's epoch).
     pub epoch: u64,
     /// Pages written by the paged storage backend's commit transaction
-    /// (0 on the heap backend, and for batches that dirtied nothing).
+    /// (0 on the heap backend, and for batches that changed no segment).
     pub pages_written: u64,
 }
 
 /// The commit point a single batch and a commit group share: write the
-/// dirty segments through the paged backend as one transaction. Returns the pages written (0 on the
-/// heap backend). Runs *before* the staged state is published, so on
+/// segments that differ from the directory's image through the paged
+/// backend as one transaction. Returns the pages written (0 on the heap
+/// backend). Runs *before* the staged state is published, so on
 /// `Err` the caller still holds its savepoint.
 pub(crate) fn commit_staged(db: &mut Database) -> Result<u64, BatchError> {
     let flush = db.flush_storage().map_err(|e| BatchError::Storage(e.to_string()))?;

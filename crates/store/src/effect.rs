@@ -270,7 +270,7 @@ pub fn analyze_batch(batch: &UpdateBatch, db: &Database, graph: &ErGraph) -> Foo
 /// order *is* serial order, so the group lands exactly where applying
 /// the batches one by one does — and gets its own verdict: a rejected
 /// batch was refused before it wrote anything, so it leaves no trace and
-/// the next batch stages as if it had never been there. Then dirty
+/// the next batch stages as if it had never been there. Then the changed
 /// segments flush once, and the epoch advances by **one** if any batch
 /// committed: every receipt carries that epoch, and the last committed
 /// batch carries the group's `pages_written`.

@@ -42,7 +42,7 @@
 //!   in-memory and on-disk implementations, the clock/second-chance
 //!   policy behind both the per-query page accounting and the shared,
 //!   byte-budgeted page cache every attachment reads through, and the segment
-//!   serialization + dirty-tracking + commit/write-back protocol that
+//!   serialization + image-diff + commit/write-back protocol that
 //!   attaches a [`database::Database`] to a backend
 //!   ([`database::Database::attach_paged`]) and accounts page traffic in
 //!   the `page_reads`/`page_writes`/`pool_hits`/`pool_evictions` counters.

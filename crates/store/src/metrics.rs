@@ -131,10 +131,10 @@ metrics! {
     /// backend — only the paged backend (DESIGN.md §14.4) counts pages.
     /// Deterministic for a given plan, database and pool budget.
     page_reads,
-    /// Pages written back to the storage backend at a commit point: dirty
-    /// segment pages, the segment directory, and the meta page. Charged to
-    /// the flushing update/batch, zero for pure reads and for the heap
-    /// backend.
+    /// Pages written back to the storage backend at a commit point: the
+    /// changed pages of the segments that differ from the directory's
+    /// image, the segment directory, and the meta page. Charged to the
+    /// flushing update/batch, zero for pure reads and for the heap backend.
     page_writes,
     /// Page requests the query's accounting clock already held.
     /// `pool_hits / (pool_hits + page_reads)` is the hit rate

@@ -10,12 +10,13 @@
 //! pages, the way an in-memory TIMBER buffer pool would hold every hot
 //! page); the paged layer adds
 //!
-//! * a **commit protocol**: mutators mark the segments they touch dirty,
-//!   and every commit point (`UpdateBatch::apply` — which
-//!   `query::execute_update` commits through — a `CommitScheduler` group,
-//!   attach) lays the dirty segments down again, the element and posting
-//!   segments only on the pages of rows that changed since the version's
-//!   *image* (found by `Arc` pointer), and writes the pages whose checksum
+//! * a **commit protocol**: every commit point (`UpdateBatch::apply` —
+//!   which `query::execute_update` commits through — a `CommitScheduler`
+//!   group, attach) diffs the database against the *image* its directory
+//!   version encodes, a handle on each stored structure: it lays down again
+//!   the segments whose structure is not the image's (found by `Arc`
+//!   pointer; mutators mark nothing), the element and posting segments only
+//!   on the pages of rows that changed, and writes the pages whose checksum
 //!   changed (and the directory pages with them) to free pages, then
 //!   repoints the meta page at the new directory; `page_writes` counts them;
 //! * **paged reads**: each query's [`Reader`](crate::read::Reader) holds
@@ -1602,7 +1603,7 @@ mod tests {
         db.write_attr(eb0, 1, Value::Text("again".into()));
         db.flush_storage().unwrap();
         assert_eq!(backend.page_count(), full + 4, "the next commit reuses them");
-        // an immediate second flush has nothing dirty
+        // an immediate second flush finds nothing changed
         assert_eq!(db.flush_storage().unwrap(), FlushReport::default());
 
         // deletes exercise tombstones, extent retraction, and relabels
