@@ -39,6 +39,17 @@ if grep -rnE "$internals" crates/{query,datagen,server,workload}/src crates/benc
     exit 1
 fi
 
+echo "==> storage layout boundary: SegId only in crates/store/src/storage.rs"
+# A paged flush finds the segments that changed by diffing the database
+# against the image its directory version holds (DESIGN.md §14.3), so no
+# mutator marks a segment and no module outside the storage layer names
+# the page file's segment layout.
+if grep -rnw --include='*.rs' SegId crates src tests examples benchmark/src \
+    | grep -v '^crates/store/src/storage\.rs:'; then
+    echo "SegId named outside crates/store/src/storage.rs (see above)" >&2
+    exit 1
+fi
+
 echo "==> cargo doc (warning-free)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -150,6 +161,23 @@ echo "==> explain smoke (scale 300, TPC-W, all seven strategies)"
 # (DESIGN.md §11): every read on every strategy is compiled, annotated
 # from exact index counts, executed and printed. Fails on a non-zero exit.
 colorist explain --scale 300 >/dev/null
+
+echo "==> committed figures: every count-only output equals its results/ file"
+# Figures 8, 9, 10, 12, 13 and 14, the collection summary, and Table 1's
+# storage block and results column are counts, a function of the code and
+# the default seed and scale alone, so each must equal the committed file:
+# a change that moves one regenerates it in the same commit. Timings
+# (Table 1's per-schema columns, Figure 11) are not compared.
+stale() { echo "results/$1 differs from this build's output (see above)" >&2; exit 1; }
+for fig in fig8 fig9 fig10 fig12 fig13 fig14; do
+    colorist "$fig" | diff -u "results/$fig.txt" - || stale "$fig.txt"
+done
+colorist collection | diff -u results/collection_summary.txt - || stale collection_summary.txt
+# the storage block whole, then each query's name and result count
+table1_counts() { awk '/^query/ { q = 1 } q && NF == 0 { exit } { print q ? $1 " " $2 : $0 }'; }
+colorist table1 --out results/bench_summary_figures_ci.json | table1_counts \
+    | diff -u <(table1_counts < results/table1.txt) - || stale table1.txt
+rm -f results/bench_summary_figures_ci.json
 
 echo "==> table1 bench (scale 300, traced)"
 # Full-scale run with span collection: the summary feeds the perf gate, the

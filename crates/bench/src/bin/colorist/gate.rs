@@ -4,7 +4,7 @@
 //! colorist gate --baseline results/bench_baseline.json \
 //!               --current  results/bench_summary.json
 //! colorist gate --validate-trace trace.json
-//! colorist gate --scale --baseline results/BENCH_scale.json --current ...
+//! colorist gate --scale --baseline results/bench_scale_baseline.json --current ...
 //! ```
 //!
 //! `--scale` switches the diff to the `BENCH_scale.json` rules
