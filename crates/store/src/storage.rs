@@ -1741,10 +1741,10 @@ mod tests {
         bd.finish()
     }
 
-    /// Every single-byte change to the bytes the meta page and the
-    /// directory use, with the checksums recomputed so the decoder sees
-    /// it, loads as a typed `InvalidData` error or as the saved state:
-    /// never a panic, and never another database.
+    /// Each byte the meta page and the directory use, flipped by xor
+    /// `0x01`, `0x80` or `0xFF` with the checksums recomputed so the
+    /// decoder sees it, loads as a typed `InvalidData` error or as the
+    /// saved state: never a panic, and never another database.
     #[test]
     fn hostile_meta_and_directory_bytes_are_refused_or_harmless() {
         let pool = PoolConfig::default();
